@@ -21,21 +21,32 @@ leak into the bundle handed to the next machine, which cannot always run
 them.
 
 Rather than scanning all pairs of a dense table, rows iterate over the marked
-vectors of the previous row and enumerate their componentwise-dominated
-vectors; a pair (nu, nu') is examined exactly when nu <= nu' and nu' is
-marked, so the marking is the same as the dense double loop's.  Value sums
-and comparisons run on integers after normalizing every rounded value by a
-common denominator divisible by k.
+vectors nu' of row j+1 and enumerate, in lexicographic ascending order, the
+product of one window per coordinate.  With P_c the positions of big
+category c and a = nu'_c, the window is
+nu_c in [min(a, #{P_c < l_j}), min(a, #{P_c <= r_{j-1}})]: above it the
+remainder strands an item, below it the bundle takes an item left of agent
+j's interval.  The small prefix the sweep keeps grows monotonically with
+nu_0, so the allowed nu_0 form one interval ending at nu'_0; below it the
+bundle takes a small item left of l_j.  Row 1 considers only the zero
+vector.  Every window contains all vectors that can pass, and each
+enumerated candidate still goes through the same reconstruction,
+containment, interval and value checks in the same order, so the marking
+and the back-pointers are exactly those of the dense double loop.
+Reconstruction is O(C), from per-category prefix masks and weights.  Value
+sums and comparisons run on integers after normalizing every rounded value
+by a common denominator divisible by k.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import lcm
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
 from .instance_model import (Agent, Assignment, Subgraph,
                              assignment_from_positions, lexicographic_order)
@@ -62,7 +73,15 @@ class DPTable:
 
 
 class _Workspace:
-    """Integer-normalized view of a rounded instance for the DP hot path."""
+    """Integer-normalized view of a rounded instance for the DP hot path.
+
+    Coordinate 0 stands for the small items and coordinate c >= 1 for big
+    category c; ``positions[c]`` lists the coordinate's item positions left to
+    right, and ``prefix_mask[c][i]`` / ``prefix_weight[c][i]`` describe its
+    leftmost i items.  ``reach[j-1][c]`` counts the coordinate's items at
+    positions <= r_j and ``left_of[j-1][c]`` those at positions < l_j, for the
+    j-th agent in lexicographic order.
+    """
 
     def __init__(self, rounded: RoundedInstance):
         inst = rounded.instance
@@ -83,17 +102,25 @@ class _Workspace:
         self.weight = [0] + [int(inst.value_at(p) * denom) for p in range(1, inst.m + 1)]
         self.total = sum(self.weight)
 
-        self.small_positions = [p for p in range(1, inst.m + 1) if rounded.small[p - 1]]
-        self.small_prefix = [0]
-        for p in self.small_positions:
-            self.small_prefix.append(self.small_prefix[-1] + self.weight[p])
-        self.cat_positions: dict[int, list[int]] = {}
+        self.positions: list[list[int]] = [[] for _ in range(sch.C + 1)]
         for p in range(1, inst.m + 1):
-            cat = rounded.category[p - 1]
-            if cat is not None:
-                self.cat_positions.setdefault(cat, []).append(p)
+            self.positions[0 if rounded.small[p - 1] else rounded.category[p - 1]].append(p)
+        self.prefix_mask: list[list[int]] = []
+        self.prefix_weight: list[list[int]] = []
+        for positions in self.positions:
+            masks, weights = [0], [0]
+            for p in positions:
+                masks.append(masks[-1] | 1 << (p - 1))
+                weights.append(weights[-1] + self.weight[p])
+            self.prefix_mask.append(masks)
+            self.prefix_weight.append(weights)
+        self.small_positions = self.positions[0]
+        self.small_prefix = self.prefix_weight[0]
+        self.reach = [tuple(bisect_right(ps, hi) for ps in self.positions) for hi in self.highs]
+        self.left_of = [tuple(bisect_left(ps, lo) for ps in self.positions) for lo in self.lows]
 
         self.nu_in = input_vector(Subgraph(inst, frozenset(range(1, inst.m + 1)), inst.n), sch)
+        self.zero = sch.zero_vector()
         self.full_mask = (1 << inst.m) - 1  # bit p-1 represents position p
         self.window_mask = [self._range_mask(lo, hi) for lo, hi in zip(self.lows, self.highs)]
         self._retrieve_cache: dict[tuple[InputVector, int], Optional[tuple[int, int]]] = {}
@@ -110,14 +137,10 @@ class _Workspace:
         right-aligned assignment never leaves small mass beyond it), and
         keeps the total strictly below (nu_0 + 1)/k.  This reconstructs a
         superset of the matching true remainder's small items in both modes.
+        Both limits are monotone in the prefix length, so each is a bisection.
         """
-        bound = (nu0 + 1) * self.unit
-        length = 0
-        while (length < len(self.small_positions)
-               and self.small_positions[length] <= high
-               and self.small_prefix[length + 1] < bound):
-            length += 1
-        return length
+        return min(bisect_right(self.small_positions, high),
+                   bisect_left(self.small_prefix, (nu0 + 1) * self.unit) - 1)
 
     def retrieve_mask(self, nu: InputVector, j: int) -> Optional[tuple[int, int]]:
         """(item bitmask, total weight) of retrieve(nu, j), or None."""
@@ -133,31 +156,62 @@ class _Workspace:
             # With no agents left, any reconstructed item would be stranded:
             # only the all-zero vector is valid and yields the empty graph.
             return (0, 0) if not any(nu) else None
+        reach = self.reach[j - 1]
         mask = 0
         total = 0
-        high = self.highs[j - 1]
         for cat in range(1, len(nu)):
             count = nu[cat]
-            if count == 0:
-                continue
-            positions = self.cat_positions.get(cat, ())
-            if count > len(positions):
-                return None
-            for p in positions[:count]:
-                if p > high:
-                    return None  # stranded big item
-                mask |= 1 << (p - 1)
-                total += self.weight[p]
-        length = self.small_prefix_len(nu[0], high)
-        for p in self.small_positions[:length]:
-            mask |= 1 << (p - 1)
-        total += self.small_prefix[length]
-        return mask, total
+            if count > reach[cat]:
+                return None  # stranded (or nonexistent) big item
+            mask |= self.prefix_mask[cat][count]
+            total += self.prefix_weight[cat][count]
+        length = self.small_prefix_len(nu[0], self.highs[j - 1])
+        return mask | self.prefix_mask[0][length], total + self.small_prefix[length]
+
+    def candidates(self, nu_prev: InputVector, before_small: int,
+                   j: int) -> Iterable[InputVector]:
+        """The vectors nu <= nu_prev that can leave agent j a bundle inside
+        [l_j, r_j], in lexicographic ascending order.
+
+        ``before_small`` is the number of small items in the remainder
+        before agent j.  Every vector left out either reconstructs no
+        remainder for agents 1..j-1 or hands agent j an item outside its
+        interval, so the caller's checks would reject it anyway.
+        """
+        if j == 1:
+            return (self.zero,)  # the only vector retrieve(., 0) accepts
+        reach = self.reach[j - 2]
+        left_of = self.left_of[j - 1]
+        # Small items: the remainder's prefix length grows monotonically with
+        # nu_0 and must reach min(before_small, #small < l_j); the least such
+        # nu_0 has (nu_0 + 1) * unit > small_prefix[target].
+        target = min(before_small, left_of[0])
+        if target > reach[0]:
+            return ()
+        ranges = [range(self.small_prefix[target] // self.unit, nu_prev[0] + 1)]
+        # Big category c: the bundle takes items nu_c..a-1 of the category,
+        # which must lie at or after l_j, while the remainder's first nu_c
+        # items must lie at or before r_{j-1}.
+        for c in range(1, len(nu_prev)):
+            a = nu_prev[c]
+            ranges.append(range(min(a, left_of[c]), min(a, reach[c]) + 1))
+        return product(*ranges)
 
 
-@lru_cache(maxsize=8)
+# The workspaces of the last few rounded instances, so that forward, backward
+# and retrieve on one instance share a workspace and its retrieve cache.
+# Looked up by identity: hashing a RoundedInstance hashes every item value and
+# grid point, which cost more than forward itself on small instances.
+_recent: deque[_Workspace] = deque(maxlen=8)
+
+
 def _workspace(rounded: RoundedInstance) -> _Workspace:
-    return _Workspace(rounded)
+    for ws in tuple(_recent):
+        if ws.rounded is rounded:
+            return ws
+    ws = _Workspace(rounded)
+    _recent.append(ws)
+    return ws
 
 
 def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[Subgraph]:
@@ -202,11 +256,6 @@ def feasible(subgraph_before: Optional[Subgraph], bundle: frozenset[int],
     return value <= 1 + margin
 
 
-def _dominated(nu: InputVector) -> Iterator[InputVector]:
-    """All vectors <= nu componentwise, in lexicographic ascending order."""
-    return product(*(range(c + 1) for c in nu))
-
-
 def forward(rounded: RoundedInstance) -> DPTable:
     """Fill the table; row j's back-pointers record the first (lexicographically
     smallest) marked predecessor vector in row j+1.
@@ -228,7 +277,7 @@ def forward(rounded: RoundedInstance) -> DPTable:
 
     row_n = rows[n - 1]
     window = ws.window_mask[n - 1]
-    for nu in _dominated(ws.nu_in):
+    for nu in ws.candidates(ws.nu_in, len(ws.small_positions), n):
         hit = ws.retrieve_mask(nu, n - 1)
         if hit is None:
             continue
@@ -246,7 +295,8 @@ def forward(rounded: RoundedInstance) -> DPTable:
             before = ws.retrieve_mask(nu_prev, j)
             assert before is not None  # marked vectors always reconstruct
             before_mask, before_total = before
-            for nu in _dominated(nu_prev):
+            before_small = ws.small_prefix_len(nu_prev[0], ws.highs[j - 1])
+            for nu in ws.candidates(nu_prev, before_small, j):
                 if nu in row:
                     continue
                 after = ws.retrieve_mask(nu, j - 1)

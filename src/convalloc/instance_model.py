@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 
@@ -161,7 +160,6 @@ def validate(instance: ConvexInstance) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-@lru_cache(maxsize=None)
 def lexicographic_order(instance: ConvexInstance) -> tuple[int, ...]:
     """Agent indices sorted by (lo, hi); ties keep input order (stable)."""
     return tuple(sorted(range(instance.n), key=lambda i: (instance.agents[i].lo,
@@ -292,7 +290,6 @@ def partition_violations(instance: ConvexInstance, assignment: "Assignment",
     return out
 
 
-@lru_cache(maxsize=None)
 def coverage_ranges(instance: ConvexInstance) -> tuple[tuple[int, int], ...]:
     """For each item position, the (first, last) lex-rank of covering agents.
 

@@ -103,16 +103,16 @@ def verify(instance: ConvexInstance, assignment: Assignment) -> VerifyReport:
     """
     require_cover = instance.mode is Mode.MINMAX
     violations = tuple(partition_violations(instance, assignment, require_cover))
+    # reversed: with duplicate ids the first item wins, as in item_index
+    value_of = {it.id: it.value for it in reversed(instance.items)}
     assigned: set[str] = set()
     values = []
     for aid, ids in assignment.bundles:
         total = Fraction(0)
         for x in ids:
             assigned.add(x)
-            try:
-                total += instance.value_at(instance.item_index(x))
-            except KeyError:
-                pass  # already reported as a violation
+            # an unknown id is already reported as a violation
+            total += value_of.get(x, 0)
         values.append((aid, total))
     unassigned = tuple(it.id for it in instance.items if it.id not in assigned)
     if values:

@@ -1,12 +1,14 @@
 """Scaling, single-guess decisions, binary search, and verification."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, decide,
-                       opt_maxmin, opt_minmax, scale, solve_maxmin,
-                       solve_minmax, verify)
+                       gen_inclusion_free, opt_maxmin, opt_minmax, scale,
+                       solve_maxmin, solve_minmax, verify)
 from convalloc.solver import SolveError
 
 
@@ -101,6 +103,14 @@ def test_verify_examples(e1, e1_assignment_1, e1_assignment_2):
     assert any("outside interval" in v and "c6" in v for v in report.violations)
 
 
+def test_verify_skips_unknown_items(e1):
+    stray = Assignment(Mode.MAXMIN, (("p1", ("s1", "zz")), ("p2", ()), ("p3", ())))
+    report = verify(e1, stray)
+    assert not report.feasible
+    assert any("unknown item 'zz'" in v for v in report.violations)
+    assert report.agent_values[0] == ("p1", Fraction(1, 4))
+
+
 def test_verify_minmax_requires_cover(m1):
     partial = Assignment(Mode.MINMAX, (("M1", ("j1", "j2", "j3")), ("M2", ())))
     report = verify(m1, partial)
@@ -142,3 +152,22 @@ def test_guarantee_certifies_against_oracle(t1, m1):
     opt, _ = opt_minmax(m1)
     res = solve_minmax(m1, 8)
     assert res.objective <= res.guarantee * opt
+
+
+def test_maxmin_k8_n5_m30_headline_case():
+    # The enumeration of every dominated vector took 47 s and 2 GB here.
+    inst = gen_inclusion_free(1, 5, 30, mode=Mode.MAXMIN)
+    res = solve_maxmin(inst, 8)
+    assert verify(inst, res.assignment).feasible
+    assert res.t_star == Fraction(254783, 147840)
+
+
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_solved_instance_can_be_collected(mode):
+    inst = gen_inclusion_free(3, 4, 12, mode=mode)
+    solve = solve_maxmin if mode is Mode.MAXMIN else solve_minmax
+    solve(inst, 6)
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
