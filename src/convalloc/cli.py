@@ -19,7 +19,7 @@ from pathlib import Path
 from . import hall, oracle
 from .generator import gen_inclusion_free, gen_planted
 from .instance_model import (Mode, dump_instance, format_value, instance_to_dict,
-                             load_instance, validate)
+                             load_instance, parse_value, validate)
 from .solver import SolveError, SolveResult, solve_maxmin, solve_minmax
 
 
@@ -59,9 +59,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: instance mode is {instance.mode.value}, requested {mode.value}",
               file=sys.stderr)
         return 2
-    delta = Fraction(args.delta) if args.delta else None
     trace: list[str] | None = [] if args.trace else None
     try:
+        delta = parse_value(args.delta) if args.delta else None
         if mode is Mode.MAXMIN:
             result = solve_maxmin(instance, args.k, delta, trace)
         else:

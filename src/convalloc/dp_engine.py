@@ -33,9 +33,17 @@ vector.  Every window contains all vectors that can pass, and each
 enumerated candidate still goes through the same reconstruction,
 containment, interval and value checks in the same order, so the marking
 and the back-pointers are exactly those of the dense double loop.
-Reconstruction is O(C), from per-category prefix masks and weights.  Value
-sums and comparisons run on integers after normalizing every rounded value
-by a common denominator divisible by k.
+
+All of this runs on the occupied coordinates only: nu_0 and the big
+categories that hold an item of the rounded instance.  Every vector the DP
+meets is dominated by the instance's vector, so an empty category's
+coordinate is 0 in every candidate and every mark; dropping it keeps the
+lexicographic order and hence the first-marking predecessor.  ``forward``
+expands the marked entries to full (nu_0, ..., nu_C) vectors for the
+``DPTable``, so the table, its trace and ``backward`` see full vectors.
+Reconstruction is O(#occupied coordinates), from per-category prefix masks
+and weights.  Value sums and comparisons run on integers after normalizing
+every rounded value by a common denominator divisible by k.
 """
 
 from __future__ import annotations
@@ -50,7 +58,12 @@ from typing import Iterable, Optional
 
 from .instance_model import (Agent, Assignment, Subgraph,
                              assignment_from_positions, lexicographic_order)
-from .rounding import Direction, InputVector, RoundedInstance, RoundingScheme, input_vector
+from .rounding import Direction, InputVector, RoundedInstance, RoundingScheme
+
+# The bundle rule's margin in units of 1/k: an agent's bundle must be worth at
+# least 1 - BUNDLE_MARGIN/k (Max-Min) or at most 1 + BUNDLE_MARGIN/k (Min-Max)
+# in rounded, scaled values.  ``feasible`` and ``forward`` both read it.
+BUNDLE_MARGIN = 3
 
 
 @dataclass(frozen=True)
@@ -77,10 +90,12 @@ class _Workspace:
 
     Coordinate 0 stands for the small items and coordinate c >= 1 for big
     category c; ``positions[c]`` lists the coordinate's item positions left to
-    right, and ``prefix_mask[c][i]`` / ``prefix_weight[c][i]`` describe its
-    leftmost i items.  ``reach[j-1][c]`` counts the coordinate's items at
-    positions <= r_j and ``left_of[j-1][c]`` those at positions < l_j, for the
-    j-th agent in lexicographic order.
+    right.  The DP runs on the ``active`` coordinates only: 0 and every
+    category that holds an item.  Over them, ``prefix_mask[i][x]``
+    / ``prefix_weight[i][x]`` describe the leftmost x items of coordinate
+    ``active[i]``, and ``reach[j-1][i]`` counts its items at positions <= r_j
+    and ``left_of[j-1][i]`` those at positions < l_j, for the j-th agent in
+    lexicographic order.
     """
 
     def __init__(self, rounded: RoundedInstance):
@@ -96,18 +111,22 @@ class _Workspace:
         self.highs = [inst.agents[i].hi for i in order]
         self.up = sch.direction is Direction.UP
 
-        denom = lcm(sch.k, *[inst.value_at(p).denominator for p in range(1, inst.m + 1)])
+        values = [it.value for it in inst.items]
+        denom = lcm(sch.k, *[v.denominator for v in values])
         self.denom = denom
         self.unit = denom // sch.k
-        self.weight = [0] + [int(inst.value_at(p) * denom) for p in range(1, inst.m + 1)]
+        self.weight = [0] + [v.numerator * (denom // v.denominator) for v in values]
         self.total = sum(self.weight)
 
         self.positions: list[list[int]] = [[] for _ in range(sch.C + 1)]
         for p in range(1, inst.m + 1):
             self.positions[0 if rounded.small[p - 1] else rounded.category[p - 1]].append(p)
+        self.active = tuple(c for c, ps in enumerate(self.positions) if c == 0 or ps)
+        self.inactive = tuple(c for c, ps in enumerate(self.positions) if c != 0 and not ps)
+        active_positions = [self.positions[c] for c in self.active]
         self.prefix_mask: list[list[int]] = []
         self.prefix_weight: list[list[int]] = []
-        for positions in self.positions:
+        for positions in active_positions:
             masks, weights = [0], [0]
             for p in positions:
                 masks.append(masks[-1] | 1 << (p - 1))
@@ -116,11 +135,16 @@ class _Workspace:
             self.prefix_weight.append(weights)
         self.small_positions = self.positions[0]
         self.small_prefix = self.prefix_weight[0]
-        self.reach = [tuple(bisect_right(ps, hi) for ps in self.positions) for hi in self.highs]
-        self.left_of = [tuple(bisect_left(ps, lo) for ps in self.positions) for lo in self.lows]
+        self.reach = [tuple(bisect_right(ps, hi) for ps in active_positions) for hi in self.highs]
+        self.left_of = [tuple(bisect_left(ps, lo) for ps in active_positions) for lo in self.lows]
 
-        self.nu_in = input_vector(Subgraph(inst, frozenset(range(1, inst.m + 1)), inst.n), sch)
-        self.zero = sch.zero_vector()
+        # nu_0 of the whole instance: its small weight in units of 1/k,
+        # rounded up (Max-Min) or down (Min-Max), as rounding.small_units does.
+        small = self.small_prefix[-1]
+        nu0 = -(-small // self.unit) if self.up else small // self.unit
+        self.nu_active = (nu0,) + tuple(len(ps) for ps in active_positions[1:])
+        self.zero = (0,) * len(self.active)
+        self.nu_in = self.expand(self.nu_active)
         self.full_mask = (1 << inst.m) - 1  # bit p-1 represents position p
         self.window_mask = [self._range_mask(lo, hi) for lo, hi in zip(self.lows, self.highs)]
         self._retrieve_cache: dict[tuple[InputVector, int], Optional[tuple[int, int]]] = {}
@@ -128,6 +152,13 @@ class _Workspace:
     @staticmethod
     def _range_mask(lo: int, hi: int) -> int:
         return ((1 << (hi - lo + 1)) - 1) << (lo - 1)
+
+    def expand(self, nu: InputVector) -> InputVector:
+        """The full (nu_0, ..., nu_C) vector of a vector over ``active``."""
+        full = [0] * (self.sch.C + 1)
+        for c, count in zip(self.active, nu):
+            full[c] = count
+        return tuple(full)
 
     def small_prefix_len(self, nu0: int, high: int) -> int:
         """Length of the small-item prefix the sweep selects for nu_0.
@@ -143,7 +174,14 @@ class _Workspace:
                    bisect_left(self.small_prefix, (nu0 + 1) * self.unit) - 1)
 
     def retrieve_mask(self, nu: InputVector, j: int) -> Optional[tuple[int, int]]:
-        """(item bitmask, total weight) of retrieve(nu, j), or None."""
+        """(item bitmask, total weight) of retrieve(nu, j) for a full vector
+        nu, or None."""
+        if any(nu[c] for c in self.inactive):
+            return None  # an item of a category the instance does not hold
+        return self.retrieve_active(tuple(nu[c] for c in self.active), j)
+
+    def retrieve_active(self, nu: InputVector, j: int) -> Optional[tuple[int, int]]:
+        """``retrieve_mask`` for a vector over the active coordinates."""
         key = (nu, j)
         if key in self._retrieve_cache:
             return self._retrieve_cache[key]
@@ -159,19 +197,20 @@ class _Workspace:
         reach = self.reach[j - 1]
         mask = 0
         total = 0
-        for cat in range(1, len(nu)):
-            count = nu[cat]
-            if count > reach[cat]:
+        for i in range(1, len(nu)):
+            count = nu[i]
+            if count > reach[i]:
                 return None  # stranded (or nonexistent) big item
-            mask |= self.prefix_mask[cat][count]
-            total += self.prefix_weight[cat][count]
+            mask |= self.prefix_mask[i][count]
+            total += self.prefix_weight[i][count]
         length = self.small_prefix_len(nu[0], self.highs[j - 1])
         return mask | self.prefix_mask[0][length], total + self.small_prefix[length]
 
     def candidates(self, nu_prev: InputVector, before_small: int,
                    j: int) -> Iterable[InputVector]:
-        """The vectors nu <= nu_prev that can leave agent j a bundle inside
-        [l_j, r_j], in lexicographic ascending order.
+        """The vectors nu <= nu_prev over the active coordinates that can
+        leave agent j a bundle inside [l_j, r_j], in lexicographic ascending
+        order.
 
         ``before_small`` is the number of small items in the remainder
         before agent j.  Every vector left out either reconstructs no
@@ -192,9 +231,9 @@ class _Workspace:
         # Big category c: the bundle takes items nu_c..a-1 of the category,
         # which must lie at or after l_j, while the remainder's first nu_c
         # items must lie at or before r_{j-1}.
-        for c in range(1, len(nu_prev)):
-            a = nu_prev[c]
-            ranges.append(range(min(a, left_of[c]), min(a, reach[c]) + 1))
+        for i in range(1, len(nu_prev)):
+            a = nu_prev[i]
+            ranges.append(range(min(a, left_of[i]), min(a, reach[i]) + 1))
         return product(*ranges)
 
 
@@ -243,14 +282,14 @@ def feasible(subgraph_before: Optional[Subgraph], bundle: frozenset[int],
 
     True iff the remainder is not None, the bundle sits inside the agent's
     interval, and its rounded value clears 1 - 3/k (Max-Min) or stays within
-    1 + 3/k (Min-Max).
+    1 + 3/k (Min-Max), the rule ``forward`` runs on integers.
     """
     if subgraph_before is None:
         return False
     if any(not agent.covers(p) for p in bundle):
         return False
     value = sum((subgraph_before.instance.value_at(p) for p in bundle), Fraction(0))
-    margin = Fraction(3, sch.k)
+    margin = Fraction(BUNDLE_MARGIN, sch.k)
     if sch.direction is Direction.UP:
         return value >= 1 - margin
     return value <= 1 + margin
@@ -263,22 +302,23 @@ def forward(rounded: RoundedInstance) -> DPTable:
     ws = _workspace(rounded)
     n = rounded.instance.n
     if ws.up:
-        lo_bound = ws.denom - 3 * ws.unit
+        lo_bound = ws.denom - BUNDLE_MARGIN * ws.unit
 
         def bundle_ok(value: int) -> bool:
             return value >= lo_bound
     else:
-        hi_bound = ws.denom + 3 * ws.unit
+        hi_bound = ws.denom + BUNDLE_MARGIN * ws.unit
 
         def bundle_ok(value: int) -> bool:
             return value <= hi_bound
 
+    # Rows over the active coordinates; expanded to full vectors at the end.
     rows: list[dict[InputVector, InputVector]] = [dict() for _ in range(n)]
 
     row_n = rows[n - 1]
     window = ws.window_mask[n - 1]
-    for nu in ws.candidates(ws.nu_in, len(ws.small_positions), n):
-        hit = ws.retrieve_mask(nu, n - 1)
+    for nu in ws.candidates(ws.nu_active, len(ws.small_positions), n):
+        hit = ws.retrieve_active(nu, n - 1)
         if hit is None:
             continue
         mask, total = hit
@@ -286,20 +326,20 @@ def forward(rounded: RoundedInstance) -> DPTable:
         if bundle_mask & ~window:
             continue
         if bundle_ok(ws.total - total):
-            row_n[nu] = ws.nu_in
+            row_n[nu] = ws.nu_active
 
     for j in range(n - 1, 0, -1):
         row = rows[j - 1]
         window = ws.window_mask[j - 1]
         for nu_prev in sorted(rows[j]):
-            before = ws.retrieve_mask(nu_prev, j)
+            before = ws.retrieve_active(nu_prev, j)
             assert before is not None  # marked vectors always reconstruct
             before_mask, before_total = before
             before_small = ws.small_prefix_len(nu_prev[0], ws.highs[j - 1])
             for nu in ws.candidates(nu_prev, before_small, j):
                 if nu in row:
                     continue
-                after = ws.retrieve_mask(nu, j - 1)
+                after = ws.retrieve_active(nu, j - 1)
                 if after is None:
                     continue
                 after_mask, after_total = after
@@ -309,7 +349,15 @@ def forward(rounded: RoundedInstance) -> DPTable:
                 if bundle_ok(before_total - after_total):
                     row[nu] = nu_prev
 
-    return DPTable(ws.nu_in, tuple(rows))
+    full: dict[InputVector, InputVector] = {}
+
+    def expand(nu: InputVector) -> InputVector:
+        if nu not in full:
+            full[nu] = ws.expand(nu)
+        return full[nu]
+
+    return DPTable(ws.nu_in, tuple({expand(nu): expand(ptr) for nu, ptr in row.items()}
+                                   for row in rows))
 
 
 def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:

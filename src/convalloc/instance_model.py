@@ -28,8 +28,14 @@ Value = Fraction
 
 
 def parse_value(text: Union[str, int]) -> Fraction:
-    """Parse an exact rational from a 'num/den' or integer string."""
-    return Fraction(str(text))
+    """Parse an exact rational from a 'num/den' or integer string.
+
+    Raises ValueError on anything else, a zero denominator included.
+    """
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"value {text!r} has a zero denominator") from None
 
 
 def format_value(value: Fraction) -> str:
@@ -329,12 +335,34 @@ def instance_to_dict(instance: ConvexInstance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> ConvexInstance:
+    """Build an instance from its JSON form.
+
+    Malformed input raises ValueError, or KeyError for a missing key.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
     mode = Mode(data["mode"])
-    items = tuple(Item(str(d["id"]), parse_value(d["value"])) for d in data["items"])
-    agents = tuple(Agent(str(d["id"]), int(d["l"]), int(d["r"]),
+    items = tuple(Item(str(d["id"]), parse_value(d["value"])) for d in _records(data, "items"))
+    agents = tuple(Agent(str(d["id"]), _position(d, "l"), _position(d, "r"),
                          parse_value(d.get("demand", "1")))
-                   for d in data["agents"])
+                   for d in _records(data, "agents"))
     return ConvexInstance(mode, items, agents)
+
+
+def _records(data: Mapping, key: str) -> list[dict]:
+    records = data[key]
+    # JSON objects decode to dicts; a dict check is a fraction of the cost of
+    # a Mapping check, which adds up over the items of a large corpus.
+    if not isinstance(records, list) or not all(isinstance(d, dict) for d in records):
+        raise ValueError(f"{key!r} must be a list of objects")
+    return records
+
+
+def _position(agent: Mapping, key: str) -> int:
+    pos = agent[key]
+    if isinstance(pos, bool) or not isinstance(pos, int):
+        raise ValueError(f"agent {agent.get('id')!r}: {key!r} must be an integer, got {pos!r}")
+    return pos
 
 
 def dump_instance(instance: ConvexInstance, path: str) -> None:

@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .instance_model import ConvexInstance, Item, Mode, Subgraph
@@ -46,13 +47,15 @@ class RoundingScheme:
         return (0,) * (self.C + 1)
 
 
+@lru_cache(maxsize=64)
 def scheme(k: int, direction: Direction) -> RoundingScheme:
     """Build the rounding scheme for error parameter k (k >= 4).
 
     The category count is C = ceil(log k / log(1+1/k)), computed exactly as
     the least C with (1+1/k)^C >= k, so that the top grid point q_C reaches
     1.  Since (1+1/k)^k >= 2, C <= k * ceil(log2 k) for every k >= 4, which
-    is O(k log k) and depends on k alone.
+    is O(k log k) and depends on k alone.  Schemes are immutable, so each
+    (k, direction) is built once and shared by every decide.
     """
     if k < 4:
         raise ValueError(f"error parameter k must be >= 4, got {k}")

@@ -134,6 +134,16 @@ def _require_valid(instance: ConvexInstance, mode: Mode) -> None:
                          + "; ".join(v.message for v in report.violations))
 
 
+def _search_parameters(k: int, delta: Optional[Fraction]) -> Fraction:
+    """Check k, then delta; returns delta, 1/(4k) when not given."""
+    if k < 4:
+        raise ValueError(f"error parameter k must be >= 4, got {k}")
+    delta = Fraction(1, 4 * k) if delta is None else Fraction(delta)
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    return delta
+
+
 def _fallback_partition(instance: ConvexInstance) -> Assignment:
     """Every item to its first covering agent in lexicographic order."""
     order = lexicographic_order(instance)
@@ -156,9 +166,7 @@ def solve_maxmin(instance: ConvexInstance, k: int,
     result carries t_star = 0 and a deterministic fallback partition.
     """
     _require_valid(instance, Mode.MAXMIN)
-    delta = Fraction(1, 4 * k) if delta is None else Fraction(delta)
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    delta = _search_parameters(k, delta)
     upper = instance.total_value() / instance.n
     best: Optional[tuple[Fraction, Assignment]] = None
 
@@ -201,9 +209,7 @@ def solve_minmax(instance: ConvexInstance, k: int,
     The certified makespan is <= (1 + 4/k + 3/k^2) (1 + delta) OPT.
     """
     _require_valid(instance, Mode.MINMAX)
-    delta = Fraction(1, 4 * k) if delta is None else Fraction(delta)
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    delta = _search_parameters(k, delta)
     total = instance.total_value()
     lower = total / instance.n
 

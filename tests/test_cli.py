@@ -75,6 +75,46 @@ def test_missing_file_exit_code(capsys):
     assert main(["check", "-i", "does-not-exist.json"]) == 2
 
 
+ONE_ITEM = [{"id": "x1", "value": "1"}]
+ONE_AGENT = [{"id": "p1", "l": 1, "r": 1}]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"mode": "maxmin", "items": [{"id": "x1", "value": "1/0"}], "agents": ONE_AGENT},
+     "value '1/0' has a zero denominator"),
+    ([{"mode": "maxmin", "items": ONE_ITEM, "agents": ONE_AGENT}],
+     "an instance must be a JSON object, got list"),
+    ({"mode": "maxmin", "items": {"x1": "1"}, "agents": ONE_AGENT},
+     "'items' must be a list of objects"),
+    ({"mode": "maxmin", "items": ONE_ITEM, "agents": "p1"},
+     "'agents' must be a list of objects"),
+    ({"mode": "maxmin", "items": ONE_ITEM, "agents": [{"id": "p1", "l": 1.5, "r": 1}]},
+     "agent 'p1': 'l' must be an integer, got 1.5"),
+])
+def test_malformed_instance_exits_2(tmp_path, capsys, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["solve", "-i", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("delta, message", [
+    ("1/0", "value '1/0' has a zero denominator"),
+    ("abc", "Invalid literal for Fraction: 'abc'"),
+])
+def test_solve_rejects_malformed_delta(paths, capsys, delta, message):
+    assert main(["solve", "-i", paths["e1"], "--delta", delta]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["e1", "m1"])
+@pytest.mark.parametrize("k", ["-3", "3"])
+def test_solve_rejects_k_below_4(paths, capsys, name, k):
+    assert main(["solve", "-k", k, "-i", paths[name]]) == 2
+    assert f"error parameter k must be >= 4, got {k}" in capsys.readouterr().err
+
+
 def test_gen_writes_instance(tmp_path, capsys):
     target = tmp_path / "gen.json"
     assert main(["gen", "--seed", "9", "-n", "3", "-m", "8", "-o", str(target)]) == 0

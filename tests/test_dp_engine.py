@@ -171,6 +171,25 @@ def test_every_emitted_bundle_passes_feasible(e1):
     assert not survivors
 
 
+@pytest.mark.parametrize("mode, values, ok", [
+    # exactly 1 - 3/8, then one step of 1/80 below it
+    (Mode.MAXMIN, [Fraction(1, 8)] * 5, True),
+    (Mode.MAXMIN, [Fraction(1, 8)] * 4 + [Fraction(9, 80)], False),
+    # exactly 1 + 3/8, then one step of 1/80 above it
+    (Mode.MINMAX, [Fraction(1, 8)] * 11, True),
+    (Mode.MINMAX, [Fraction(1, 8)] * 11 + [Fraction(1, 80)], False),
+])
+def test_bundle_margin_is_one_rule(mode, values, ok):
+    # One agent takes every item, so forward succeeds iff its integer rule
+    # accepts the whole instance as a bundle; feasible must agree.
+    inst = ConvexInstance(mode, make_items(values), (Agent("p1", 1, len(values)),))
+    rd = rounded(inst, 8)
+    assert rd.instance == inst  # small values stay exact
+    everything = frozenset(range(1, len(values) + 1))
+    assert feasible(full_subgraph(rd.instance), everything, inst.agents[0], rd.scheme) is ok
+    assert forward(rd).succeeded is ok
+
+
 # ---------------------------------------------------------------------------
 # Window-pruned transitions against the dense enumeration
 # ---------------------------------------------------------------------------
@@ -261,7 +280,25 @@ def guess_instances(mode, k):
             scaled = scale(inst, base * factor)
             if scaled is not None:
                 out.append(rounded(scaled, k))
+    if mode is Mode.MINMAX:
+        # Every item small: the DP runs on coordinate 0 alone.
+        values = [Fraction(1, 8 + i % 5) for i in range(16)]
+        out.append(rounded(ConvexInstance(mode, make_items(values), (
+            Agent("p1", 1, 6), Agent("p2", 5, 11), Agent("p3", 10, 16))), k))
+    elif k == 4:
+        # Every big category occupied: q_1 .. q_6 exactly, and 1 rounds up
+        # to q_7.
+        sch = scheme(4, direction_for(mode))
+        g = sch.grid
+        values = [g[0], Fraction(1, 5), g[1], g[2], Fraction(1, 6),
+                  g[3], g[4], g[5], Fraction(1, 7), Fraction(1)]
+        out.append(rounded(ConvexInstance(mode, make_items(values), (
+            Agent("p1", 1, 4), Agent("p2", 3, 7), Agent("p3", 6, 10))), k))
     return out
+
+
+def make_items(values):
+    return tuple(Item(f"x{i}", v) for i, v in enumerate(values, start=1))
 
 
 @pytest.mark.parametrize("k", [4, 8])
@@ -269,9 +306,15 @@ def guess_instances(mode, k):
 def test_forward_matches_dense_enumeration(mode, k):
     cases = guess_instances(mode, k)
     assert any(rd.instance.n == 1 for rd in cases)
+    widths = {len(_Workspace(rd).active) for rd in cases}
+    if mode is Mode.MINMAX:
+        assert 1 in widths
+    elif k == 4:
+        assert scheme(k, direction_for(mode)).C + 1 in widths
     marked = 0
     succeeded = []
     for rd in cases:
+        assert _Workspace(rd).nu_in == input_vector(full_subgraph(rd.instance), rd.scheme)
         pruned, dense = forward(rd), dense_forward(rd)
         assert pruned.rows == dense.rows
         assert trace_lines(pruned) == trace_lines(dense)
@@ -294,7 +337,7 @@ def test_forward_matches_dense_with_an_empty_window():
                           (Agent("p1", 1, 2), Agent("p2", 4, 5)))
     rd = rounded(inst, 4)
     ws = _Workspace(rd)
-    assert list(ws.candidates(ws.nu_in, len(ws.small_positions), 2)) == []
+    assert list(ws.candidates(ws.nu_active, len(ws.small_positions), 2)) == []
     assert forward(rd).rows == dense_forward(rd).rows
 
 
