@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import hall, oracle
@@ -47,7 +46,7 @@ def _print_result(result: SolveResult, as_json: bool) -> None:
 def _load(path: str):
     try:
         return load_instance(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot read instance {path!r}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -130,10 +129,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     mode = Mode(args.mode)
-    if args.plant:
-        instance, _ = gen_planted(args.seed, args.n, args.m, Fraction(args.plant), mode)
-    else:
-        instance = gen_inclusion_free(args.seed, args.n, args.m, mode=mode)
+    try:
+        if args.plant:
+            instance, _ = gen_planted(args.seed, args.n, args.m, parse_value(args.plant), mode)
+        else:
+            instance = gen_inclusion_free(args.seed, args.n, args.m, mode=mode)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.output:
         dump_instance(instance, args.output)
     else:

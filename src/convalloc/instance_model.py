@@ -337,16 +337,35 @@ def instance_to_dict(instance: ConvexInstance) -> dict:
 def instance_from_dict(data: Mapping) -> ConvexInstance:
     """Build an instance from its JSON form.
 
-    Malformed input raises ValueError, or KeyError for a missing key.
+    Malformed input raises ValueError; a missing key is named with its place,
+    as in ``item 2: missing key 'value'``.
     """
     if not isinstance(data, Mapping):
         raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
+    for key in ("mode", "items", "agents"):
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
     mode = Mode(data["mode"])
-    items = tuple(Item(str(d["id"]), parse_value(d["value"])) for d in _records(data, "items"))
-    agents = tuple(Agent(str(d["id"]), _position(d, "l"), _position(d, "r"),
-                         parse_value(d.get("demand", "1")))
-                   for d in _records(data, "agents"))
+    records = _records(data, "items")
+    try:
+        items = tuple(Item(str(d["id"]), parse_value(d["value"])) for d in records)
+    except KeyError as exc:
+        raise _missing_key("item", records, exc) from None
+    records = _records(data, "agents")
+    try:
+        agents = tuple(Agent(str(d["id"]), _position(d, "l"), _position(d, "r"),
+                             parse_value(d.get("demand", "1")))
+                       for d in records)
+    except KeyError as exc:
+        raise _missing_key("agent", records, exc) from None
     return ConvexInstance(mode, items, agents)
+
+
+def _missing_key(kind: str, records: list[dict], exc: KeyError) -> ValueError:
+    """The error for the first record that lacks the key ``exc`` names."""
+    key = exc.args[0]
+    place = next(i for i, d in enumerate(records, start=1) if key not in d)
+    return ValueError(f"{kind} {place}: missing key {key!r}")
 
 
 def _records(data: Mapping, key: str) -> list[dict]:

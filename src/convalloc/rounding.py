@@ -6,6 +6,14 @@ grid q_tau = (1/k)(1+1/k)^tau).  Max-Min instances round up to the next grid
 point, Min-Max instances round down.  The resulting per-category counts plus
 the small mass expressed in units of 1/k form the configuration vectors the
 dynamic program runs on.
+
+Rounding runs on integers.  With D the least common denominator of the values
+and w = D v the integer numerator of a value v, v is small iff k w <= D, and
+the grid becomes C integer thresholds: floor(D q_tau) for Max-Min and
+ceil(D q_tau) for Min-Max.  For an integer w, w <= D q iff w <= floor(D q) and
+w >= D q iff w >= ceil(D q), so bisecting w into the thresholds puts it in the
+same category as bisecting v into the grid would, with no ``Fraction``
+comparison.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from math import lcm
+from typing import Optional, Sequence
 
 from .instance_model import ConvexInstance, Item, Mode, Subgraph
 
@@ -38,10 +47,19 @@ class RoundingScheme:
     direction: Direction
     C: int
     grid: tuple[Fraction, ...]  # q_1 .. q_C, strictly increasing, q_1 > 1/k
+    small_threshold: Fraction  # 1/k, the largest small value
+    grid_terms: tuple[tuple[int, int], ...]  # (numerator, denominator) of each q_tau
 
-    @property
-    def small_threshold(self) -> Fraction:
-        return Fraction(1, self.k)
+    def thresholds(self, denom: int) -> list[int]:
+        """The grid on the denominator ``denom``, rounded to integers.
+
+        Max-Min gets floor(denom q_tau), Min-Max ceil(denom q_tau): for an
+        integer w, w <= denom q iff w <= floor(denom q), and w >= denom q iff
+        w >= ceil(denom q).
+        """
+        if self.direction is Direction.UP:
+            return [denom * a // b for a, b in self.grid_terms]
+        return [-(-denom * a // b) for a, b in self.grid_terms]
 
     def zero_vector(self) -> InputVector:
         return (0,) * (self.C + 1)
@@ -70,7 +88,8 @@ def scheme(k: int, direction: Direction) -> RoundingScheme:
     for _ in range(c):
         q *= ratio
         grid.append(q)
-    return RoundingScheme(k, direction, c, tuple(grid))
+    return RoundingScheme(k, direction, c, tuple(grid), Fraction(1, k),
+                          tuple((q.numerator, q.denominator) for q in grid))
 
 
 @dataclass(frozen=True)
@@ -99,35 +118,63 @@ class RoundedInstance:
         return self.instance.value_at(pos)
 
 
+def _round_values(values: Sequence[Fraction], sch: RoundingScheme
+                  ) -> tuple[list[Fraction], list[bool], list[Optional[int]]]:
+    """Round values in (0, 1] on integers: (rounded, is_small, category) lists.
+
+    A small value comes back as the same object.  Every other rounded value
+    is a grid point or 1/k, shared with the scheme.
+    """
+    denom = lcm(*[v.denominator for v in values])
+    thresholds = sch.thresholds(denom)
+    k, grid, up = sch.k, sch.grid, sch.direction is Direction.UP
+    rounded: list[Fraction] = []
+    smalls: list[bool] = []
+    cats: list[Optional[int]] = []
+    for v in values:
+        w = v.numerator * (denom // v.denominator)
+        if not 0 < w <= denom:
+            raise ValueError(f"value {v} outside (0, 1]; scale the instance first")
+        if k * w <= denom:
+            rounded.append(v)
+            smalls.append(True)
+            cats.append(None)
+            continue
+        if up:
+            # v in (q_{tau-1}, q_tau] snaps to q_tau
+            cat = bisect_left(thresholds, w) + 1
+        else:
+            # v in [q_tau, q_{tau+1}) snaps to q_tau
+            cat = bisect_right(thresholds, w)
+            if cat == 0:
+                # big value below q_1 rounds down to exactly 1/k: small from now on
+                rounded.append(sch.small_threshold)
+                smalls.append(True)
+                cats.append(None)
+                continue
+        rounded.append(grid[cat - 1])
+        smalls.append(False)
+        cats.append(cat)
+    return rounded, smalls, cats
+
+
 def round_value(value: Fraction, sch: RoundingScheme) -> tuple[Fraction, bool, Optional[int]]:
     """Round one value; returns (rounded, is_small, category)."""
-    if not 0 < value <= 1:
-        raise ValueError(f"value {value} outside (0, 1]; scale the instance first")
-    if value <= sch.small_threshold:
-        return value, True, None
-    if sch.direction is Direction.UP:
-        # value in (q_{tau}, q_{tau+1}] snaps to q_{tau+1}
-        idx = bisect_left(sch.grid, value)
-        return sch.grid[idx], False, idx + 1
-    idx = bisect_right(sch.grid, value) - 1
-    if idx < 0:
-        # big value below q_1 rounds down to exactly 1/k: small from now on
-        return sch.small_threshold, True, None
-    return sch.grid[idx], False, idx + 1
+    (rounded,), (is_small,), (cat,) = _round_values((value,), sch)
+    return rounded, is_small, cat
 
 
 def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInstance:
-    """Round every item value; order, ids, agents and mode are unchanged."""
-    rounded_items = []
-    smalls = []
-    cats: list[Optional[int]] = []
-    for it in instance.items:
-        rv, is_small, cat = round_value(it.value, sch)
-        rounded_items.append(Item(it.id, rv))
-        smalls.append(is_small)
-        cats.append(cat)
-    rounded = ConvexInstance(instance.mode, tuple(rounded_items), instance.agents)
-    return RoundedInstance(instance, rounded, sch, tuple(smalls), tuple(cats))
+    """Round every item value; order, ids, agents and mode are unchanged.
+
+    An item whose value rounding keeps is reused as it is.
+    """
+    items = instance.items
+    rounded, smalls, cats = _round_values([it.value for it in items], sch)
+    rounded_items = tuple(it if rv is it.value else Item(it.id, rv)
+                          for it, rv in zip(items, rounded))
+    return RoundedInstance(instance, ConvexInstance(instance.mode, rounded_items, instance.agents),
+                           sch, tuple(smalls), tuple(cats))
 
 
 def small_units(total: Fraction, sch: RoundingScheme) -> int:

@@ -21,6 +21,7 @@ from .instance_model import (Assignment, ConvexInstance, Item, Mode,
 from .rounding import direction_for, round_instance, scheme
 
 MAX_SEARCH_ITERATIONS = 128
+_ONE = Fraction(1)  # every clamped Max-Min value
 
 
 class SolveError(Exception):
@@ -60,14 +61,19 @@ def scale(instance: ConvexInstance, t: Fraction) -> Optional[ConvexInstance]:
     """
     if t <= 0:
         raise ValueError(f"guess t must be positive, got {t}")
+    t_num, t_den = t.numerator, t.denominator
+    minmax = instance.mode is Mode.MINMAX
     items = []
     for it in instance.items:
         v = it.value
-        if v > t:
-            if instance.mode is Mode.MINMAX:
+        # v / t, compared with 1 and built by cross-multiplying
+        num, den = v.numerator * t_den, v.denominator * t_num
+        if num > den:
+            if minmax:
                 return None
-            v = t
-        items.append(Item(it.id, v / t))
+            items.append(Item(it.id, _ONE))
+        else:
+            items.append(Item(it.id, Fraction(num, den)))
     return ConvexInstance(instance.mode, tuple(items), instance.agents)
 
 

@@ -115,6 +115,34 @@ def test_solve_rejects_k_below_4(paths, capsys, name, k):
     assert f"error parameter k must be >= 4, got {k}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"items": ONE_ITEM, "agents": ONE_AGENT}, "missing key 'mode'"),
+    ({"mode": "maxmin", "items": ONE_ITEM + [{"id": "x2"}], "agents": ONE_AGENT},
+     "item 2: missing key 'value'"),
+    ({"mode": "maxmin", "items": ONE_ITEM, "agents": [{"id": "p1", "l": 1}]},
+     "agent 1: missing key 'r'"),
+])
+def test_missing_key_names_its_place(tmp_path, capsys, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["solve", "-i", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read instance {str(bad)!r}: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--plant", "1/0"], "value '1/0' has a zero denominator"),
+    (["--plant", "abc"], "Invalid literal for Fraction: 'abc'"),
+    (["--plant", "-1"], "plant target must be positive, got -1"),
+    (["-n", "0"], "need n >= 1 and m >= n, got n=0 m=8"),
+])
+def test_gen_rejects_bad_arguments(tmp_path, capsys, args, message):
+    target = tmp_path / "gen.json"
+    argv = ["gen", "--seed", "9", "-m", "8", "-o", str(target)]
+    assert main(argv + (args if "-n" in args else ["-n", "3"] + args)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not target.exists()
+
+
 def test_gen_writes_instance(tmp_path, capsys):
     target = tmp_path / "gen.json"
     assert main(["gen", "--seed", "9", "-n", "3", "-m", "8", "-o", str(target)]) == 0

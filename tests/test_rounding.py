@@ -2,12 +2,14 @@
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 
-from convalloc import (input_vector, remainder, round_instance,
-                       round_value, scale, scheme, vector_leq)
+from convalloc import (Mode, direction_for, gen_inclusion_free, input_vector,
+                       remainder, round_instance, round_value, scale, scheme,
+                       vector_leq)
 from convalloc.instance_model import full_subgraph
 from convalloc.rounding import Direction
 
@@ -131,3 +133,55 @@ def test_minmax_scaling_then_rounding(m1):
     for p in range(1, 5):
         assert rd.value_at(p) <= scaled.value_at(p)
         assert rd.value_at(p) / scaled.value_at(p) > Fraction(8, 9)
+
+
+def reference_round_value(value, sch):
+    """The rounding rule on Fractions: bisect the value into the grid."""
+    if not 0 < value <= 1:
+        raise ValueError(f"value {value} outside (0, 1]")
+    if value <= Fraction(1, sch.k):
+        return value, True, None
+    if sch.direction is Direction.UP:
+        idx = bisect_left(sch.grid, value)
+        return sch.grid[idx], False, idx + 1
+    idx = bisect_right(sch.grid, value) - 1
+    if idx < 0:
+        return Fraction(1, sch.k), True, None
+    return sch.grid[idx], False, idx + 1
+
+
+def boundary_guesses(instance, sch):
+    """Guesses that put the largest value exactly on 1/k, exactly on grid
+    points, and strictly between 1/k and q_1, plus two ordinary ones."""
+    top = max(it.value for it in instance.items)
+    below_q1 = (Fraction(1, sch.k) + sch.grid[0]) / 2
+    guesses = [top * sch.k, top / below_q1, instance.total_value() / instance.n,
+               min(it.value for it in instance.items)]
+    guesses += [top / sch.grid[tau] for tau in {0, 1, sch.C // 2, sch.C - 1}]
+    return guesses
+
+
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+@pytest.mark.parametrize("k", [4, 6, 8, 12])
+def test_integer_rounding_matches_fraction_reference(mode, k):
+    sch = scheme(k, direction_for(mode))
+    hits = {"1/k": 0, "grid": 0, "below q_1": 0}
+    for seed in range(6):
+        inst = gen_inclusion_free(seed, 4, 12, mode=mode)
+        for t in boundary_guesses(inst, sch):
+            scaled = scale(inst, t)
+            if scaled is None:
+                continue
+            rd = round_instance(scaled, sch)
+            for pos, it in enumerate(scaled.items, start=1):
+                v = it.value
+                expected = reference_round_value(v, sch)
+                got = (rd.value_at(pos), rd.small[pos - 1], rd.category[pos - 1])
+                assert got == expected, (seed, t, v)
+                assert round_value(v, sch) == expected
+                if expected[1] and expected[0] == v:
+                    assert rd.instance.items[pos - 1] is it  # kept as it is
+                hits["1/k"] += v == Fraction(1, k)
+                hits["grid"] += v in sch.grid
+                hits["below q_1"] += Fraction(1, k) < v < sch.grid[0]
+    assert all(hits.values()), hits

@@ -24,6 +24,35 @@ def test_scale_examples(t0, t1, m1):
         scale(t0, Fraction(0))
 
 
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_scale_at_and_one_step_past_the_guess(mode):
+    inst = ConvexInstance(mode, (Item("x1", Fraction(600, 1000)), Item("x2", Fraction(1, 7))),
+                          (Agent("p1", 1, 2),))
+    at = scale(inst, Fraction(600, 1000))             # v == t
+    assert at is not None
+    assert at.value_at(1) == 1 and at.value_at(2) == Fraction(5, 21)
+    below = Fraction(599, 1000)                       # v one step above t
+    past = scale(inst, below)
+    if mode is Mode.MINMAX:
+        assert past is None
+    else:
+        assert past.value_at(1) == 1 and past.value_at(2) == Fraction(1, 7) / below
+
+
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_scale_divides_exactly(mode):
+    for seed in range(8):
+        inst = gen_inclusion_free(seed, 3, 10, mode=mode)
+        top = max(it.value for it in inst.items)
+        for t in (top, top * Fraction(7, 5), inst.total_value() / 3, top * Fraction(2, 3)):
+            scaled = scale(inst, t)
+            if mode is Mode.MINMAX and top > t:
+                assert scaled is None
+                continue
+            assert [scaled.value_at(p) for p in range(1, inst.m + 1)] == \
+                [min(v, t) / t for v in (it.value for it in inst.items)]
+
+
 def test_decide_examples(e1, t0):
     got = decide(e1, Fraction(1), 10)
     assert got is not None
