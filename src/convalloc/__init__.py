@@ -10,7 +10,7 @@ verification at desk scale.
 
 from .alignment import (AlignmentError, align, assignment_vector,
                         is_non_wasteful, is_right_aligned)
-from .dp_engine import DPTable, backward, feasible, forward, retrieve, solve_rounded
+from .dp_engine import DPTable, backward, forward, retrieve, solve_rounded
 from .generator import gen_inclusion_free, gen_planted
 from .hall import (HallWitness, check_hall_bruteforce, check_hall_maxmin,
                    check_hall_minmax)
@@ -19,11 +19,11 @@ from .instance_model import (Agent, Assignment, ConvexInstance, Item, Mode,
                              assignment_from_positions, dump_instance,
                              format_value, instance_from_dict, instance_to_dict,
                              lexicographic_order, load_instance, parse_value,
-                             private_items, remainder, stranded_items, validate)
+                             remainder, stranded_items, validate)
 from .oracle import OracleSizeError, opt_maxmin, opt_minmax
 from .rounding import (Direction, InputVector, RoundedInstance, RoundingScheme,
                        direction_for, input_vector, round_instance, round_value,
-                       scheme, vector_leq)
+                       scheme)
 from .solver import (SolveError, SolveResult, VerifyReport, decide, scale,
                      solve_maxmin, solve_minmax, verify)
 

@@ -43,6 +43,18 @@ def _print_result(result: SolveResult, as_json: bool) -> None:
         print(f"  {aid}: {' '.join(ids) if ids else '-'}")
 
 
+def _solve(instance, k: int, delta=None, trace=None) -> SolveResult:
+    # Looked up at call time, so that a wrapper installed on this module's
+    # solve_maxmin / solve_minmax is the one called.
+    solve = solve_maxmin if instance.mode is Mode.MAXMIN else solve_minmax
+    return solve(instance, k, delta, trace)
+
+
+def _opt(instance):
+    opt = oracle.opt_maxmin if instance.mode is Mode.MAXMIN else oracle.opt_minmax
+    return opt(instance)
+
+
 def _load(path: str):
     try:
         return load_instance(path)
@@ -61,10 +73,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     trace: list[str] | None = [] if args.trace else None
     try:
         delta = parse_value(args.delta) if args.delta else None
-        if mode is Mode.MAXMIN:
-            result = solve_maxmin(instance, args.k, delta, trace)
-        else:
-            result = solve_minmax(instance, args.k, delta, trace)
+        result = _solve(instance, args.k, delta, trace)
     except (SolveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -80,12 +89,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     instance = _load(args.input)
     report = validate(instance)
+    check_hall = (hall.check_hall_maxmin if instance.mode is Mode.MAXMIN
+                  else hall.check_hall_minmax)
+    witness = check_hall(instance) if report.ok else None
     if args.json:
         payload = {"valid": report.ok,
                    "violations": [v.message for v in report.violations]}
         if report.ok:
-            witness = (hall.check_hall_maxmin(instance) if instance.mode is Mode.MAXMIN
-                       else hall.check_hall_minmax(instance))
             payload["hall"] = (None if witness is None else
                                {"lo": witness.lo, "hi": witness.hi,
                                 "lhs": format_value(witness.lhs),
@@ -98,8 +108,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"  {v.message}")
         return 2
     print("inclusion-free: ok")
-    witness = (hall.check_hall_maxmin(instance) if instance.mode is Mode.MAXMIN
-               else hall.check_hall_minmax(instance))
     if witness is None:
         print("hall: ok")
     else:
@@ -111,10 +119,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load(args.input)
     try:
-        if instance.mode is Mode.MAXMIN:
-            opt, witness = oracle.opt_maxmin(instance)
-        else:
-            opt, witness = oracle.opt_minmax(instance)
+        opt, witness = _opt(instance)
     except (oracle.OracleSizeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -153,14 +158,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for path in paths:
         instance = _load(str(path))
-        if instance.mode is Mode.MAXMIN:
-            result = solve_maxmin(instance, args.k)
-        else:
-            result = solve_minmax(instance, args.k)
+        try:
+            result = _solve(instance, args.k)
+        except (SolveError, ValueError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
         opt_text, ratio_text = "-", "-"
         try:
-            opt, _ = (oracle.opt_maxmin(instance) if instance.mode is Mode.MAXMIN
-                      else oracle.opt_minmax(instance))
+            opt, _ = _opt(instance)
             opt_text = format_value(opt)
             if opt > 0:
                 ratio_text = format_value(result.objective / opt)

@@ -5,7 +5,9 @@ Each row maps configuration vectors to a back-pointer: a vector is marked in
 row j when some marked vector of row j+1 dominates it and the item-set
 difference of the two reconstructed remainder graphs is a feasible bundle for
 the j-th agent.  The backward phase walks the pointers from row 1's all-zero
-vector and re-materializes the bundles.
+vector and re-materializes the bundles.  Row n+1 holds only the instance's
+vector, which reconstructs to every item, so row n is filled by the same
+step as every other row.
 
 Reconstruction (``retrieve``) is a left-to-right sweep: the leftmost nu_tau
 items of every big category, plus the maximal leftmost prefix of small items
@@ -51,18 +53,17 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import Iterable, Optional
 
-from .instance_model import (Agent, Assignment, Subgraph,
+from .instance_model import (Assignment, Subgraph,
                              assignment_from_positions, lexicographic_order)
-from .rounding import Direction, InputVector, RoundedInstance, RoundingScheme
+from .rounding import Direction, InputVector, RoundedInstance
 
 # The bundle rule's margin in units of 1/k: an agent's bundle must be worth at
 # least 1 - BUNDLE_MARGIN/k (Max-Min) or at most 1 + BUNDLE_MARGIN/k (Min-Max)
-# in rounded, scaled values.  ``feasible`` and ``forward`` both read it.
+# in rounded, scaled values.
 BUNDLE_MARGIN = 3
 
 
@@ -71,7 +72,7 @@ class DPTable:
     """Sparse forward-phase result: rows[j][nu] = back-pointer into row j+1.
 
     Only marked entries are stored; row n entries point at the full
-    instance's vector.
+    instance's vector (row n+1, which is not stored).
     """
     nu_in: InputVector
     rows: tuple[dict[InputVector, InputVector], ...]  # index j-1 holds row j
@@ -147,7 +148,9 @@ class _Workspace:
         self.nu_in = self.expand(self.nu_active)
         self.full_mask = (1 << inst.m) - 1  # bit p-1 represents position p
         self.window_mask = [self._range_mask(lo, hi) for lo, hi in zip(self.lows, self.highs)]
-        self._retrieve_cache: dict[tuple[InputVector, int], Optional[tuple[int, int]]] = {}
+        # Row n+1: the instance's vector reconstructs to every item.
+        self._retrieve_cache: dict[tuple[InputVector, int], Optional[tuple[int, int]]] = {
+            (self.nu_active, inst.n): (self.full_mask, self.total)}
 
     @staticmethod
     def _range_mask(lo: int, hi: int) -> int:
@@ -265,34 +268,12 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[Subg
         raise ValueError(f"vector {nu} is not <= the instance vector {ws.nu_in}")
     if not 0 <= j <= rounded.instance.n:
         raise ValueError(f"agent count {j} out of range")
-    if j == rounded.instance.n and nu == ws.nu_in:
-        # Identity: the full rounded instance reconstructs to itself.
-        return Subgraph(rounded.instance, frozenset(range(1, ws.m + 1)), j)
     hit = ws.retrieve_mask(nu, j)
     if hit is None:
         return None
     mask, _ = hit
     items = frozenset(p for p in range(1, ws.m + 1) if mask >> (p - 1) & 1)
     return Subgraph(rounded.instance, items, j)
-
-
-def feasible(subgraph_before: Optional[Subgraph], bundle: frozenset[int],
-             agent: Agent, sch: RoundingScheme) -> bool:
-    """Is the bundle a valid step for the agent out of the given remainder?
-
-    True iff the remainder is not None, the bundle sits inside the agent's
-    interval, and its rounded value clears 1 - 3/k (Max-Min) or stays within
-    1 + 3/k (Min-Max), the rule ``forward`` runs on integers.
-    """
-    if subgraph_before is None:
-        return False
-    if any(not agent.covers(p) for p in bundle):
-        return False
-    value = sum((subgraph_before.instance.value_at(p) for p in bundle), Fraction(0))
-    margin = Fraction(BUNDLE_MARGIN, sch.k)
-    if sch.direction is Direction.UP:
-        return value >= 1 - margin
-    return value <= 1 + margin
 
 
 def forward(rounded: RoundedInstance) -> DPTable:
@@ -313,22 +294,10 @@ def forward(rounded: RoundedInstance) -> DPTable:
             return value <= hi_bound
 
     # Rows over the active coordinates; expanded to full vectors at the end.
-    rows: list[dict[InputVector, InputVector]] = [dict() for _ in range(n)]
-
-    row_n = rows[n - 1]
-    window = ws.window_mask[n - 1]
-    for nu in ws.candidates(ws.nu_active, len(ws.small_positions), n):
-        hit = ws.retrieve_active(nu, n - 1)
-        if hit is None:
-            continue
-        mask, total = hit
-        bundle_mask = ws.full_mask & ~mask
-        if bundle_mask & ~window:
-            continue
-        if bundle_ok(ws.total - total):
-            row_n[nu] = ws.nu_active
-
-    for j in range(n - 1, 0, -1):
+    # rows[n] is row n+1: the instance's vector alone, with no pointer.
+    rows: list[dict[InputVector, Optional[InputVector]]] = (
+        [dict() for _ in range(n)] + [{ws.nu_active: None}])
+    for j in range(n, 0, -1):
         row = rows[j - 1]
         window = ws.window_mask[j - 1]
         for nu_prev in sorted(rows[j]):
@@ -357,7 +326,7 @@ def forward(rounded: RoundedInstance) -> DPTable:
         return full[nu]
 
     return DPTable(ws.nu_in, tuple({expand(nu): expand(ptr) for nu, ptr in row.items()}
-                                   for row in rows))
+                                   for row in rows[:n]))
 
 
 def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
@@ -375,15 +344,12 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
         chain.append(table.row(j)[chain[-1]])
     # chain[j] is the vector marked at row j (chain[0] = zero for "row 0"),
     # chain[n] = nu_in.  Bundle j = items(retrieve(chain[j], j)) minus
-    # items(retrieve(chain[j-1], j-1)), with retrieve(nu_in, n) the identity.
+    # items(retrieve(chain[j-1], j-1)).
     masks = []
     for j in range(0, n + 1):
-        if j == n:
-            masks.append(ws.full_mask)
-        else:
-            hit = ws.retrieve_mask(chain[j], j)
-            assert hit is not None
-            masks.append(hit[0])
+        hit = ws.retrieve_mask(chain[j], j)
+        assert hit is not None
+        masks.append(hit[0])
     bundles: dict[int, list[int]] = {}
     for j in range(1, n + 1):
         diff = masks[j] & ~masks[j - 1]

@@ -89,10 +89,6 @@ class ConvexInstance:
     def total_value(self) -> Fraction:
         return sum((it.value for it in self.items), Fraction(0))
 
-    def covering_agents(self, pos: int) -> tuple[int, ...]:
-        """Indices (into ``agents``) of all agents whose interval covers pos."""
-        return tuple(i for i, a in enumerate(self.agents) if a.covers(pos))
-
     def item_index(self, item_id: str) -> int:
         for pos, it in enumerate(self.items, start=1):
             if it.id == item_id:
@@ -211,21 +207,6 @@ def stranded_items(subgraph: Subgraph) -> frozenset[int]:
     agents = subgraph.agents()
     return frozenset(pos for pos in subgraph.items
                      if not any(a.covers(pos) for a in agents))
-
-
-def private_items(subgraph: Subgraph) -> dict[int, int]:
-    """Surviving items covered by exactly one surviving agent, with the owner.
-
-    Returns a map from item position to the owner's index into
-    ``instance.agents``.
-    """
-    owners: dict[int, int] = {}
-    idxs = subgraph.agent_indices()
-    for pos in sorted(subgraph.items):
-        covering = [i for i in idxs if subgraph.instance.agents[i].covers(pos)]
-        if len(covering) == 1:
-            owners[pos] = covering[0]
-    return owners
 
 
 @dataclass(frozen=True)

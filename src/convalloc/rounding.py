@@ -212,6 +212,3 @@ def input_vector(subgraph: Subgraph, sch: RoundingScheme) -> InputVector:
     counts[0] = small_units(small_total, sch)
     return tuple(counts)
 
-
-def vector_leq(a: InputVector, b: InputVector) -> bool:
-    return all(x <= y for x, y in zip(a, b))

@@ -4,8 +4,10 @@
 dynamic program.  It succeeds whenever a t-assignment exists, and any success
 certifies an original-value objective within the rounded factor of t:
 at least (1 - 4/(k+1)) t for Max-Min, at most (1 + 4/k + 3/k^2) t for
-Min-Max.  ``solve_maxmin`` / ``solve_minmax`` wrap it in a binary search over
-t and re-verify the winning assignment against the original values.
+Min-Max.  One binary search over t serves both modes: it starts at total/n,
+keeps the largest (Max-Min) or smallest (Min-Max) certified guess, and
+re-verifies the winning assignment against the original values.
+``solve_maxmin`` / ``solve_minmax`` are its two entry points.
 """
 
 from __future__ import annotations
@@ -162,74 +164,30 @@ def _fallback_partition(instance: ConvexInstance) -> Assignment:
     return assignment_from_positions(instance, bundles)
 
 
-def solve_maxmin(instance: ConvexInstance, k: int,
-                 delta: Optional[Fraction] = None,
-                 trace: Optional[list[str]] = None) -> SolveResult:
-    """Binary search for the largest certified guess on [0, total/n].
-
-    The certified objective is >= (1 - 4/(k+1)) (1 - delta) OPT.  When no
-    guess certifies (the optimum is 0: some agent cannot be served), the
-    result carries t_star = 0 and a deterministic fallback partition.
+def _search(instance: ConvexInstance, mode: Mode, k: int,
+            delta: Optional[Fraction], trace: Optional[list[str]]) -> SolveResult:
+    """The first guess is total/n.  If it fails, Max-Min brackets
+    (0, total/n) and Min-Max probes t = total, which always succeeds, and
+    brackets (total/n, total).  A success moves lo (Max-Min) or hi (Min-Max).
     """
-    _require_valid(instance, Mode.MAXMIN)
+    _require_valid(instance, mode)
     delta = _search_parameters(k, delta)
-    upper = instance.total_value() / instance.n
-    best: Optional[tuple[Fraction, Assignment]] = None
-
-    top = decide(instance, upper, k, trace)
-    if top is not None:
-        best = (upper, top)
-        lo = hi = upper
-    else:
-        lo, hi = Fraction(0), upper
-
-    iterations = 0
-    while iterations < MAX_SEARCH_ITERATIONS and hi - lo > delta * lo:
-        mid = (lo + hi) / 2
-        if mid == lo or mid == hi or mid <= 0:
-            break
-        iterations += 1
-        found = decide(instance, mid, k, trace)
-        if found is not None:
-            lo, best = mid, (mid, found)
-        else:
-            hi = mid
-
-    factor = 1 - Fraction(4, k + 1)
-    if best is None:
-        assignment = _fallback_partition(instance)
-        return SolveResult(Mode.MAXMIN, k, delta, Fraction(0),
-                           verify(instance, assignment).objective, Fraction(0),
-                           assignment)
-    t_star, assignment = best
-    objective = verify(instance, assignment).objective
-    return SolveResult(Mode.MAXMIN, k, delta, t_star, objective,
-                       factor * (1 - delta), assignment)
-
-
-def solve_minmax(instance: ConvexInstance, k: int,
-                 delta: Optional[Fraction] = None,
-                 trace: Optional[list[str]] = None) -> SolveResult:
-    """Binary search for the smallest certified guess on [total/n, total].
-
-    The certified makespan is <= (1 + 4/k + 3/k^2) (1 + delta) OPT.
-    """
-    _require_valid(instance, Mode.MINMAX)
-    delta = _search_parameters(k, delta)
+    if instance.n == 0:
+        raise SolveError("instance has no agents")
+    maxmin = mode is Mode.MAXMIN
     total = instance.total_value()
-    lower = total / instance.n
-
-    bottom = decide(instance, lower, k, trace)
-    if bottom is not None:
-        best = (lower, bottom)
-        lo = hi = lower
-    else:
-        top = decide(instance, total, k, trace)
-        if top is None:
-            raise AssertionError("decide failed at t = total load, which always"
-                                 " admits an assignment")
-        best = (total, top)
-        lo, hi = lower, total
+    lo = hi = total / instance.n
+    found = decide(instance, lo, k, trace)
+    best: Optional[tuple[Fraction, Assignment]] = None if found is None else (lo, found)
+    if best is None:
+        if maxmin:
+            lo = Fraction(0)
+        else:
+            top = decide(instance, total, k, trace)
+            if top is None:
+                raise AssertionError("decide failed at t = total load, which always"
+                                     " admits an assignment")
+            best, hi = (total, top), total
 
     iterations = 0
     while iterations < MAX_SEARCH_ITERATIONS and hi - lo > delta * lo:
@@ -239,12 +197,44 @@ def solve_minmax(instance: ConvexInstance, k: int,
         iterations += 1
         found = decide(instance, mid, k, trace)
         if found is not None:
-            hi, best = mid, (mid, found)
-        else:
+            best = (mid, found)
+        if (found is not None) is maxmin:
             lo = mid
+        else:
+            hi = mid
 
+    if best is None:
+        # Max-Min only: no guess certifies, so the optimum is 0.
+        assignment = _fallback_partition(instance)
+        return SolveResult(mode, k, delta, Fraction(0),
+                           verify(instance, assignment).objective, Fraction(0),
+                           assignment)
     t_star, assignment = best
-    factor = 1 + Fraction(4, k) + Fraction(3, k * k)
-    objective = verify(instance, assignment).objective
-    return SolveResult(Mode.MINMAX, k, delta, t_star, objective,
-                       factor * (1 + delta), assignment)
+    if maxmin:
+        guarantee = (1 - Fraction(4, k + 1)) * (1 - delta)
+    else:
+        guarantee = (1 + Fraction(4, k) + Fraction(3, k * k)) * (1 + delta)
+    return SolveResult(mode, k, delta, t_star, verify(instance, assignment).objective,
+                       guarantee, assignment)
+
+
+def solve_maxmin(instance: ConvexInstance, k: int,
+                 delta: Optional[Fraction] = None,
+                 trace: Optional[list[str]] = None) -> SolveResult:
+    """The largest certified guess on [0, total/n].
+
+    The certified objective is >= (1 - 4/(k+1)) (1 - delta) OPT.  When no
+    guess certifies (the optimum is 0: some agent cannot be served), the
+    result carries t_star = 0 and a deterministic fallback partition.
+    """
+    return _search(instance, Mode.MAXMIN, k, delta, trace)
+
+
+def solve_minmax(instance: ConvexInstance, k: int,
+                 delta: Optional[Fraction] = None,
+                 trace: Optional[list[str]] = None) -> SolveResult:
+    """The smallest certified guess on [total/n, total].
+
+    The certified makespan is <= (1 + 4/k + 3/k^2) (1 + delta) OPT.
+    """
+    return _search(instance, Mode.MINMAX, k, delta, trace)

@@ -158,6 +158,37 @@ def test_bench_reports_ratio(paths, capsys):
     assert t1_row["opt"] == "11/10"
 
 
+@pytest.mark.parametrize("mode", ["maxmin", "minmax"])
+def test_instance_with_no_agents(tmp_path, capsys, mode):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"mode": mode, "items": [], "agents": []}))
+    assert main(["solve", "-i", str(empty)]) == 2
+    assert capsys.readouterr().err == "error: instance has no agents\n"
+    assert main(["check", "-i", str(empty)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["inclusion-free: ok", "hall: ok"]
+
+
+def test_bench_rejects_k_below_4(paths, capsys):
+    assert main(["bench", "-d", paths["dir"], "-k", "3"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "error parameter k must be >= 4, got 3" in err
+
+
+def test_bench_rejects_an_invalid_instance(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "mode": "maxmin",
+        "items": [{"id": "x1", "value": "1"}] * 5,
+        "agents": [{"id": "p1", "l": 1, "r": 5}, {"id": "p2", "l": 2, "r": 4}],
+    }))
+    assert main(["bench", "-d", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {bad}: invalid instance: ")
+    assert "margined inclusion" in err
+
+
 def test_solve_outputs_are_reproducible(paths, tmp_path, capsys):
     args = ["solve", "-k", "8", "-i", paths["m1"], "--json"]
     first_trace, second_trace = tmp_path / "a.trace", tmp_path / "b.trace"

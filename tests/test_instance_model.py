@@ -5,8 +5,8 @@ from fractions import Fraction
 
 from convalloc import (Agent, ConvexInstance, Item, Mode, dump_instance,
                        instance_from_dict, instance_to_dict,
-                       lexicographic_order, load_instance, private_items,
-                       remainder, stranded_items, validate)
+                       lexicographic_order, load_instance, remainder,
+                       stranded_items, validate)
 from convalloc.generator import gen_inclusion_free
 from convalloc.instance_model import coverage_ranges, full_subgraph
 
@@ -103,27 +103,6 @@ def test_stranded_items(e1, t1, e1_assignment_2):
     # c11..c15 (positions 16, 18..21) survive but lie beyond p1's reach
     assert stranded_items(sub) == frozenset({16, 18, 19, 20, 21})
     assert stranded_items(remainder(t1, {2, 3, 4}, 1)) == frozenset()
-
-
-def brute_private(instance, sub):
-    out = {}
-    idxs = sub.agent_indices()
-    for pos in sub.items:
-        covering = [i for i in idxs if instance.agents[i].covers(pos)]
-        if len(covering) == 1:
-            out[pos] = covering[0]
-    return out
-
-
-def test_private_items(e1, t1):
-    owners = private_items(full_subgraph(e1))
-    assert owners == brute_private(e1, full_subgraph(e1))
-    assert owners[1] == 0 and owners[2] == 0          # s1, s2 belong to p1
-    assert owners[21] == 2                            # c15 belongs to p3
-    complete = uniform_instance(4, (1, 4), (1, 4))
-    assert private_items(full_subgraph(complete)) == {}
-    t1_owners = private_items(full_subgraph(t1))
-    assert t1_owners == {1: 0, 4: 1}
 
 
 def test_item_neighbourhoods_are_agent_intervals(e1, t1, m1):

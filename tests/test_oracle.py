@@ -10,9 +10,14 @@ from convalloc import (Agent, ConvexInstance, Item, Mode, OracleSizeError,
 from convalloc.generator import gen_inclusion_free, gen_planted
 
 
+def covering_agents(instance, pos):
+    """Indices (into ``agents``) of all agents whose interval covers pos."""
+    return tuple(i for i, a in enumerate(instance.agents) if a.covers(pos))
+
+
 def brute_force(instance):
     """Enumerate every adjacency-respecting placement of items to agents."""
-    choices = [instance.covering_agents(pos) for pos in range(1, instance.m + 1)]
+    choices = [covering_agents(instance, pos) for pos in range(1, instance.m + 1)]
     best = None
     for placement in product(*choices):
         loads = [Fraction(0)] * instance.n

@@ -167,6 +167,49 @@ def test_solve_maxmin_optimum_zero_falls_back():
     assert verify(inst, res.assignment).feasible
 
 
+@pytest.mark.parametrize("solve, mode", [(solve_maxmin, Mode.MAXMIN),
+                                         (solve_minmax, Mode.MINMAX)])
+def test_solve_rejects_an_instance_with_no_agents(solve, mode):
+    with pytest.raises(SolveError, match="^instance has no agents$"):
+        solve(ConvexInstance(mode, (), ()), 8)
+
+
+def decide_headers(solve, instance, k):
+    trace = []
+    solve(instance, k, trace=trace)
+    return [line for line in trace if line.startswith("# decide ")]
+
+
+def test_guess_sequence_is_pinned():
+    # Max-Min: total/n fails, so the search bisects (0, total/n).
+    assert decide_headers(solve_maxmin, gen_inclusion_free(3, 4, 8, mode=Mode.MAXMIN), 8) == [
+        "# decide t=3923/3168 k=8 failure",
+        "# decide t=3923/6336 k=8 success",
+        "# decide t=3923/4224 k=8 failure",
+        "# decide t=19615/25344 k=8 failure",
+        "# decide t=3923/5632 k=8 success",
+        "# decide t=74537/101376 k=8 success",
+        "# decide t=50999/67584 k=8 success",
+    ]
+    # Min-Max: total/n fails, t = total is probed, then (total/n, total).
+    assert decide_headers(solve_minmax, gen_inclusion_free(1, 4, 8, mode=Mode.MINMAX), 8) == [
+        "# decide t=2083/3360 k=8 infeasible-scaling",
+        "# decide t=2083/840 k=8 success",
+        "# decide t=2083/1344 k=8 success",
+        "# decide t=2083/1920 k=8 success",
+        "# decide t=22913/26880 k=8 success",
+        "# decide t=39577/53760 k=8 success",
+        "# decide t=2083/3072 k=8 success",
+        "# decide t=139561/215040 k=8 infeasible-scaling",
+        "# decide t=285371/430080 k=8 infeasible-scaling",
+    ]
+    # OPT = 0: total/n = 1/2 and all 128 halvings fail, then the fallback.
+    starved = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)),),
+                             (Agent("p1", 1, 1), Agent("p2", 1, 1)))
+    assert decide_headers(solve_maxmin, starved, 4) == [
+        f"# decide t=1/{2 ** i} k=4 failure" for i in range(1, 130)]
+
+
 def test_certified_factor_exact(e1):
     res = solve_maxmin(e1, 8)
     assert res.objective >= (1 - Fraction(4, 9)) * res.t_star
