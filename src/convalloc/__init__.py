@@ -21,9 +21,8 @@ from .instance_model import (Agent, Assignment, ConvexInstance, Item, Mode,
                              lexicographic_order, load_instance, parse_value,
                              remainder, stranded_items, validate)
 from .oracle import OracleSizeError, opt_maxmin, opt_minmax
-from .rounding import (Direction, InputVector, RoundedInstance, RoundingScheme,
-                       direction_for, input_vector, round_instance, round_value,
-                       scheme)
+from .rounding import (InputVector, RoundedInstance, RoundingScheme, input_vector,
+                       round_instance, round_value, scheme)
 from .solver import (SolveError, SolveResult, VerifyReport, decide, scale,
                      solve_maxmin, solve_minmax, verify)
 

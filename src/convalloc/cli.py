@@ -58,7 +58,7 @@ def _opt(instance):
 def _load(path: str):
     try:
         return load_instance(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
         print(f"error: cannot read instance {path!r}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

@@ -31,10 +31,28 @@ remainder strands an item, below it the bundle takes an item left of agent
 j's interval.  The small prefix the sweep keeps grows monotonically with
 nu_0, so the allowed nu_0 form one interval ending at nu'_0; below it the
 bundle takes a small item left of l_j.  Row 1 considers only the zero
-vector.  Every window contains all vectors that can pass, and each
-enumerated candidate still goes through the same reconstruction,
-containment, interval and value checks in the same order, so the marking
+vector.  Every window contains all vectors that can pass, so the marking
 and the back-pointers are exactly those of the dense double loop.
+
+The windows also settle every other test of that loop, so ``forward`` tests
+a candidate against the value bound alone.  This needs the highs
+non-decreasing in lexicographic order (true of every inclusion-free
+instance), l_1 = 1 and r_n = m; ``_Workspace`` raises ValueError otherwise.
+Write R(nu, j) for the sweep's remainder: for a candidate nu of row j from
+nu' in row j+1, agent j's bundle is R(nu', j) minus R(nu, j-1).
+(i) nu reconstructs at j-1: each big window tops out at
+    min(a, #{P_c <= r_{j-1}}), the sweep's stranding test, and row 1 takes
+    only the zero vector.
+(ii) R(nu, j-1) lies in R(nu', j): big items are leftmost prefixes with
+    nu_c <= a, and the small prefix length is monotone in nu_0 <= nu'_0 and
+    in the sweep's bound r_{j-1} <= r_j.
+(iii) The bundle lies in [l_j, r_j]: the low end of each window leaves the
+    remainder every item of the coordinate left of l_j, or all of R(nu', j)'s
+    share.  R(nu', j) holds only items <= r_j: nu' reconstructs at j by (i),
+    or it is row n+1's vector and r_n = m.  Row 1 gets R(nu', 1) whole, and
+    l_1 = 1.
+An item in a gap r_{j-1} < p < l_j needs no test: when R(nu', j) holds it,
+its coordinate's window is empty.
 
 All of this runs on the occupied coordinates only: nu_0 and the big
 categories that hold an item of the rounded instance.  Every vector the DP
@@ -51,15 +69,15 @@ every rounded value by a common denominator divisible by k.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from math import lcm
 from typing import Iterable, Optional
 
-from .instance_model import (Assignment, Subgraph,
+from .instance_model import (Assignment, Mode, Subgraph,
                              assignment_from_positions, lexicographic_order)
-from .rounding import Direction, InputVector, RoundedInstance
+from .rounding import InputVector, RoundedInstance
 
 # The bundle rule's margin in units of 1/k: an agent's bundle must be worth at
 # least 1 - BUNDLE_MARGIN/k (Max-Min) or at most 1 + BUNDLE_MARGIN/k (Min-Max)
@@ -72,18 +90,19 @@ class DPTable:
     """Sparse forward-phase result: rows[j][nu] = back-pointer into row j+1.
 
     Only marked entries are stored; row n entries point at the full
-    instance's vector (row n+1, which is not stored).
+    instance's vector (row n+1, which is not stored).  ``forward`` keeps its
+    workspace on the table for ``backward``.
     """
     nu_in: InputVector
     rows: tuple[dict[InputVector, InputVector], ...]  # index j-1 holds row j
+    _ws: Optional[_Workspace] = field(default=None, compare=False, repr=False)
 
     def row(self, j: int) -> dict[InputVector, InputVector]:
         return self.rows[j - 1]
 
     @property
     def succeeded(self) -> bool:
-        zero = tuple(0 for _ in self.nu_in)
-        return zero in self.rows[0]
+        return (0,) * len(self.nu_in) in self.rows[0]
 
 
 class _Workspace:
@@ -94,27 +113,30 @@ class _Workspace:
     right.  The DP runs on the ``active`` coordinates only: 0 and every
     category that holds an item.  Over them, ``prefix_mask[i][x]``
     / ``prefix_weight[i][x]`` describe the leftmost x items of coordinate
-    ``active[i]``, and ``reach[j-1][i]`` counts its items at positions <= r_j
+    ``active[i]`` (bit p-1 of a mask stands for position p), and ``reach[j-1][i]`` counts its items at positions <= r_j
     and ``left_of[j-1][i]`` those at positions < l_j, for the j-th agent in
     lexicographic order.
+
+    Raises ValueError unless the highs are non-decreasing in that order,
+    l_1 = 1 and r_n = m: the windows of ``candidates`` settle the
+    reconstruction, containment and interval tests only then.
     """
 
     def __init__(self, rounded: RoundedInstance):
         inst = rounded.instance
         sch = rounded.scheme
-        self.rounded = rounded
-        self.inst = inst
-        self.sch = sch
         self.m = inst.m
-        order = lexicographic_order(inst)
-        self.order = order
+        self.order = order = lexicographic_order(inst)
         self.lows = [inst.agents[i].lo for i in order]
         self.highs = [inst.agents[i].hi for i in order]
-        self.up = sch.direction is Direction.UP
+        if not (order and self.lows[0] == 1 and self.highs[-1] == inst.m
+                and all(a <= b for a, b in zip(self.highs, self.highs[1:]))):
+            raise ValueError("the dynamic program needs agents whose intervals start "
+                             "at item 1, end at item m and are inclusion-free")
+        self.up = sch.mode is Mode.MAXMIN
 
         values = [it.value for it in inst.items]
-        denom = lcm(sch.k, *[v.denominator for v in values])
-        self.denom = denom
+        self.denom = denom = lcm(sch.k, *[v.denominator for v in values])
         self.unit = denom // sch.k
         self.weight = [0] + [v.numerator * (denom // v.denominator) for v in values]
         self.total = sum(self.weight)
@@ -146,19 +168,11 @@ class _Workspace:
         self.nu_active = (nu0,) + tuple(len(ps) for ps in active_positions[1:])
         self.zero = (0,) * len(self.active)
         self.nu_in = self.expand(self.nu_active)
-        self.full_mask = (1 << inst.m) - 1  # bit p-1 represents position p
-        self.window_mask = [self._range_mask(lo, hi) for lo, hi in zip(self.lows, self.highs)]
-        # Row n+1: the instance's vector reconstructs to every item.
-        self._retrieve_cache: dict[tuple[InputVector, int], Optional[tuple[int, int]]] = {
-            (self.nu_active, inst.n): (self.full_mask, self.total)}
-
-    @staticmethod
-    def _range_mask(lo: int, hi: int) -> int:
-        return ((1 << (hi - lo + 1)) - 1) << (lo - 1)
+        self._retrieve_cache: dict[tuple[InputVector, int], Optional[tuple[int, int]]] = {}
 
     def expand(self, nu: InputVector) -> InputVector:
         """The full (nu_0, ..., nu_C) vector of a vector over ``active``."""
-        full = [0] * (self.sch.C + 1)
+        full = [0] * len(self.positions)
         for c, count in zip(self.active, nu):
             full[c] = count
         return tuple(full)
@@ -218,7 +232,7 @@ class _Workspace:
         ``before_small`` is the number of small items in the remainder
         before agent j.  Every vector left out either reconstructs no
         remainder for agents 1..j-1 or hands agent j an item outside its
-        interval, so the caller's checks would reject it anyway.
+        interval; every vector yielded does neither (module docstring).
         """
         if j == 1:
             return (self.zero,)  # the only vector retrieve(., 0) accepts
@@ -240,22 +254,6 @@ class _Workspace:
         return product(*ranges)
 
 
-# The workspaces of the last few rounded instances, so that forward, backward
-# and retrieve on one instance share a workspace and its retrieve cache.
-# Looked up by identity: hashing a RoundedInstance hashes every item value and
-# grid point, which cost more than forward itself on small instances.
-_recent: deque[_Workspace] = deque(maxlen=8)
-
-
-def _workspace(rounded: RoundedInstance) -> _Workspace:
-    for ws in tuple(_recent):
-        if ws.rounded is rounded:
-            return ws
-    ws = _Workspace(rounded)
-    _recent.append(ws)
-    return ws
-
-
 def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[Subgraph]:
     """Reconstruct the remainder graph for vector nu and agent prefix p_1..p_j.
 
@@ -263,7 +261,7 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[Subg
     sweep instead stops at the prefix's reachable positions).  Raises when nu
     is not dominated by the full instance's vector.
     """
-    ws = _workspace(rounded)
+    ws = _Workspace(rounded)
     if len(nu) != len(ws.nu_in) or any(a > b for a, b in zip(nu, ws.nu_in)):
         raise ValueError(f"vector {nu} is not <= the instance vector {ws.nu_in}")
     if not 0 <= j <= rounded.instance.n:
@@ -280,7 +278,7 @@ def forward(rounded: RoundedInstance) -> DPTable:
     """Fill the table; row j's back-pointers record the first (lexicographically
     smallest) marked predecessor vector in row j+1.
     """
-    ws = _workspace(rounded)
+    ws = _Workspace(rounded)
     n = rounded.instance.n
     if ws.up:
         lo_bound = ws.denom - BUNDLE_MARGIN * ws.unit
@@ -299,34 +297,17 @@ def forward(rounded: RoundedInstance) -> DPTable:
         [dict() for _ in range(n)] + [{ws.nu_active: None}])
     for j in range(n, 0, -1):
         row = rows[j - 1]
-        window = ws.window_mask[j - 1]
         for nu_prev in sorted(rows[j]):
-            before = ws.retrieve_active(nu_prev, j)
-            assert before is not None  # marked vectors always reconstruct
-            before_mask, before_total = before
+            # Marked vectors and every candidate reconstruct (module docstring).
+            before_total = ws.retrieve_active(nu_prev, j)[1]
             before_small = ws.small_prefix_len(nu_prev[0], ws.highs[j - 1])
             for nu in ws.candidates(nu_prev, before_small, j):
-                if nu in row:
-                    continue
-                after = ws.retrieve_active(nu, j - 1)
-                if after is None:
-                    continue
-                after_mask, after_total = after
-                bundle_mask = before_mask & ~after_mask
-                if after_mask & ~before_mask or bundle_mask & ~window:
-                    continue
-                if bundle_ok(before_total - after_total):
+                if nu not in row and bundle_ok(before_total - ws.retrieve_active(nu, j - 1)[1]):
                     row[nu] = nu_prev
 
-    full: dict[InputVector, InputVector] = {}
-
-    def expand(nu: InputVector) -> InputVector:
-        if nu not in full:
-            full[nu] = ws.expand(nu)
-        return full[nu]
-
+    expand = cache(ws.expand)
     return DPTable(ws.nu_in, tuple({expand(nu): expand(ptr) for nu, ptr in row.items()}
-                                   for row in rows[:n]))
+                                   for row in rows[:n]), ws)
 
 
 def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
@@ -334,7 +315,7 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
 
     Raises LookupError when the forward phase recorded no success.
     """
-    ws = _workspace(rounded)
+    ws = table._ws or _Workspace(rounded)
     n = rounded.instance.n
     zero = rounded.scheme.zero_vector()
     if zero not in table.row(1):
@@ -345,11 +326,7 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
     # chain[j] is the vector marked at row j (chain[0] = zero for "row 0"),
     # chain[n] = nu_in.  Bundle j = items(retrieve(chain[j], j)) minus
     # items(retrieve(chain[j-1], j-1)).
-    masks = []
-    for j in range(0, n + 1):
-        hit = ws.retrieve_mask(chain[j], j)
-        assert hit is not None
-        masks.append(hit[0])
+    masks = [ws.retrieve_mask(nu, j)[0] for j, nu in enumerate(chain)]
     bundles: dict[int, list[int]] = {}
     for j in range(1, n + 1):
         diff = masks[j] & ~masks[j - 1]

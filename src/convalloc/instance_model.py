@@ -13,6 +13,8 @@ format.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,14 +28,25 @@ class Mode(Enum):
 
 Value = Fraction
 
+# A decimal exponent, as in '1e-9'; Fraction reads '_' as a digit separator.
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+
 
 def parse_value(text: Union[str, int]) -> Fraction:
     """Parse an exact rational from a 'num/den' or integer string.
 
-    Raises ValueError on anything else, a zero denominator included.
+    Raises ValueError on anything else, a zero denominator included, and on
+    a decimal exponent that, with the text's length, reaches Python's limit
+    on printed digits: ``Fraction`` would build a value nobody can print.
     """
+    text = str(text)
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit and len(text) + abs(int(exponent.group(1))) >= limit:
+            raise ValueError(f"value {text!r} has too many digits to print (limit {limit})")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"value {text!r} has a zero denominator") from None
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -29,22 +28,13 @@ from typing import Optional, Sequence
 from .instance_model import ConvexInstance, Item, Mode, Subgraph
 
 
-class Direction(Enum):
-    UP = "up"      # Max-Min
-    DOWN = "down"  # Min-Max
-
-
-def direction_for(mode: Mode) -> Direction:
-    return Direction.UP if mode is Mode.MAXMIN else Direction.DOWN
-
-
 InputVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class RoundingScheme:
     k: int
-    direction: Direction
+    mode: Mode  # Max-Min rounds up, Min-Max down
     C: int
     grid: tuple[Fraction, ...]  # q_1 .. q_C, strictly increasing, q_1 > 1/k
     small_threshold: Fraction  # 1/k, the largest small value
@@ -57,7 +47,7 @@ class RoundingScheme:
         integer w, w <= denom q iff w <= floor(denom q), and w >= denom q iff
         w >= ceil(denom q).
         """
-        if self.direction is Direction.UP:
+        if self.mode is Mode.MAXMIN:
             return [denom * a // b for a, b in self.grid_terms]
         return [-(-denom * a // b) for a, b in self.grid_terms]
 
@@ -66,14 +56,14 @@ class RoundingScheme:
 
 
 @lru_cache(maxsize=64)
-def scheme(k: int, direction: Direction) -> RoundingScheme:
+def scheme(k: int, mode: Mode) -> RoundingScheme:
     """Build the rounding scheme for error parameter k (k >= 4).
 
     The category count is C = ceil(log k / log(1+1/k)), computed exactly as
     the least C with (1+1/k)^C >= k, so that the top grid point q_C reaches
     1.  Since (1+1/k)^k >= 2, C <= k * ceil(log2 k) for every k >= 4, which
     is O(k log k) and depends on k alone.  Schemes are immutable, so each
-    (k, direction) is built once and shared by every decide.
+    (k, mode) is built once and shared by every decide.
     """
     if k < 4:
         raise ValueError(f"error parameter k must be >= 4, got {k}")
@@ -88,7 +78,7 @@ def scheme(k: int, direction: Direction) -> RoundingScheme:
     for _ in range(c):
         q *= ratio
         grid.append(q)
-    return RoundingScheme(k, direction, c, tuple(grid), Fraction(1, k),
+    return RoundingScheme(k, mode, c, tuple(grid), Fraction(1, k),
                           tuple((q.numerator, q.denominator) for q in grid))
 
 
@@ -127,7 +117,7 @@ def _round_values(values: Sequence[Fraction], sch: RoundingScheme
     """
     denom = lcm(*[v.denominator for v in values])
     thresholds = sch.thresholds(denom)
-    k, grid, up = sch.k, sch.grid, sch.direction is Direction.UP
+    k, grid, up = sch.k, sch.grid, sch.mode is Mode.MAXMIN
     rounded: list[Fraction] = []
     smalls: list[bool] = []
     cats: list[Optional[int]] = []
@@ -186,7 +176,7 @@ def small_units(total: Fraction, sch: RoundingScheme) -> int:
     if total == 0:
         return 0
     scaled = total * sch.k
-    if sch.direction is Direction.UP:
+    if sch.mode is Mode.MAXMIN:
         return -((-scaled.numerator) // scaled.denominator)  # ceil
     return scaled.numerator // scaled.denominator            # floor
 

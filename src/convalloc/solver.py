@@ -20,7 +20,7 @@ from . import dp_engine
 from .instance_model import (Assignment, ConvexInstance, Item, Mode,
                              assignment_from_positions, lexicographic_order,
                              partition_violations, validate)
-from .rounding import direction_for, round_instance, scheme
+from .rounding import round_instance, scheme
 
 MAX_SEARCH_ITERATIONS = 128
 _ONE = Fraction(1)  # every clamped Max-Min value
@@ -94,7 +94,7 @@ def decide(instance: ConvexInstance, t: Fraction, k: int,
         if trace is not None:
             trace.append(f"# decide t={t} k={k} infeasible-scaling")
         return None
-    rounded = round_instance(scaled, scheme(k, direction_for(instance.mode)))
+    rounded = round_instance(scaled, scheme(k, instance.mode))
     assignment, table = dp_engine.solve_rounded(rounded)
     if trace is not None:
         trace.append(f"# decide t={t} k={k} "

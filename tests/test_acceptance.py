@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from convalloc import (Mode, align, assignment_vector,
                        check_hall_bruteforce, check_hall_maxmin,
-                       check_hall_minmax, decide, direction_for,
+                       check_hall_minmax, decide,
                        is_non_wasteful, is_right_aligned, lexicographic_order,
                        opt_maxmin, opt_minmax, retrieve, round_instance, scale,
                        scheme, solve_maxmin, solve_minmax, verify)
@@ -129,7 +129,7 @@ def aligned_cases():
                 solve = opt_maxmin if mode is Mode.MAXMIN else opt_minmax
                 _, witness = solve(inst)
                 rd = round_instance(scale(inst, Fraction(1)),
-                                    scheme(k, direction_for(mode)))
+                                    scheme(k, mode))
                 yield mode, k, rd, witness, align(rd, witness)
 
 
@@ -261,9 +261,9 @@ def test_criterion_8a_rounding_ratios():
     rng = random.Random(88)
     bad = []
     for k in range(4, 65):
-        from convalloc.rounding import Direction, round_value
-        up = scheme(k, Direction.UP)
-        down = scheme(k, Direction.DOWN)
+        from convalloc.rounding import round_value
+        up = scheme(k, Mode.MAXMIN)
+        down = scheme(k, Mode.MINMAX)
         values = [Fraction(rng.randint(1, 840), 840) for _ in range(40)]
         values += [Fraction(1), Fraction(1, k)]
         for v in values:
@@ -286,10 +286,9 @@ def test_criterion_8b_category_growth_bound():
     k * ceil(log2 k) steps always suffice, so C = O(k log k).  At k = 4,
     C = 7 <= 8; at k = 64, C = 269 <= 384.
     """
-    from convalloc.rounding import Direction
     offenders = []
     for k in range(4, 65):
-        c = scheme(k, Direction.UP).C
+        c = scheme(k, Mode.MAXMIN).C
         ratio = Fraction(k + 1, k)
         minimal = ratio ** (c - 1) < k <= ratio ** c
         # (k - 1).bit_length() == ceil(log2 k) for k >= 2

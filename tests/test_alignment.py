@@ -10,11 +10,11 @@ from convalloc import (AlignmentError, Assignment,
                        scale, scheme)
 from convalloc.generator import gen_planted
 from convalloc.instance_model import full_subgraph
-from convalloc.rounding import Direction, direction_for, input_vector
+from convalloc.rounding import input_vector
 
 
 def rounded(instance, k):
-    return round_instance(instance, scheme(k, direction_for(instance.mode)))
+    return round_instance(instance, scheme(k, instance.mode))
 
 
 def bundle_values(rd, assignment):
@@ -73,7 +73,7 @@ def test_align_t1_blocks(t1):
 
 
 def test_align_minmax_swaps_jobs(m1):
-    rd = round_instance(scale(m1, Fraction(11, 10)), scheme(10, Direction.DOWN))
+    rd = round_instance(scale(m1, Fraction(11, 10)), scheme(10, Mode.MINMAX))
     given = Assignment(Mode.MINMAX, (("M1", ("j1", "j3")), ("M2", ("j2", "j4"))))
     out = align(rd, given)
     assert out.bundle_map() == {"M1": ("j1", "j2"), "M2": ("j3", "j4")}
@@ -101,7 +101,7 @@ def test_align_properties_on_planted_witnesses(mode, k):
         inst, _ = gen_planted(seed, n, m, Fraction(1), mode)
         opt, witness = solve(inst)
         rd = round_instance(scale(inst, Fraction(1)),
-                            scheme(k, direction_for(mode)))
+                            scheme(k, mode))
         out = align(rd, witness)
         assert is_right_aligned(rd, out)
         assert is_non_wasteful(rd, out)

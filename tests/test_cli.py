@@ -1,10 +1,11 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
-from convalloc import dump_instance, verify, parse_value
+from convalloc import dump_instance, format_value, parse_value, verify
 from convalloc.cli import main
 
 
@@ -97,6 +98,39 @@ def test_malformed_instance_exits_2(tmp_path, capsys, payload, message):
     assert main(["solve", "-i", str(bad)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "oracle"])
+@pytest.mark.parametrize("value", [pytest.param(None, id="deep-nesting"),
+                                   "1e-999999", "1e-9999999", "1e9_999_999"])
+def test_unreadable_instance_exits_2(tmp_path, capsys, command, value):
+    # 100k nested arrays used to end in a RecursionError traceback, and a
+    # huge decimal exponent in a crash when the value was printed (after 14 s
+    # of building 10**9999999).
+    bad = tmp_path / "bad.json"
+    if value is None:
+        bad.write_text("[" * 100_000)
+        message = "maximum recursion depth exceeded"
+    else:
+        bad.write_text(json.dumps({"mode": "maxmin", "items": [{"id": "x1", "value": value}],
+                                   "agents": ONE_AGENT}))
+        message = f"value {value!r} has too many digits to print"
+    assert main([command, "-i", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read instance {str(bad)!r}: ")
+    assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("mantissa", ["1", "9.9", "12.5"])
+@pytest.mark.parametrize("sign", ["-", "+"])
+def test_every_accepted_exponent_prints_back(mantissa, sign):
+    limit = sys.get_int_max_str_digits()
+    # the largest exponent accepted: text length plus exponent stays below the limit
+    largest = limit - 1 - len(f"{mantissa}e{sign}{limit}")
+    value = parse_value(f"{mantissa}e{sign}{largest}")
+    assert parse_value(format_value(value)) == value
+    with pytest.raises(ValueError, match="too many digits"):
+        parse_value(f"{mantissa}e{sign}{largest + 1}")
 
 
 @pytest.mark.parametrize("delta, message", [

@@ -4,17 +4,20 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convalloc import (Agent, ConvexInstance, Item, Mode, backward, forward,
-                       gen_inclusion_free, retrieve, round_instance, scale,
-                       scheme, solve_rounded, verify)
+from convalloc import (Agent, ConvexInstance, Item, Mode, SolveError, backward,
+                       decide, forward, gen_inclusion_free, retrieve,
+                       round_instance, scale, scheme, solve_maxmin,
+                       solve_minmax, solve_rounded, verify)
 from convalloc.dp_engine import BUNDLE_MARGIN, DPTable, _Workspace, trace_lines
 from convalloc.instance_model import full_subgraph, lexicographic_order
-from convalloc.rounding import Direction, direction_for, input_vector
+from convalloc.rounding import input_vector
 
 
 def rounded(instance, k):
-    return round_instance(instance, scheme(k, direction_for(instance.mode)))
+    return round_instance(instance, scheme(k, instance.mode))
 
 
 def feasible(subgraph_before, bundle, agent, sch):
@@ -31,7 +34,7 @@ def feasible(subgraph_before, bundle, agent, sch):
         return False
     value = sum((subgraph_before.instance.value_at(p) for p in bundle), Fraction(0))
     margin = Fraction(BUNDLE_MARGIN, sch.k)
-    if sch.direction is Direction.UP:
+    if sch.mode is Mode.MAXMIN:
         return value >= 1 - margin
     return value <= 1 + margin
 
@@ -244,12 +247,33 @@ def linear_retrieve(ws, nu, j):
     return mask, total
 
 
+def interval_masks(ws):
+    """Entry j-1 has bit p-1 set iff position p lies in agent j's interval."""
+    return [((1 << (hi - lo + 1)) - 1) << (lo - 1) for lo, hi in zip(ws.lows, ws.highs)]
+
+
+def everything(ws):
+    """(item bitmask, total weight) of the whole instance."""
+    return (1 << ws.m) - 1, ws.total
+
+
+def structure_ok(before_mask, after, window):
+    """The reconstruction, containment and interval tests: the remainder
+    after the agent reconstructs, lies inside the remainder before it, and
+    leaves the agent a bundle inside its interval."""
+    if after is None:
+        return False
+    after_mask = after[0]
+    return not (after_mask & ~before_mask or before_mask & ~after_mask & ~window)
+
+
 def dense_forward(rd):
     """Every vector dominated by a marked predecessor, with the reference
-    reconstruction; the new forward must mark the same rows."""
+    reconstruction and every test; the new forward must mark the same rows."""
     ws = _Workspace(rd)
     n = rd.instance.n
     lo_bound, hi_bound = ws.denom - 3 * ws.unit, ws.denom + 3 * ws.unit
+    windows = interval_masks(ws)
 
     def bundle_ok(value):
         return value >= lo_bound if ws.up else value <= hi_bound
@@ -257,32 +281,20 @@ def dense_forward(rd):
     def dominated(nu):
         return itertools.product(*(range(c + 1) for c in nu))
 
-    rows = [dict() for _ in range(n)]
-    for nu in dominated(ws.nu_in):
-        hit = linear_retrieve(ws, nu, n - 1)
-        if hit is None:
-            continue
-        mask, total = hit
-        if ws.full_mask & ~mask & ~ws.window_mask[n - 1]:
-            continue
-        if bundle_ok(ws.total - total):
-            rows[n - 1][nu] = ws.nu_in
-    for j in range(n - 1, 0, -1):
+    # rows[n] is row n+1: the instance's vector, which holds every item.
+    rows = [dict() for _ in range(n)] + [{ws.nu_in: None}]
+    for j in range(n, 0, -1):
         row = rows[j - 1]
         for nu_prev in sorted(rows[j]):
-            before_mask, before_total = linear_retrieve(ws, nu_prev, j)
+            before_mask, before_total = everything(ws) if j == n else linear_retrieve(ws, nu_prev, j)
             for nu in dominated(nu_prev):
                 if nu in row:
                     continue
                 after = linear_retrieve(ws, nu, j - 1)
-                if after is None:
-                    continue
-                after_mask, after_total = after
-                if after_mask & ~before_mask or before_mask & ~after_mask & ~ws.window_mask[j - 1]:
-                    continue
-                if bundle_ok(before_total - after_total):
+                if (structure_ok(before_mask, after, windows[j - 1])
+                        and bundle_ok(before_total - after[1])):
                     row[nu] = nu_prev
-    return DPTable(ws.nu_in, tuple(rows))
+    return DPTable(ws.nu_in, tuple(rows[:n]))
 
 
 def guess_instances(mode, k):
@@ -306,7 +318,7 @@ def guess_instances(mode, k):
     elif k == 4:
         # Every big category occupied: q_1 .. q_6 exactly, and 1 rounds up
         # to q_7.
-        sch = scheme(4, direction_for(mode))
+        sch = scheme(4, mode)
         g = sch.grid
         values = [g[0], Fraction(1, 5), g[1], g[2], Fraction(1, 6),
                   g[3], g[4], g[5], Fraction(1, 7), Fraction(1)]
@@ -328,7 +340,7 @@ def test_forward_matches_dense_enumeration(mode, k):
     if mode is Mode.MINMAX:
         assert 1 in widths
     elif k == 4:
-        assert scheme(k, direction_for(mode)).C + 1 in widths
+        assert scheme(k, mode).C + 1 in widths
     marked = 0
     succeeded = []
     for rd in cases:
@@ -356,6 +368,66 @@ def test_forward_matches_dense_with_an_empty_window():
     rd = rounded(inst, 4)
     ws = _Workspace(rd)
     assert list(ws.candidates(ws.nu_active, len(ws.small_positions), 2)) == []
+    assert forward(rd).rows == dense_forward(rd).rows
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_windows_imply_the_structural_tests(mode, k):
+    # forward tests its candidates against the value bound alone; every
+    # candidate of every marked predecessor passes the other three tests
+    # (the module docstring's (i) to (iii)).
+    candidates = 0
+    for rd in guess_instances(mode, k):
+        ws = _Workspace(rd)
+        n = rd.instance.n
+        windows = interval_masks(ws)
+        # marked[j] holds row j+1; row n+1 is the instance's vector.
+        marked = list(forward(rd).rows) + [{ws.nu_in: None}]
+        for j in range(n, 0, -1):
+            for nu_prev in marked[j]:
+                before = everything(ws) if j == n else linear_retrieve(ws, nu_prev, j)
+                assert before is not None
+                active = tuple(nu_prev[c] for c in ws.active)
+                before_small = ws.small_prefix_len(active[0], ws.highs[j - 1])
+                for nu in ws.candidates(active, before_small, j):
+                    after = linear_retrieve(ws, ws.expand(nu), j - 1)
+                    assert structure_ok(before[0], after, windows[j - 1])
+                    candidates += 1
+    assert candidates > 0
+
+
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+@pytest.mark.parametrize("agents, m", [
+    ((Agent("p1", 1, 1), Agent("p2", 2, 2)), 3),  # item 3 lies in no interval
+    ((Agent("p1", 1, 4), Agent("p2", 2, 3)), 4),  # [2,3] lies inside [1,4]
+    ((Agent("p1", 2, 2), Agent("p2", 3, 3)), 3),  # item 1 lies in no interval
+])
+def test_dp_rejects_instances_the_windows_do_not_cover(mode, agents, m):
+    inst = ConvexInstance(mode, make_items([Fraction(1, 2)] * m), agents)
+    rd = rounded(scale(inst, Fraction(1)), 4)
+    for run in (lambda: forward(rd),
+                lambda: retrieve(rd, rd.scheme.zero_vector(), 0),
+                lambda: decide(inst, Fraction(1), 4)):
+        with pytest.raises(ValueError, match="inclusion-free"):
+            run()
+    with pytest.raises(SolveError):
+        (solve_maxmin if mode is Mode.MAXMIN else solve_minmax)(inst, 4)
+
+
+# Derandomized: every run draws the same examples and stores none.
+@settings(derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), mode=st.sampled_from(Mode), k=st.sampled_from([4, 6, 8]),
+       shape=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 4 * n + 3))),
+       factor=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4)]))
+def test_forward_matches_dense_on_drawn_instances(seed, mode, k, shape, factor):
+    n, m = shape
+    inst = gen_inclusion_free(seed, n, m, mode=mode)
+    base = inst.total_value() / n
+    if mode is Mode.MINMAX:
+        base = max(base, max(it.value for it in inst.items))
+    scaled = scale(inst, base * factor)
+    rd = rounded(scaled if scaled is not None else scale(inst, base), k)  # Min-Max: p_j > t
     assert forward(rd).rows == dense_forward(rd).rows
 
 

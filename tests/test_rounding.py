@@ -7,27 +7,26 @@ from fractions import Fraction
 
 import pytest
 
-from convalloc import (Mode, direction_for, gen_inclusion_free, input_vector,
+from convalloc import (Mode, gen_inclusion_free, input_vector,
                        remainder, round_instance, round_value, scale, scheme)
 from convalloc.instance_model import full_subgraph
-from convalloc.rounding import Direction
 
 
 def test_scheme_category_counts():
-    assert scheme(4, Direction.UP).C == 7
-    assert scheme(10, Direction.UP).C == 25
-    s = scheme(4, Direction.UP)
+    assert scheme(4, Mode.MAXMIN).C == 7
+    assert scheme(10, Mode.MAXMIN).C == 25
+    s = scheme(4, Mode.MAXMIN)
     assert s.grid[6] == Fraction(1, 4) * Fraction(5, 4) ** 7
 
 
 def test_scheme_rejects_small_k():
     with pytest.raises(ValueError):
-        scheme(3, Direction.UP)
+        scheme(3, Mode.MAXMIN)
 
 
 def test_category_count_matches_log_formula():
     for k in range(4, 65):
-        s = scheme(k, Direction.DOWN)
+        s = scheme(k, Mode.MINMAX)
         # independent derivation, with exact verification at the boundary
         approx = math.ceil(math.log(k) / math.log(1 + 1 / k))
         assert abs(s.C - approx) <= 1
@@ -37,14 +36,14 @@ def test_category_count_matches_log_formula():
 
 def test_grid_strictly_increasing_above_threshold():
     for k in (4, 8, 10):
-        s = scheme(k, Direction.UP)
+        s = scheme(k, Mode.MAXMIN)
         assert s.grid[0] > Fraction(1, k)
         assert all(a < b for a, b in zip(s.grid, s.grid[1:]))
 
 
 def test_round_value_examples():
-    up = scheme(4, Direction.UP)
-    down = scheme(4, Direction.DOWN)
+    up = scheme(4, Mode.MAXMIN)
+    down = scheme(4, Mode.MINMAX)
     assert round_value(Fraction(1, 10), up) == (Fraction(1, 10), True, None)
     assert round_value(Fraction(3, 10), up) == (Fraction(5, 16), False, 1)
     # 3/10 lies in [1/4, 5/16): rounds down to exactly 1/4 and behaves as a
@@ -54,7 +53,7 @@ def test_round_value_examples():
 
 
 def test_round_value_domain():
-    s = scheme(4, Direction.UP)
+    s = scheme(4, Mode.MAXMIN)
     with pytest.raises(ValueError):
         round_value(Fraction(0), s)
     with pytest.raises(ValueError):
@@ -64,8 +63,8 @@ def test_round_value_domain():
 @pytest.mark.parametrize("k", [4, 5, 8, 16, 64])
 def test_rounding_ratio_bounds(k):
     rng = random.Random(k)
-    up = scheme(k, Direction.UP)
-    down = scheme(k, Direction.DOWN)
+    up = scheme(k, Mode.MAXMIN)
+    down = scheme(k, Mode.MINMAX)
     values = [Fraction(rng.randint(1, 420), 420) for _ in range(300)]
     values += [Fraction(1), Fraction(1, k), up.grid[0], up.grid[-1] / (k + 1) * k]
     for v in values:
@@ -76,7 +75,7 @@ def test_rounding_ratio_bounds(k):
 
 
 def test_input_vector_e1(e1):
-    s = scheme(10, Direction.UP)
+    s = scheme(10, Mode.MAXMIN)
     rd = round_instance(e1, s)
     nu = input_vector(full_subgraph(rd.instance), s)
     assert nu[0] == 15          # fifteen circles of 1/10 make 15 units
@@ -85,14 +84,14 @@ def test_input_vector_e1(e1):
 
 
 def test_input_vector_empty(e1):
-    s = scheme(10, Direction.UP)
+    s = scheme(10, Mode.MAXMIN)
     rd = round_instance(e1, s)
     sub = remainder(rd.instance, range(1, 22), 0)
     assert input_vector(sub, s) == s.zero_vector()
 
 
 def test_input_vector_of_peeled_remainder(e1, e1_assignment_1):
-    s = scheme(10, Direction.UP)
+    s = scheme(10, Mode.MAXMIN)
     rd = round_instance(e1, s)
     removed = set()
     for aid in ("p2", "p3"):
@@ -102,7 +101,7 @@ def test_input_vector_of_peeled_remainder(e1, e1_assignment_1):
 
 
 def test_input_vector_monotone(e1):
-    s = scheme(10, Direction.UP)
+    s = scheme(10, Mode.MAXMIN)
     rd = round_instance(e1, s)
     rng = random.Random(1)
     for _ in range(30):
@@ -114,7 +113,7 @@ def test_input_vector_monotone(e1):
 
 
 def test_distinct_big_values_and_vector_count_bounds(e1):
-    s = scheme(10, Direction.UP)
+    s = scheme(10, Mode.MAXMIN)
     rd = round_instance(e1, s)
     distinct_big = {rd.value_at(p) for p in range(1, 22) if not rd.small[p - 1]}
     assert len(distinct_big) <= s.C
@@ -128,7 +127,7 @@ def test_distinct_big_values_and_vector_count_bounds(e1):
 
 def test_minmax_scaling_then_rounding(m1):
     scaled = scale(m1, Fraction(11, 10))
-    rd = round_instance(scaled, scheme(8, Direction.DOWN))
+    rd = round_instance(scaled, scheme(8, Mode.MINMAX))
     for p in range(1, 5):
         assert rd.value_at(p) <= scaled.value_at(p)
         assert rd.value_at(p) / scaled.value_at(p) > Fraction(8, 9)
@@ -140,7 +139,7 @@ def reference_round_value(value, sch):
         raise ValueError(f"value {value} outside (0, 1]")
     if value <= Fraction(1, sch.k):
         return value, True, None
-    if sch.direction is Direction.UP:
+    if sch.mode is Mode.MAXMIN:
         idx = bisect_left(sch.grid, value)
         return sch.grid[idx], False, idx + 1
     idx = bisect_right(sch.grid, value) - 1
@@ -163,7 +162,7 @@ def boundary_guesses(instance, sch):
 @pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
 @pytest.mark.parametrize("k", [4, 6, 8, 12])
 def test_integer_rounding_matches_fraction_reference(mode, k):
-    sch = scheme(k, direction_for(mode))
+    sch = scheme(k, mode)
     hits = {"1/k": 0, "grid": 0, "below q_1": 0}
     for seed in range(6):
         inst = gen_inclusion_free(seed, 4, 12, mode=mode)
