@@ -15,11 +15,11 @@ from .generator import gen_inclusion_free, gen_planted
 from .hall import (HallWitness, check_hall_bruteforce, check_hall_maxmin,
                    check_hall_minmax)
 from .instance_model import (Agent, Assignment, ConvexInstance, Item, Mode,
-                             Subgraph, ValidationReport, Value, Violation,
+                             ValidationReport, Value, Violation,
                              assignment_from_positions, dump_instance,
                              format_value, instance_from_dict, instance_to_dict,
                              lexicographic_order, load_instance, parse_value,
-                             remainder, stranded_items, validate)
+                             stranded_items, validate)
 from .oracle import OracleSizeError, opt_maxmin, opt_minmax
 from .rounding import (InputVector, RoundedInstance, RoundingScheme, input_vector,
                        round_instance, round_value, scheme)

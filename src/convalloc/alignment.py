@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .instance_model import (Assignment, Mode, Subgraph,
-                             assignment_from_positions, lexicographic_order,
-                             partition_violations, stranded_items)
+from .instance_model import (Assignment, Mode, assignment_from_positions,
+                             lexicographic_order, partition_violations,
+                             stranded_items)
 from .rounding import InputVector, RoundedInstance, input_vector, small_units
 
 
@@ -54,8 +54,7 @@ def assignment_vector(rounded: RoundedInstance,
     survivors = set(range(1, inst.m + 1))
     vectors: list[InputVector] = [()] * n
     for j in range(n, 0, -1):
-        vectors[j - 1] = input_vector(Subgraph(inst, frozenset(survivors), j),
-                                      rounded.scheme)
+        vectors[j - 1] = input_vector(rounded, survivors)
         survivors -= set(bundles[j - 1])
     return tuple(vectors)
 
@@ -92,7 +91,7 @@ def is_non_wasteful(rounded: RoundedInstance, assignment: Assignment) -> bool:
     survivors = set(range(1, inst.m + 1))
     for j in range(inst.n, 1, -1):
         survivors -= set(bundles[j - 1])
-        if stranded_items(Subgraph(inst, frozenset(survivors), j - 1)):
+        if stranded_items(inst, survivors, j - 1):
             return False
     return True
 
@@ -149,18 +148,12 @@ def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
             big_out[j].extend(block)
     big_value = [_bundle_value(rounded, big_out[j]) for j in range(n)]
 
-    # Small-remainder bracket targets from the input's peeling.
+    # Small-remainder bracket targets: target[j] = nu_0 of the input's H^j.
+    if sorted(p for bundle in bundles_in for p in bundle) != list(range(1, inst.m + 1)):
+        raise AlignmentError("input bundles do not partition the items")
+    target = [0] + [nu[0] for nu in assignment_vector(rounded, one_assignment)]
     smalls_all = [p for p in range(1, inst.m + 1) if rounded.small[p - 1]]
     sch = rounded.scheme
-    total = _bundle_value(rounded, smalls_all)
-    target = [0] * (n + 1)  # target[j] = nu_0 of remainder H^j
-    running = total
-    for j in range(n, 0, -1):
-        target[j] = small_units(running, sch)
-        running -= _bundle_value(rounded, [p for p in bundles_in[j - 1]
-                                           if rounded.small[p - 1]])
-    if running != 0:
-        raise AlignmentError("input bundles do not partition the small items")
 
     one_over_k = Fraction(1, sch.k)
     bound = 1 - one_over_k if maxmin else 1 + one_over_k

@@ -31,15 +31,14 @@ def _result_dict(result: SolveResult) -> dict:
     }
 
 
-def _print_result(result: SolveResult, as_json: bool) -> None:
+def _print_result(payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_result_dict(result), indent=2))
+        print(json.dumps(payload, indent=2))
         return
-    print(f"t_star: {format_value(result.t_star)}")
-    print(f"objective: {format_value(result.objective)}")
-    print(f"guarantee: {format_value(result.guarantee)}")
+    for key in ("t_star", "objective", "guarantee"):
+        print(f"{key}: {payload[key]}")
     print("assignment:")
-    for aid, ids in result.assignment.bundles:
+    for aid, ids in payload["assignment"].items():
         print(f"  {aid}: {' '.join(ids) if ids else '-'}")
 
 
@@ -74,15 +73,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         delta = parse_value(args.delta) if args.delta else None
         result = _solve(instance, args.k, delta, trace)
+        payload = _result_dict(result)  # a value too long to print raises here
     except (SolveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.trace:
         Path(args.trace).write_text("\n".join(trace) + "\n", encoding="utf-8")
     if args.output:
-        Path(args.output).write_text(json.dumps(_result_dict(result), indent=2) + "\n",
-                                     encoding="utf-8")
-    _print_result(result, args.json)
+        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _print_result(payload, args.json)
     return 1 if result.failed else 0
 
 
@@ -120,15 +119,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load(args.input)
     try:
         opt, witness = _opt(instance)
+        opt_text = format_value(opt)  # a value too long to print raises here
     except (oracle.OracleSizeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps({"opt": format_value(opt),
+        print(json.dumps({"opt": opt_text,
                           "assignment": {aid: list(ids) for aid, ids in witness.bundles}},
                          indent=2))
     else:
-        print(f"opt: {format_value(opt)}")
+        print(f"opt: {opt_text}")
     return 0
 
 

@@ -70,14 +70,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm
 from typing import Iterable, Optional
 
-from .instance_model import (Assignment, Mode, Subgraph,
-                             assignment_from_positions, lexicographic_order)
-from .rounding import InputVector, RoundedInstance
+from .instance_model import (Assignment, Mode, assignment_from_positions,
+                             lexicographic_order)
+from .rounding import InputVector, RoundedInstance, small_units
 
 # The bundle rule's margin in units of 1/k: an agent's bundle must be worth at
 # least 1 - BUNDLE_MARGIN/k (Max-Min) or at most 1 + BUNDLE_MARGIN/k (Min-Max)
@@ -139,7 +140,6 @@ class _Workspace:
         self.denom = denom = lcm(sch.k, *[v.denominator for v in values])
         self.unit = denom // sch.k
         self.weight = [0] + [v.numerator * (denom // v.denominator) for v in values]
-        self.total = sum(self.weight)
 
         self.positions: list[list[int]] = [[] for _ in range(sch.C + 1)]
         for p in range(1, inst.m + 1):
@@ -161,10 +161,7 @@ class _Workspace:
         self.reach = [tuple(bisect_right(ps, hi) for ps in active_positions) for hi in self.highs]
         self.left_of = [tuple(bisect_left(ps, lo) for ps in active_positions) for lo in self.lows]
 
-        # nu_0 of the whole instance: its small weight in units of 1/k,
-        # rounded up (Max-Min) or down (Min-Max), as rounding.small_units does.
-        small = self.small_prefix[-1]
-        nu0 = -(-small // self.unit) if self.up else small // self.unit
+        nu0 = small_units(Fraction(self.small_prefix[-1], denom), sch)
         self.nu_active = (nu0,) + tuple(len(ps) for ps in active_positions[1:])
         self.zero = (0,) * len(self.active)
         self.nu_in = self.expand(self.nu_active)
@@ -254,8 +251,9 @@ class _Workspace:
         return product(*ranges)
 
 
-def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[Subgraph]:
-    """Reconstruct the remainder graph for vector nu and agent prefix p_1..p_j.
+def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[frozenset[int]]:
+    """Reconstruct the remainder's item positions for vector nu and agent
+    prefix p_1..p_j.
 
     Returns None when a reconstructed big item would be stranded (the small
     sweep instead stops at the prefix's reachable positions).  Raises when nu
@@ -270,8 +268,7 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[Subg
     if hit is None:
         return None
     mask, _ = hit
-    items = frozenset(p for p in range(1, ws.m + 1) if mask >> (p - 1) & 1)
-    return Subgraph(rounded.instance, items, j)
+    return frozenset(p for p in range(1, ws.m + 1) if mask >> (p - 1) & 1)
 
 
 def forward(rounded: RoundedInstance) -> DPTable:

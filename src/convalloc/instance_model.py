@@ -181,45 +181,12 @@ def lexicographic_order(instance: ConvexInstance) -> tuple[int, ...]:
                                                           instance.agents[i].hi)))
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """An induced subgraph on a lex-prefix of agents and a surviving item set.
-
-    Every remainder graph arising in the dynamic program has this shape: the
-    agent set is always the prefix p_1..p_j of the lexicographic order.
-    """
-
-    instance: ConvexInstance
-    items: frozenset[int]
-    n_agents: int
-
-    def agent_indices(self) -> tuple[int, ...]:
-        return lexicographic_order(self.instance)[: self.n_agents]
-
-    def agents(self) -> tuple[Agent, ...]:
-        return tuple(self.instance.agents[i] for i in self.agent_indices())
-
-    def item_positions(self) -> tuple[int, ...]:
-        return tuple(sorted(self.items))
-
-
-def full_subgraph(instance: ConvexInstance) -> Subgraph:
-    return Subgraph(instance, frozenset(range(1, instance.m + 1)), instance.n)
-
-
-def remainder(instance: ConvexInstance, removed_items: Iterable[int], j: int) -> Subgraph:
-    """Subgraph keeping lex-agents p_1..p_j and all items not removed."""
+def stranded_items(instance: ConvexInstance, items: Iterable[int], j: int) -> frozenset[int]:
+    """Positions in ``items`` that no agent of the lex-prefix p_1..p_j covers."""
     if not 0 <= j <= instance.n:
         raise ValueError(f"agent count {j} out of range 0..{instance.n}")
-    removed = frozenset(removed_items)
-    return Subgraph(instance, frozenset(range(1, instance.m + 1)) - removed, j)
-
-
-def stranded_items(subgraph: Subgraph) -> frozenset[int]:
-    """Surviving items covered by no surviving agent interval."""
-    agents = subgraph.agents()
-    return frozenset(pos for pos in subgraph.items
-                     if not any(a.covers(pos) for a in agents))
+    agents = [instance.agents[i] for i in lexicographic_order(instance)[:j]]
+    return frozenset(pos for pos in items if not any(a.covers(pos) for a in agents))
 
 
 @dataclass(frozen=True)
@@ -384,6 +351,18 @@ def dump_instance(instance: ConvexInstance, path: str) -> None:
         fh.write("\n")
 
 
+class _JSONNumber(str):
+    """A JSON number's text, which ``parse_value`` reads exactly; a float rounds."""
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
+# One decoder for every load, as ``json.load`` shares its default one; building
+# a decoder per call slows every load of a large corpus.
+_DECODER = json.JSONDecoder(parse_float=_JSONNumber)
+
+
 def load_instance(path: str) -> ConvexInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        return instance_from_dict(_DECODER.decode(fh.read()))

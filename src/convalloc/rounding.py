@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .instance_model import ConvexInstance, Item, Mode, Subgraph
+from .instance_model import ConvexInstance, Item, Mode
 
 
 InputVector = tuple[int, ...]
@@ -86,23 +86,18 @@ def scheme(k: int, mode: Mode) -> RoundingScheme:
 class RoundedInstance:
     """An instance with values snapped per the scheme, plus classification.
 
-    ``instance`` carries the rounded values (same ids, order, agents, mode as
-    ``original``).  ``small[i]`` / ``category[i]`` classify 1-based position
-    i+1: small items keep their value, big items carry the 1-based index of
-    their grid value.  A Min-Max big value in (1/k, q_1) rounds down to
-    exactly 1/k and is reclassified small (it is value-interchangeable with
-    small jobs from then on).
+    ``instance`` carries the rounded values (same ids, order, agents and mode
+    as the instance rounded).  ``small[i]`` / ``category[i]`` classify
+    1-based position i+1: small items keep their value, big items carry the
+    1-based index of their grid value.  A Min-Max big value in (1/k, q_1)
+    rounds down to exactly 1/k and is reclassified small (it is
+    value-interchangeable with small jobs from then on).
     """
 
-    original: ConvexInstance
     instance: ConvexInstance
     scheme: RoundingScheme
     small: tuple[bool, ...]
     category: tuple[Optional[int], ...]
-
-    @property
-    def mode(self) -> Mode:
-        return self.instance.mode
 
     def value_at(self, pos: int) -> Fraction:
         return self.instance.value_at(pos)
@@ -163,7 +158,7 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
     rounded, smalls, cats = _round_values([it.value for it in items], sch)
     rounded_items = tuple(it if rv is it.value else Item(it.id, rv)
                           for it, rv in zip(items, rounded))
-    return RoundedInstance(instance, ConvexInstance(instance.mode, rounded_items, instance.agents),
+    return RoundedInstance(ConvexInstance(instance.mode, rounded_items, instance.agents),
                            sch, tuple(smalls), tuple(cats))
 
 
@@ -181,24 +176,16 @@ def small_units(total: Fraction, sch: RoundingScheme) -> int:
     return scaled.numerator // scaled.denominator            # floor
 
 
-def input_vector(subgraph: Subgraph, sch: RoundingScheme) -> InputVector:
-    """Configuration vector (nu_0, nu_1, ..., nu_C) of a rounded subgraph.
-
-    The subgraph's items must carry rounded values: big values must sit
-    exactly on the grid.
+def input_vector(rounded: RoundedInstance, items: Iterable[int]) -> InputVector:
+    """Configuration vector (nu_0, nu_1, ..., nu_C) of the item positions
+    ``items``: big items counted by category, small mass by ``small_units``.
     """
-    counts = [0] * (sch.C + 1)
+    counts = [0] * (rounded.scheme.C + 1)
     small_total = Fraction(0)
-    inst = subgraph.instance
-    for pos in subgraph.items:
-        v = inst.value_at(pos)
-        if v <= sch.small_threshold:
-            small_total += v
-            continue
-        idx = bisect_left(sch.grid, v)
-        if idx >= sch.C or sch.grid[idx] != v:
-            raise ValueError(f"item value {v} at position {pos} is not on the rounded grid")
-        counts[idx + 1] += 1
-    counts[0] = small_units(small_total, sch)
+    for pos in items:
+        if rounded.small[pos - 1]:
+            small_total += rounded.value_at(pos)
+        else:
+            counts[rounded.category[pos - 1]] += 1
+    counts[0] = small_units(small_total, rounded.scheme)
     return tuple(counts)
-

@@ -166,9 +166,9 @@ def test_criterion_6_reconstruction():
                 bad.append((mode.value, k, j, "null"))
                 break
             true_bigs = {p for p in survivors if not rd.small[p - 1]}
-            got_bigs = {p for p in sub.items if not rd.small[p - 1]}
+            got_bigs = {p for p in sub if not rd.small[p - 1]}
             true_smalls = {p for p in survivors if rd.small[p - 1]}
-            got_smalls = {p for p in sub.items if rd.small[p - 1]}
+            got_smalls = {p for p in sub if rd.small[p - 1]}
             t_total = sum((rd.value_at(p) for p in true_smalls), Fraction(0))
             g_total = sum((rd.value_at(p) for p in got_smalls), Fraction(0))
             if got_bigs != true_bigs:

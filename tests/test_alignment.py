@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from convalloc import (AlignmentError, Assignment,
+from convalloc import (Agent, AlignmentError, Assignment, ConvexInstance, Item,
                        Mode, align, assignment_vector, is_non_wasteful,
                        is_right_aligned, opt_maxmin, opt_minmax, round_instance,
                        scale, scheme)
 from convalloc.generator import gen_planted
-from convalloc.instance_model import full_subgraph
 from convalloc.rounding import input_vector
 
 
@@ -26,7 +25,7 @@ def test_assignment_vector_e1(e1, e1_assignment_1, e1_assignment_2):
     rd = rounded(e1, 10)
     vectors = assignment_vector(rd, e1_assignment_1)
     assert vectors[0][0] == 5 and sum(vectors[0][1:]) == 2
-    assert vectors[2] == input_vector(full_subgraph(rd.instance), rd.scheme)
+    assert vectors[2] == input_vector(rd, range(1, 22))
     # the hoarding assignment leaves a remainder with the same vector
     other = assignment_vector(rd, e1_assignment_2)
     assert other[0] == vectors[0]
@@ -35,7 +34,7 @@ def test_assignment_vector_e1(e1, e1_assignment_1, e1_assignment_2):
 def test_assignment_vector_trivial(t0):
     rd = rounded(t0, 4)
     vectors = assignment_vector(rd, Assignment(Mode.MAXMIN, (("p1", ("x1",)),)))
-    assert vectors == (input_vector(full_subgraph(rd.instance), rd.scheme),)
+    assert vectors == (input_vector(rd, (1,)),)
 
 
 def test_is_right_aligned(e1, e1_assignment_1, e1_assignment_2, t0, t1):
@@ -89,6 +88,12 @@ def test_align_rejects_non_one_assignments(e1, e1_assignment_2):
     not_partition = Assignment(Mode.MAXMIN, (("p1", ("s1",)), ("p2", ()), ("p3", ())))
     with pytest.raises(AlignmentError):
         align(rd, not_partition)
+    # two agents share an id, so keying bundles by agent loses one of them
+    twins = ConvexInstance(Mode.MAXMIN, tuple(Item(f"x{i}", Fraction(1, 2)) for i in range(1, 5)),
+                           (Agent("p", 1, 4), Agent("p", 1, 4)))
+    with pytest.raises(AlignmentError, match="do not partition"):
+        align(rounded(twins, 4), Assignment(Mode.MAXMIN, (("p", ("x1", "x2")),
+                                                          ("p", ("x3", "x4")))))
 
 
 @pytest.mark.parametrize("mode,k", [(Mode.MAXMIN, 4), (Mode.MAXMIN, 8),

@@ -121,6 +121,24 @@ def test_unreadable_instance_exits_2(tmp_path, capsys, command, value):
     assert len(err.splitlines()) == 1 and message in err
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_objective_too_long_to_print_exits_2(tmp_path, capsys, command):
+    # Each value prints, but the optimum's denominator has over 4300 digits;
+    # printing it used to end in a traceback and exit 1.
+    big = 10 ** 2200
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "mode": "minmax",
+        "items": [{"id": "x1", "value": f"1/{big + 1}"}, {"id": "x2", "value": f"1/{big + 3}"}],
+        "agents": [{"id": "M1", "l": 1, "r": 2}]}))
+    out = tmp_path / "out.json"
+    argv = [command, "-i", str(path)] + (["-o", str(out)] if command == "solve" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("mantissa", ["1", "9.9", "12.5"])
 @pytest.mark.parametrize("sign", ["-", "+"])
 def test_every_accepted_exponent_prints_back(mantissa, sign):

@@ -12,7 +12,7 @@ from convalloc import (Agent, ConvexInstance, Item, Mode, SolveError, backward,
                        round_instance, scale, scheme, solve_maxmin,
                        solve_minmax, solve_rounded, verify)
 from convalloc.dp_engine import BUNDLE_MARGIN, DPTable, _Workspace, trace_lines
-from convalloc.instance_model import full_subgraph, lexicographic_order
+from convalloc.instance_model import lexicographic_order
 from convalloc.rounding import input_vector
 
 
@@ -20,21 +20,25 @@ def rounded(instance, k):
     return round_instance(instance, scheme(k, instance.mode))
 
 
-def feasible(subgraph_before, bundle, agent, sch):
+def all_items(rd):
+    return range(1, rd.instance.m + 1)
+
+
+def feasible(rd, before, bundle, agent):
     """The bundle rule in ``Fraction``s, the reference for the integer rule
     ``forward`` runs.
 
-    True iff the remainder is not None, the bundle sits inside the agent's
-    interval, and its rounded value clears 1 - 3/k (Max-Min) or stays within
-    1 + 3/k (Min-Max).
+    True iff the remainder ``before`` is not None, the bundle sits inside
+    the agent's interval, and its rounded value clears 1 - 3/k (Max-Min) or
+    stays within 1 + 3/k (Min-Max).
     """
-    if subgraph_before is None:
+    if before is None:
         return False
     if any(not agent.covers(p) for p in bundle):
         return False
-    value = sum((subgraph_before.instance.value_at(p) for p in bundle), Fraction(0))
-    margin = Fraction(BUNDLE_MARGIN, sch.k)
-    if sch.mode is Mode.MAXMIN:
+    value = sum((rd.value_at(p) for p in bundle), Fraction(0))
+    margin = Fraction(BUNDLE_MARGIN, rd.scheme.k)
+    if rd.scheme.mode is Mode.MAXMIN:
         return value >= 1 - margin
     return value <= 1 + margin
 
@@ -51,14 +55,12 @@ def test_retrieve_example_remainder(e1):
     rd = rounded(e1, 10)
     sub = retrieve(rd, vec(rd.scheme, 5, **{"10": 2}), 1)
     assert sub is not None
-    assert sorted(sub.items) == [1, 2, 3, 4, 5, 6, 7]   # s1 s2 c1..c5
+    assert sorted(sub) == [1, 2, 3, 4, 5, 6, 7]   # s1 s2 c1..c5
 
 
 def test_retrieve_identity(e1):
     rd = rounded(e1, 10)
-    nu_in = input_vector(full_subgraph(rd.instance), rd.scheme)
-    sub = retrieve(rd, nu_in, 3)
-    assert sub.items == frozenset(range(1, 22))
+    assert retrieve(rd, input_vector(rd, all_items(rd)), 3) == frozenset(range(1, 22))
 
 
 def test_retrieve_stranded_big_items(e1):
@@ -69,7 +71,7 @@ def test_retrieve_stranded_big_items(e1):
 
 def test_retrieve_zero_agents(e1):
     rd = rounded(e1, 10)
-    assert retrieve(rd, vec(rd.scheme, 0), 0).items == frozenset()
+    assert retrieve(rd, vec(rd.scheme, 0), 0) == frozenset()
     assert retrieve(rd, vec(rd.scheme, 1), 0) is None
 
 
@@ -81,12 +83,12 @@ def test_retrieve_rejects_oversized_vectors(e1):
 
 def test_feasible(e1, e1_assignment_1):
     rd = rounded(e1, 10)
-    sub = retrieve(rd, input_vector(full_subgraph(rd.instance), rd.scheme), 3)
+    sub = retrieve(rd, input_vector(rd, all_items(rd)), 3)
     bundle = frozenset(e1.item_index(x) for x in e1_assignment_1.bundle_map()["p1"])
-    assert feasible(sub, bundle, e1.agents[0], rd.scheme)
-    assert not feasible(sub, frozenset({8}), e1.agents[0], rd.scheme)  # c6 is outside
-    assert not feasible(None, bundle, e1.agents[0], rd.scheme)
-    assert not feasible(sub, frozenset({3}), e1.agents[0], rd.scheme)  # one circle is short
+    assert feasible(rd, sub, bundle, e1.agents[0])
+    assert not feasible(rd, sub, frozenset({8}), e1.agents[0])  # c6 is outside
+    assert not feasible(rd, None, bundle, e1.agents[0])
+    assert not feasible(rd, sub, frozenset({3}), e1.agents[0])  # one circle is short
 
 
 def test_forward_marks_success(e1, t0):
@@ -150,7 +152,7 @@ def test_solve_rounded_accepts_weak_single_bundle():
 
 def test_retrieved_graphs_nest(e1):
     rd = rounded(e1, 10)
-    nu_in = input_vector(full_subgraph(rd.instance), rd.scheme)
+    nu_in = input_vector(rd, all_items(rd))
     vectors = [v for v in itertools.product(range(nu_in[0] + 1), range(nu_in[10] + 1))]
     for (a0, a1) in vectors:
         for (b0, b1) in vectors:
@@ -162,7 +164,7 @@ def test_retrieved_graphs_nest(e1):
                 sub_a = retrieve(rd, nu_a, j)
                 sub_b = retrieve(rd, nu_b, j)
                 if sub_a is not None and sub_b is not None:
-                    assert sub_a.items <= sub_b.items
+                    assert sub_a <= sub_b
 
 
 def test_forward_is_deterministic(e1):
@@ -185,9 +187,8 @@ def test_every_emitted_bundle_passes_feasible(e1):
         chain.append(table.row(j)[chain[-1]])
     for j in range(rd.instance.n, 0, -1):
         agent = rd.instance.agents[order[j - 1]]
-        before = (retrieve(rd, chain[j], j) if j < rd.instance.n
-                  else full_subgraph(rd.instance))
-        assert feasible(before, frozenset(positions[order[j - 1]]), agent, rd.scheme)
+        before = retrieve(rd, chain[j], j) if j < rd.instance.n else frozenset(all_items(rd))
+        assert feasible(rd, before, frozenset(positions[order[j - 1]]), agent)
         survivors -= set(positions[order[j - 1]])
     assert not survivors
 
@@ -207,7 +208,7 @@ def test_bundle_margin_is_one_rule(mode, values, ok):
     rd = rounded(inst, 8)
     assert rd.instance == inst  # small values stay exact
     everything = frozenset(range(1, len(values) + 1))
-    assert feasible(full_subgraph(rd.instance), everything, inst.agents[0], rd.scheme) is ok
+    assert feasible(rd, everything, everything, inst.agents[0]) is ok
     assert forward(rd).succeeded is ok
 
 
@@ -254,7 +255,7 @@ def interval_masks(ws):
 
 def everything(ws):
     """(item bitmask, total weight) of the whole instance."""
-    return (1 << ws.m) - 1, ws.total
+    return (1 << ws.m) - 1, sum(ws.weight)
 
 
 def structure_ok(before_mask, after, window):
@@ -344,7 +345,7 @@ def test_forward_matches_dense_enumeration(mode, k):
     marked = 0
     succeeded = []
     for rd in cases:
-        assert _Workspace(rd).nu_in == input_vector(full_subgraph(rd.instance), rd.scheme)
+        assert _Workspace(rd).nu_in == input_vector(rd, all_items(rd))
         pruned, dense = forward(rd), dense_forward(rd)
         assert pruned.rows == dense.rows
         assert trace_lines(pruned) == trace_lines(dense)

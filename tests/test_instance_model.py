@@ -1,14 +1,16 @@
-"""Instance validation, ordering, subgraphs, and JSON round-trips."""
+"""Instance validation, ordering, stranded items, and JSON round-trips."""
 
 import json
 from fractions import Fraction
 
+import pytest
+
 from convalloc import (Agent, ConvexInstance, Item, Mode, dump_instance,
                        instance_from_dict, instance_to_dict,
-                       lexicographic_order, load_instance, remainder,
-                       stranded_items, validate)
+                       lexicographic_order, load_instance, stranded_items,
+                       validate)
 from convalloc.generator import gen_inclusion_free
-from convalloc.instance_model import coverage_ranges, full_subgraph
+from convalloc.instance_model import coverage_ranges
 
 
 def agents_of(*intervals):
@@ -74,35 +76,20 @@ def test_lexicographic_order_t1(t1):
     assert [t1.agents[i].id for i in lexicographic_order(t1)] == ["p1", "p2"]
 
 
-def test_remainder_identity(e1):
-    sub = remainder(e1, (), 3)
-    assert sub.items == frozenset(range(1, 22))
-    assert sub.n_agents == 3
-
-
-def test_remainder_after_last_bundle(e1, e1_assignment_1):
-    removed = {e1.item_index(x) for x in e1_assignment_1.bundle_map()["p3"]}
-    sub = remainder(e1, removed, 2)
-    circles = [p for p in sub.items if e1.value_at(p) == Fraction(1, 10)]
-    squares = [p for p in sub.items if e1.value_at(p) == Fraction(1, 4)]
-    assert len(circles) == 10 and len(squares) == 4
-
-
-def test_remainder_t1(t1):
-    sub = remainder(t1, {4}, 1)
-    assert sub.items == frozenset({1, 2, 3})
-    assert [a.id for a in sub.agents()] == ["p1"]
-
-
 def test_stranded_items(e1, t1, e1_assignment_2):
-    assert stranded_items(full_subgraph(e1)) == frozenset()
-    removed = set()
-    for aid in ("p2", "p3"):
-        removed |= {e1.item_index(x) for x in e1_assignment_2.bundle_map()[aid]}
-    sub = remainder(e1, removed, 1)
+    assert stranded_items(e1, range(1, 22), 3) == frozenset()
+    survivors = set(range(1, 22))
+    for aid in ("p3", "p2"):
+        survivors -= {e1.item_index(x) for x in e1_assignment_2.bundle_map()[aid]}
     # c11..c15 (positions 16, 18..21) survive but lie beyond p1's reach
-    assert stranded_items(sub) == frozenset({16, 18, 19, 20, 21})
-    assert stranded_items(remainder(t1, {2, 3, 4}, 1)) == frozenset()
+    assert stranded_items(e1, survivors, 1) == frozenset({16, 18, 19, 20, 21})
+    assert stranded_items(t1, {1}, 1) == frozenset()
+    # the prefix p_1 (lex rank 1 is p1, interval [1, 3]) cannot reach item 4
+    assert stranded_items(t1, {1, 2, 3, 4}, 1) == frozenset({4})
+    assert stranded_items(t1, {1, 2, 3, 4}, 2) == frozenset()
+    assert stranded_items(t1, {2}, 0) == frozenset({2})
+    with pytest.raises(ValueError):
+        stranded_items(t1, {1}, 3)
 
 
 def test_item_neighbourhoods_are_agent_intervals(e1, t1, m1):
@@ -146,6 +133,23 @@ def test_json_round_trip(e1, m1, tmp_path):
         data["agents"][0]["demand"] = "3/2"
         again = instance_from_dict(data)
         assert again.agents[0].demand == Fraction(3, 2)
+
+
+def test_json_numbers_load_exactly(tmp_path):
+    # read through float, the value would load as 12345678901234567168 and
+    # the demand as 3602879701896397/36028797018963968
+    path = tmp_path / "floats.json"
+    path.write_text('{"mode": "maxmin", "items": [{"id": "x1", "value": 12345678901234567890.5},'
+                    ' {"id": "x2", "value": 25e-2}],'
+                    ' "agents": [{"id": "p1", "l": 1, "r": 2, "demand": 0.1}]}')
+    inst = load_instance(str(path))
+    assert [it.value for it in inst.items] == [Fraction("12345678901234567890.5"),
+                                               Fraction(1, 4)]
+    assert inst.agents[0].demand == Fraction(1, 10)
+    # the exponent guard still applies to a number literal
+    path.write_text(path.read_text().replace("25e-2", "1e-999999"))
+    with pytest.raises(ValueError, match="too many digits"):
+        load_instance(str(path))
 
 
 def test_json_rational_strings(tmp_path, t1):

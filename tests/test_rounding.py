@@ -6,10 +6,11 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convalloc import (Mode, gen_inclusion_free, input_vector,
-                       remainder, round_instance, round_value, scale, scheme)
-from convalloc.instance_model import full_subgraph
+from convalloc import (Mode, gen_inclusion_free, input_vector, retrieve,
+                       round_instance, round_value, scale, scheme)
 
 
 def test_scheme_category_counts():
@@ -77,7 +78,7 @@ def test_rounding_ratio_bounds(k):
 def test_input_vector_e1(e1):
     s = scheme(10, Mode.MAXMIN)
     rd = round_instance(e1, s)
-    nu = input_vector(full_subgraph(rd.instance), s)
+    nu = input_vector(rd, range(1, 22))
     assert nu[0] == 15          # fifteen circles of 1/10 make 15 units
     assert nu[10] == 6          # 1/4 rounds up to (1/10)(11/10)^10
     assert sum(nu[1:]) == 6
@@ -86,18 +87,18 @@ def test_input_vector_e1(e1):
 def test_input_vector_empty(e1):
     s = scheme(10, Mode.MAXMIN)
     rd = round_instance(e1, s)
-    sub = remainder(rd.instance, range(1, 22), 0)
-    assert input_vector(sub, s) == s.zero_vector()
+    assert input_vector(rd, ()) == s.zero_vector()
 
 
 def test_input_vector_of_peeled_remainder(e1, e1_assignment_1):
     s = scheme(10, Mode.MAXMIN)
     rd = round_instance(e1, s)
-    removed = set()
-    for aid in ("p2", "p3"):
-        removed |= {e1.item_index(x) for x in e1_assignment_1.bundle_map()[aid]}
-    nu = input_vector(remainder(rd.instance, removed, 1), s)
-    assert nu[0] == 5 and sum(nu[1:]) == 2
+    survivors = set(range(1, 22))
+    for aid, circles, squares in (("p3", 10, 4), ("p2", 5, 2)):
+        survivors -= {e1.item_index(x) for x in e1_assignment_1.bundle_map()[aid]}
+        nu = input_vector(rd, survivors)
+        # circles of 1/10 are one unit each; squares share one category
+        assert nu[0] == circles and nu[10] == squares == sum(nu[1:])
 
 
 def test_input_vector_monotone(e1):
@@ -107,8 +108,8 @@ def test_input_vector_monotone(e1):
     for _ in range(30):
         a = set(rng.sample(range(1, 22), rng.randint(0, 21)))
         b = a | set(rng.sample(range(1, 22), rng.randint(0, 21)))
-        nu_a = input_vector(remainder(rd.instance, set(range(1, 22)) - a, 2), s)
-        nu_b = input_vector(remainder(rd.instance, set(range(1, 22)) - b, 2), s)
+        nu_a = input_vector(rd, a)
+        nu_b = input_vector(rd, b)
         assert all(a <= b for a, b in zip(nu_a, nu_b))
 
 
@@ -117,7 +118,7 @@ def test_distinct_big_values_and_vector_count_bounds(e1):
     rd = round_instance(e1, s)
     distinct_big = {rd.value_at(p) for p in range(1, 22) if not rd.small[p - 1]}
     assert len(distinct_big) <= s.C
-    nu = input_vector(full_subgraph(rd.instance), s)
+    nu = input_vector(rd, range(1, 22))
     assert all(c <= e1.m for c in nu)
     closure = 1
     for c in nu:
@@ -183,3 +184,47 @@ def test_integer_rounding_matches_fraction_reference(mode, k):
                 hits["grid"] += v in sch.grid
                 hits["below q_1"] += Fraction(1, k) < v < sch.grid[0]
     assert all(hits.values()), hits
+
+
+def reference_input_vector(rd, items):
+    """The configuration vector by value: bisect each rounded value into the
+    grid and round the small mass with ``math.ceil``/``math.floor``."""
+    sch = rd.scheme
+    counts = [0] * (sch.C + 1)
+    small_total = Fraction(0)
+    for pos in items:
+        v = rd.value_at(pos)
+        if v <= sch.small_threshold:
+            small_total += v
+            continue
+        idx = bisect_left(sch.grid, v)
+        assert idx < sch.C and sch.grid[idx] == v  # big values sit on the grid
+        counts[idx + 1] += 1
+    rounding = math.ceil if sch.mode is Mode.MAXMIN else math.floor
+    counts[0] = rounding(small_total * sch.k)
+    return tuple(counts)
+
+
+# Derandomized: every run draws the same examples and stores none.
+@settings(derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), mode=st.sampled_from(Mode), k=st.sampled_from([4, 6, 8]),
+       shape=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 4 * n + 3))),
+       factor=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4)]),
+       data=st.data())
+def test_input_vector_reads_the_rounding_classification(seed, mode, k, shape, factor, data):
+    n, m = shape
+    inst = gen_inclusion_free(seed, n, m, mode=mode)
+    base = inst.total_value() / n
+    if mode is Mode.MINMAX:
+        base = max(base, max(it.value for it in inst.items))
+    scaled = scale(inst, base * factor)
+    rd = round_instance(scaled if scaled is not None else scale(inst, base),  # Min-Max: p_j > t
+                        scheme(k, mode))
+    everything = range(1, m + 1)
+    positions = st.sets(st.sampled_from(everything))
+    smaller = data.draw(positions)
+    larger = smaller | data.draw(positions)
+    for items in (smaller, larger, everything):
+        assert input_vector(rd, items) == reference_input_vector(rd, items)
+    assert all(a <= b for a, b in zip(input_vector(rd, smaller), input_vector(rd, larger)))
+    assert retrieve(rd, input_vector(rd, everything), n) == frozenset(everything)
