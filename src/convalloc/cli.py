@@ -160,19 +160,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         instance = _load(str(path))
         try:
             result = _solve(instance, args.k)
+            try:
+                opt = _opt(instance)[0]
+            except oracle.OracleSizeError:
+                opt = None
+            # a value too long to print raises here
+            rows.append((path.name, instance.mode.value, format_value(result.objective),
+                         "-" if opt is None else format_value(opt),
+                         format_value(result.objective / opt) if opt else "-"))
         except (SolveError, ValueError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
-        opt_text, ratio_text = "-", "-"
-        try:
-            opt, _ = _opt(instance)
-            opt_text = format_value(opt)
-            if opt > 0:
-                ratio_text = format_value(result.objective / opt)
-        except oracle.OracleSizeError:
-            pass
-        rows.append((path.name, instance.mode.value, format_value(result.objective),
-                     opt_text, ratio_text))
     if args.json:
         print(json.dumps([{"instance": r[0], "mode": r[1], "objective": r[2],
                            "opt": r[3], "ratio": r[4]} for r in rows], indent=2))

@@ -5,6 +5,26 @@ item intervals against the demands of fully-enclosed agents (Max-Min), and
 machine intervals against the processing time of fully-enclosed jobs
 (Min-Max).  A subset-enumeration oracle cross-validates the interval checks
 on small instances.
+
+With every demand (Max-Min) or every allowed load (Min-Max) equal to one
+number t, the interval condition solved for t bounds the optimum:
+
+- Max-Min: ``U = min over item intervals of val(interval) / #agents inside``.
+  The agents inside an interval can only take items from it, so OPT <= U.
+  OPT > 0 exactly when a matching covers every agent, which is the interval
+  condition with every value and demand 1.  U is the optimum of the
+  fractional assignment, and rounding it loses at most one item per agent
+  (Bezakova and Dani, "Allocating indivisible goods", SIGecom Exchanges 5(3),
+  2005), so OPT >= U - v_max.
+- Min-Max: ``L = max(p_max, max over machine runs of p(jobs confined to the
+  run) / #machines)``, so OPT >= L.  L is the optimum of the fractional
+  schedule, and rounding it adds at most one job per machine (Lenstra, Shmoys
+  and Tardos, Math. Programming 46, 1990), so OPT <= L + p_max.
+
+On an inclusion-free instance the agents inside an item interval, and the
+machines a job can use, are runs of consecutive lexicographic ranks, so both
+bounds are an O(n^2) sweep over the runs i..j of that order, on integer
+weights over one common denominator.
 """
 
 from __future__ import annotations
@@ -12,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .instance_model import ConvexInstance, Mode, coverage_ranges, lexicographic_order
@@ -114,6 +135,68 @@ def all_hall_violations_minmax(instance: ConvexInstance,
                                loads: Optional[Sequence[Fraction]] = None
                                ) -> tuple[HallWitness, ...]:
     return tuple(_iter_minmax_violations(instance, _resolve_demands(instance, loads)))
+
+
+def _lex_profile(instance: ConvexInstance) -> tuple[list[int], list[int], int, list[int]]:
+    """Lows and highs in lexicographic order, a common denominator D of the
+    values, and the prefix sums of the integer weights D v."""
+    if not instance.agents:
+        raise ValueError("instance has no agents")
+    order = lexicographic_order(instance)
+    lows = [instance.agents[i].lo for i in order]
+    highs = [instance.agents[i].hi for i in order]
+    denom = lcm(*[it.value.denominator for it in instance.items])
+    prefix = [0]
+    for it in instance.items:
+        prefix.append(prefix[-1] + it.value.numerator * (denom // it.value.denominator))
+    return lows, highs, denom, prefix
+
+
+def maxmin_upper_bound(instance: ConvexInstance) -> tuple[Fraction, bool]:
+    """(U, covered) for a valid Max-Min instance: OPT <= U, OPT >= U - v_max,
+    and covered tells whether a matching covers every agent, i.e. OPT > 0.
+
+    The run i..j of lexicographic ranks is tightest on [lo_i, hi_j]: that
+    interval holds the run, and every interval holding the run contains it.
+    """
+    if instance.mode is not Mode.MAXMIN:
+        raise ValueError("maxmin_upper_bound expects a Max-Min instance")
+    lows, highs, denom, prefix = _lex_profile(instance)
+    best_w, best_c = prefix[-1], 1  # val / count, kept as two integers
+    covered = True
+    for i, low in enumerate(lows):
+        before = prefix[low - 1]
+        for j in range(i, len(lows)):
+            count = j - i + 1
+            covered = covered and highs[j] - low + 1 >= count
+            w = prefix[highs[j]] - before
+            if w * best_c < best_w * count:
+                best_w, best_c = w, count
+    return Fraction(best_w, denom * best_c), covered
+
+
+def minmax_lower_bound(instance: ConvexInstance) -> Fraction:
+    """L for a valid Min-Max instance: L <= OPT <= L + p_max.
+
+    A job is confined to the machine run i..j iff it lies right of every
+    machine ranked below i and left of every machine ranked above j, so the
+    confined jobs are the positions hi_{i-1} < p < lo_{j+1}.
+    """
+    if instance.mode is not Mode.MINMAX:
+        raise ValueError("minmax_lower_bound expects a Min-Max instance")
+    lows, highs, denom, prefix = _lex_profile(instance)
+    n, m = len(lows), instance.m
+    best_w = max(prefix[p] - prefix[p - 1] for p in range(1, m + 1))  # p_max
+    best_c = 1
+    for i in range(n):
+        start = highs[i - 1] if i else 0
+        for j in range(i, n):
+            end = lows[j + 1] - 1 if j + 1 < n else m
+            count = j - i + 1
+            w = prefix[end] - prefix[start]
+            if w * best_c > best_w * count:
+                best_w, best_c = w, count
+    return Fraction(best_w, denom * best_c)
 
 
 def check_hall_bruteforce(instance: ConvexInstance,

@@ -4,9 +4,15 @@
 dynamic program.  It succeeds whenever a t-assignment exists, and any success
 certifies an original-value objective within the rounded factor of t:
 at least (1 - 4/(k+1)) t for Max-Min, at most (1 + 4/k + 3/k^2) t for
-Min-Max.  One binary search over t serves both modes: it starts at total/n,
-keeps the largest (Max-Min) or smallest (Min-Max) certified guess, and
-re-verifies the winning assignment against the original values.
+Min-Max.  One binary search over t serves both modes, inside the interval
+Hall bracket of ``hall``: [max(v_min, U - v_max), U] for Max-Min, with
+OPT <= U and OPT >= U - v_max by Bezakova-Dani (SIGecom Exchanges 5(3),
+2005), and [L, min(total, L + p_max)] for Min-Max, with OPT >= L and
+OPT <= L + p_max by Lenstra-Shmoys-Tardos (Math. Programming 46, 1990).  It
+tries U or L first, and a Max-Min instance with no agent-covering matching
+(OPT = 0) needs no decide at all.  The search reports the largest (Max-Min)
+or smallest (Min-Max) certified guess and the assignment with the best
+objective any success verified against the original values.
 ``solve_maxmin`` / ``solve_minmax`` are its two entry points.
 """
 
@@ -17,6 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import dp_engine
+from .hall import maxmin_upper_bound, minmax_lower_bound
 from .instance_model import (Assignment, ConvexInstance, Item, Mode,
                              assignment_from_positions, lexicographic_order,
                              partition_violations, validate)
@@ -166,66 +173,81 @@ def _fallback_partition(instance: ConvexInstance) -> Assignment:
 
 def _search(instance: ConvexInstance, mode: Mode, k: int,
             delta: Optional[Fraction], trace: Optional[list[str]]) -> SolveResult:
-    """The first guess is total/n.  If it fails, Max-Min brackets
-    (0, total/n) and Min-Max probes t = total, which always succeeds, and
-    brackets (total/n, total).  A success moves lo (Max-Min) or hi (Min-Max).
+    """Binary search inside the interval Hall bracket (see ``hall``).
+
+    Max-Min with no agent-covering matching has OPT = 0 and takes the
+    fallback with no decide.  Otherwise Max-Min brackets
+    [max(v_min, U - v_max), U] and Min-Max [L, min(total, L + p_max)], and
+    the first guess is the tight end, U or L.  A success moves lo (Max-Min)
+    or hi (Min-Max), a failure the other end.  If no guess succeeds, the
+    untried end of the bracket, which bounds OPT, is decided last.
     """
     _require_valid(instance, mode)
     delta = _search_parameters(k, delta)
     if instance.n == 0:
         raise SolveError("instance has no agents")
     maxmin = mode is Mode.MAXMIN
-    total = instance.total_value()
-    lo = hi = total / instance.n
-    found = decide(instance, lo, k, trace)
-    best: Optional[tuple[Fraction, Assignment]] = None if found is None else (lo, found)
-    if best is None:
-        if maxmin:
-            lo = Fraction(0)
-        else:
-            top = decide(instance, total, k, trace)
-            if top is None:
-                raise AssertionError("decide failed at t = total load, which always"
-                                     " admits an assignment")
-            best, hi = (total, top), total
+    values = [it.value for it in instance.items]
+    if maxmin:
+        bound, covered = maxmin_upper_bound(instance)
+        if not covered:
+            assignment = _fallback_partition(instance)
+            return SolveResult(mode, k, delta, Fraction(0),
+                               verify(instance, assignment).objective, Fraction(0),
+                               assignment)
+        # OPT > 0 gives every agent an item, so OPT >= v_min
+        lo, hi = max(min(values), bound - max(values)), bound
+    else:
+        bound = minmax_lower_bound(instance)
+        lo, hi = bound, min(instance.total_value(), bound + max(values))
 
+    t_star: Optional[Fraction] = None  # the last success, the tightest
+    best: Optional[tuple[Fraction, Assignment]] = None  # the best verified objective
+
+    def succeeds(t: Fraction) -> bool:
+        nonlocal t_star, best
+        found = decide(instance, t, k, trace)
+        if found is None:
+            return False
+        objective = verify(instance, found).objective
+        if best is None or (objective > best[0] if maxmin else objective < best[0]):
+            best = (objective, found)
+        t_star = t
+        return True
+
+    if succeeds(bound):
+        lo = hi = bound
     iterations = 0
     while iterations < MAX_SEARCH_ITERATIONS and hi - lo > delta * lo:
         mid = (lo + hi) / 2
         if mid == lo or mid == hi:
             break
         iterations += 1
-        found = decide(instance, mid, k, trace)
-        if found is not None:
-            best = (mid, found)
-        if (found is not None) is maxmin:
+        if succeeds(mid) is maxmin:
             lo = mid
         else:
             hi = mid
 
-    if best is None:
-        # Max-Min only: no guess certifies, so the optimum is 0.
-        assignment = _fallback_partition(instance)
-        return SolveResult(mode, k, delta, Fraction(0),
-                           verify(instance, assignment).objective, Fraction(0),
-                           assignment)
-    t_star, assignment = best
+    if t_star is None and not succeeds(lo if maxmin else hi):
+        raise AssertionError("decide failed at a proven bound on the optimum")
+    objective, assignment = best
     if maxmin:
         guarantee = (1 - Fraction(4, k + 1)) * (1 - delta)
     else:
         guarantee = (1 + Fraction(4, k) + Fraction(3, k * k)) * (1 + delta)
-    return SolveResult(mode, k, delta, t_star, verify(instance, assignment).objective,
-                       guarantee, assignment)
+    return SolveResult(mode, k, delta, t_star, objective, guarantee, assignment)
 
 
 def solve_maxmin(instance: ConvexInstance, k: int,
                  delta: Optional[Fraction] = None,
                  trace: Optional[list[str]] = None) -> SolveResult:
-    """The largest certified guess on [0, total/n].
+    """The largest certified guess on [max(v_min, U - v_max), U], U first.
 
-    The certified objective is >= (1 - 4/(k+1)) (1 - delta) OPT.  When no
-    guess certifies (the optimum is 0: some agent cannot be served), the
-    result carries t_star = 0 and a deterministic fallback partition.
+    U is the interval Hall bound, so OPT <= U, and OPT >= U - v_max
+    (Bezakova-Dani, SIGecom Exchanges 5(3), 2005).  The certified objective
+    is >= (1 - 4/(k+1)) (1 - delta) OPT.  When no matching covers every
+    agent (the optimum is 0), the result carries t_star = 0 and a
+    deterministic fallback partition, with no decide.
     """
     return _search(instance, Mode.MAXMIN, k, delta, trace)
 
@@ -233,8 +255,10 @@ def solve_maxmin(instance: ConvexInstance, k: int,
 def solve_minmax(instance: ConvexInstance, k: int,
                  delta: Optional[Fraction] = None,
                  trace: Optional[list[str]] = None) -> SolveResult:
-    """The smallest certified guess on [total/n, total].
+    """The smallest certified guess on [L, min(total, L + p_max)], L first.
 
-    The certified makespan is <= (1 + 4/k + 3/k^2) (1 + delta) OPT.
+    L is the interval Hall bound, so OPT >= L, and OPT <= L + p_max
+    (Lenstra-Shmoys-Tardos, Math. Programming 46, 1990).  The certified makespan
+    is <= (1 + 4/k + 3/k^2) (1 + delta) OPT.
     """
     return _search(instance, Mode.MINMAX, k, delta, trace)

@@ -72,6 +72,20 @@ def test_solve_failure_exit_code(tmp_path, capsys):
     assert main(["solve", "-i", str(starved), "-k", "4"]) == 1
 
 
+def test_solve_optimum_zero_traces_no_decide(tmp_path, capsys):
+    # No matching covers both agents, so OPT = 0 is known before any guess.
+    starved = tmp_path / "starved.json"
+    starved.write_text(json.dumps({
+        "mode": "maxmin",
+        "items": [{"id": "x1", "value": "1"}],
+        "agents": [{"id": "p1", "l": 1, "r": 1}, {"id": "p2", "l": 1, "r": 1}],
+    }))
+    trace = tmp_path / "starved.trace"
+    assert main(["solve", "-i", str(starved), "-k", "4", "--json", "--trace", str(trace)]) == 1
+    assert json.loads(capsys.readouterr().out)["t_star"] == "0"
+    assert "# decide" not in trace.read_text()
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["check", "-i", "does-not-exist.json"]) == 2
 
@@ -121,22 +135,36 @@ def test_unreadable_instance_exits_2(tmp_path, capsys, command, value):
     assert len(err.splitlines()) == 1 and message in err
 
 
-@pytest.mark.parametrize("command", ["solve", "oracle"])
-def test_objective_too_long_to_print_exits_2(tmp_path, capsys, command):
-    # Each value prints, but the optimum's denominator has over 4300 digits;
-    # printing it used to end in a traceback and exit 1.
+def write_long_instance(path):
+    # Each value prints, but the optimum's denominator has over 4300 digits.
     big = 10 ** 2200
-    path = tmp_path / "long.json"
     path.write_text(json.dumps({
         "mode": "minmax",
         "items": [{"id": "x1", "value": f"1/{big + 1}"}, {"id": "x2", "value": f"1/{big + 3}"}],
         "agents": [{"id": "M1", "l": 1, "r": 2}]}))
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_objective_too_long_to_print_exits_2(tmp_path, capsys, command):
+    # Printing the optimum used to end in a traceback and exit 1.
+    path = tmp_path / "long.json"
+    write_long_instance(path)
     out = tmp_path / "out.json"
     argv = [command, "-i", str(path)] + (["-o", str(out)] if command == "solve" else [])
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_bench_objective_too_long_to_print_exits_2(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    write_long_instance(path)
+    assert main(["bench", "-d", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize("mantissa", ["1", "9.9", "12.5"])

@@ -1,14 +1,19 @@
-"""Interval Hall checks against the subset-enumeration oracle."""
+"""Interval Hall checks against the subset-enumeration oracle, and the
+interval Hall bounds against the exact optimum."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convalloc import (Agent, ConvexInstance, Item, Mode,
                        check_hall_bruteforce, check_hall_maxmin,
-                       check_hall_minmax, opt_maxmin, scale, validate)
-from convalloc.hall import all_hall_violations_maxmin, all_hall_violations_minmax
+                       check_hall_minmax, opt_maxmin, opt_minmax, scale, validate)
+from convalloc.hall import (all_hall_violations_maxmin, all_hall_violations_minmax,
+                            maxmin_upper_bound, minmax_lower_bound)
+from convalloc.instance_model import coverage_ranges
 from convalloc.generator import gen_inclusion_free
 
 
@@ -120,3 +125,75 @@ def test_hall_is_not_sufficient():
             found = True
             break
     assert found, "no generated instance separates the check from feasibility"
+
+
+def swept_upper_bound(inst):
+    """min over item intervals holding an agent of val / #agents inside."""
+    ratios = []
+    for lo in range(1, inst.m + 1):
+        for hi in range(lo, inst.m + 1):
+            inside = sum(1 for a in inst.agents if lo <= a.lo and a.hi <= hi)
+            if inside:
+                value = sum((inst.value_at(p) for p in range(lo, hi + 1)), Fraction(0))
+                ratios.append(value / inside)
+    return min(ratios)
+
+
+def swept_lower_bound(inst):
+    """max(p_max, max over machine rank intervals of confined work / #machines)."""
+    ranges = coverage_ranges(inst)
+    ratios = [max(it.value for it in inst.items)]
+    for lo in range(1, inst.n + 1):
+        for hi in range(lo, inst.n + 1):
+            work = sum((inst.value_at(p) for p in range(1, inst.m + 1)
+                        if lo <= ranges[p - 1][0] and ranges[p - 1][1] <= hi), Fraction(0))
+            ratios.append(work / (hi - lo + 1))
+    return max(ratios)
+
+
+def unit_instance(inst):
+    return ConvexInstance(inst.mode, tuple(Item(it.id, Fraction(1)) for it in inst.items),
+                          tuple(Agent(a.id, a.lo, a.hi) for a in inst.agents))
+
+
+def check_bounds(inst):
+    values = [it.value for it in inst.items]
+    if inst.mode is Mode.MAXMIN:
+        bound, covered = maxmin_upper_bound(inst)
+        opt, _ = opt_maxmin(inst)
+        assert bound - max(values) <= opt <= bound
+        assert covered == (opt > 0) == (check_hall_maxmin(unit_instance(inst)) is None)
+        assert bound == swept_upper_bound(inst)
+    else:
+        bound = minmax_lower_bound(inst)
+        opt, _ = opt_minmax(inst)
+        assert bound <= opt <= min(inst.total_value(), bound + max(values))
+        assert bound == swept_lower_bound(inst)
+
+
+def test_bounds_on_the_examples(t0, t1, e1, m1):
+    assert maxmin_upper_bound(t0) == (1, True)
+    assert maxmin_upper_bound(t1) == (Fraction(11, 10), True)
+    assert minmax_lower_bound(m1) == Fraction(11, 10)
+    starved = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)),),
+                             (Agent("p1", 1, 1), Agent("p2", 1, 1)))
+    assert maxmin_upper_bound(starved) == (Fraction(1, 2), False)
+    for inst in (t0, t1, e1, m1, starved):
+        check_bounds(inst)
+
+
+def test_bounds_reject_the_other_mode_and_no_agents(t1, m1):
+    with pytest.raises(ValueError, match="Max-Min"):
+        maxmin_upper_bound(m1)
+    with pytest.raises(ValueError, match="Min-Max"):
+        minmax_lower_bound(t1)
+    with pytest.raises(ValueError, match="no agents"):
+        minmax_lower_bound(ConvexInstance(Mode.MINMAX, (Item("j1", Fraction(1)),), ()))
+
+
+# Derandomized: every run draws the same examples and stores none.
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 16), mode=st.sampled_from(Mode),
+       shape=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 3 * n + 2))))
+def test_bounds_bracket_the_optimum_on_drawn_instances(seed, mode, shape):
+    check_bounds(gen_inclusion_free(seed, *shape, mode=mode))

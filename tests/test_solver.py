@@ -3,12 +3,14 @@
 import gc
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, decide,
                        gen_inclusion_free, opt_maxmin, opt_minmax, rounding,
-                       scale, solve_maxmin, solve_minmax, verify)
+                       scale, solve_maxmin, solve_minmax, solver, verify)
+from convalloc.hall import maxmin_upper_bound
 from convalloc.solver import SolveError
 
 
@@ -181,33 +183,86 @@ def decide_headers(solve, instance, k):
 
 
 def test_guess_sequence_is_pinned():
-    # Max-Min: total/n fails, so the search bisects (0, total/n).
+    # Max-Min: U = 4/9 is tried first and succeeds.
     assert decide_headers(solve_maxmin, gen_inclusion_free(3, 4, 8, mode=Mode.MAXMIN), 8) == [
-        "# decide t=3923/3168 k=8 failure",
-        "# decide t=3923/6336 k=8 success",
-        "# decide t=3923/4224 k=8 failure",
-        "# decide t=19615/25344 k=8 failure",
-        "# decide t=3923/5632 k=8 success",
-        "# decide t=74537/101376 k=8 success",
-        "# decide t=50999/67584 k=8 success",
+        "# decide t=4/9 k=8 success",
     ]
-    # Min-Max: total/n fails, t = total is probed, then (total/n, total).
+    # Max-Min: U = 47/132 fails, then bisection on [1/6, U], with
+    # 1/6 = max(v_min, U - v_max).
+    assert decide_headers(solve_maxmin, gen_inclusion_free(0, 4, 8, mode=Mode.MAXMIN), 8) == [
+        "# decide t=47/132 k=8 failure",
+        "# decide t=23/88 k=8 success",
+        "# decide t=163/528 k=8 failure",
+        "# decide t=301/1056 k=8 success",
+        "# decide t=19/64 k=8 failure",
+        "# decide t=1229/4224 k=8 failure",
+    ]
+    # Min-Max: L = 2/3 is tried first and succeeds.
     assert decide_headers(solve_minmax, gen_inclusion_free(1, 4, 8, mode=Mode.MINMAX), 8) == [
-        "# decide t=2083/3360 k=8 infeasible-scaling",
-        "# decide t=2083/840 k=8 success",
-        "# decide t=2083/1344 k=8 success",
-        "# decide t=2083/1920 k=8 success",
-        "# decide t=22913/26880 k=8 success",
-        "# decide t=39577/53760 k=8 success",
-        "# decide t=2083/3072 k=8 success",
-        "# decide t=139561/215040 k=8 infeasible-scaling",
-        "# decide t=285371/430080 k=8 infeasible-scaling",
+        "# decide t=2/3 k=8 success",
     ]
-    # OPT = 0: total/n = 1/2 and all 128 halvings fail, then the fallback.
+    # Min-Max: L fails, then bisection on [L, min(total, L + p_max)].
+    assert decide_headers(solve_minmax, gen_inclusion_free(160, 4, 8, mode=Mode.MINMAX), 8) == [
+        "# decide t=2069/2520 k=8 failure",
+        "# decide t=2909/2520 k=8 success",
+        "# decide t=2489/2520 k=8 success",
+        "# decide t=2279/2520 k=8 success",
+        "# decide t=1087/1260 k=8 success",
+        "# decide t=4243/5040 k=8 failure",
+    ]
+    # OPT = 0: no matching covers both agents, so no guess is decided.
     starved = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)),),
                              (Agent("p1", 1, 1), Agent("p2", 1, 1)))
-    assert decide_headers(solve_maxmin, starved, 4) == [
-        f"# decide t=1/{2 ** i} k=4 failure" for i in range(1, 130)]
+    assert decide_headers(solve_maxmin, starved, 4) == []
+
+
+def test_search_decides_the_untried_bound_when_every_guess_fails():
+    # Max-Min: U = 11/2, OPT = v_min = 1; every guess in (1, U] fails, so
+    # the lower end 1 is decided last.
+    inst = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)), Item("x2", Fraction(10))),
+                          (Agent("p1", 1, 2), Agent("p2", 1, 2)))
+    headers = decide_headers(partial(solve_maxmin, delta=Fraction(1, 2)), inst, 40)
+    assert headers[0] == "# decide t=11/2 k=40 failure"
+    assert headers[-1] == "# decide t=1 k=40 success"
+    assert all(h.endswith(" failure") for h in headers[:-1])
+    res = solve_maxmin(inst, 40, Fraction(1, 2))
+    assert res.t_star == 1 and res.objective == 1
+    # Min-Max: three unit jobs on two machines, L = 3/2 fails and the upper
+    # end min(total, L + p_max) = 5/2 is decided.
+    inst = ConvexInstance(Mode.MINMAX, tuple(Item(f"j{q}", Fraction(1)) for q in (1, 2, 3)),
+                          (Agent("M1", 1, 3), Agent("M2", 1, 3)))
+    headers = decide_headers(partial(solve_minmax, delta=Fraction(9, 10)), inst, 40)
+    assert headers == ["# decide t=3/2 k=40 failure", "# decide t=5/2 k=40 success"]
+    res = solve_minmax(inst, 40, Fraction(9, 10))
+    assert res.t_star == Fraction(5, 2) and res.objective == 2
+
+
+@pytest.mark.parametrize("mode, seed, count", [(Mode.MAXMIN, 41, 3), (Mode.MINMAX, 160, 4)])
+def test_search_keeps_the_best_verified_objective(monkeypatch, mode, seed, count):
+    # Every success after the first returns a worse feasible assignment:
+    # the empty one (Max-Min, objective 0) or the fallback (Min-Max, 26/21
+    # against 49/40).
+    inst = gen_inclusion_free(seed, 4, 8, mode=mode)
+    if mode is Mode.MAXMIN:
+        worse = Assignment(mode, tuple((a.id, ()) for a in inst.agents))
+    else:
+        worse = solver._fallback_partition(inst)
+    successes = []
+
+    def first_success_only(instance, t, k, trace=None):
+        found = decide(instance, t, k, trace)
+        if found is not None:
+            successes.append((t, found))
+            if len(successes) > 1:
+                return worse
+        return found
+
+    monkeypatch.setattr(solver, "decide", first_success_only)
+    res = (solve_maxmin if mode is Mode.MAXMIN else solve_minmax)(inst, 8)
+    assert len(successes) == count
+    assert res.t_star == successes[-1][0]
+    assert res.assignment == successes[0][1]
+    assert res.objective == verify(inst, successes[0][1]).objective != verify(inst, worse).objective
 
 
 def test_certified_factor_exact(e1):
@@ -228,10 +283,12 @@ def test_guarantee_certifies_against_oracle(t1, m1):
 
 def test_maxmin_k8_n5_m30_headline_case():
     # The enumeration of every dominated vector took 47 s and 2 GB here.
+    # The first guess, U = 1, succeeds with objective 1: proved optimal.
     inst = gen_inclusion_free(1, 5, 30, mode=Mode.MAXMIN)
     res = solve_maxmin(inst, 8)
     assert verify(inst, res.assignment).feasible
-    assert res.t_star == Fraction(254783, 147840)
+    assert maxmin_upper_bound(inst) == (1, True)
+    assert res.t_star == 1 and res.objective == 1
 
 
 @pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
