@@ -6,11 +6,14 @@ plus the Hall condition), ``oracle`` (exact optimum on small instances),
 against the solver and, where tractable, the oracle).
 
 Exit codes: 0 success, 1 solver failure, 2 validation or usage error.
+``main`` returns the exit code to an in-process caller, 2 for a usage error
+included; it raises no ``SystemExit``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -31,10 +34,7 @@ def _result_dict(result: SolveResult) -> dict:
     }
 
 
-def _print_result(payload: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-        return
+def _print_result(payload: dict) -> None:
     for key in ("t_star", "objective", "guarantee"):
         print(f"{key}: {payload[key]}")
     print("assignment:")
@@ -79,9 +79,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return 2
     if args.trace:
         Path(args.trace).write_text("\n".join(trace) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2) if args.json or args.output else None
     if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    _print_result(payload, args.json)
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
+    if args.json:
+        print(text)
+    else:
+        _print_result(payload)
     return 1 if result.failed else 0
 
 
@@ -226,9 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call of ``main``, not at import.  Sharing it is safe:
+    # ``parse_args`` leaves the parser as it was and returns a new Namespace,
+    # as long as no argument has a mutable default (an ``append`` action).
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

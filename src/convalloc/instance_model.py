@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 
@@ -100,7 +101,11 @@ class ConvexInstance:
         return self.items[pos - 1].value
 
     def total_value(self) -> Fraction:
-        return sum((it.value for it in self.items), Fraction(0))
+        # Integer numerators over one common denominator: a Fraction sum
+        # reduces by a gcd at every addition.
+        denom = lcm(*[it.value.denominator for it in self.items])
+        return Fraction(sum(it.value.numerator * (denom // it.value.denominator)
+                            for it in self.items), denom)
 
     def item_index(self, item_id: str) -> int:
         for pos, it in enumerate(self.items, start=1):
@@ -155,8 +160,18 @@ def validate(instance: ConvexInstance) -> ValidationReport:
             out.append(Violation("nonpositive-demand", (a.id,),
                                  f"agent {a.id!r} has demand {a.demand} <= 0"))
 
+    # Coverage counts by one difference-array sweep, each interval clipped to
+    # [1, m], so that a bad interval still covers the positions it overlaps.
+    delta = [0] * (m + 2)
+    for a in instance.agents:
+        lo, hi = max(a.lo, 1), min(a.hi, m)
+        if lo <= hi:
+            delta[lo] += 1
+            delta[hi + 1] -= 1
+    cover = 0
     for pos in range(1, m + 1):
-        if not any(a.covers(pos) for a in instance.agents):
+        cover += delta[pos]
+        if not cover:
             out.append(Violation("degree-zero-item", (instance.items[pos - 1].id,),
                                  f"item {instance.items[pos - 1].id!r} (position {pos}) "
                                  "lies in no agent interval"))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from convalloc import dump_instance, format_value, parse_value, verify
-from convalloc.cli import main
+from convalloc.cli import build_parser, main
 
 
 @pytest.fixture
@@ -280,3 +280,55 @@ def test_solve_outputs_are_reproducible(paths, tmp_path, capsys):
     assert first_trace.read_bytes() == second_trace.read_bytes()
     line = first_trace.read_text().splitlines()[1]
     assert line.startswith("row=") and " nu=" in line and " ptr=" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["solve", "-i", "x.json", "-k", "nope"],
+    ["bogus"],
+], ids=["missing-input", "bad-k", "unknown-command"])
+def test_usage_error_returns_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: convalloc")
+    assert sum(": error: " in line for line in captured.err.splitlines()) == 1
+
+
+def fresh_main(argv):
+    """What ``main`` does, with a newly built parser."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_shared_parser_keeps_no_trace_between_calls(paths, tmp_path, capsys):
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    for run, directory in ((main, shared), (fresh_main, fresh)):
+        directory.mkdir()
+        trace = directory / "T.trace"
+        solve = ["solve", "-k", "8", "-i", paths["m1"]]
+        assert run(solve + ["--trace", str(trace), "-o", str(directory / "A.json")]) == 0
+        trace.unlink()
+        assert run(solve + ["-o", str(directory / "B.json")]) == 0
+        assert sorted(p.name for p in directory.iterdir()) == ["A.json", "B.json"]
+    capsys.readouterr()
+    for name in ("A.json", "B.json"):
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_shared_parser_runs_each_command_in_turn(tmp_path, capsys):
+    outputs = []
+    for run in (main, fresh_main):
+        inst = tmp_path / f"{run.__name__}.json"
+        codes = [run(["gen", "--seed", "5", "-n", "3", "-m", "7", "-o", str(inst)]),
+                 run(["solve", "-i", str(inst), "-k", "6", "--json"]),
+                 run(["check", "-i", str(inst)])]
+        outputs.append((codes, capsys.readouterr(), inst.read_bytes()))
+    shared, fresh = outputs
+    assert shared[0] == fresh[0] == [0, 0, 0]
+    assert shared[1:] == fresh[1:]
+    assert shared[1].out.endswith("inclusion-free: ok\nhall: ok\n")

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convalloc import (Agent, ConvexInstance, Item, Mode, dump_instance,
                        instance_from_dict, instance_to_dict,
@@ -46,6 +48,50 @@ def test_validate_degree_zero_item():
     report = validate(inst)
     assert any(v.code == "degree-zero-item" and v.subjects == ("x2",)
                for v in report.violations)
+
+
+def brute_degree_zero(instance):
+    """The degree-zero violations by a direct scan of every (position, agent)."""
+    return [(it.id,) for pos, it in enumerate(instance.items, start=1)
+            if not any(a.covers(pos) for a in instance.agents)]
+
+
+# Derandomized: every run draws the same examples and stores none.  Endpoints
+# reach past [1, m] on both sides, and lo > hi occurs, so bad intervals and
+# uncovered items are both drawn.
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 9).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.tuples(st.integers(-2, m + 2), st.integers(-2, m + 2)),
+                         max_size=5))))
+def test_degree_zero_sweep_matches_the_direct_scan(shape):
+    m, intervals = shape
+    inst = uniform_instance(m, *intervals)
+    found = [v for v in validate(inst).violations if v.code == "degree-zero-item"]
+    assert [v.subjects for v in found] == brute_degree_zero(inst)
+    for v in found:
+        pos = inst.item_index(v.subjects[0])
+        assert v.message == f"item {v.subjects[0]!r} (position {pos}) lies in no agent interval"
+
+
+def test_degree_zero_counts_the_in_range_part_of_a_bad_interval():
+    report = validate(uniform_instance(4, (0, 2), (4, 9), (-1, -3)))
+    assert [v.code for v in report.violations] == ["bad-interval", "bad-interval",
+                                                   "bad-interval", "degree-zero-item"]
+    assert report.violations[-1].subjects == ("x3",)
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    ["3/5", "1/2", "7"],
+    ["-1/3", "1/3", "0"],
+    [f"1/{10 ** 1999 + 7}", f"2/{10 ** 1999 + 9}", f"{10 ** 1999}/{3 ** 4190}", "5/6"],
+])
+def test_total_value_equals_the_fraction_sum(values):
+    items = tuple(Item(f"x{i}", Fraction(v)) for i, v in enumerate(values, 1))
+    inst = ConvexInstance(Mode.MINMAX, items, ())
+    total = inst.total_value()
+    assert type(total) is Fraction
+    assert total == sum((it.value for it in items), Fraction(0))
 
 
 def test_validate_misc_violations():
