@@ -61,9 +61,22 @@ coordinate is 0 in every candidate and every mark; dropping it keeps the
 lexicographic order and hence the first-marking predecessor.  ``forward``
 expands the marked entries to full (nu_0, ..., nu_C) vectors for the
 ``DPTable``, so the table, its trace and ``backward`` see full vectors.
-Reconstruction is O(#occupied coordinates), from per-category prefix masks
-and weights.  Value sums and comparisons run on integers after normalizing
-every rounded value by a common denominator divisible by k.
+
+``forward`` never reconstructs an item set: it sums weights.  The sweep's
+remainder is a product of per-coordinate prefixes, the leftmost nu_c items
+of each big category and the small prefix its nu_0 keeps, so its weight is
+separable: prefix_weight_c[nu_c] summed over the big coordinates, plus
+small_prefix[min(small_len[nu_0], small_cap(j-1))].  Here small_len[x] is
+the longest small prefix worth < (x+1)/k and small_cap(j-1) counts the
+small items at positions <= r_{j-1}: the sweep's two stopping rules, each
+monotone in the prefix length.  The one test this sum cannot see is the
+stranding test, which turns a vector into None; by (i) no candidate fails
+it, so the sum is exactly the weight of R(nu, j-1).  A mark carries its
+(weight, small length) into the next row, where it is the predecessor's
+``before_total`` and ``before_small``.  Only ``backward`` and ``retrieve``
+reconstruct, from per-category prefix masks.  Value sums and comparisons
+run on integers after normalizing every rounded value by a common
+denominator divisible by k.
 """
 
 from __future__ import annotations
@@ -72,12 +85,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import lcm
-from typing import Iterable, Optional
+from itertools import filterfalse, product
+from operator import getitem
+from typing import Iterator, Optional
 
 from .instance_model import (Assignment, Mode, assignment_from_positions,
-                             lexicographic_order)
+                             integer_values, lexicographic_order)
 from .rounding import InputVector, RoundedInstance, small_units
 
 # The bundle rule's margin in units of 1/k: an agent's bundle must be worth at
@@ -114,13 +127,15 @@ class _Workspace:
     right.  The DP runs on the ``active`` coordinates only: 0 and every
     category that holds an item.  Over them, ``prefix_mask[i][x]``
     / ``prefix_weight[i][x]`` describe the leftmost x items of coordinate
-    ``active[i]`` (bit p-1 of a mask stands for position p), and ``reach[j-1][i]`` counts its items at positions <= r_j
-    and ``left_of[j-1][i]`` those at positions < l_j, for the j-th agent in
-    lexicographic order.
+    ``active[i]`` (bit p-1 of a mask stands for position p),
+    ``reach[j-1][i]`` counts its items at positions <= r_j and
+    ``left_of[j-1][i]`` those at positions < l_j, for the j-th agent in
+    lexicographic order.  ``small_len[x]`` is the longest small prefix
+    worth < (x + 1)/k, for x up to the instance's nu_0.
 
     Raises ValueError unless the highs are non-decreasing in that order,
-    l_1 = 1 and r_n = m: the windows of ``candidates`` settle the
-    reconstruction, containment and interval tests only then.
+    l_1 = 1 and r_n = m: the ``windows`` settle the reconstruction,
+    containment and interval tests only then.
     """
 
     def __init__(self, rounded: RoundedInstance):
@@ -136,10 +151,10 @@ class _Workspace:
                              "at item 1, end at item m and are inclusion-free")
         self.up = sch.mode is Mode.MAXMIN
 
-        values = [it.value for it in inst.items]
-        self.denom = denom = lcm(sch.k, *[v.denominator for v in values])
+        weights, denom = integer_values([it.value for it in inst.items], sch.k)
+        self.denom = denom
         self.unit = denom // sch.k
-        self.weight = [0] + [v.numerator * (denom // v.denominator) for v in values]
+        self.weight = [0] + weights
 
         self.positions: list[list[int]] = [[] for _ in range(sch.C + 1)]
         for p in range(1, inst.m + 1):
@@ -163,9 +178,14 @@ class _Workspace:
 
         nu0 = small_units(Fraction(self.small_prefix[-1], denom), sch)
         self.nu_active = (nu0,) + tuple(len(ps) for ps in active_positions[1:])
-        self.zero = (0,) * len(self.active)
         self.nu_in = self.expand(self.nu_active)
-        self._retrieve_cache: dict[tuple[InputVector, int], Optional[tuple[int, int]]] = {}
+        # One merge sweep: the prefix length and its bound both grow with x.
+        self.small_len: list[int] = []
+        length = 0
+        for bound in range(self.unit, (nu0 + 2) * self.unit, self.unit):
+            while length < len(self.small_positions) and self.small_prefix[length + 1] < bound:
+                length += 1
+            self.small_len.append(length)
 
     def expand(self, nu: InputVector) -> InputVector:
         """The full (nu_0, ..., nu_C) vector of a vector over ``active``."""
@@ -187,32 +207,25 @@ class _Workspace:
         return min(bisect_right(self.small_positions, high),
                    bisect_left(self.small_prefix, (nu0 + 1) * self.unit) - 1)
 
+    def small_cap(self, j: int) -> int:
+        """The small items at positions <= r_j: where the sweep for the
+        agent prefix p_1..p_j stops (0 for j = 0, which keeps nothing)."""
+        return self.reach[j - 1][0] if j else 0
+
     def retrieve_mask(self, nu: InputVector, j: int) -> Optional[tuple[int, int]]:
         """(item bitmask, total weight) of retrieve(nu, j) for a full vector
         nu, or None."""
-        if any(nu[c] for c in self.inactive):
-            return None  # an item of a category the instance does not hold
-        return self.retrieve_active(tuple(nu[c] for c in self.active), j)
-
-    def retrieve_active(self, nu: InputVector, j: int) -> Optional[tuple[int, int]]:
-        """``retrieve_mask`` for a vector over the active coordinates."""
-        key = (nu, j)
-        if key in self._retrieve_cache:
-            return self._retrieve_cache[key]
-        result = self._retrieve(nu, j)
-        self._retrieve_cache[key] = result
-        return result
-
-    def _retrieve(self, nu: InputVector, j: int) -> Optional[tuple[int, int]]:
         if j == 0:
             # With no agents left, any reconstructed item would be stranded:
             # only the all-zero vector is valid and yields the empty graph.
             return (0, 0) if not any(nu) else None
+        if any(nu[c] for c in self.inactive):
+            return None  # an item of a category the instance does not hold
         reach = self.reach[j - 1]
         mask = 0
         total = 0
-        for i in range(1, len(nu)):
-            count = nu[i]
+        for i in range(1, len(self.active)):
+            count = nu[self.active[i]]
             if count > reach[i]:
                 return None  # stranded (or nonexistent) big item
             mask |= self.prefix_mask[i][count]
@@ -220,19 +233,20 @@ class _Workspace:
         length = self.small_prefix_len(nu[0], self.highs[j - 1])
         return mask | self.prefix_mask[0][length], total + self.small_prefix[length]
 
-    def candidates(self, nu_prev: InputVector, before_small: int,
-                   j: int) -> Iterable[InputVector]:
-        """The vectors nu <= nu_prev over the active coordinates that can
-        leave agent j a bundle inside [l_j, r_j], in lexicographic ascending
-        order.
+    def windows(self, nu_prev: InputVector, before_small: int, j: int) -> list[range]:
+        """One range per active coordinate: their product holds the vectors
+        nu <= nu_prev that can leave agent j a bundle inside [l_j, r_j], in
+        lexicographic ascending order.
 
         ``before_small`` is the number of small items in the remainder
         before agent j.  Every vector left out either reconstructs no
         remainder for agents 1..j-1 or hands agent j an item outside its
-        interval; every vector yielded does neither (module docstring).
+        interval; every vector in the product does neither (module
+        docstring).
         """
         if j == 1:
-            return (self.zero,)  # the only vector retrieve(., 0) accepts
+            # The zero vector: the only one retrieve(., 0) accepts.
+            return [range(1)] * len(nu_prev)
         reach = self.reach[j - 2]
         left_of = self.left_of[j - 1]
         # Small items: the remainder's prefix length grows monotonically with
@@ -240,7 +254,7 @@ class _Workspace:
         # nu_0 has (nu_0 + 1) * unit > small_prefix[target].
         target = min(before_small, left_of[0])
         if target > reach[0]:
-            return ()
+            return [range(0)]
         ranges = [range(self.small_prefix[target] // self.unit, nu_prev[0] + 1)]
         # Big category c: the bundle takes items nu_c..a-1 of the category,
         # which must lie at or after l_j, while the remainder's first nu_c
@@ -248,7 +262,7 @@ class _Workspace:
         for i in range(1, len(nu_prev)):
             a = nu_prev[i]
             ranges.append(range(min(a, left_of[i]), min(a, reach[i]) + 1))
-        return product(*ranges)
+        return ranges
 
 
 def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[frozenset[int]]:
@@ -267,8 +281,53 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[froz
     hit = ws.retrieve_mask(nu, j)
     if hit is None:
         return None
-    mask, _ = hit
-    return frozenset(p for p in range(1, ws.m + 1) if mask >> (p - 1) & 1)
+    return frozenset(_positions(hit[0]))
+
+
+def _positions(mask: int) -> list[int]:
+    """The item positions of a bitmask, ascending: bit p-1 stands for p."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def _mark_rows(ws: _Workspace) -> Iterator[tuple[dict[InputVector, InputVector],
+                                                 dict[InputVector, tuple[int, int]]]]:
+    """Yield rows n..1 over the active coordinates, each as (pointers,
+    marks): ``pointers[nu]`` is the first (lexicographically smallest)
+    marking predecessor of nu, and ``marks[nu]`` the (weight, small length)
+    of R(nu, j-1), which is what nu needs as a predecessor for row j-1.
+
+    A candidate's remainder weight is a sum of table entries: the small
+    prefix its nu_0 keeps, cut at the row's ``small_cap``, plus the prefix
+    weight of each big coordinate (module docstring).
+    """
+    bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
+    up = ws.up
+    small_len, small_prefix = ws.small_len, ws.small_prefix
+    # Row n+1: the instance's vector, which reconstructs to every item.
+    carried = {ws.nu_active: (sum(ws.weight), len(ws.small_positions))}
+    for j in range(len(ws.order), 0, -1):
+        cap = ws.small_cap(j - 1)
+        tables = [[small_prefix[min(x, cap)] for x in small_len]] + ws.prefix_weight[1:]
+        pointers: dict[InputVector, InputVector] = {}
+        marks: dict[InputVector, tuple[int, int]] = {}
+        for nu_prev in sorted(carried):
+            before_total, before_small = carried[nu_prev]
+            # The bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after.
+            limit = before_total - bound
+            # The unmarked candidates, in lexicographic order.
+            for nu in filterfalse(pointers.__contains__,
+                                  product(*ws.windows(nu_prev, before_small, j))):
+                after = sum(map(getitem, tables, nu))
+                if (after <= limit) if up else (after >= limit):
+                    pointers[nu] = nu_prev
+                    marks[nu] = (after, min(small_len[nu[0]], cap))
+        yield pointers, marks
+        carried = marks
 
 
 def forward(rounded: RoundedInstance) -> DPTable:
@@ -276,35 +335,10 @@ def forward(rounded: RoundedInstance) -> DPTable:
     smallest) marked predecessor vector in row j+1.
     """
     ws = _Workspace(rounded)
-    n = rounded.instance.n
-    if ws.up:
-        lo_bound = ws.denom - BUNDLE_MARGIN * ws.unit
-
-        def bundle_ok(value: int) -> bool:
-            return value >= lo_bound
-    else:
-        hi_bound = ws.denom + BUNDLE_MARGIN * ws.unit
-
-        def bundle_ok(value: int) -> bool:
-            return value <= hi_bound
-
-    # Rows over the active coordinates; expanded to full vectors at the end.
-    # rows[n] is row n+1: the instance's vector alone, with no pointer.
-    rows: list[dict[InputVector, Optional[InputVector]]] = (
-        [dict() for _ in range(n)] + [{ws.nu_active: None}])
-    for j in range(n, 0, -1):
-        row = rows[j - 1]
-        for nu_prev in sorted(rows[j]):
-            # Marked vectors and every candidate reconstruct (module docstring).
-            before_total = ws.retrieve_active(nu_prev, j)[1]
-            before_small = ws.small_prefix_len(nu_prev[0], ws.highs[j - 1])
-            for nu in ws.candidates(nu_prev, before_small, j):
-                if nu not in row and bundle_ok(before_total - ws.retrieve_active(nu, j - 1)[1]):
-                    row[nu] = nu_prev
-
+    rows = [pointers for pointers, _ in _mark_rows(ws)][::-1]  # rows 1..n
     expand = cache(ws.expand)
     return DPTable(ws.nu_in, tuple({expand(nu): expand(ptr) for nu, ptr in row.items()}
-                                   for row in rows[:n]), ws)
+                                   for row in rows), ws)
 
 
 def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
@@ -324,11 +358,7 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
     # chain[n] = nu_in.  Bundle j = items(retrieve(chain[j], j)) minus
     # items(retrieve(chain[j-1], j-1)).
     masks = [ws.retrieve_mask(nu, j)[0] for j, nu in enumerate(chain)]
-    bundles: dict[int, list[int]] = {}
-    for j in range(1, n + 1):
-        diff = masks[j] & ~masks[j - 1]
-        agent_idx = ws.order[j - 1]
-        bundles[agent_idx] = [p for p in range(1, ws.m + 1) if diff >> (p - 1) & 1]
+    bundles = {ws.order[j - 1]: _positions(masks[j] & ~masks[j - 1]) for j in range(1, n + 1)}
     return assignment_from_positions(rounded.instance, bundles)
 
 

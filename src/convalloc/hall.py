@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import accumulate, combinations
 from typing import Iterator, Optional, Sequence
 
-from .instance_model import ConvexInstance, Mode, coverage_ranges, lexicographic_order
+from .instance_model import (ConvexInstance, Mode, coverage_ranges, integer_values,
+                             lexicographic_order)
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -145,11 +145,8 @@ def _lex_profile(instance: ConvexInstance) -> tuple[list[int], list[int], int, l
     order = lexicographic_order(instance)
     lows = [instance.agents[i].lo for i in order]
     highs = [instance.agents[i].hi for i in order]
-    denom = lcm(*[it.value.denominator for it in instance.items])
-    prefix = [0]
-    for it in instance.items:
-        prefix.append(prefix[-1] + it.value.numerator * (denom // it.value.denominator))
-    return lows, highs, denom, prefix
+    weights, denom = integer_values([it.value for it in instance.items])
+    return lows, highs, denom, list(accumulate(weights, initial=0))
 
 
 def maxmin_upper_bound(instance: ConvexInstance) -> tuple[Fraction, bool]:

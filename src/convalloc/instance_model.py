@@ -19,7 +19,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
+
+
+def integer_values(values: Sequence[Fraction], base: int = 1) -> tuple[list[int], int]:
+    """(numerators, D): the values as integers over one common denominator
+    D, the lcm of their denominators and ``base``.
+
+    Sums and comparisons then run on integers; a ``Fraction`` sum reduces by
+    a gcd at every addition.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = lcm(base, *{d for _, d in ratios})
+    return [n * (denom // d) for n, d in ratios], denom
 
 
 class Mode(Enum):
@@ -101,11 +113,8 @@ class ConvexInstance:
         return self.items[pos - 1].value
 
     def total_value(self) -> Fraction:
-        # Integer numerators over one common denominator: a Fraction sum
-        # reduces by a gcd at every addition.
-        denom = lcm(*[it.value.denominator for it in self.items])
-        return Fraction(sum(it.value.numerator * (denom // it.value.denominator)
-                            for it in self.items), denom)
+        weights, denom = integer_values([it.value for it in self.items])
+        return Fraction(sum(weights), denom)
 
     def item_index(self, item_id: str) -> int:
         for pos, it in enumerate(self.items, start=1):

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Optional
 
 from .instance_model import (Assignment, ConvexInstance, Mode,
-                             assignment_from_positions, lexicographic_order,
-                             validate)
+                             assignment_from_positions, integer_values,
+                             lexicographic_order, validate)
 
 MAX_AGENTS = 6
 MAX_ITEMS = 64
@@ -36,11 +35,8 @@ def _prepare(instance: ConvexInstance):
     highs = [instance.agents[i].hi for i in order]
     n, m = len(order), instance.m
 
-    denom = lcm(*[instance.value_at(p).denominator for p in range(1, m + 1)])
-    weight = [0] * (m + 1)
-    for p in range(1, m + 1):
-        v = instance.value_at(p) * denom
-        weight[p] = v.numerator  # exact: denom is a common denominator
+    weights, denom = integer_values([it.value for it in instance.items])
+    weight = [0] + weights
 
     # Cells: maximal position ranges not crossing any interval endpoint.
     cuts = sorted({1, m + 1} | set(lows) | {h + 1 for h in highs})

@@ -22,10 +22,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .instance_model import ConvexInstance, Item, Mode
+from .instance_model import ConvexInstance, Item, Mode, integer_values
 
 
 InputVector = tuple[int, ...]
@@ -110,14 +109,13 @@ def _round_values(values: Sequence[Fraction], sch: RoundingScheme
     A small value comes back as the same object.  Every other rounded value
     is a grid point or 1/k, shared with the scheme.
     """
-    denom = lcm(*[v.denominator for v in values])
+    weights, denom = integer_values(values)
     thresholds = sch.thresholds(denom)
     k, grid, up = sch.k, sch.grid, sch.mode is Mode.MAXMIN
     rounded: list[Fraction] = []
     smalls: list[bool] = []
     cats: list[Optional[int]] = []
-    for v in values:
-        w = v.numerator * (denom // v.denominator)
+    for v, w in zip(values, weights):
         if not 0 < w <= denom:
             raise ValueError(f"value {v} outside (0, 1]; scale the instance first")
         if k * w <= denom:

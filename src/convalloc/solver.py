@@ -25,8 +25,8 @@ from typing import Optional
 from . import dp_engine
 from .hall import maxmin_upper_bound, minmax_lower_bound
 from .instance_model import (Assignment, ConvexInstance, Item, Mode,
-                             assignment_from_positions, lexicographic_order,
-                             partition_violations, validate)
+                             assignment_from_positions, integer_values,
+                             lexicographic_order, partition_violations, validate)
 from .rounding import round_instance, scheme
 
 MAX_SEARCH_ITERATIONS = 128
@@ -120,24 +120,21 @@ def verify(instance: ConvexInstance, assignment: Assignment) -> VerifyReport:
     """
     require_cover = instance.mode is Mode.MINMAX
     violations = tuple(partition_violations(instance, assignment, require_cover))
+    weights, denom = integer_values([it.value for it in instance.items])
     # reversed: with duplicate ids the first item wins, as in item_index
-    value_of = {it.id: it.value for it in reversed(instance.items)}
+    weight_of = {it.id: w for it, w in zip(reversed(instance.items), reversed(weights))}
     assigned: set[str] = set()
-    values = []
-    for aid, ids in assignment.bundles:
-        total = Fraction(0)
-        for x in ids:
-            assigned.add(x)
-            # an unknown id is already reported as a violation
-            total += value_of.get(x, 0)
-        values.append((aid, total))
+    totals = []
+    for _, ids in assignment.bundles:
+        assigned.update(ids)
+        # an unknown id is already reported as a violation
+        totals.append(sum(weight_of.get(x, 0) for x in ids))
     unassigned = tuple(it.id for it in instance.items if it.id not in assigned)
-    if values:
-        totals = [v for _, v in values]
-        objective = min(totals) if instance.mode is Mode.MAXMIN else max(totals)
-    else:
-        objective = Fraction(0)
-    return VerifyReport(not violations, violations, tuple(values), objective, unassigned)
+    pick = min if instance.mode is Mode.MAXMIN else max
+    values = tuple((aid, Fraction(total, denom))
+                   for (aid, _), total in zip(assignment.bundles, totals))
+    return VerifyReport(not violations, violations, values,
+                        Fraction(pick(totals, default=0), denom), unassigned)
 
 
 def _require_valid(instance: ConvexInstance, mode: Mode) -> None:

@@ -11,7 +11,8 @@ from convalloc import (Agent, ConvexInstance, Item, Mode, SolveError, backward,
                        decide, forward, gen_inclusion_free, retrieve,
                        round_instance, scale, scheme, solve_maxmin,
                        solve_minmax, solve_rounded, verify)
-from convalloc.dp_engine import BUNDLE_MARGIN, DPTable, _Workspace, trace_lines
+from convalloc.dp_engine import (BUNDLE_MARGIN, DPTable, _mark_rows, _Workspace,
+                                 trace_lines)
 from convalloc.instance_model import lexicographic_order
 from convalloc.rounding import input_vector
 
@@ -368,7 +369,7 @@ def test_forward_matches_dense_with_an_empty_window():
                           (Agent("p1", 1, 2), Agent("p2", 4, 5)))
     rd = rounded(inst, 4)
     ws = _Workspace(rd)
-    assert list(ws.candidates(ws.nu_active, len(ws.small_positions), 2)) == []
+    assert list(itertools.product(*ws.windows(ws.nu_active, len(ws.small_positions), 2))) == []
     assert forward(rd).rows == dense_forward(rd).rows
 
 
@@ -391,7 +392,7 @@ def test_windows_imply_the_structural_tests(mode, k):
                 assert before is not None
                 active = tuple(nu_prev[c] for c in ws.active)
                 before_small = ws.small_prefix_len(active[0], ws.highs[j - 1])
-                for nu in ws.candidates(active, before_small, j):
+                for nu in itertools.product(*ws.windows(active, before_small, j)):
                     after = linear_retrieve(ws, ws.expand(nu), j - 1)
                     assert structure_ok(before[0], after, windows[j - 1])
                     candidates += 1
@@ -416,20 +417,60 @@ def test_dp_rejects_instances_the_windows_do_not_cover(mode, agents, m):
         (solve_maxmin if mode is Mode.MAXMIN else solve_minmax)(inst, 4)
 
 
-# Derandomized: every run draws the same examples and stores none.
-@settings(derandomize=True, database=None, deadline=None)
-@given(seed=st.integers(0, 2 ** 16), mode=st.sampled_from(Mode), k=st.sampled_from([4, 6, 8]),
-       shape=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 4 * n + 3))),
-       factor=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4)]))
-def test_forward_matches_dense_on_drawn_instances(seed, mode, k, shape, factor):
+def drawn_rounded(seed, mode, k, shape, factor):
     n, m = shape
     inst = gen_inclusion_free(seed, n, m, mode=mode)
     base = inst.total_value() / n
     if mode is Mode.MINMAX:
         base = max(base, max(it.value for it in inst.items))
     scaled = scale(inst, base * factor)
-    rd = rounded(scaled if scaled is not None else scale(inst, base), k)  # Min-Max: p_j > t
+    return rounded(scaled if scaled is not None else scale(inst, base), k)  # Min-Max: p_j > t
+
+
+def drawn(test):
+    """Derandomized: every run draws the same examples and stores none."""
+    return settings(derandomize=True, database=None, deadline=None)(given(
+        seed=st.integers(0, 2 ** 16), mode=st.sampled_from(Mode), k=st.sampled_from([4, 6, 8]),
+        shape=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 4 * n + 3))),
+        factor=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4)]),
+    )(test))
+
+
+@drawn
+def test_forward_matches_dense_on_drawn_instances(seed, mode, k, shape, factor):
+    rd = drawn_rounded(seed, mode, k, shape, factor)
     assert forward(rd).rows == dense_forward(rd).rows
+
+
+def check_carried_weights(rd):
+    """Every mark's carried (weight, small length) is that of its
+    reconstruction, and the small_len table cut at small_cap is the sweep's
+    prefix length; returns the number of marks checked."""
+    ws = _Workspace(rd)
+    n = rd.instance.n
+    for j in range(n + 1):
+        for nu0 in range(ws.nu_in[0] + 1):
+            expected = ws.small_prefix_len(nu0, ws.highs[j - 1]) if j else 0
+            assert min(ws.small_len[nu0], ws.small_cap(j)) == expected
+    marks_seen = 0
+    for j, (pointers, marks) in zip(range(n, 0, -1), _mark_rows(ws)):
+        assert marks.keys() == pointers.keys()
+        for nu, (weight, length) in marks.items():
+            assert weight == ws.retrieve_mask(ws.expand(nu), j - 1)[1]
+            assert length == (ws.small_prefix_len(nu[0], ws.highs[j - 2]) if j > 1 else 0)
+        marks_seen += len(marks)
+    return marks_seen
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_carried_weights_are_the_reconstructions(mode, k):
+    assert sum(check_carried_weights(rd) for rd in guess_instances(mode, k)) > 0
+
+
+@drawn
+def test_carried_weights_on_drawn_instances(seed, mode, k, shape, factor):
+    check_carried_weights(drawn_rounded(seed, mode, k, shape, factor))
 
 
 def test_small_prefix_len_matches_linear_walk(e1):

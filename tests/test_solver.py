@@ -11,7 +11,8 @@ from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, decide,
                        gen_inclusion_free, opt_maxmin, opt_minmax, rounding,
                        scale, solve_maxmin, solve_minmax, solver, verify)
 from convalloc.hall import maxmin_upper_bound
-from convalloc.solver import SolveError
+from convalloc.instance_model import partition_violations
+from convalloc.solver import SolveError, VerifyReport
 
 
 def test_scale_examples(t0, t1, m1):
@@ -140,6 +141,50 @@ def test_verify_skips_unknown_items(e1):
     assert not report.feasible
     assert any("unknown item 'zz'" in v for v in report.violations)
     assert report.agent_values[0] == ("p1", Fraction(1, 4))
+
+
+def fraction_verify(instance, assignment):
+    """The reference report: the same checks, with every sum in Fractions."""
+    require_cover = instance.mode is Mode.MINMAX
+    violations = tuple(partition_violations(instance, assignment, require_cover))
+    value_of = {}
+    for it in instance.items:
+        value_of.setdefault(it.id, it.value)  # the first item with an id wins
+    values = tuple((aid, sum((value_of.get(x, Fraction(0)) for x in ids), Fraction(0)))
+                   for aid, ids in assignment.bundles)
+    assigned = {x for _, ids in assignment.bundles for x in ids}
+    totals = [v for _, v in values]
+    pick = min if instance.mode is Mode.MAXMIN else max
+    return VerifyReport(not violations, violations, values,
+                        pick(totals) if totals else Fraction(0),
+                        tuple(it.id for it in instance.items if it.id not in assigned))
+
+
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_verify_sums_integers_as_the_fraction_reference(mode):
+    big = 10 ** 1999
+    values = [Fraction(1, big + 7), Fraction(2, big + 9), Fraction(big, 3 ** 4190),
+              Fraction(5, 6), Fraction(1, big + 7) + Fraction(1, 3)]
+    # x2 appears twice: its first value counts, as in item_index
+    ids = ["x1", "x2", "x3", "x2", "x5"]
+    inst = ConvexInstance(mode, tuple(Item(x, v) for x, v in zip(ids, values)),
+                          (Agent("p1", 1, 3), Agent("p2", 2, 5), Agent("p3", 4, 5)))
+    assignments = [
+        (("p1", ("x1", "x2", "zz")), ("p2", ("x3", "x5")), ("p3", ())),
+        (("p1", ("x1",)), ("p2", ("x2", "x3")), ("p3", ("x5", "x2"))),
+        (("p1", ("x1", "x2", "x3")), ("p2", ()), ("p3", ("x5",))),
+        (),
+    ]
+    for bundles in assignments:
+        assignment = Assignment(mode, bundles)
+        report = verify(inst, assignment)
+        assert report == fraction_verify(inst, assignment)
+        assert all(type(v) is Fraction for _, v in report.agent_values)
+        assert type(report.objective) is Fraction
+    report = verify(inst, Assignment(mode, assignments[0]))
+    assert not report.feasible and report.unassigned == ()
+    assert any("unknown item 'zz'" in v for v in report.violations)
+    assert report.agent_values[0] == ("p1", values[0] + values[1])
 
 
 def test_verify_minmax_requires_cover(m1):
