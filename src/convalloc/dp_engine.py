@@ -141,7 +141,6 @@ class _Workspace:
     def __init__(self, rounded: RoundedInstance):
         inst = rounded.instance
         sch = rounded.scheme
-        self.m = inst.m
         self.order = order = lexicographic_order(inst)
         self.lows = [inst.agents[i].lo for i in order]
         self.highs = [inst.agents[i].hi for i in order]
@@ -294,12 +293,11 @@ def _positions(mask: int) -> list[int]:
     return out
 
 
-def _mark_rows(ws: _Workspace) -> Iterator[tuple[dict[InputVector, InputVector],
-                                                 dict[InputVector, tuple[int, int]]]]:
-    """Yield rows n..1 over the active coordinates, each as (pointers,
-    marks): ``pointers[nu]`` is the first (lexicographically smallest)
-    marking predecessor of nu, and ``marks[nu]`` the (weight, small length)
-    of R(nu, j-1), which is what nu needs as a predecessor for row j-1.
+def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, tuple[InputVector, int, int]]]:
+    """Yield rows n..1 over the active coordinates.  Row j maps each marked
+    nu to (pointer, weight, small length): its first (lexicographically
+    smallest) marking predecessor, and the weight and small-prefix length of
+    R(nu, j-1), which is what nu needs as a predecessor for row j-1.
 
     A candidate's remainder weight is a sum of table entries: the small
     prefix its nu_0 keeps, cut at the row's ``small_cap``, plus the prefix
@@ -308,26 +306,25 @@ def _mark_rows(ws: _Workspace) -> Iterator[tuple[dict[InputVector, InputVector],
     bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
     up = ws.up
     small_len, small_prefix = ws.small_len, ws.small_prefix
-    # Row n+1: the instance's vector, which reconstructs to every item.
-    carried = {ws.nu_active: (sum(ws.weight), len(ws.small_positions))}
+    # Row n+1: the instance's vector, with no pointer; it reconstructs to
+    # every item.
+    above = {ws.nu_active: (None, sum(ws.weight), len(ws.small_positions))}
     for j in range(len(ws.order), 0, -1):
         cap = ws.small_cap(j - 1)
         tables = [[small_prefix[min(x, cap)] for x in small_len]] + ws.prefix_weight[1:]
-        pointers: dict[InputVector, InputVector] = {}
-        marks: dict[InputVector, tuple[int, int]] = {}
-        for nu_prev in sorted(carried):
-            before_total, before_small = carried[nu_prev]
+        row: dict[InputVector, tuple[InputVector, int, int]] = {}
+        for nu_prev in sorted(above):
+            _, before_total, before_small = above[nu_prev]
             # The bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after.
             limit = before_total - bound
             # The unmarked candidates, in lexicographic order.
-            for nu in filterfalse(pointers.__contains__,
+            for nu in filterfalse(row.__contains__,
                                   product(*ws.windows(nu_prev, before_small, j))):
                 after = sum(map(getitem, tables, nu))
                 if (after <= limit) if up else (after >= limit):
-                    pointers[nu] = nu_prev
-                    marks[nu] = (after, min(small_len[nu[0]], cap))
-        yield pointers, marks
-        carried = marks
+                    row[nu] = (nu_prev, after, min(small_len[nu[0]], cap))
+        yield row
+        above = row
 
 
 def forward(rounded: RoundedInstance) -> DPTable:
@@ -335,9 +332,9 @@ def forward(rounded: RoundedInstance) -> DPTable:
     smallest) marked predecessor vector in row j+1.
     """
     ws = _Workspace(rounded)
-    rows = [pointers for pointers, _ in _mark_rows(ws)][::-1]  # rows 1..n
+    rows = list(_mark_rows(ws))[::-1]  # rows 1..n
     expand = cache(ws.expand)
-    return DPTable(ws.nu_in, tuple({expand(nu): expand(ptr) for nu, ptr in row.items()}
+    return DPTable(ws.nu_in, tuple({expand(nu): expand(mark[0]) for nu, mark in row.items()}
                                    for row in rows), ws)
 
 

@@ -256,7 +256,7 @@ def interval_masks(ws):
 
 def everything(ws):
     """(item bitmask, total weight) of the whole instance."""
-    return (1 << ws.m) - 1, sum(ws.weight)
+    return (1 << (len(ws.weight) - 1)) - 1, sum(ws.weight)  # weight[0] is a pad
 
 
 def structure_ok(before_mask, after, window):
@@ -453,12 +453,11 @@ def check_carried_weights(rd):
             expected = ws.small_prefix_len(nu0, ws.highs[j - 1]) if j else 0
             assert min(ws.small_len[nu0], ws.small_cap(j)) == expected
     marks_seen = 0
-    for j, (pointers, marks) in zip(range(n, 0, -1), _mark_rows(ws)):
-        assert marks.keys() == pointers.keys()
-        for nu, (weight, length) in marks.items():
+    for j, row in zip(range(n, 0, -1), _mark_rows(ws)):
+        for nu, (_, weight, length) in row.items():
             assert weight == ws.retrieve_mask(ws.expand(nu), j - 1)[1]
             assert length == (ws.small_prefix_len(nu[0], ws.highs[j - 2]) if j > 1 else 0)
-        marks_seen += len(marks)
+        marks_seen += len(row)
     return marks_seen
 
 
