@@ -5,7 +5,8 @@ plus the Hall condition), ``oracle`` (exact optimum on small instances),
 ``gen`` (seeded instance generation), and ``bench`` (a directory of instances
 against the solver and, where tractable, the oracle).
 
-Exit codes: 0 success, 1 solver failure, 2 validation or usage error.
+Exit codes: 0 success, 1 solver failure, 2 validation or usage error or an
+output file that cannot be written.
 ``main`` returns the exit code to an in-process caller, 2 for a usage error
 included; it raises no ``SystemExit``.
 """
@@ -20,8 +21,8 @@ from pathlib import Path
 
 from . import hall, oracle
 from .generator import gen_inclusion_free, gen_planted
-from .instance_model import (Mode, dump_instance, format_value, instance_to_dict,
-                             load_instance, parse_value, validate)
+from .instance_model import (Mode, format_value, instance_to_dict, load_instance,
+                             parse_value, validate)
 from .solver import SolveError, SolveResult, solve_maxmin, solve_minmax
 
 
@@ -62,6 +63,14 @@ def _load(path: str):
         raise SystemExit(2)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        print(f"error: cannot write {path!r}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load(args.input)
     mode = Mode(args.mode) if args.mode else instance.mode
@@ -78,10 +87,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.trace:
-        Path(args.trace).write_text("\n".join(trace) + "\n", encoding="utf-8")
+        _write(args.trace, "\n".join(trace) + "\n")
     text = json.dumps(payload, indent=2) if args.json or args.output else None
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        _write(args.output, text + "\n")
     if args.json:
         print(text)
     else:
@@ -146,10 +155,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = json.dumps(instance_to_dict(instance), indent=2)
     if args.output:
-        dump_instance(instance, args.output)
+        _write(args.output, text + "\n")
     else:
-        print(json.dumps(instance_to_dict(instance), indent=2))
+        print(text)
     return 0
 
 

@@ -73,10 +73,11 @@ monotone in the prefix length.  The one test this sum cannot see is the
 stranding test, which turns a vector into None; by (i) no candidate fails
 it, so the sum is exactly the weight of R(nu, j-1).  A mark carries its
 (weight, small length) into the next row, where it is the predecessor's
-``before_total`` and ``before_small``.  Only ``backward`` and ``retrieve``
-reconstruct, from per-category prefix masks.  Value sums and comparisons
-run on integers after normalizing every rounded value by a common
-denominator divisible by k.
+``before_total`` and ``before_small``.  ``backward`` and ``retrieve`` take
+item sets from the same tables, as prefix masks of those lengths, so the
+sweep's rule has one definition.  Value sums and comparisons run on
+integers after normalizing every rounded value by a common denominator
+divisible by k.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ class _Workspace:
     ``reach[j-1][i]`` counts its items at positions <= r_j and
     ``left_of[j-1][i]`` those at positions < l_j, for the j-th agent in
     lexicographic order.  ``small_len[x]`` is the longest small prefix
-    worth < (x + 1)/k, for x up to the instance's nu_0.
+    worth < (x + 1)/k, for x up to the instance's nu_0, so the methods take
+    only vectors <= ``nu_in`` (``retrieve`` checks; the DP meets no other).
 
     Raises ValueError unless the highs are non-decreasing in that order,
     l_1 = 1 and r_n = m: the ``windows`` settle the reconstruction,
@@ -159,7 +161,6 @@ class _Workspace:
         for p in range(1, inst.m + 1):
             self.positions[0 if rounded.small[p - 1] else rounded.category[p - 1]].append(p)
         self.active = tuple(c for c, ps in enumerate(self.positions) if c == 0 or ps)
-        self.inactive = tuple(c for c, ps in enumerate(self.positions) if c != 0 and not ps)
         active_positions = [self.positions[c] for c in self.active]
         self.prefix_mask: list[list[int]] = []
         self.prefix_weight: list[list[int]] = []
@@ -193,44 +194,26 @@ class _Workspace:
             full[c] = count
         return tuple(full)
 
-    def small_prefix_len(self, nu0: int, high: int) -> int:
-        """Length of the small-item prefix the sweep selects for nu_0.
-
-        The sweep walks the small items left to right, never past position
-        ``high`` (the last agent of the prefix cannot reach further, and a
-        right-aligned assignment never leaves small mass beyond it), and
-        keeps the total strictly below (nu_0 + 1)/k.  This reconstructs a
-        superset of the matching true remainder's small items in both modes.
-        Both limits are monotone in the prefix length, so each is a bisection.
-        """
-        return min(bisect_right(self.small_positions, high),
-                   bisect_left(self.small_prefix, (nu0 + 1) * self.unit) - 1)
-
     def small_cap(self, j: int) -> int:
         """The small items at positions <= r_j: where the sweep for the
         agent prefix p_1..p_j stops (0 for j = 0, which keeps nothing)."""
         return self.reach[j - 1][0] if j else 0
 
-    def retrieve_mask(self, nu: InputVector, j: int) -> Optional[tuple[int, int]]:
-        """(item bitmask, total weight) of retrieve(nu, j) for a full vector
-        nu, or None."""
+    def retrieve_mask(self, nu: InputVector, j: int) -> Optional[int]:
+        """The item bitmask of R(nu, j) for a full vector nu <= nu_in, or None
+        when a big item strands."""
         if j == 0:
             # With no agents left, any reconstructed item would be stranded:
             # only the all-zero vector is valid and yields the empty graph.
-            return (0, 0) if not any(nu) else None
-        if any(nu[c] for c in self.inactive):
-            return None  # an item of a category the instance does not hold
+            return 0 if not any(nu) else None
         reach = self.reach[j - 1]
-        mask = 0
-        total = 0
+        mask = self.prefix_mask[0][min(self.small_len[nu[0]], self.small_cap(j))]
         for i in range(1, len(self.active)):
             count = nu[self.active[i]]
             if count > reach[i]:
-                return None  # stranded (or nonexistent) big item
+                return None  # stranded big item
             mask |= self.prefix_mask[i][count]
-            total += self.prefix_weight[i][count]
-        length = self.small_prefix_len(nu[0], self.highs[j - 1])
-        return mask | self.prefix_mask[0][length], total + self.small_prefix[length]
+        return mask
 
     def windows(self, nu_prev: InputVector, before_small: int, j: int) -> list[range]:
         """One range per active coordinate: their product holds the vectors
@@ -277,10 +260,8 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[froz
         raise ValueError(f"vector {nu} is not <= the instance vector {ws.nu_in}")
     if not 0 <= j <= rounded.instance.n:
         raise ValueError(f"agent count {j} out of range")
-    hit = ws.retrieve_mask(nu, j)
-    if hit is None:
-        return None
-    return frozenset(_positions(hit[0]))
+    mask = ws.retrieve_mask(nu, j)
+    return None if mask is None else frozenset(_positions(mask))
 
 
 def _positions(mask: int) -> list[int]:
@@ -354,7 +335,7 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
     # chain[j] is the vector marked at row j (chain[0] = zero for "row 0"),
     # chain[n] = nu_in.  Bundle j = items(retrieve(chain[j], j)) minus
     # items(retrieve(chain[j-1], j-1)).
-    masks = [ws.retrieve_mask(nu, j)[0] for j, nu in enumerate(chain)]
+    masks = [ws.retrieve_mask(nu, j) for j, nu in enumerate(chain)]
     bundles = {ws.order[j - 1]: _positions(masks[j] & ~masks[j - 1]) for j in range(1, n + 1)}
     return assignment_from_positions(rounded.instance, bundles)
 

@@ -37,7 +37,6 @@ class RoundingScheme:
     C: int
     grid: tuple[Fraction, ...]  # q_1 .. q_C, strictly increasing, q_1 > 1/k
     small_threshold: Fraction  # 1/k, the largest small value
-    grid_terms: tuple[tuple[int, int], ...]  # (numerator, denominator) of each q_tau
 
     def thresholds(self, denom: int) -> list[int]:
         """The grid on the denominator ``denom``, rounded to integers.
@@ -47,8 +46,8 @@ class RoundingScheme:
         w >= ceil(denom q).
         """
         if self.mode is Mode.MAXMIN:
-            return [denom * a // b for a, b in self.grid_terms]
-        return [-(-denom * a // b) for a, b in self.grid_terms]
+            return [denom * q.numerator // q.denominator for q in self.grid]
+        return [-(-denom * q.numerator // q.denominator) for q in self.grid]
 
     def zero_vector(self) -> InputVector:
         return (0,) * (self.C + 1)
@@ -77,8 +76,7 @@ def scheme(k: int, mode: Mode) -> RoundingScheme:
     for _ in range(c):
         q *= ratio
         grid.append(q)
-    return RoundingScheme(k, mode, c, tuple(grid), Fraction(1, k),
-                          tuple((q.numerator, q.denominator) for q in grid))
+    return RoundingScheme(k, mode, c, tuple(grid), Fraction(1, k))
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,22 @@ def test_gen_writes_instance(tmp_path, capsys):
     assert len(data["items"]) == 8 and len(data["agents"]) == 3
 
 
+@pytest.mark.parametrize("argv", [["solve", "-i", "E1", "-o"], ["solve", "-i", "E1", "--trace"],
+                                  ["gen", "--seed", "9", "-n", "3", "-m", "8", "-o"]],
+                         ids=["solve-output", "solve-trace", "gen-output"])
+@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_output_exits_2(paths, tmp_path, capsys, argv, target):
+    # Used to end in a FileNotFoundError or IsADirectoryError traceback and
+    # exit 1, the code for "no guess certified".
+    path = str(tmp_path / target)
+    assert main([paths["e1"] if a == "E1" else a for a in argv] + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot write {path!r}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_bench_reports_ratio(paths, capsys):
     assert main(["bench", "-d", paths["dir"], "-k", "8", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)

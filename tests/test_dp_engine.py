@@ -1,6 +1,7 @@
 """Reconstruction, feasibility, and the forward/backward dynamic program."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,17 @@ def test_retrieve_rejects_oversized_vectors(e1):
     rd = rounded(e1, 10)
     with pytest.raises(ValueError):
         retrieve(rd, vec(rd.scheme, 99), 1)
+    nu_in = input_vector(rd, all_items(rd))
+    # one past every count, plus an item of the empty category 9
+    probes = 0
+    for a0, a9, a10 in itertools.product(range(nu_in[0] + 2), range(2), range(nu_in[10] + 2)):
+        if a0 <= nu_in[0] and a9 == 0 and a10 <= nu_in[10]:
+            continue
+        for j in range(rd.instance.n + 1):
+            with pytest.raises(ValueError):
+                retrieve(rd, vec(rd.scheme, a0, **{"9": a9, "10": a10}), j)
+            probes += 1
+    assert nu_in[9] == 0 and probes > 0
 
 
 def test_feasible(e1, e1_assignment_1):
@@ -249,6 +261,12 @@ def linear_retrieve(ws, nu, j):
     return mask, total
 
 
+def linear_mask(ws, nu, j):
+    """The item bitmask of the reference reconstruction, or None."""
+    hit = linear_retrieve(ws, nu, j)
+    return None if hit is None else hit[0]
+
+
 def interval_masks(ws):
     """Entry j-1 has bit p-1 set iff position p lies in agent j's interval."""
     return [((1 << (hi - lo + 1)) - 1) << (lo - 1) for lo, hi in zip(ws.lows, ws.highs)]
@@ -391,7 +409,7 @@ def test_windows_imply_the_structural_tests(mode, k):
                 before = everything(ws) if j == n else linear_retrieve(ws, nu_prev, j)
                 assert before is not None
                 active = tuple(nu_prev[c] for c in ws.active)
-                before_small = ws.small_prefix_len(active[0], ws.highs[j - 1])
+                before_small = linear_small_prefix_len(ws, active[0], ws.highs[j - 1])
                 for nu in itertools.product(*ws.windows(active, before_small, j)):
                     after = linear_retrieve(ws, ws.expand(nu), j - 1)
                     assert structure_ok(before[0], after, windows[j - 1])
@@ -443,20 +461,28 @@ def test_forward_matches_dense_on_drawn_instances(seed, mode, k, shape, factor):
 
 
 def check_carried_weights(rd):
-    """Every mark's carried (weight, small length) is that of its
-    reconstruction, and the small_len table cut at small_cap is the sweep's
+    """Every mark's carried (weight, small length) and ``retrieve_mask`` are
+    those of its reference reconstruction, ``retrieve_mask`` matches the
+    reference on every nu <= nu_in at every j when there are at most 10,000
+    such pairs, and the small_len table cut at small_cap is the sweep's
     prefix length; returns the number of marks checked."""
     ws = _Workspace(rd)
     n = rd.instance.n
     for j in range(n + 1):
         for nu0 in range(ws.nu_in[0] + 1):
-            expected = ws.small_prefix_len(nu0, ws.highs[j - 1]) if j else 0
+            expected = linear_small_prefix_len(ws, nu0, ws.highs[j - 1]) if j else 0
             assert min(ws.small_len[nu0], ws.small_cap(j)) == expected
+    if math.prod(c + 1 for c in ws.nu_in) * (n + 1) <= 10_000:
+        for nu in itertools.product(*(range(c + 1) for c in ws.nu_in)):
+            for j in range(n + 1):
+                assert ws.retrieve_mask(nu, j) == linear_mask(ws, nu, j)
     marks_seen = 0
     for j, row in zip(range(n, 0, -1), _mark_rows(ws)):
         for nu, (_, weight, length) in row.items():
-            assert weight == ws.retrieve_mask(ws.expand(nu), j - 1)[1]
-            assert length == (ws.small_prefix_len(nu[0], ws.highs[j - 2]) if j > 1 else 0)
+            full = ws.expand(nu)
+            assert weight == linear_retrieve(ws, full, j - 1)[1]
+            assert ws.retrieve_mask(full, j - 1) == linear_mask(ws, full, j - 1)
+            assert length == (linear_small_prefix_len(ws, nu[0], ws.highs[j - 2]) if j > 1 else 0)
         marks_seen += len(row)
     return marks_seen
 
@@ -475,17 +501,17 @@ def test_carried_weights_on_drawn_instances(seed, mode, k, shape, factor):
 def test_small_prefix_len_matches_linear_walk(e1):
     rd = rounded(e1, 10)
     ws = _Workspace(rd)
-    for nu0 in range(ws.nu_in[0] + 3):
-        for high in range(rd.instance.m + 2):
-            assert ws.small_prefix_len(nu0, high) == linear_small_prefix_len(ws, nu0, high)
+    for nu0 in range(ws.nu_in[0] + 1):
+        for j in range(rd.instance.n + 1):
+            expected = linear_small_prefix_len(ws, nu0, ws.highs[j - 1]) if j else 0
+            assert min(ws.small_len[nu0], ws.small_cap(j)) == expected
 
 
 def test_retrieve_matches_linear_reconstruction(e1):
     rd = rounded(e1, 10)
     ws = _Workspace(rd)
-    # one past every count, plus an item of the empty category 9
-    for a0, a9, a10 in itertools.product(range(ws.nu_in[0] + 2), range(2),
-                                         range(ws.nu_in[10] + 2)):
-        nu = vec(rd.scheme, a0, **{"9": a9, "10": a10})
+    # vectors outside nu <= nu_in: test_retrieve_rejects_oversized_vectors
+    for a0, a10 in itertools.product(range(ws.nu_in[0] + 1), range(ws.nu_in[10] + 1)):
+        nu = vec(rd.scheme, a0, **{"10": a10})
         for j in range(rd.instance.n + 1):
-            assert ws.retrieve_mask(nu, j) == linear_retrieve(ws, nu, j)
+            assert ws.retrieve_mask(nu, j) == linear_mask(ws, nu, j)
