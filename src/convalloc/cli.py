@@ -14,8 +14,10 @@ included; it raises no ``SystemExit``.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -63,11 +65,23 @@ def _load(path: str):
         raise SystemExit(2)
 
 
-def _write(path: str, text: str) -> None:
+def _write(texts: dict[str, str]) -> None:
+    """Write each text to its path, or none of them: the texts go to temporary
+    files beside their paths, which replace the paths once all are written."""
+    temps: dict[str, str] = {}
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        for path, text in texts.items():
+            if os.path.isdir(path):  # fail before any path is replaced
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            with open(f"{path}.{os.getpid()}.tmp", "w", encoding="utf-8") as file:
+                temps[path] = file.name
+                file.write(text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
     except OSError as exc:  # a missing directory, a directory, no permission
-        print(f"error: cannot write {path!r}: {exc}", file=sys.stderr)
+        for temp in temps.values():
+            os.remove(temp)
+        print(f"error: cannot write {path!r}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -86,11 +100,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (SolveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.trace:
-        _write(args.trace, "\n".join(trace) + "\n")
     text = json.dumps(payload, indent=2) if args.json or args.output else None
+    texts = {args.trace: "\n".join(trace) + "\n"} if args.trace else {}
     if args.output:
-        _write(args.output, text + "\n")
+        texts[args.output] = text + "\n"
+    _write(texts)
     if args.json:
         print(text)
     else:
@@ -157,7 +171,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return 2
     text = json.dumps(instance_to_dict(instance), indent=2)
     if args.output:
-        _write(args.output, text + "\n")
+        _write({args.output: text + "\n"})
     else:
         print(text)
     return 0

@@ -73,11 +73,11 @@ monotone in the prefix length.  The one test this sum cannot see is the
 stranding test, which turns a vector into None; by (i) no candidate fails
 it, so the sum is exactly the weight of R(nu, j-1).  A mark carries its
 (weight, small length) into the next row, where it is the predecessor's
-``before_total`` and ``before_small``.  ``backward`` and ``retrieve`` take
-item sets from the same tables, as prefix masks of those lengths, so the
-sweep's rule has one definition.  Value sums and comparisons run on
-integers after normalizing every rounded value by a common denominator
-divisible by k.
+``before_total`` and ``before_small``.  ``backward`` and ``retrieve`` read
+a remainder's items as the position prefixes of those lengths, from the
+tables whose weights ``forward`` sums, so the sweep's rule has one
+definition.  Value sums and comparisons run on integers after normalizing
+every rounded value by a common denominator divisible by k.
 """
 
 from __future__ import annotations
@@ -126,14 +126,14 @@ class _Workspace:
     Coordinate 0 stands for the small items and coordinate c >= 1 for big
     category c; ``positions[c]`` lists the coordinate's item positions left to
     right.  The DP runs on the ``active`` coordinates only: 0 and every
-    category that holds an item.  Over them, ``prefix_mask[i][x]``
-    / ``prefix_weight[i][x]`` describe the leftmost x items of coordinate
-    ``active[i]`` (bit p-1 of a mask stands for position p),
-    ``reach[j-1][i]`` counts its items at positions <= r_j and
-    ``left_of[j-1][i]`` those at positions < l_j, for the j-th agent in
-    lexicographic order.  ``small_len[x]`` is the longest small prefix
-    worth < (x + 1)/k, for x up to the instance's nu_0, so the methods take
-    only vectors <= ``nu_in`` (``retrieve`` checks; the DP meets no other).
+    category that holds an item.  Over them, ``prefix_weight[i][x]`` is the
+    weight of ``positions[active[i]][:x]``, the leftmost x items of
+    coordinate ``active[i]``, ``reach[j-1][i]`` counts its items at
+    positions <= r_j and ``left_of[j-1][i]`` those at positions < l_j, for
+    the j-th agent in lexicographic order.  ``small_len[x]`` is the longest
+    small prefix worth < (x + 1)/k, for x up to the instance's nu_0, so the
+    methods take only vectors <= ``nu_in`` (``retrieve`` checks; the DP
+    meets no other).
 
     Raises ValueError unless the highs are non-decreasing in that order,
     l_1 = 1 and r_n = m: the ``windows`` settle the reconstruction,
@@ -162,14 +162,11 @@ class _Workspace:
             self.positions[0 if rounded.small[p - 1] else rounded.category[p - 1]].append(p)
         self.active = tuple(c for c, ps in enumerate(self.positions) if c == 0 or ps)
         active_positions = [self.positions[c] for c in self.active]
-        self.prefix_mask: list[list[int]] = []
         self.prefix_weight: list[list[int]] = []
         for positions in active_positions:
-            masks, weights = [0], [0]
+            weights = [0]
             for p in positions:
-                masks.append(masks[-1] | 1 << (p - 1))
                 weights.append(weights[-1] + self.weight[p])
-            self.prefix_mask.append(masks)
             self.prefix_weight.append(weights)
         self.small_positions = self.positions[0]
         self.small_prefix = self.prefix_weight[0]
@@ -199,21 +196,21 @@ class _Workspace:
         agent prefix p_1..p_j stops (0 for j = 0, which keeps nothing)."""
         return self.reach[j - 1][0] if j else 0
 
-    def retrieve_mask(self, nu: InputVector, j: int) -> Optional[int]:
-        """The item bitmask of R(nu, j) for a full vector nu <= nu_in, or None
-        when a big item strands."""
+    def remainder(self, nu: InputVector, j: int) -> Optional[list[int]]:
+        """The item positions of R(nu, j) for a full vector nu <= nu_in, or
+        None when a big item strands: the small prefix that ``forward`` sums
+        for nu_0 and the leftmost nu_c items of each big category."""
         if j == 0:
             # With no agents left, any reconstructed item would be stranded:
             # only the all-zero vector is valid and yields the empty graph.
-            return 0 if not any(nu) else None
+            return [] if not any(nu) else None
         reach = self.reach[j - 1]
-        mask = self.prefix_mask[0][min(self.small_len[nu[0]], self.small_cap(j))]
-        for i in range(1, len(self.active)):
-            count = nu[self.active[i]]
-            if count > reach[i]:
+        items = self.small_positions[:min(self.small_len[nu[0]], self.small_cap(j))]
+        for c, top in zip(self.active[1:], reach[1:]):
+            if nu[c] > top:
                 return None  # stranded big item
-            mask |= self.prefix_mask[i][count]
-        return mask
+            items += self.positions[c][:nu[c]]
+        return items
 
     def windows(self, nu_prev: InputVector, before_small: int, j: int) -> list[range]:
         """One range per active coordinate: their product holds the vectors
@@ -260,18 +257,8 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[froz
         raise ValueError(f"vector {nu} is not <= the instance vector {ws.nu_in}")
     if not 0 <= j <= rounded.instance.n:
         raise ValueError(f"agent count {j} out of range")
-    mask = ws.retrieve_mask(nu, j)
-    return None if mask is None else frozenset(_positions(mask))
-
-
-def _positions(mask: int) -> list[int]:
-    """The item positions of a bitmask, ascending: bit p-1 stands for p."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return out
+    items = ws.remainder(nu, j)
+    return None if items is None else frozenset(items)
 
 
 def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, tuple[InputVector, int, int]]]:
@@ -335,8 +322,8 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
     # chain[j] is the vector marked at row j (chain[0] = zero for "row 0"),
     # chain[n] = nu_in.  Bundle j = items(retrieve(chain[j], j)) minus
     # items(retrieve(chain[j-1], j-1)).
-    masks = [ws.retrieve_mask(nu, j) for j, nu in enumerate(chain)]
-    bundles = {ws.order[j - 1]: _positions(masks[j] & ~masks[j - 1]) for j in range(1, n + 1)}
+    items = [ws.remainder(nu, j) for j, nu in enumerate(chain)]
+    bundles = {ws.order[j - 1]: set(items[j]).difference(items[j - 1]) for j in range(1, n + 1)}
     return assignment_from_positions(rounded.instance, bundles)
 
 

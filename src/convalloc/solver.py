@@ -217,8 +217,6 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
     iterations = 0
     while iterations < MAX_SEARCH_ITERATIONS and hi - lo > delta * lo:
         mid = (lo + hi) / 2
-        if mid == lo or mid == hi:
-            break
         iterations += 1
         if succeeds(mid) is maxmin:
             lo = mid

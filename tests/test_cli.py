@@ -231,19 +231,26 @@ def test_gen_writes_instance(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["solve", "-i", "E1", "-o"], ["solve", "-i", "E1", "--trace"],
-                                  ["gen", "--seed", "9", "-n", "3", "-m", "8", "-o"]],
-                         ids=["solve-output", "solve-trace", "gen-output"])
+                                  ["gen", "--seed", "9", "-n", "3", "-m", "8", "-o"],
+                                  ["solve", "-i", "E1", "--trace", "GOOD", "-o"],
+                                  ["solve", "-i", "E1", "-o", "GOOD", "--trace"]],
+                         ids=["solve-output", "solve-trace", "gen-output",
+                              "solve-trace-bad-output", "solve-output-bad-trace"])
 @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-dir", "a-dir"])
 def test_unwritable_output_exits_2(paths, tmp_path, capsys, argv, target):
     # Used to end in a FileNotFoundError or IsADirectoryError traceback and
-    # exit 1, the code for "no guess certified".
+    # exit 1, the code for "no guess certified".  A run that exits 2 leaves
+    # its writable output path (GOOD) unwritten too.
     path = str(tmp_path / target)
-    assert main([paths["e1"] if a == "E1" else a for a in argv] + [path]) == 2
+    good = tmp_path / "good.txt"
+    substitute = {"E1": paths["e1"], "GOOD": str(good)}
+    assert main([substitute.get(a, a) for a in argv] + [path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: cannot write {path!r}: ")
     assert not (tmp_path / "missing").exists()
+    assert list(tmp_path.glob("good.txt*")) == []  # nor a temporary file
 
 
 def test_bench_reports_ratio(paths, capsys):

@@ -267,6 +267,19 @@ def linear_mask(ws, nu, j):
     return None if hit is None else hit[0]
 
 
+def mask_items(mask):
+    """The item positions of a bitmask (bit p-1 stands for p), or None."""
+    if mask is None:
+        return None
+    return frozenset(p for p in range(1, mask.bit_length() + 1) if mask >> (p - 1) & 1)
+
+
+def remainder_items(ws, nu, j):
+    """``_Workspace.remainder`` as a set of positions, or None."""
+    items = ws.remainder(nu, j)
+    return None if items is None else frozenset(items)
+
+
 def interval_masks(ws):
     """Entry j-1 has bit p-1 set iff position p lies in agent j's interval."""
     return [((1 << (hi - lo + 1)) - 1) << (lo - 1) for lo, hi in zip(ws.lows, ws.highs)]
@@ -461,8 +474,8 @@ def test_forward_matches_dense_on_drawn_instances(seed, mode, k, shape, factor):
 
 
 def check_carried_weights(rd):
-    """Every mark's carried (weight, small length) and ``retrieve_mask`` are
-    those of its reference reconstruction, ``retrieve_mask`` matches the
+    """Every mark's carried (weight, small length) and ``remainder`` are
+    those of its reference reconstruction, ``remainder`` matches the
     reference on every nu <= nu_in at every j when there are at most 10,000
     such pairs, and the small_len table cut at small_cap is the sweep's
     prefix length; returns the number of marks checked."""
@@ -475,13 +488,14 @@ def check_carried_weights(rd):
     if math.prod(c + 1 for c in ws.nu_in) * (n + 1) <= 10_000:
         for nu in itertools.product(*(range(c + 1) for c in ws.nu_in)):
             for j in range(n + 1):
-                assert ws.retrieve_mask(nu, j) == linear_mask(ws, nu, j)
+                assert remainder_items(ws, nu, j) == mask_items(linear_mask(ws, nu, j))
     marks_seen = 0
     for j, row in zip(range(n, 0, -1), _mark_rows(ws)):
         for nu, (_, weight, length) in row.items():
             full = ws.expand(nu)
             assert weight == linear_retrieve(ws, full, j - 1)[1]
-            assert ws.retrieve_mask(full, j - 1) == linear_mask(ws, full, j - 1)
+            assert (remainder_items(ws, full, j - 1)
+                    == mask_items(linear_mask(ws, full, j - 1)))
             assert length == (linear_small_prefix_len(ws, nu[0], ws.highs[j - 2]) if j > 1 else 0)
         marks_seen += len(row)
     return marks_seen
@@ -496,6 +510,27 @@ def test_carried_weights_are_the_reconstructions(mode, k):
 @drawn
 def test_carried_weights_on_drawn_instances(seed, mode, k, shape, factor):
     check_carried_weights(drawn_rounded(seed, mode, k, shape, factor))
+
+
+@drawn
+def test_backward_bundles_are_reference_differences(seed, mode, k, shape, factor):
+    # Agent j's bundle is the reference R(chain[j], j) minus R(chain[j-1], j-1)
+    # along the pointer chain, and the bundles partition the items.
+    rd = drawn_rounded(seed, mode, k, shape, factor)
+    assignment, table = solve_rounded(rd)
+    if assignment is None:
+        return
+    ws = _Workspace(rd)
+    chain = [rd.scheme.zero_vector()]
+    for j in range(1, rd.instance.n + 1):
+        chain.append(table.row(j)[chain[-1]])
+    position = {it.id: p for p, it in enumerate(rd.instance.items, start=1)}
+    bundles = {aid: [position[i] for i in ids] for aid, ids in assignment.bundles}
+    for j in range(1, rd.instance.n + 1):
+        expected = (mask_items(linear_mask(ws, chain[j], j))
+                    - mask_items(linear_mask(ws, chain[j - 1], j - 1)))
+        assert set(bundles[rd.instance.agents[ws.order[j - 1]].id]) == expected
+    assert sorted(p for bundle in bundles.values() for p in bundle) == list(all_items(rd))
 
 
 def test_small_prefix_len_matches_linear_walk(e1):
@@ -514,4 +549,4 @@ def test_retrieve_matches_linear_reconstruction(e1):
     for a0, a10 in itertools.product(range(ws.nu_in[0] + 1), range(ws.nu_in[10] + 1)):
         nu = vec(rd.scheme, a0, **{"10": a10})
         for j in range(rd.instance.n + 1):
-            assert ws.retrieve_mask(nu, j) == linear_mask(ws, nu, j)
+            assert remainder_items(ws, nu, j) == mask_items(linear_mask(ws, nu, j))
