@@ -7,8 +7,8 @@ maximally and stays below 1 + 1/k).
 
 Peeling agents from the last lexicographic rank down, the output's big-item
 structure is forced: within each category, the surviving big items of every
-remainder must be the leftmost ones, so the items of a category are dealt
-left-to-right in blocks sized by the input bundles' per-category counts (an
+remainder must be the leftmost ones (the sweep's prefix rule), so lex agent j
+gets the items of a category between the input's counts in H^(j-1) and H^j (an
 exchange argument shows the blocks always fit their agents' intervals).  The
 small items per agent form a suffix of the surviving small items inside the
 agent's interval; suffix lengths are found by backtracking under two exact
@@ -70,7 +70,7 @@ def is_right_aligned(rounded: RoundedInstance, assignment: Assignment) -> bool:
     for j in range(inst.n, 0, -1):
         agent = inst.agents[order[j - 1]]
         bundle = set(bundles[j - 1])
-        classes: dict[Optional[int], list[int]] = {}
+        classes: dict[int, list[int]] = {}
         for p in sorted(survivors):
             if agent.covers(p):
                 classes.setdefault(rounded.category[p - 1], []).append(p)
@@ -125,21 +125,18 @@ def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
     highs = [inst.agents[i].hi for i in order]
     n = inst.n
     bundles_in = _lex_bundles(rounded, one_assignment)
-
-    # Forced big structure: deal each category's positions left-to-right in
-    # blocks sized by the input's per-agent counts.
-    cat_positions: dict[int, list[int]] = {}
-    for p in range(1, inst.m + 1):
-        cat = rounded.category[p - 1]
-        if cat is not None:
-            cat_positions.setdefault(cat, []).append(p)
+    if sorted(p for bundle in bundles_in for p in bundle) != list(range(1, inst.m + 1)):
+        raise AlignmentError("input bundles do not partition the items")
+    sch = rounded.scheme
+    by_coordinate = rounded.positions()
+    # vectors[j] is the input's H^j, H^0 empty.  Forced big structure: lex
+    # agent j gets each category's items from H^(j-1)'s count to H^j's, the
+    # leftmost-prefix rule of the sweep.
+    vectors = (sch.zero_vector(),) + assignment_vector(rounded, one_assignment)
     big_out: list[list[int]] = [[] for _ in range(n)]
-    for cat, positions in sorted(cat_positions.items()):
-        cursor = 0
+    for cat in range(1, sch.C + 1):
         for j in range(n):
-            count = sum(1 for p in bundles_in[j] if rounded.category[p - 1] == cat)
-            block = positions[cursor:cursor + count]
-            cursor += count
+            block = by_coordinate[cat][vectors[j][cat]:vectors[j + 1][cat]]
             for p in block:
                 if not (lows[j] <= p <= highs[j]):
                     raise AlignmentError(
@@ -147,13 +144,6 @@ def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
                         "input cannot be a feasible assignment of this instance")
             big_out[j].extend(block)
     big_value = [_bundle_value(rounded, big_out[j]) for j in range(n)]
-
-    # Small-remainder bracket targets: target[j] = nu_0 of the input's H^j.
-    if sorted(p for bundle in bundles_in for p in bundle) != list(range(1, inst.m + 1)):
-        raise AlignmentError("input bundles do not partition the items")
-    target = [0] + [nu[0] for nu in assignment_vector(rounded, one_assignment)]
-    smalls_all = [p for p in range(1, inst.m + 1) if rounded.small[p - 1]]
-    sch = rounded.scheme
 
     one_over_k = Fraction(1, sch.k)
     bound = 1 - one_over_k if maxmin else 1 + one_over_k
@@ -193,7 +183,7 @@ def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
             if not value_ok(j, taken):
                 continue
             new_total = remainder_total - (taken - forced_val)
-            if small_units(new_total, sch) != target[j]:
+            if small_units(new_total, sch) != vectors[j][0]:  # H^j's small bracket
                 continue
             chosen = set(forced_idx) | set(ext_idx)
             rest_vals = [v for i, v in enumerate(survivors) if i not in chosen]
@@ -203,8 +193,8 @@ def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
                 return True
         return False
 
-    values = [rounded.value_at(p) for p in smalls_all]
-    if not search(n - 1, values, list(smalls_all)):
+    values = [rounded.value_at(p) for p in by_coordinate[0]]
+    if not search(n - 1, values, by_coordinate[0]):
         raise AlignmentError("no right-aligned assignment preserves the assignment "
                              "vector at the required value bound")
 

@@ -125,7 +125,8 @@ class _Workspace:
 
     Coordinate 0 stands for the small items and coordinate c >= 1 for big
     category c; ``positions[c]`` lists the coordinate's item positions left to
-    right.  The DP runs on the ``active`` coordinates only: 0 and every
+    right, from ``RoundedInstance.positions`` (an item's ``category`` is its
+    coordinate).  The DP runs on the ``active`` coordinates only: 0 and every
     category that holds an item.  Over them, ``prefix_weight[i][x]`` is the
     weight of ``positions[active[i]][:x]``, the leftmost x items of
     coordinate ``active[i]``, ``reach[j-1][i]`` counts its items at
@@ -157,9 +158,7 @@ class _Workspace:
         self.unit = denom // sch.k
         self.weight = [0] + weights
 
-        self.positions: list[list[int]] = [[] for _ in range(sch.C + 1)]
-        for p in range(1, inst.m + 1):
-            self.positions[0 if rounded.small[p - 1] else rounded.category[p - 1]].append(p)
+        self.positions = rounded.positions()
         self.active = tuple(c for c, ps in enumerate(self.positions) if c == 0 or ps)
         active_positions = [self.positions[c] for c in self.active]
         self.prefix_weight: list[list[int]] = []

@@ -250,19 +250,23 @@ def partition_violations(instance: ConvexInstance, assignment: "Assignment",
                          require_cover: bool = True) -> list[str]:
     """Structural problems of an assignment against an instance.
 
-    Checks bundle ownership (known agents, known items, no double
-    assignment), interval membership, and, when ``require_cover`` is set,
-    that every item is assigned.
+    Checks bundle ownership (known agents, one bundle per agent, known
+    items, no double assignment), interval membership, and, when
+    ``require_cover`` is set, that every item is assigned.
     """
     out: list[str] = []
     agent_by_id = {a.id: a for a in instance.agents}
     pos_of = {it.id: p for p, it in enumerate(instance.items, start=1)}
     seen: dict[str, str] = {}
+    owners: set[str] = set()
     for aid, ids in assignment.bundles:
         agent = agent_by_id.get(aid)
         if agent is None:
             out.append(f"unknown agent {aid!r}")
             continue
+        if aid in owners:
+            out.append(f"agent {aid!r} has more than one bundle")
+        owners.add(aid)
         for x in ids:
             pos = pos_of.get(x)
             if pos is None:
@@ -274,6 +278,7 @@ def partition_violations(instance: ConvexInstance, assignment: "Assignment",
             if not agent.covers(pos):
                 out.append(f"item {x!r} (position {pos}) outside interval "
                            f"[{agent.lo},{agent.hi}] of agent {aid!r}")
+    out.extend(f"agent {a.id!r} has no bundle" for a in instance.agents if a.id not in owners)
     if require_cover:
         for it in instance.items:
             if it.id not in seen:

@@ -5,7 +5,8 @@ into *small* (<= 1/k, kept exact) and *big* (> 1/k, snapped onto the geometric
 grid q_tau = (1/k)(1+1/k)^tau).  Max-Min instances round up to the next grid
 point, Min-Max instances round down.  The resulting per-category counts plus
 the small mass expressed in units of 1/k form the configuration vectors the
-dynamic program runs on.
+dynamic program runs on, and an item's category is its coordinate in them:
+0 for a small item, tau for grid category tau.
 
 Rounding runs on integers.  With D the least common denominator of the values
 and w = D v the integer numerator of a value v, v is small iff k w <= D, and
@@ -22,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .instance_model import ConvexInstance, Item, Mode, integer_values
 
@@ -84,25 +85,32 @@ class RoundedInstance:
     """An instance with values snapped per the scheme, plus classification.
 
     ``instance`` carries the rounded values (same ids, order, agents and mode
-    as the instance rounded).  ``small[i]`` / ``category[i]`` classify
-    1-based position i+1: small items keep their value, big items carry the
-    1-based index of their grid value.  A Min-Max big value in (1/k, q_1)
-    rounds down to exactly 1/k and is reclassified small (it is
-    value-interchangeable with small jobs from then on).
+    as the instance rounded).  ``category[i]`` is the configuration-vector
+    coordinate of 1-based position i+1: 0 for a small item, which keeps its
+    value, and c >= 1 for a big item snapped to the grid value q_c.  A
+    Min-Max value in (1/k, q_1) rounds down to exactly 1/k and is small (it
+    is value-interchangeable with small jobs from then on).
     """
 
     instance: ConvexInstance
     scheme: RoundingScheme
-    small: tuple[bool, ...]
-    category: tuple[Optional[int], ...]
+    category: tuple[int, ...]
 
     def value_at(self, pos: int) -> Fraction:
         return self.instance.value_at(pos)
 
+    def positions(self) -> list[list[int]]:
+        """Item positions grouped by coordinate: entry c lists the positions
+        of coordinate c (0 for the small items) left to right, c = 0..C."""
+        grouped: list[list[int]] = [[] for _ in range(self.scheme.C + 1)]
+        for p, c in enumerate(self.category, start=1):
+            grouped[c].append(p)
+        return grouped
+
 
 def _round_values(values: Sequence[Fraction], sch: RoundingScheme
-                  ) -> tuple[list[Fraction], list[bool], list[Optional[int]]]:
-    """Round values in (0, 1] on integers: (rounded, is_small, category) lists.
+                  ) -> tuple[list[Fraction], list[int]]:
+    """Round values in (0, 1] on integers: (rounded, category) lists.
 
     A small value comes back as the same object.  Every other rounded value
     is a grid point or 1/k, shared with the scheme.
@@ -111,38 +119,30 @@ def _round_values(values: Sequence[Fraction], sch: RoundingScheme
     thresholds = sch.thresholds(denom)
     k, grid, up = sch.k, sch.grid, sch.mode is Mode.MAXMIN
     rounded: list[Fraction] = []
-    smalls: list[bool] = []
-    cats: list[Optional[int]] = []
+    cats: list[int] = []
     for v, w in zip(values, weights):
         if not 0 < w <= denom:
             raise ValueError(f"value {v} outside (0, 1]; scale the instance first")
         if k * w <= denom:
             rounded.append(v)
-            smalls.append(True)
-            cats.append(None)
+            cats.append(0)
             continue
         if up:
             # v in (q_{tau-1}, q_tau] snaps to q_tau
             cat = bisect_left(thresholds, w) + 1
         else:
-            # v in [q_tau, q_{tau+1}) snaps to q_tau
+            # v in [q_tau, q_{tau+1}) snaps to q_tau; below q_1 it rounds
+            # down to exactly 1/k, a small value (category 0)
             cat = bisect_right(thresholds, w)
-            if cat == 0:
-                # big value below q_1 rounds down to exactly 1/k: small from now on
-                rounded.append(sch.small_threshold)
-                smalls.append(True)
-                cats.append(None)
-                continue
-        rounded.append(grid[cat - 1])
-        smalls.append(False)
+        rounded.append(grid[cat - 1] if cat else sch.small_threshold)
         cats.append(cat)
-    return rounded, smalls, cats
+    return rounded, cats
 
 
-def round_value(value: Fraction, sch: RoundingScheme) -> tuple[Fraction, bool, Optional[int]]:
-    """Round one value; returns (rounded, is_small, category)."""
-    (rounded,), (is_small,), (cat,) = _round_values((value,), sch)
-    return rounded, is_small, cat
+def round_value(value: Fraction, sch: RoundingScheme) -> tuple[Fraction, int]:
+    """Round one value; returns (rounded, category)."""
+    (rounded,), (cat,) = _round_values((value,), sch)
+    return rounded, cat
 
 
 def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInstance:
@@ -151,11 +151,11 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
     An item whose value rounding keeps is reused as it is.
     """
     items = instance.items
-    rounded, smalls, cats = _round_values([it.value for it in items], sch)
+    rounded, cats = _round_values([it.value for it in items], sch)
     rounded_items = tuple(it if rv is it.value else Item(it.id, rv)
                           for it, rv in zip(items, rounded))
     return RoundedInstance(ConvexInstance(instance.mode, rounded_items, instance.agents),
-                           sch, tuple(smalls), tuple(cats))
+                           sch, tuple(cats))
 
 
 def small_units(total: Fraction, sch: RoundingScheme) -> int:
@@ -175,13 +175,18 @@ def small_units(total: Fraction, sch: RoundingScheme) -> int:
 def input_vector(rounded: RoundedInstance, items: Iterable[int]) -> InputVector:
     """Configuration vector (nu_0, nu_1, ..., nu_C) of the item positions
     ``items``: big items counted by category, small mass by ``small_units``.
+    Raises ValueError for a position outside 1..m.
     """
+    m = rounded.instance.m
     counts = [0] * (rounded.scheme.C + 1)
     small_total = Fraction(0)
     for pos in items:
-        if rounded.small[pos - 1]:
-            small_total += rounded.value_at(pos)
+        if not 1 <= pos <= m:
+            raise ValueError(f"item position {pos} outside 1..{m}")
+        cat = rounded.category[pos - 1]
+        if cat:
+            counts[cat] += 1
         else:
-            counts[rounded.category[pos - 1]] += 1
+            small_total += rounded.value_at(pos)
     counts[0] = small_units(small_total, rounded.scheme)
     return tuple(counts)

@@ -165,10 +165,10 @@ def test_criterion_6_reconstruction():
             if sub is None:
                 bad.append((mode.value, k, j, "null"))
                 break
-            true_bigs = {p for p in survivors if not rd.small[p - 1]}
-            got_bigs = {p for p in sub if not rd.small[p - 1]}
-            true_smalls = {p for p in survivors if rd.small[p - 1]}
-            got_smalls = {p for p in sub if rd.small[p - 1]}
+            true_bigs = {p for p in survivors if rd.category[p - 1]}
+            got_bigs = {p for p in sub if rd.category[p - 1]}
+            true_smalls = {p for p in survivors if rd.category[p - 1] == 0}
+            got_smalls = {p for p in sub if rd.category[p - 1] == 0}
             t_total = sum((rd.value_at(p) for p in true_smalls), Fraction(0))
             g_total = sum((rd.value_at(p) for p in got_smalls), Fraction(0))
             if got_bigs != true_bigs:
@@ -267,8 +267,8 @@ def test_criterion_8a_rounding_ratios():
         values = [Fraction(rng.randint(1, 840), 840) for _ in range(40)]
         values += [Fraction(1), Fraction(1, k)]
         for v in values:
-            rv_up, _, _ = round_value(v, up)
-            rv_down, _, _ = round_value(v, down)
+            rv_up, _ = round_value(v, up)
+            rv_down, _ = round_value(v, down)
             if not 1 <= rv_up / v < 1 + Fraction(1, k):
                 bad.append((k, str(v), "up"))
             if not Fraction(k, k + 1) < rv_down / v <= 1:

@@ -88,12 +88,19 @@ def test_align_rejects_non_one_assignments(e1, e1_assignment_2):
     not_partition = Assignment(Mode.MAXMIN, (("p1", ("s1",)), ("p2", ()), ("p3", ())))
     with pytest.raises(AlignmentError):
         align(rd, not_partition)
-    # two agents share an id, so keying bundles by agent loses one of them
+    # two agents share an id, so the id has two bundles
     twins = ConvexInstance(Mode.MAXMIN, tuple(Item(f"x{i}", Fraction(1, 2)) for i in range(1, 5)),
                            (Agent("p", 1, 4), Agent("p", 1, 4)))
-    with pytest.raises(AlignmentError, match="do not partition"):
+    with pytest.raises(AlignmentError, match="agent 'p' has more than one bundle"):
         align(rounded(twins, 4), Assignment(Mode.MAXMIN, (("p", ("x1", "x2")),
                                                           ("p", ("x3", "x4")))))
+    # two items share an id, so the bundles name only one of them
+    twin_items = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)), Item("x1", Fraction(1)),
+                                              Item("x2", Fraction(1))),
+                                (Agent("p1", 1, 2), Agent("p2", 2, 3)))
+    with pytest.raises(AlignmentError, match="do not partition"):
+        align(rounded(twin_items, 4), Assignment(Mode.MAXMIN, (("p1", ("x1",)),
+                                                               ("p2", ("x2",)))))
 
 
 @pytest.mark.parametrize("mode,k", [(Mode.MAXMIN, 4), (Mode.MAXMIN, 8),
@@ -121,8 +128,8 @@ def test_align_properties_on_planted_witnesses(mode, k):
             assert aid == aid2
             cats_before = sorted(rd.category[rd.instance.item_index(x) - 1]
                                  for x in before
-                                 if rd.category[rd.instance.item_index(x) - 1] is not None)
+                                 if rd.category[rd.instance.item_index(x) - 1] != 0)
             cats_after = sorted(rd.category[rd.instance.item_index(x) - 1]
                                 for x in after
-                                if rd.category[rd.instance.item_index(x) - 1] is not None)
+                                if rd.category[rd.instance.item_index(x) - 1] != 0)
             assert cats_before == cats_after

@@ -45,12 +45,12 @@ def test_grid_strictly_increasing_above_threshold():
 def test_round_value_examples():
     up = scheme(4, Mode.MAXMIN)
     down = scheme(4, Mode.MINMAX)
-    assert round_value(Fraction(1, 10), up) == (Fraction(1, 10), True, None)
-    assert round_value(Fraction(3, 10), up) == (Fraction(5, 16), False, 1)
+    assert round_value(Fraction(1, 10), up) == (Fraction(1, 10), 0)
+    assert round_value(Fraction(3, 10), up) == (Fraction(5, 16), 1)
     # 3/10 lies in [1/4, 5/16): rounds down to exactly 1/4 and behaves as a
     # small job from then on
-    assert round_value(Fraction(3, 10), down) == (Fraction(1, 4), True, None)
-    assert round_value(Fraction(1, 3), down) == (Fraction(5, 16), False, 1)
+    assert round_value(Fraction(3, 10), down) == (Fraction(1, 4), 0)
+    assert round_value(Fraction(1, 3), down) == (Fraction(5, 16), 1)
 
 
 def test_round_value_domain():
@@ -69,9 +69,9 @@ def test_rounding_ratio_bounds(k):
     values = [Fraction(rng.randint(1, 420), 420) for _ in range(300)]
     values += [Fraction(1), Fraction(1, k), up.grid[0], up.grid[-1] / (k + 1) * k]
     for v in values:
-        rv, _, _ = round_value(v, up)
+        rv, _ = round_value(v, up)
         assert 1 <= rv / v < 1 + Fraction(1, k)
-        rv, _, _ = round_value(v, down)
+        rv, _ = round_value(v, down)
         assert Fraction(k, k + 1) < rv / v <= 1
 
 
@@ -88,6 +88,13 @@ def test_input_vector_empty(e1):
     s = scheme(10, Mode.MAXMIN)
     rd = round_instance(e1, s)
     assert input_vector(rd, ()) == s.zero_vector()
+
+
+@pytest.mark.parametrize("pos", [0, -1, 22])
+def test_input_vector_rejects_positions_outside_1_to_m(e1, pos):
+    rd = round_instance(e1, scheme(10, Mode.MAXMIN))
+    with pytest.raises(ValueError, match=f"item position {pos} outside 1..21"):
+        input_vector(rd, [1, pos])
 
 
 def test_input_vector_of_peeled_remainder(e1, e1_assignment_1):
@@ -116,7 +123,7 @@ def test_input_vector_monotone(e1):
 def test_distinct_big_values_and_vector_count_bounds(e1):
     s = scheme(10, Mode.MAXMIN)
     rd = round_instance(e1, s)
-    distinct_big = {rd.value_at(p) for p in range(1, 22) if not rd.small[p - 1]}
+    distinct_big = {rd.value_at(p) for p in range(1, 22) if rd.category[p - 1]}
     assert len(distinct_big) <= s.C
     nu = input_vector(rd, range(1, 22))
     assert all(c <= e1.m for c in nu)
@@ -139,14 +146,14 @@ def reference_round_value(value, sch):
     if not 0 < value <= 1:
         raise ValueError(f"value {value} outside (0, 1]")
     if value <= Fraction(1, sch.k):
-        return value, True, None
+        return value, 0
     if sch.mode is Mode.MAXMIN:
         idx = bisect_left(sch.grid, value)
-        return sch.grid[idx], False, idx + 1
+        return sch.grid[idx], idx + 1
     idx = bisect_right(sch.grid, value) - 1
     if idx < 0:
-        return Fraction(1, sch.k), True, None
-    return sch.grid[idx], False, idx + 1
+        return Fraction(1, sch.k), 0
+    return sch.grid[idx], idx + 1
 
 
 def boundary_guesses(instance, sch):
@@ -175,10 +182,10 @@ def test_integer_rounding_matches_fraction_reference(mode, k):
             for pos, it in enumerate(scaled.items, start=1):
                 v = it.value
                 expected = reference_round_value(v, sch)
-                got = (rd.value_at(pos), rd.small[pos - 1], rd.category[pos - 1])
+                got = (rd.value_at(pos), rd.category[pos - 1])
                 assert got == expected, (seed, t, v)
                 assert round_value(v, sch) == expected
-                if expected[1] and expected[0] == v:
+                if expected[1] == 0 and expected[0] == v:
                     assert rd.instance.items[pos - 1] is it  # kept as it is
                 hits["1/k"] += v == Fraction(1, k)
                 hits["grid"] += v in sch.grid

@@ -187,6 +187,28 @@ def test_verify_sums_integers_as_the_fraction_reference(mode):
     assert report.agent_values[0] == ("p1", values[0] + values[1])
 
 
+def three_unit_items(mode):
+    return ConvexInstance(mode, tuple(Item(f"x{i}", Fraction(1)) for i in range(1, 4)),
+                          (Agent("p1", 1, 3), Agent("p2", 2, 3)))
+
+
+def test_verify_rejects_an_omitted_agent():
+    # p2 gets nothing, so the objective 3 would ignore it (OPT is 1)
+    report = verify(three_unit_items(Mode.MAXMIN),
+                    Assignment(Mode.MAXMIN, (("p1", ("x1", "x2", "x3")),)))
+    assert not report.feasible
+    assert report.violations == ("agent 'p2' has no bundle",)
+
+
+def test_verify_rejects_a_repeated_agent():
+    # p1's two bundles run 3 together, while each alone looks like makespan 2
+    report = verify(three_unit_items(Mode.MINMAX),
+                    Assignment(Mode.MINMAX, (("p1", ("x1",)), ("p1", ("x2", "x3")),
+                                             ("p2", ()))))
+    assert not report.feasible
+    assert report.violations == ("agent 'p1' has more than one bundle",)
+
+
 def test_verify_minmax_requires_cover(m1):
     partial = Assignment(Mode.MINMAX, (("M1", ("j1", "j2", "j3")), ("M2", ())))
     report = verify(m1, partial)
