@@ -156,7 +156,7 @@ class _Workspace:
         weights, denom = integer_values([it.value for it in inst.items], sch.k)
         self.denom = denom
         self.unit = denom // sch.k
-        self.weight = [0] + weights
+        self.weight = [0, *weights]
 
         self.positions = rounded.positions()
         self.active = tuple(c for c, ps in enumerate(self.positions) if c == 0 or ps)

@@ -34,8 +34,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Iterator, Optional, Sequence
 
-from .instance_model import (ConvexInstance, Mode, coverage_ranges, integer_values,
-                             lexicographic_order)
+from .instance_model import ConvexInstance, Mode, coverage_ranges, lexicographic_order
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -138,14 +137,14 @@ def all_hall_violations_minmax(instance: ConvexInstance,
 
 
 def _lex_profile(instance: ConvexInstance) -> tuple[list[int], list[int], int, list[int]]:
-    """Lows and highs in lexicographic order, a common denominator D of the
-    values, and the prefix sums of the integer weights D v."""
+    """Lows and highs in lexicographic order, the common denominator D of the
+    instance's integer view, and the prefix sums of its weights D v."""
     if not instance.agents:
         raise ValueError("instance has no agents")
     order = lexicographic_order(instance)
     lows = [instance.agents[i].lo for i in order]
     highs = [instance.agents[i].hi for i in order]
-    weights, denom = integer_values([it.value for it in instance.items])
+    weights, denom = instance.integers
     return lows, highs, denom, list(accumulate(weights, initial=0))
 
 
@@ -183,7 +182,7 @@ def minmax_lower_bound(instance: ConvexInstance) -> Fraction:
         raise ValueError("minmax_lower_bound expects a Min-Max instance")
     lows, highs, denom, prefix = _lex_profile(instance)
     n, m = len(lows), instance.m
-    best_w = max(prefix[p] - prefix[p - 1] for p in range(1, m + 1))  # p_max
+    best_w = max(instance.integers[0])  # p_max
     best_c = 1
     for i in range(n):
         start = highs[i - 1] if i else 0

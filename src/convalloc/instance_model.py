@@ -18,20 +18,22 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 
-def integer_values(values: Sequence[Fraction], base: int = 1) -> tuple[list[int], int]:
-    """(numerators, D): the values as integers over one common denominator
-    D, the lcm of their denominators and ``base``.
+def integer_values(values: Sequence[Fraction], base: int = 1) -> tuple[tuple[int, ...], int]:
+    """(weights, D): the values as integer numerators over one common
+    denominator D, the lcm of their denominators and ``base``.
 
     Sums and comparisons then run on integers; a ``Fraction`` sum reduces by
-    a gcd at every addition.
+    a gcd at every addition.  ``ConvexInstance.integers`` keeps this view of
+    an instance's own values.
     """
     ratios = [v.as_integer_ratio() for v in values]
     denom = lcm(base, *{d for _, d in ratios})
-    return [n * (denom // d) for n, d in ratios], denom
+    return tuple([n * (denom // d) for n, d in ratios]), denom
 
 
 class Mode(Enum):
@@ -55,13 +57,18 @@ def parse_value(text: Union[str, int]) -> Fraction:
     text = str(text)
     exponent = _EXPONENT.search(text)
     if exponent:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        limit = _digit_limit()
         if limit and len(text) + abs(int(exponent.group(1))) >= limit:
             raise ValueError(f"value {text!r} has too many digits to print (limit {limit})")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"value {text!r} has a zero denominator") from None
+
+
+def _digit_limit() -> int:
+    """Python's limit on the digits of a printed integer; 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def format_value(value: Fraction) -> str:
@@ -95,6 +102,14 @@ class ConvexInstance:
     mode items play the role of jobs and agents the role of machines, and the
     per-agent ``demand`` doubles as the machine's allowable load for the
     feasibility checks.
+
+    ``integers`` is the instance's integer view ``(weights, D)``: the item
+    values as integer numerators over one common denominator D, built by
+    ``integer_values`` on first use and kept, so that validation, the Hall
+    bounds, the search bracket, scaling, rounding and verification read
+    the same integers.  ``solver.scale`` hands its instance the view
+    ``(w t_den, D t_num)`` it computes anyway, a common denominator but not
+    always the least one.
     """
 
     mode: Mode
@@ -112,8 +127,12 @@ class ConvexInstance:
     def value_at(self, pos: int) -> Fraction:
         return self.items[pos - 1].value
 
+    @cached_property
+    def integers(self) -> tuple[tuple[int, ...], int]:
+        return integer_values([it.value for it in self.items])
+
     def total_value(self) -> Fraction:
-        weights, denom = integer_values([it.value for it in self.items])
+        weights, denom = self.integers
         return Fraction(sum(weights), denom)
 
     def item_index(self, item_id: str) -> int:
@@ -143,18 +162,21 @@ def validate(instance: ConvexInstance) -> ValidationReport:
     """Check all structural invariants; violations are data, not failures.
 
     Checks: positive values and demands, interval bounds, unique ids, no
-    degree-0 items, and inclusion-freeness (after the lexicographic sort of
-    agents, right endpoints must be non-decreasing).
+    degree-0 items, inclusion-freeness (after the lexicographic sort of
+    agents, right endpoints must be non-decreasing), and a common
+    denominator of the values short enough to print under Python's limit
+    on integer digits.
     """
     out: list[Violation] = []
     m = instance.m
+    weights, denom = instance.integers
 
     seen: set[str] = set()
-    for it in instance.items:
+    for it, w in zip(instance.items, weights):
         if it.id in seen:
             out.append(Violation("duplicate-id", (it.id,), f"duplicate item id {it.id!r}"))
         seen.add(it.id)
-        if it.value <= 0:
+        if w <= 0:
             out.append(Violation("nonpositive-value", (it.id,),
                                  f"item {it.id!r} has value {it.value} <= 0"))
     seen = set()
@@ -195,6 +217,15 @@ def validate(instance: ConvexInstance) -> ValidationReport:
             out.append(Violation("margined-inclusion", (p.id, q.id),
                                  f"margined inclusion ({p.id},{q.id}): "
                                  f"[{q.lo},{q.hi}] strictly inside [{p.lo},{p.hi}]"))
+
+    # Results are fractions over multiples of D.  A D of more than ``limit``
+    # digits cannot be printed; 8**limit < 10**limit skips the power for
+    # every shorter D.
+    limit = _digit_limit()
+    if limit and denom.bit_length() > 3 * limit and denom >= 10 ** limit:
+        out.append(Violation("unprintable-denominator", (),
+                             f"the item values' common denominator has more than {limit} "
+                             "digits, Python's limit on printed integers"))
 
     return ValidationReport(tuple(out))
 

@@ -17,8 +17,8 @@ from itertools import product
 from typing import Optional
 
 from .instance_model import (Assignment, ConvexInstance, Mode,
-                             assignment_from_positions, integer_values,
-                             lexicographic_order, validate)
+                             assignment_from_positions, lexicographic_order,
+                             validate)
 
 MAX_AGENTS = 6
 MAX_ITEMS = 64
@@ -35,8 +35,8 @@ def _prepare(instance: ConvexInstance):
     highs = [instance.agents[i].hi for i in order]
     n, m = len(order), instance.m
 
-    weights, denom = integer_values([it.value for it in instance.items])
-    weight = [0] + weights
+    weights, denom = instance.integers
+    weight = [0, *weights]
 
     # Cells: maximal position ranges not crossing any interval endpoint.
     cuts = sorted({1, m + 1} | set(lows) | {h + 1 for h in highs})

@@ -8,13 +8,16 @@ the small mass expressed in units of 1/k form the configuration vectors the
 dynamic program runs on, and an item's category is its coordinate in them:
 0 for a small item, tau for grid category tau.
 
-Rounding runs on integers.  With D the least common denominator of the values
-and w = D v the integer numerator of a value v, v is small iff k w <= D, and
-the grid becomes C integer thresholds: floor(D q_tau) for Max-Min and
+Rounding runs on integers.  With D a common denominator of the values and
+w = D v the integer numerator of a value v, v is small iff k w <= D, and the
+grid becomes C integer thresholds: floor(D q_tau) for Max-Min and
 ceil(D q_tau) for Min-Max.  For an integer w, w <= D q iff w <= floor(D q) and
 w >= D q iff w >= ceil(D q), so bisecting w into the thresholds puts it in the
 same category as bisecting v into the grid would, with no ``Fraction``
-comparison.
+comparison.  Any common denominator classifies as the least one does, so
+``round_instance`` reads the instance's integer view: for a scaled instance
+that is the ``D t_num`` that ``solver.scale`` hands over with the weights
+``w t_den``, and no second lcm is taken.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .instance_model import ConvexInstance, Item, Mode, integer_values
+from .instance_model import ConvexInstance, Item, Mode
 
 
 InputVector = tuple[int, ...]
@@ -108,14 +111,14 @@ class RoundedInstance:
         return grouped
 
 
-def _round_values(values: Sequence[Fraction], sch: RoundingScheme
-                  ) -> tuple[list[Fraction], list[int]]:
-    """Round values in (0, 1] on integers: (rounded, category) lists.
+def _round_values(values: Sequence[Fraction], weights: Sequence[int], denom: int,
+                  sch: RoundingScheme) -> tuple[list[Fraction], list[int]]:
+    """Round values in (0, 1], given as integer ``weights`` over a common
+    denominator ``denom``: (rounded, category) lists.
 
     A small value comes back as the same object.  Every other rounded value
     is a grid point or 1/k, shared with the scheme.
     """
-    weights, denom = integer_values(values)
     thresholds = sch.thresholds(denom)
     k, grid, up = sch.k, sch.grid, sch.mode is Mode.MAXMIN
     rounded: list[Fraction] = []
@@ -141,7 +144,8 @@ def _round_values(values: Sequence[Fraction], sch: RoundingScheme
 
 def round_value(value: Fraction, sch: RoundingScheme) -> tuple[Fraction, int]:
     """Round one value; returns (rounded, category)."""
-    (rounded,), (cat,) = _round_values((value,), sch)
+    num, den = value.as_integer_ratio()
+    (rounded,), (cat,) = _round_values((value,), (num,), den, sch)
     return rounded, cat
 
 
@@ -151,7 +155,7 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
     An item whose value rounding keeps is reused as it is.
     """
     items = instance.items
-    rounded, cats = _round_values([it.value for it in items], sch)
+    rounded, cats = _round_values([it.value for it in items], *instance.integers, sch)
     rounded_items = tuple(it if rv is it.value else Item(it.id, rv)
                           for it, rv in zip(items, rounded))
     return RoundedInstance(ConvexInstance(instance.mode, rounded_items, instance.agents),

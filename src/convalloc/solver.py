@@ -25,8 +25,8 @@ from typing import Optional
 from . import dp_engine
 from .hall import maxmin_upper_bound, minmax_lower_bound
 from .instance_model import (Assignment, ConvexInstance, Item, Mode,
-                             assignment_from_positions, integer_values,
-                             lexicographic_order, partition_violations, validate)
+                             assignment_from_positions, lexicographic_order,
+                             partition_violations, validate)
 from .rounding import round_instance, scheme
 
 MAX_SEARCH_ITERATIONS = 128
@@ -66,24 +66,34 @@ def scale(instance: ConvexInstance, t: Fraction) -> Optional[ConvexInstance]:
     1-assignment.
 
     Max-Min clamps values above t down to t first; Min-Max instead reports
-    infeasibility (None) when any processing time exceeds t.
+    infeasibility (None) when any processing time exceeds t.  With the
+    instance's integer view (w, D), v / t = w t_den / (D t_num), so the
+    scaled instance gets the view (w t_den, D t_num), a clamped weight being
+    D t_num.
     """
     if t <= 0:
         raise ValueError(f"guess t must be positive, got {t}")
     t_num, t_den = t.numerator, t.denominator
     minmax = instance.mode is Mode.MINMAX
+    weights, denom = instance.integers
+    denom *= t_num
     items = []
-    for it in instance.items:
-        v = it.value
-        # v / t, compared with 1 and built by cross-multiplying
-        num, den = v.numerator * t_den, v.denominator * t_num
-        if num > den:
+    scaled = []
+    for it, w in zip(instance.items, weights):
+        w *= t_den
+        if w > denom:
             if minmax:
                 return None
             items.append(Item(it.id, _ONE))
+            scaled.append(denom)
         else:
-            items.append(Item(it.id, Fraction(num, den)))
-    return ConvexInstance(instance.mode, tuple(items), instance.agents)
+            items.append(Item(it.id, Fraction(w, denom)))
+            scaled.append(w)
+    out = ConvexInstance(instance.mode, tuple(items), instance.agents)
+    # ``integers`` is a cached_property: a value in the instance's __dict__
+    # is what it returns, so the view is not derived a second time.
+    vars(out)["integers"] = (tuple(scaled), denom)
+    return out
 
 
 def decide(instance: ConvexInstance, t: Fraction, k: int,
@@ -120,7 +130,7 @@ def verify(instance: ConvexInstance, assignment: Assignment) -> VerifyReport:
     """
     require_cover = instance.mode is Mode.MINMAX
     violations = tuple(partition_violations(instance, assignment, require_cover))
-    weights, denom = integer_values([it.value for it in instance.items])
+    weights, denom = instance.integers
     # reversed: with duplicate ids the first item wins, as in item_index
     weight_of = {it.id: w for it, w in zip(reversed(instance.items), reversed(weights))}
     assigned: set[str] = set()
@@ -184,7 +194,8 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
     if instance.n == 0:
         raise SolveError("instance has no agents")
     maxmin = mode is Mode.MAXMIN
-    values = [it.value for it in instance.items]
+    weights, denom = instance.integers
+    v_max = Fraction(max(weights), denom)
     if maxmin:
         bound, covered = maxmin_upper_bound(instance)
         if not covered:
@@ -193,10 +204,10 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
                                verify(instance, assignment).objective, Fraction(0),
                                assignment)
         # OPT > 0 gives every agent an item, so OPT >= v_min
-        lo, hi = max(min(values), bound - max(values)), bound
+        lo, hi = max(Fraction(min(weights), denom), bound - v_max), bound
     else:
         bound = minmax_lower_bound(instance)
-        lo, hi = bound, min(instance.total_value(), bound + max(values))
+        lo, hi = bound, min(instance.total_value(), bound + v_max)
 
     t_star: Optional[Fraction] = None  # the last success, the tightest
     best: Optional[tuple[Fraction, Assignment]] = None  # the best verified objective

@@ -136,7 +136,8 @@ def test_unreadable_instance_exits_2(tmp_path, capsys, command, value):
 
 
 def write_long_instance(path):
-    # Each value prints, but the optimum's denominator has over 4300 digits.
+    # Each value prints, but their common denominator, and so the
+    # optimum's, has over 4300 digits.
     big = 10 ** 2200
     path.write_text(json.dumps({
         "mode": "minmax",
@@ -144,9 +145,28 @@ def write_long_instance(path):
         "agents": [{"id": "M1", "l": 1, "r": 2}]}))
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_unprintable_common_denominator_is_refused_before_solving(tmp_path, capsys, command):
+    # Validation refuses the instance: ``check`` used to report it valid and
+    # ``solve`` to fail only when printing the result.
+    path = tmp_path / "long.json"
+    write_long_instance(path)
+    assert main([command, "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    message = f"common denominator has more than {sys.get_int_max_str_digits()} digits"
+    lines = (captured.out + captured.err).splitlines()
+    assert len([line for line in lines if message in line]) == 1
+    if command == "solve":
+        assert captured.out == "" and captured.err.startswith("error: invalid instance: ")
+        assert len(lines) == 1
+    else:
+        assert lines[0] == "inclusion-free: FAILED" and len(lines) == 2
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_objective_too_long_to_print_exits_2(tmp_path, capsys, command):
-    # Printing the optimum used to end in a traceback and exit 1.
+    # Printing the optimum used to end in a traceback and exit 1; validation
+    # now refuses the instance first.
     path = tmp_path / "long.json"
     write_long_instance(path)
     out = tmp_path / "out.json"

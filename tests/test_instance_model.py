@@ -1,6 +1,7 @@
 """Instance validation, ordering, stranded items, and JSON round-trips."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from convalloc import (Agent, ConvexInstance, Item, Mode, dump_instance,
                        lexicographic_order, load_instance, stranded_items,
                        validate)
 from convalloc.generator import gen_inclusion_free
-from convalloc.instance_model import coverage_ranges
+from convalloc.instance_model import coverage_ranges, integer_values
 
 
 def agents_of(*intervals):
@@ -92,6 +93,32 @@ def test_total_value_equals_the_fraction_sum(values):
     total = inst.total_value()
     assert type(total) is Fraction
     assert total == sum((it.value for it in items), Fraction(0))
+    # the integer view total_value sums, built once
+    weights, denom = inst.integers
+    assert (weights, denom) == integer_values([it.value for it in items])
+    assert type(weights) is tuple and inst.integers is inst.integers
+    assert [Fraction(w, denom) for w in weights] == [it.value for it in items]
+
+
+def one_agent(*denominators):
+    items = tuple(Item(f"x{i}", Fraction(1, d)) for i, d in enumerate(denominators, 1))
+    return ConvexInstance(Mode.MINMAX, items, agents_of((1, len(items))))
+
+
+def test_validate_refuses_an_unprintable_common_denominator():
+    limit = sys.get_int_max_str_digits()
+    # each value prints; their common denominator has over 4400 digits
+    report = validate(one_agent(10 ** 2200 + 1, 10 ** 2200 + 3))
+    assert [v.code for v in report.violations] == ["unprintable-denominator"]
+    assert f"more than {limit} digits" in report.violations[0].message
+    # the first denominator with more than ``limit`` digits is 10**limit
+    assert validate(one_agent(10 ** limit - 1)).ok
+    assert not validate(one_agent(10 ** limit)).ok
+    sys.set_int_max_str_digits(0)  # no limit, no check
+    try:
+        assert validate(one_agent(10 ** 2200 + 1, 10 ** 2200 + 3)).ok
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_validate_misc_violations():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from convalloc import (Mode, gen_inclusion_free, input_vector, retrieve,
                        round_instance, round_value, scale, scheme)
+from convalloc.instance_model import integer_values
 
 
 def test_scheme_category_counts():
@@ -171,7 +172,9 @@ def boundary_guesses(instance, sch):
 @pytest.mark.parametrize("k", [4, 6, 8, 12])
 def test_integer_rounding_matches_fraction_reference(mode, k):
     sch = scheme(k, mode)
-    hits = {"1/k": 0, "grid": 0, "below q_1": 0}
+    # "D not least": the view that ``scale`` hands over, D t_num, is a
+    # common denominator of the scaled values larger than their lcm
+    hits = {"1/k": 0, "grid": 0, "below q_1": 0, "D not least": 0}
     for seed in range(6):
         inst = gen_inclusion_free(seed, 4, 12, mode=mode)
         for t in boundary_guesses(inst, sch):
@@ -179,6 +182,8 @@ def test_integer_rounding_matches_fraction_reference(mode, k):
             if scaled is None:
                 continue
             rd = round_instance(scaled, sch)
+            least = integer_values([it.value for it in scaled.items])[1]
+            hits["D not least"] += scaled.integers[1] != least
             for pos, it in enumerate(scaled.items, start=1):
                 v = it.value
                 expected = reference_round_value(v, sch)

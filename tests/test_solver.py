@@ -1,6 +1,7 @@
 """Scaling, single-guess decisions, binary search, and verification."""
 
 import gc
+import sys
 import weakref
 from fractions import Fraction
 from functools import partial
@@ -11,7 +12,8 @@ from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, decide,
                        gen_inclusion_free, opt_maxmin, opt_minmax, rounding,
                        scale, solve_maxmin, solve_minmax, solver, verify)
 from convalloc.hall import maxmin_upper_bound
-from convalloc.instance_model import partition_violations
+from convalloc import instance_model
+from convalloc.instance_model import integer_values, partition_violations
 from convalloc.solver import SolveError, VerifyReport
 
 
@@ -44,8 +46,10 @@ def test_scale_at_and_one_step_past_the_guess(mode):
 
 @pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
 def test_scale_divides_exactly(mode):
+    clamped = 0
     for seed in range(8):
         inst = gen_inclusion_free(seed, 3, 10, mode=mode)
+        weights, denom = inst.integers
         top = max(it.value for it in inst.items)
         for t in (top, top * Fraction(7, 5), inst.total_value() / 3, top * Fraction(2, 3)):
             scaled = scale(inst, t)
@@ -54,6 +58,41 @@ def test_scale_divides_exactly(mode):
                 continue
             assert [scaled.value_at(p) for p in range(1, inst.m + 1)] == \
                 [min(v, t) / t for v in (it.value for it in inst.items)]
+            # the view handed over is (w t_den, D t_num), a clamped Max-Min
+            # weight being D t_num
+            scaled_weights, scaled_denom = scaled.integers
+            assert scaled_denom == denom * t.numerator
+            assert scaled_weights == tuple(min(w * t.denominator, scaled_denom)
+                                           for w in weights)
+            assert [Fraction(w, scaled_denom) for w in scaled_weights] == \
+                [it.value for it in scaled.items]
+            clamped += top > t
+    assert clamped if mode is Mode.MAXMIN else not clamped
+
+
+def test_single_decide_solve_converts_the_values_once(monkeypatch):
+    # Validation, the Hall bound, the bracket, scaling, rounding and verify
+    # all read the instance's one integer view.
+    calls = []
+
+    def counted(values, base=1):
+        calls.append(tuple(values))
+        return integer_values(values, base)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("convalloc") and \
+                getattr(module, "integer_values", None) is integer_values:
+            monkeypatch.setattr(module, "integer_values", counted)
+    assert instance_model.integer_values is counted
+    inst = gen_inclusion_free(1, 4, 8, mode=Mode.MINMAX)
+    trace = []
+    solve_minmax(inst, 8, trace=trace)
+    assert [line for line in trace if line.startswith("# decide ")] == \
+        ["# decide t=2/3 k=8 success"]
+    own = tuple(it.value for it in inst.items)
+    assert calls.count(own) == 1
+    # the one other conversion is the DP workspace's, of the rounded values
+    assert len(calls) == 2
 
 
 def test_decide_examples(e1, t0):
