@@ -118,14 +118,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     check_hall = (hall.check_hall_maxmin if instance.mode is Mode.MAXMIN
                   else hall.check_hall_minmax)
     witness = check_hall(instance) if report.ok else None
+    try:  # a value too long to print raises here
+        sides = None if witness is None else (format_value(witness.lhs),
+                                              format_value(witness.rhs))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         payload = {"valid": report.ok,
                    "violations": [v.message for v in report.violations]}
         if report.ok:
             payload["hall"] = (None if witness is None else
                                {"lo": witness.lo, "hi": witness.hi,
-                                "lhs": format_value(witness.lhs),
-                                "rhs": format_value(witness.rhs)})
+                                "lhs": sides[0], "rhs": sides[1]})
         print(json.dumps(payload, indent=2))
         return 0 if report.ok else 2
     if not report.ok:
@@ -138,7 +143,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("hall: ok")
     else:
         print(f"hall: violated on [{witness.lo},{witness.hi}] "
-              f"(value {format_value(witness.lhs)} vs demand {format_value(witness.rhs)})")
+              f"(value {sides[0]} vs demand {sides[1]})")
     return 0
 
 

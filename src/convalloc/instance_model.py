@@ -107,7 +107,8 @@ class ConvexInstance:
     values as integer numerators over one common denominator D, built by
     ``integer_values`` on first use and kept, so that validation, the Hall
     bounds, the search bracket, scaling, rounding and verification read
-    the same integers.  ``solver.scale`` hands its instance the view
+    the same integers.  ``with_integers`` builds an instance around a view
+    already at hand: ``solver.scale`` hands its instance the view
     ``(w t_den, D t_num)`` it computes anyway, a common denominator but not
     always the least one.
     """
@@ -140,6 +141,19 @@ class ConvexInstance:
             if it.id == item_id:
                 return pos
         raise KeyError(item_id)
+
+
+def with_integers(mode: Mode, items: tuple[Item, ...], agents: tuple[Agent, ...],
+                  integers: tuple[tuple[int, ...], int]) -> ConvexInstance:
+    """A ``ConvexInstance`` whose integer view is ``integers``, not derived.
+
+    ``integers`` is ``(weights, D)`` with ``weights[i] / D`` the value of
+    ``items[i]``; D need not be the least common denominator.
+    """
+    out = ConvexInstance(mode, items, agents)
+    # a value in the instance's __dict__ is what the cached_property returns
+    vars(out)["integers"] = integers
+    return out
 
 
 @dataclass(frozen=True)
@@ -218,14 +232,15 @@ def validate(instance: ConvexInstance) -> ValidationReport:
                                  f"margined inclusion ({p.id},{q.id}): "
                                  f"[{q.lo},{q.hi}] strictly inside [{p.lo},{p.hi}]"))
 
-    # Results are fractions over multiples of D.  A D of more than ``limit``
-    # digits cannot be printed; 8**limit < 10**limit skips the power for
-    # every shorter D.
+    # A common denominator D of more than ``limit`` digits cannot be
+    # printed; 8**limit < 10**limit skips the power for every shorter D.
+    # This looks at D only: a result's numerator is not bounded, so the
+    # CLI still guards each value it prints.
     limit = _digit_limit()
     if limit and denom.bit_length() > 3 * limit and denom >= 10 ** limit:
         out.append(Violation("unprintable-denominator", (),
                              f"the item values' common denominator has more than {limit} "
-                             "digits, Python's limit on printed integers"))
+                             "digits, too many to print"))
 
     return ValidationReport(tuple(out))
 

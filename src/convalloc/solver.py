@@ -26,7 +26,7 @@ from . import dp_engine
 from .hall import maxmin_upper_bound, minmax_lower_bound
 from .instance_model import (Assignment, ConvexInstance, Item, Mode,
                              assignment_from_positions, lexicographic_order,
-                             partition_violations, validate)
+                             partition_violations, validate, with_integers)
 from .rounding import round_instance, scheme
 
 MAX_SEARCH_ITERATIONS = 128
@@ -89,11 +89,7 @@ def scale(instance: ConvexInstance, t: Fraction) -> Optional[ConvexInstance]:
         else:
             items.append(Item(it.id, Fraction(w, denom)))
             scaled.append(w)
-    out = ConvexInstance(instance.mode, tuple(items), instance.agents)
-    # ``integers`` is a cached_property: a value in the instance's __dict__
-    # is what it returns, so the view is not derived a second time.
-    vars(out)["integers"] = (tuple(scaled), denom)
-    return out
+    return with_integers(instance.mode, tuple(items), instance.agents, (tuple(scaled), denom))
 
 
 def decide(instance: ConvexInstance, t: Fraction, k: int,

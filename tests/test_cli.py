@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from convalloc import dump_instance, format_value, parse_value, verify
+from convalloc import dump_instance, format_value, load_instance, parse_value, validate, verify
 from convalloc.cli import build_parser, main
 
 
@@ -136,13 +136,22 @@ def test_unreadable_instance_exits_2(tmp_path, capsys, command, value):
 
 
 def write_long_instance(path):
-    # Each value prints, but their common denominator, and so the
-    # optimum's, has over 4300 digits.
+    # Each value prints, but their common denominator has over 4300 digits.
     big = 10 ** 2200
     path.write_text(json.dumps({
         "mode": "minmax",
         "items": [{"id": "x1", "value": f"1/{big + 1}"}, {"id": "x2", "value": f"1/{big + 3}"}],
         "agents": [{"id": "M1", "l": 1, "r": 2}]}))
+
+
+def write_long_objective_instance(path):
+    # A valid instance (integer values, D = 1) whose optimum does not print:
+    # one machine carries 20 jobs of 4299 digits each, 4301 digits in all.
+    value = str(10 ** (sys.get_int_max_str_digits() - 1) - 1)
+    path.write_text(json.dumps({
+        "mode": "minmax",
+        "items": [{"id": f"x{i}", "value": value} for i in range(1, 21)],
+        "agents": [{"id": "M1", "l": 1, "r": 20}]}))
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
@@ -158,33 +167,45 @@ def test_unprintable_common_denominator_is_refused_before_solving(tmp_path, caps
     assert len([line for line in lines if message in line]) == 1
     if command == "solve":
         assert captured.out == "" and captured.err.startswith("error: invalid instance: ")
-        assert len(lines) == 1
-    else:
-        assert lines[0] == "inclusion-free: FAILED" and len(lines) == 2
+    assert len(lines) == (1 if command == "solve" else 2)
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_objective_too_long_to_print_exits_2(tmp_path, capsys, command):
-    # Printing the optimum used to end in a traceback and exit 1; validation
-    # now refuses the instance first.
+    # Printing the optimum used to end in a traceback and exit 1.
     path = tmp_path / "long.json"
-    write_long_instance(path)
+    write_long_objective_instance(path)
+    assert validate(load_instance(str(path))).ok
     out = tmp_path / "out.json"
     argv = [command, "-i", str(path)] + (["-o", str(out)] if command == "solve" else [])
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "invalid instance" not in captured.err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_check_hall_witness_too_long_to_print_exits_2(tmp_path, capsys, json_flag):
+    # The witness's load (the 4301-digit total against demand 1) used to
+    # end in a traceback after "inclusion-free: ok".
+    path = tmp_path / "long.json"
+    write_long_objective_instance(path)
+    assert main(["check", "-i", str(path)] + json_flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_bench_objective_too_long_to_print_exits_2(tmp_path, capsys):
     path = tmp_path / "long.json"
-    write_long_instance(path)
+    write_long_objective_instance(path)
     assert main(["bench", "-d", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: {path}: ")
+    assert "invalid instance" not in captured.err
 
 
 @pytest.mark.parametrize("mantissa", ["1", "9.9", "12.5"])
