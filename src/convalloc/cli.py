@@ -134,7 +134,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return 0 if report.ok else 2
     if not report.ok:
-        print("inclusion-free: FAILED")
+        nested = any(v.code == "margined-inclusion" for v in report.violations)
+        print("inclusion-free: FAILED" if nested else "valid: FAILED")
         for v in report.violations:
             print(f"  {v.message}")
         return 2

@@ -3,7 +3,14 @@
 On inclusion-free instances it suffices to check the condition on intervals:
 item intervals against the demands of fully-enclosed agents (Max-Min), and
 machine intervals against the processing time of fully-enclosed jobs
-(Min-Max).  A subset-enumeration oracle cross-validates the interval checks
+(Min-Max).  The agents inside an item interval, and the machines a job can
+use, are then runs of consecutive lexicographic ranks (Glover, "Maximum
+matching in a convex bipartite graph", Naval Res. Logistics Q. 14, 1967).
+So each mode has one O(n^2) sweep over the runs i..j of that order, on
+integer weights over one common denominator, and both its check and its
+bound read it; a run's demand or allowed load is a prefix-sum difference
+over the ranks.  A Max-Min witness is a tight interval (see
+``_maxmin_runs``).  A subset-enumeration oracle cross-validates the checks
 on small instances.
 
 With every demand (Max-Min) or every allowed load (Min-Max) equal to one
@@ -20,11 +27,6 @@ number t, the interval condition solved for t bounds the optimum:
   run) / #machines)``, so OPT >= L.  L is the optimum of the fractional
   schedule, and rounding it adds at most one job per machine (Lenstra, Shmoys
   and Tardos, Math. Programming 46, 1990), so OPT <= L + p_max.
-
-On an inclusion-free instance the agents inside an item interval, and the
-machines a job can use, are runs of consecutive lexicographic ranks, so both
-bounds are an O(n^2) sweep over the runs i..j of that order, on integer
-weights over one common denominator.
 """
 
 from __future__ import annotations
@@ -57,141 +59,138 @@ def _resolve_demands(instance: ConvexInstance,
     return tuple(Fraction(d) for d in demands)
 
 
-def _iter_maxmin_violations(instance: ConvexInstance,
-                            demands: tuple[Fraction, ...]) -> Iterator[HallWitness]:
-    m = instance.m
-    prefix = [Fraction(0)] * (m + 1)
-    for pos in range(1, m + 1):
-        prefix[pos] = prefix[pos - 1] + instance.value_at(pos)
-    by_hi: list[list[tuple[int, Fraction]]] = [[] for _ in range(m + 1)]
-    for i, a in enumerate(instance.agents):
-        by_hi[a.hi].append((a.lo, demands[i]))
-    for lo in range(1, m + 1):
-        demanded = Fraction(0)
-        for hi in range(lo, m + 1):
-            for agent_lo, d in by_hi[hi]:
-                if agent_lo >= lo:
-                    demanded += d
-            lhs = prefix[hi] - prefix[lo - 1]
-            if lhs < demanded:
-                yield HallWitness(lo, hi, lhs, demanded)
-
-
-def check_hall_maxmin(instance: ConvexInstance,
-                      demands: Optional[Sequence[Fraction]] = None) -> Optional[HallWitness]:
-    """First (smallest lo, then hi) item interval [lo,hi] with
-    val([lo,hi]) < sum of demands of agents fully inside it; None if Hall holds.
-    """
-    if instance.mode is not Mode.MAXMIN:
-        raise ValueError("check_hall_maxmin expects a Max-Min instance")
-    return next(_iter_maxmin_violations(instance, _resolve_demands(instance, demands)), None)
-
-
-def all_hall_violations_maxmin(instance: ConvexInstance,
-                               demands: Optional[Sequence[Fraction]] = None
-                               ) -> tuple[HallWitness, ...]:
-    return tuple(_iter_maxmin_violations(instance, _resolve_demands(instance, demands)))
-
-
-def _iter_minmax_violations(instance: ConvexInstance,
-                            loads: tuple[Fraction, ...]) -> Iterator[HallWitness]:
-    # Machines in lexicographic order; each job's machine set must be a
-    # contiguous range of lex ranks (coverage_ranges raises otherwise).
-    order = lexicographic_order(instance)
-    n_machines = instance.n
-    ranges = coverage_ranges(instance)
-    loads_by_rank = [loads[order[r - 1]] for r in range(1, n_machines + 1)]
-    by_last: list[list[tuple[int, Fraction]]] = [[] for _ in range(n_machines + 1)]
-    for pos in range(1, instance.m + 1):
-        first, last = ranges[pos - 1]
-        by_last[last].append((first, instance.value_at(pos)))
-    for lo in range(1, n_machines + 1):
-        work = Fraction(0)
-        allowed = Fraction(0)
-        for hi in range(lo, n_machines + 1):
-            allowed += loads_by_rank[hi - 1]
-            for first, p in by_last[hi]:
-                if first >= lo:
-                    work += p
-            if work > allowed:
-                yield HallWitness(lo, hi, work, allowed)
-
-
-def check_hall_minmax(instance: ConvexInstance,
-                      loads: Optional[Sequence[Fraction]] = None) -> Optional[HallWitness]:
-    """First machine interval [lo,hi] (lex ranks) whose enclosed jobs exceed
-    the interval's total allowable load; None if Hall holds.
-
-    Raises ValueError when some job's machine set is not an interval, which
-    signals a non-inclusion-free input.
-    """
-    if instance.mode is not Mode.MINMAX:
-        raise ValueError("check_hall_minmax expects a Min-Max instance")
-    return next(_iter_minmax_violations(instance, _resolve_demands(instance, loads)), None)
-
-
-def all_hall_violations_minmax(instance: ConvexInstance,
-                               loads: Optional[Sequence[Fraction]] = None
-                               ) -> tuple[HallWitness, ...]:
-    return tuple(_iter_minmax_violations(instance, _resolve_demands(instance, loads)))
-
-
-def _lex_profile(instance: ConvexInstance) -> tuple[list[int], list[int], int, list[int]]:
-    """Lows and highs in lexicographic order, the common denominator D of the
-    instance's integer view, and the prefix sums of its weights D v."""
+def _lex_profile(instance: ConvexInstance
+                 ) -> tuple[tuple[int, ...], list[int], list[int], int, list[int]]:
+    """The lexicographic order, its lows and highs, the common denominator D
+    of the instance's integer view, and the prefix sums of its weights D v.
+    Raises ValueError with no agents, or when the highs decrease (a nesting)."""
     if not instance.agents:
         raise ValueError("instance has no agents")
     order = lexicographic_order(instance)
     lows = [instance.agents[i].lo for i in order]
     highs = [instance.agents[i].hi for i in order]
+    if highs != sorted(highs):
+        raise ValueError("the highs decrease in lexicographic order: not inclusion-free")
     weights, denom = instance.integers
-    return lows, highs, denom, list(accumulate(weights, initial=0))
+    return order, lows, highs, denom, list(accumulate(weights, initial=0))
+
+
+def _maxmin_runs(lows: list[int], highs: list[int],
+                 prefix: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(i, j, w) for each maximal run i..j of lexicographic ranks, in
+    (lo_i, hi_j) order: no rank before i has lo_i and none after j has hi_j,
+    so the tight interval [lo_i, hi_j] holds exactly agents i..j; w is its
+    integer value.  The agents inside any item interval form one maximal run,
+    and shrinking the interval to that run's tight one lowers the value.
+    """
+    n = len(lows)
+    ends = [j for j in range(n) if j + 1 == n or highs[j] < highs[j + 1]]
+    for i in range(n):
+        if i == 0 or lows[i - 1] < lows[i]:
+            before = prefix[lows[i] - 1]
+            for j in ends:
+                if j >= i:
+                    yield i, j, prefix[highs[j]] - before
+
+
+def _minmax_runs(lows: list[int], highs: list[int],
+                 prefix: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(i, j, w) for each run i..j of lexicographic ranks, i then j
+    ascending, with w the integer work of the jobs confined to it: those
+    right of every machine ranked below i and left of every machine ranked
+    above j, the positions hi_{i-1} < p < lo_{j+1}.
+    """
+    n = len(lows)
+    ends = [low - 1 for low in lows[1:]] + [len(prefix) - 1]  # confined: p <= ends[j]
+    for i in range(n):
+        start = highs[i - 1] if i else 0
+        before = prefix[start]
+        for j in range(i, n):
+            yield i, j, (prefix[ends[j]] - before if ends[j] > start else 0)
+
+
+def _violations(instance: ConvexInstance, mode: Mode,
+                weights: Optional[Sequence[Fraction]]) -> Iterator[HallWitness]:
+    """The violated runs of ``mode``'s sweep, in sweep order."""
+    if instance.mode is not mode:
+        raise ValueError(f"expected a {mode.value} instance, got {instance.mode.value}")
+    demands = _resolve_demands(instance, weights)
+    if not instance.agents:
+        return
+    order, lows, highs, denom, prefix = _lex_profile(instance)
+    sums = list(accumulate((demands[i] for i in order), initial=Fraction(0)))
+    if mode is Mode.MAXMIN:
+        for i, j, w in _maxmin_runs(lows, highs, prefix):
+            value, demand = Fraction(w, denom), sums[j + 1] - sums[i]
+            if value < demand:
+                yield HallWitness(lows[i], highs[j], value, demand)
+    else:
+        for i, j, w in _minmax_runs(lows, highs, prefix):
+            work, load = Fraction(w, denom), sums[j + 1] - sums[i]
+            if work > load:
+                yield HallWitness(i + 1, j + 1, work, load)
+
+
+def check_hall_maxmin(instance: ConvexInstance,
+                      demands: Optional[Sequence[Fraction]] = None) -> Optional[HallWitness]:
+    """First tight item interval [lo,hi], in (lo, hi) order, with
+    val([lo,hi]) < sum of demands of agents fully inside it; None if Hall
+    holds.  Every violated item interval contains a violated tight one.
+    Raises ValueError when the instance is not inclusion-free.
+    """
+    return next(_violations(instance, Mode.MAXMIN, demands), None)
+
+
+def all_hall_violations_maxmin(instance: ConvexInstance,
+                               demands: Optional[Sequence[Fraction]] = None
+                               ) -> tuple[HallWitness, ...]:
+    return tuple(_violations(instance, Mode.MAXMIN, demands))
+
+
+def check_hall_minmax(instance: ConvexInstance,
+                      loads: Optional[Sequence[Fraction]] = None) -> Optional[HallWitness]:
+    """First machine interval [lo,hi] (lex ranks) whose enclosed jobs exceed
+    the interval's total allowable load; None if Hall holds.  Raises
+    ValueError when the instance is not inclusion-free.
+    """
+    return next(_violations(instance, Mode.MINMAX, loads), None)
+
+
+def all_hall_violations_minmax(instance: ConvexInstance,
+                               loads: Optional[Sequence[Fraction]] = None
+                               ) -> tuple[HallWitness, ...]:
+    return tuple(_violations(instance, Mode.MINMAX, loads))
 
 
 def maxmin_upper_bound(instance: ConvexInstance) -> tuple[Fraction, bool]:
     """(U, covered) for a valid Max-Min instance: OPT <= U, OPT >= U - v_max,
     and covered tells whether a matching covers every agent, i.e. OPT > 0.
-
-    The run i..j of lexicographic ranks is tightest on [lo_i, hi_j]: that
-    interval holds the run, and every interval holding the run contains it.
+    Both are extremes over the tight intervals of ``_maxmin_runs``.
     """
     if instance.mode is not Mode.MAXMIN:
         raise ValueError("maxmin_upper_bound expects a Max-Min instance")
-    lows, highs, denom, prefix = _lex_profile(instance)
+    _, lows, highs, denom, prefix = _lex_profile(instance)
     best_w, best_c = prefix[-1], 1  # val / count, kept as two integers
     covered = True
-    for i, low in enumerate(lows):
-        before = prefix[low - 1]
-        for j in range(i, len(lows)):
-            count = j - i + 1
-            covered = covered and highs[j] - low + 1 >= count
-            w = prefix[highs[j]] - before
-            if w * best_c < best_w * count:
-                best_w, best_c = w, count
+    for i, j, w in _maxmin_runs(lows, highs, prefix):
+        count = j - i + 1
+        covered = covered and highs[j] - lows[i] + 1 >= count
+        if w * best_c < best_w * count:
+            best_w, best_c = w, count
     return Fraction(best_w, denom * best_c), covered
 
 
 def minmax_lower_bound(instance: ConvexInstance) -> Fraction:
-    """L for a valid Min-Max instance: L <= OPT <= L + p_max.
-
-    A job is confined to the machine run i..j iff it lies right of every
-    machine ranked below i and left of every machine ranked above j, so the
-    confined jobs are the positions hi_{i-1} < p < lo_{j+1}.
-    """
+    """L for a valid Min-Max instance: L <= OPT <= L + p_max, with the
+    confined work of each run from ``_minmax_runs``."""
     if instance.mode is not Mode.MINMAX:
         raise ValueError("minmax_lower_bound expects a Min-Max instance")
-    lows, highs, denom, prefix = _lex_profile(instance)
-    n, m = len(lows), instance.m
-    best_w = max(instance.integers[0])  # p_max
-    best_c = 1
-    for i in range(n):
-        start = highs[i - 1] if i else 0
-        for j in range(i, n):
-            end = lows[j + 1] - 1 if j + 1 < n else m
-            count = j - i + 1
-            w = prefix[end] - prefix[start]
-            if w * best_c > best_w * count:
-                best_w, best_c = w, count
+    _, lows, highs, denom, prefix = _lex_profile(instance)
+    best_w, best_c = max(instance.integers[0]), 1  # p_max / 1
+    for i, j, w in _minmax_runs(lows, highs, prefix):
+        count = j - i + 1
+        if w * best_c > best_w * count:
+            best_w, best_c = w, count
     return Fraction(best_w, denom * best_c)
 
 

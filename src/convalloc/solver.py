@@ -29,7 +29,6 @@ from .instance_model import (Assignment, ConvexInstance, Item, Mode,
                              partition_violations, validate, with_integers)
 from .rounding import round_instance, scheme
 
-MAX_SEARCH_ITERATIONS = 128
 _ONE = Fraction(1)  # every clamped Max-Min value
 
 
@@ -221,10 +220,10 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
 
     if succeeds(bound):
         lo = hi = bound
-    iterations = 0
-    while iterations < MAX_SEARCH_ITERATIONS and hi - lo > delta * lo:
+    # Each step halves hi - lo, and lo >= v_min > 0 (Max-Min) or lo >= L > 0
+    # (Min-Max), so the loop ends.
+    while hi - lo > delta * lo:
         mid = (lo + hi) / 2
-        iterations += 1
         if succeeds(mid) is maxmin:
             lo = mid
         else:

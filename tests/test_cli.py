@@ -35,7 +35,21 @@ def test_check_invalid_exits_2(tmp_path, capsys):
     }))
     assert main(["check", "-i", str(bad)]) == 2
     out = capsys.readouterr().out
+    assert out.splitlines()[0] == "inclusion-free: FAILED"
     assert "margined inclusion" in out
+
+
+def test_check_heading_names_inclusion_only_when_it_fails(tmp_path, capsys):
+    # Only the ids are at fault: the one interval is trivially inclusion-free.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "mode": "maxmin",
+        "items": [{"id": "x1", "value": "1"}, {"id": "x1", "value": "2"}],
+        "agents": [{"id": "p1", "l": 1, "r": 2}],
+    }))
+    assert main(["check", "-i", str(bad)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "valid: FAILED", "  duplicate item id 'x1'"]
 
 
 def test_oracle_t1(paths, capsys):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from convalloc import (Agent, ConvexInstance, Item, Mode,
                        check_hall_bruteforce, check_hall_maxmin,
                        check_hall_minmax, opt_maxmin, opt_minmax, scale, validate)
-from convalloc.hall import (all_hall_violations_maxmin, all_hall_violations_minmax,
+from convalloc.hall import (HallWitness, all_hall_violations_maxmin, all_hall_violations_minmax,
                             maxmin_upper_bound, minmax_lower_bound)
-from convalloc.instance_model import coverage_ranges
+from convalloc.instance_model import coverage_ranges, lexicographic_order
 from convalloc.generator import gen_inclusion_free
 
 
@@ -44,20 +44,34 @@ def test_m1_loads(m1):
     assert witness.lhs == Fraction(11, 5) and witness.rhs == Fraction(2)
 
 
+def test_a_run_confining_no_job_has_no_work():
+    # M2 alone confines no job: every job it can take, M1 or M3 can take too
+    # (hi_M1 = 3 > lo_M3 - 1 = 2).  Only a negative allowed load shows it.
+    items = tuple(Item(f"j{i}", Fraction(1)) for i in range(1, 6))
+    inst = ConvexInstance(Mode.MINMAX, items,
+                          (Agent("M1", 1, 3), Agent("M2", 2, 4), Agent("M3", 3, 5)))
+    loads = [Fraction(5), Fraction(-1), Fraction(5)]
+    assert all_hall_violations_minmax(inst, loads) == (
+        HallWitness(2, 2, Fraction(0), Fraction(-1)),)
+
+
 def test_single_machine_equality_ok():
     inst = ConvexInstance(Mode.MINMAX, (Item("j1", Fraction(1)),),
                           (Agent("M1", 1, 1, Fraction(1)),))
     assert check_hall_minmax(inst) is None
 
 
-def test_non_interval_machine_sets_rejected():
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_non_interval_machine_sets_rejected(mode):
     items = tuple(Item(f"j{i}", Fraction(1)) for i in range(1, 6))
-    inst = ConvexInstance(Mode.MINMAX, items,
+    inst = ConvexInstance(mode, items,
                           (Agent("M1", 1, 5), Agent("M2", 2, 3), Agent("M3", 4, 5)))
-    # job 4 is covered by lex ranks 1 and 3 but not 2 (the instance nests
-    # M2 strictly inside M1, so it is not inclusion-free)
-    with pytest.raises(ValueError):
-        check_hall_minmax(inst)
+    # M2 nests strictly inside M1, so the instance is not inclusion-free: in
+    # lexicographic order the highs go 5, 3, 5, and job 4 is covered by lex
+    # ranks 1 and 3 but not 2
+    check = check_hall_maxmin if mode is Mode.MAXMIN else check_hall_minmax
+    with pytest.raises(ValueError, match="not inclusion-free"):
+        check(inst)
 
 
 def random_demands(rng, n):
@@ -139,6 +153,32 @@ def swept_upper_bound(inst):
     return min(ratios)
 
 
+def all_interval_violations(inst, weights):
+    """Every violated interval as (lo, hi, lhs, rhs), in (lo, hi) order: each
+    item interval against the demands of the agents inside it (Max-Min), each
+    machine rank interval against its loads and confined jobs (Min-Max)."""
+    out = []
+    if inst.mode is Mode.MAXMIN:
+        for lo in range(1, inst.m + 1):
+            for hi in range(lo, inst.m + 1):
+                value = sum((inst.value_at(p) for p in range(lo, hi + 1)), Fraction(0))
+                demand = sum((d for a, d in zip(inst.agents, weights)
+                              if lo <= a.lo and a.hi <= hi), Fraction(0))
+                if value < demand:
+                    out.append((lo, hi, value, demand))
+        return out
+    ranges = coverage_ranges(inst)
+    order = lexicographic_order(inst)
+    for lo in range(1, inst.n + 1):
+        for hi in range(lo, inst.n + 1):
+            work = sum((inst.value_at(p) for p in range(1, inst.m + 1)
+                        if lo <= ranges[p - 1][0] and ranges[p - 1][1] <= hi), Fraction(0))
+            allowed = sum((weights[order[r - 1]] for r in range(lo, hi + 1)), Fraction(0))
+            if work > allowed:
+                out.append((lo, hi, work, allowed))
+    return out
+
+
 def swept_lower_bound(inst):
     """max(p_max, max over machine rank intervals of confined work / #machines)."""
     ranges = coverage_ranges(inst)
@@ -197,3 +237,34 @@ def test_bounds_reject_the_other_mode_and_no_agents(t1, m1):
        shape=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 3 * n + 2))))
 def test_bounds_bracket_the_optimum_on_drawn_instances(seed, mode, shape):
     check_bounds(gen_inclusion_free(seed, *shape, mode=mode))
+
+
+# Derandomized: every run draws the same examples and stores none.
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 16), mode=st.sampled_from(Mode),
+       shape=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 3 * n + 2))),
+       data=st.data())
+def test_checks_match_the_all_interval_reference(seed, mode, shape, data):
+    # Agents in drawn input order, so that lexicographic ranks and agent
+    # indices differ; demands drawn, or the agents' own (all 1).
+    drawn = gen_inclusion_free(seed, *shape, mode=mode)
+    order = data.draw(st.permutations(range(drawn.n)))
+    inst = ConvexInstance(mode, drawn.items, tuple(drawn.agents[i] for i in order))
+    weights = data.draw(st.none() | st.lists(
+        st.builds(Fraction, st.integers(1, 24), st.integers(1, 12)),
+        min_size=inst.n, max_size=inst.n))
+    reference = all_interval_violations(
+        inst, [a.demand for a in inst.agents] if weights is None else weights)
+    violated = bool(reference)
+    if mode is Mode.MAXMIN:
+        verdict = check_hall_maxmin(inst, weights)
+        flagged = all_hall_violations_maxmin(inst, weights)
+        # the tight intervals are those whose ends are agent endpoints
+        reference = [v for v in reference if v[0] in {a.lo for a in inst.agents}
+                     and v[1] in {a.hi for a in inst.agents}]
+    else:
+        verdict = check_hall_minmax(inst, weights)
+        flagged = all_hall_violations_minmax(inst, weights)
+    assert (verdict is not None) == violated
+    assert [(w.lo, w.hi, w.lhs, w.rhs) for w in flagged] == reference
+    assert verdict == (flagged[0] if flagged else None)

@@ -343,6 +343,20 @@ def test_search_decides_the_untried_bound_when_every_guess_fails():
     assert res.t_star == Fraction(5, 2) and res.objective == 2
 
 
+def test_search_runs_until_the_bracket_is_within_delta():
+    # The bracket [1e-100, ~1/2] spans 100 decades, so the bisection needs
+    # well over a hundred halvings before hi - lo <= delta lo; cutting it
+    # short would report t_star = v_min = 1e-100, far below OPT ~ 1e-40.
+    inst = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)),
+                                        Item("x2", Fraction(1, 10 ** 40)),
+                                        Item("x3", Fraction(1, 10 ** 100))),
+                          (Agent("p1", 1, 3), Agent("p2", 1, 3)))
+    opt, _ = opt_maxmin(inst)
+    res = solve_maxmin(inst, 8)
+    assert opt <= (1 + res.delta) * res.t_star
+    assert res.objective >= res.guarantee * opt
+
+
 @pytest.mark.parametrize("mode, seed, count", [(Mode.MAXMIN, 41, 3), (Mode.MINMAX, 160, 4)])
 def test_search_keeps_the_best_verified_objective(monkeypatch, mode, seed, count):
     # Every success after the first returns a worse feasible assignment:
