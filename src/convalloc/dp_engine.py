@@ -54,13 +54,32 @@ nu' in row j+1, agent j's bundle is R(nu', j) minus R(nu, j-1).
 An item in a gap r_{j-1} < p < l_j needs no test: when R(nu', j) holds it,
 its coordinate's window is empty.
 
+A predecessor also skips the part of its box that the one sorted just
+before it settled.  Let u and then v be consecutive predecessors of row j
+(marked vectors of row j+1) with equal big coordinates, so u_0 < v_0, whose
+budgets before_total - bound compare as u's >= v's (Max-Min) or u's <= v's
+(Min-Max): every candidate that passes v's value test passes u's.  The big
+windows depend on their own coordinate alone, so they are equal.  The low
+end of the nu_0 window grows with before_small, which is
+min(small_len[v_0], cap) and does not decrease as v_0 grows.  So the part of
+v's box with nu_0 <= u_0 lies inside u's box, and each of its candidates
+that passes v's test was marked by u or earlier: v's nu_0 range starts at
+u_0 + 1.  By induction this holds also when u skipped a part of its own
+box.  In Min-Max before_total grows with v_0, so the skip holds for every
+such pair; in Max-Min it shrinks, so the skip holds on ties only.
+
 All of this runs on the occupied coordinates only: nu_0 and the big
 categories that hold an item of the rounded instance.  Every vector the DP
 meets is dominated by the instance's vector, so an empty category's
 coordinate is 0 in every candidate and every mark; dropping it keeps the
-lexicographic order and hence the first-marking predecessor.  ``forward``
-expands the marked entries to full (nu_0, ..., nu_C) vectors for the
-``DPTable``, so the table, its trace and ``backward`` see full vectors.
+lexicographic order and hence the first-marking predecessor.  The
+``DPTable`` keeps the marks on these coordinates, and ``succeeded`` and
+``backward`` read them there; the full (nu_0, ..., nu_C) rows are built only
+when a caller reads ``rows``, as ``trace_lines`` does.  ``backward`` walks
+the pointer chain and, since by (ii) each remainder on it is a
+per-coordinate prefix of the next, takes agent j's bundle as one slice of
+each coordinate's positions, between the prefix lengths of R(chain[j-1],
+j-1) and R(chain[j], j).
 
 ``forward`` never reconstructs an item set: it sums weights.  The sweep's
 remainder is a product of per-coordinate prefixes, the leftmost nu_c items
@@ -76,8 +95,9 @@ it, so the sum is exactly the weight of R(nu, j-1).  A mark carries its
 ``before_total`` and ``before_small``.  ``backward`` and ``retrieve`` read
 a remainder's items as the position prefixes of those lengths, from the
 tables whose weights ``forward`` sums, so the sweep's rule has one
-definition.  Value sums and comparisons run on integers after normalizing
-every rounded value by a common denominator divisible by k.
+definition (``small_kept``).  Value sums and comparisons run on integers
+after normalizing every rounded value by a common denominator divisible by
+k.
 """
 
 from __future__ import annotations
@@ -85,7 +105,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import filterfalse, product
 from operator import getitem
 from typing import Iterator, Optional
@@ -102,22 +122,35 @@ BUNDLE_MARGIN = 3
 
 @dataclass(frozen=True)
 class DPTable:
-    """Sparse forward-phase result: rows[j][nu] = back-pointer into row j+1.
+    """Sparse forward-phase result: row(j)[nu] = back-pointer into row j+1.
 
     Only marked entries are stored; row n entries point at the full
-    instance's vector (row n+1, which is not stored).  ``forward`` keeps its
-    workspace on the table for ``backward``.
+    instance's vector (row n+1, which is not stored).  ``marks[j-1]`` holds
+    row j over the active coordinates of the workspace ``forward`` keeps on
+    the table for ``backward``, or over every coordinate for a table built
+    without one.  ``rows`` holds the same rows as full (nu_0, ..., nu_C)
+    vectors; it is built on its first read (by ``row``, ``trace_lines`` or
+    a caller), which ``solve_rounded`` never makes.
     """
     nu_in: InputVector
-    rows: tuple[dict[InputVector, InputVector], ...]  # index j-1 holds row j
+    marks: tuple[dict[InputVector, InputVector], ...]
     _ws: Optional[_Workspace] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def rows(self) -> tuple[dict[InputVector, InputVector], ...]:
+        """Index j-1 holds row j over every coordinate."""
+        if self._ws is None:
+            return self.marks
+        expand = cache(self._ws.expand)
+        return tuple({expand(nu): expand(ptr) for nu, ptr in row.items()} for row in self.marks)
 
     def row(self, j: int) -> dict[InputVector, InputVector]:
         return self.rows[j - 1]
 
     @property
     def succeeded(self) -> bool:
-        return (0,) * len(self.nu_in) in self.rows[0]
+        # Row 1 can mark only the zero vector, the one R(., 0) accepts.
+        return any(not any(nu) for nu in self.marks[0])
 
 
 class _Workspace:
@@ -195,6 +228,11 @@ class _Workspace:
         agent prefix p_1..p_j stops (0 for j = 0, which keeps nothing)."""
         return self.reach[j - 1][0] if j else 0
 
+    def small_kept(self, nu0: int, j: int) -> int:
+        """The length of the small prefix R(nu, j) keeps: the sweep's two
+        stopping rules."""
+        return min(self.small_len[nu0], self.small_cap(j))
+
     def remainder(self, nu: InputVector, j: int) -> Optional[list[int]]:
         """The item positions of R(nu, j) for a full vector nu <= nu_in, or
         None when a big item strands: the small prefix that ``forward`` sums
@@ -204,7 +242,7 @@ class _Workspace:
             # only the all-zero vector is valid and yields the empty graph.
             return [] if not any(nu) else None
         reach = self.reach[j - 1]
-        items = self.small_positions[:min(self.small_len[nu[0]], self.small_cap(j))]
+        items = self.small_positions[:self.small_kept(nu[0], j)]
         for c, top in zip(self.active[1:], reach[1:]):
             if nu[c] > top:
                 return None  # stranded big item
@@ -268,25 +306,36 @@ def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, tuple[InputVector, 
 
     A candidate's remainder weight is a sum of table entries: the small
     prefix its nu_0 keeps, cut at the row's ``small_cap``, plus the prefix
-    weight of each big coordinate (module docstring).
+    weight of each big coordinate (module docstring).  A box's coordinate-0
+    range starts past the previous predecessor's nu_0 when that predecessor
+    settled the part below (module docstring).
     """
     bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
     up = ws.up
     small_len, small_prefix = ws.small_len, ws.small_prefix
+    # small_prefix[min(small_len[x], cap)] for every cap: small_len does not
+    # decrease, so each row keeps a prefix of this list and pads with the cap.
+    small_weight = [small_prefix[x] for x in small_len]
     # Row n+1: the instance's vector, with no pointer; it reconstructs to
     # every item.
     above = {ws.nu_active: (None, sum(ws.weight), len(ws.small_positions))}
     for j in range(len(ws.order), 0, -1):
         cap = ws.small_cap(j - 1)
-        tables = [[small_prefix[min(x, cap)] for x in small_len]] + ws.prefix_weight[1:]
+        cut = bisect_right(small_len, cap)
+        tables = [small_weight[:cut] + [small_prefix[cap]] * (len(small_len) - cut),
+                  *ws.prefix_weight[1:]]
         row: dict[InputVector, tuple[InputVector, int, int]] = {}
+        last_big, last_nu0, last_limit = None, 0, 0
         for nu_prev in sorted(above):
             _, before_total, before_small = above[nu_prev]
             # The bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after.
             limit = before_total - bound
+            box = ws.windows(nu_prev, before_small, j)
+            if nu_prev[1:] == last_big and (last_limit >= limit if up else last_limit <= limit):
+                box[0] = range(max(box[0].start, last_nu0 + 1), box[0].stop)
+            last_big, last_nu0, last_limit = nu_prev[1:], nu_prev[0], limit
             # The unmarked candidates, in lexicographic order.
-            for nu in filterfalse(row.__contains__,
-                                  product(*ws.windows(nu_prev, before_small, j))):
+            for nu in filterfalse(row.__contains__, product(*box)):
                 after = sum(map(getitem, tables, nu))
                 if (after <= limit) if up else (after >= limit):
                     row[nu] = (nu_prev, after, min(small_len[nu[0]], cap))
@@ -299,10 +348,8 @@ def forward(rounded: RoundedInstance) -> DPTable:
     smallest) marked predecessor vector in row j+1.
     """
     ws = _Workspace(rounded)
-    rows = list(_mark_rows(ws))[::-1]  # rows 1..n
-    expand = cache(ws.expand)
-    return DPTable(ws.nu_in, tuple({expand(nu): expand(mark[0]) for nu, mark in row.items()}
-                                   for row in rows), ws)
+    marks = [{nu: mark[0] for nu, mark in row.items()} for row in _mark_rows(ws)]
+    return DPTable(ws.nu_in, tuple(marks[::-1]), ws)  # rows 1..n
 
 
 def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
@@ -310,19 +357,26 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
 
     Raises LookupError when the forward phase recorded no success.
     """
-    ws = table._ws or _Workspace(rounded)
-    n = rounded.instance.n
-    zero = rounded.scheme.zero_vector()
-    if zero not in table.row(1):
+    if not table.succeeded:
         raise LookupError("dynamic program recorded no feasible assignment")
-    chain = [zero]
-    for j in range(1, n + 1):
-        chain.append(table.row(j)[chain[-1]])
+    ws = table._ws or _Workspace(rounded)
+    # forward's marks run over ws.active; a table built from full rows, over
+    # every coordinate.
+    coords = ws.active if table._ws else range(len(ws.positions))
+    chain = [(0,) * len(coords)]
+    for row in table.marks:
+        chain.append(row[chain[-1]])
     # chain[j] is the vector marked at row j (chain[0] = zero for "row 0"),
-    # chain[n] = nu_in.  Bundle j = items(retrieve(chain[j], j)) minus
-    # items(retrieve(chain[j-1], j-1)).
-    items = [ws.remainder(nu, j) for j, nu in enumerate(chain)]
-    bundles = {ws.order[j - 1]: set(items[j]).difference(items[j - 1]) for j in range(1, n + 1)}
+    # chain[n] the instance's vector.  R(chain[j-1], j-1) is a per-coordinate
+    # prefix of R(chain[j], j) (module docstring, (ii)), so bundle j is the
+    # slice of each coordinate's positions between the two prefix lengths.
+    small = [ws.small_kept(nu[0], j) for j, nu in enumerate(chain)]
+    bundles = {}
+    for j in range(1, len(chain)):
+        items = ws.small_positions[small[j - 1]:small[j]]
+        for c, a, b in zip(coords[1:], chain[j - 1][1:], chain[j][1:]):
+            items += ws.positions[c][a:b]
+        bundles[ws.order[j - 1]] = items
     return assignment_from_positions(rounded.instance, bundles)
 
 

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convalloc import (Agent, ConvexInstance, Item, Mode, SolveError, backward,
-                       decide, forward, gen_inclusion_free, retrieve,
+                       decide, dp_engine, forward, gen_inclusion_free, retrieve,
                        round_instance, scale, scheme, solve_maxmin,
                        solve_minmax, solve_rounded, verify)
 from convalloc.dp_engine import (BUNDLE_MARGIN, DPTable, _mark_rows, _Workspace,
                                  trace_lines)
+from convalloc.hall import minmax_lower_bound
 from convalloc.instance_model import lexicographic_order
 from convalloc.rounding import input_vector
 
@@ -381,6 +382,9 @@ def test_forward_matches_dense_enumeration(mode, k):
         pruned, dense = forward(rd), dense_forward(rd)
         assert pruned.rows == dense.rows
         assert trace_lines(pruned) == trace_lines(dense)
+        if pruned.succeeded:
+            # a table of full rows, built without forward, gives the same bundles
+            assert backward(dense, rd) == backward(pruned, rd)
         marked += sum(len(row) for row in pruned.rows)
         succeeded.append(pruned.succeeded)
     assert marked > 0
@@ -510,6 +514,117 @@ def test_carried_weights_are_the_reconstructions(mode, k):
 @drawn
 def test_carried_weights_on_drawn_instances(seed, mode, k, shape, factor):
     check_carried_weights(drawn_rounded(seed, mode, k, shape, factor))
+
+
+def counting_product(monkeypatch):
+    """Count the candidates ``_mark_rows`` enumerates; returns the tally."""
+    tally = [0]
+
+    def product(*ranges):
+        for nu in itertools.product(*ranges):
+            tally[0] += 1
+            yield nu
+    monkeypatch.setattr(dp_engine, "product", product)
+    return tally
+
+
+def full_boxes(ws, rows):
+    """The candidates of every predecessor's whole box, summed over the
+    rows, and the distinct candidates of each row, summed the same way."""
+    total = distinct = 0
+    above = {ws.nu_active: (None, sum(ws.weight), len(ws.small_positions))}
+    for j, row in zip(range(len(ws.order), 0, -1), rows):
+        boxes = [list(itertools.product(*ws.windows(nu_prev, before_small, j)))
+                 for nu_prev, (_, _, before_small) in above.items()]
+        total += sum(map(len, boxes))
+        distinct += len(set().union(*boxes))
+        above = row
+    return total, distinct
+
+
+@pytest.mark.parametrize("case, skips", [
+    # Min-Max budgets grow with nu_0: the skip holds for every pair of
+    # predecessors with equal big coordinates.
+    ("minmax-all-small-k4", True),
+    ("minmax-all-small-k8", True),
+    ("minmax-seven-coordinates", True),
+    # Max-Min budgets shrink as nu_0 grows; none of these tie.
+    ("maxmin-growing-budgets", False),
+    # The small length saturates at the cap, so two predecessors tie.
+    ("maxmin-tie", True),
+])
+def test_skipped_candidates_were_settled(case, skips, monkeypatch):
+    # Cutting a box's coordinate-0 range below the previous predecessor's
+    # nu_0 leaves marks, pointers, carried weights and small lengths as the
+    # dense enumeration and the reference reconstruction give them.
+    rd = {
+        "minmax-all-small-k4": lambda: guess_instances(Mode.MINMAX, 4)[-1],
+        "minmax-all-small-k8": lambda: guess_instances(Mode.MINMAX, 8)[-1],
+        "minmax-seven-coordinates": lambda: drawn_rounded(3, Mode.MINMAX, 6, (5, 8), 1),
+        "maxmin-growing-budgets": lambda: drawn_rounded(55, Mode.MAXMIN, 6, (5, 22), Fraction(5, 4)),
+        "maxmin-tie": lambda: drawn_rounded(1, Mode.MAXMIN, 4, (3, 4), 1),
+    }[case]()
+    ws = _Workspace(rd)
+    tally = counting_product(monkeypatch)
+    rows = list(_mark_rows(ws))
+    total, distinct = full_boxes(ws, rows)
+    assert (tally[0] < total) is skips
+    if len(ws.active) == 1 and not ws.up:
+        # On nu_0 alone every Min-Max box starts past the previous one.
+        assert tally[0] == distinct
+    n = rd.instance.n
+    dense = dense_forward(rd).rows
+    for j, row in zip(range(n, 0, -1), rows):
+        assert {ws.expand(nu): ws.expand(mark[0]) for nu, mark in row.items()} == dense[j - 1]
+    assert check_carried_weights(rd) > 0
+    # The pairs the skip compares: consecutive sorted predecessors with equal
+    # big coordinates, and how their carried weights and small lengths relate.
+    pairs = []
+    above = {ws.nu_active: (None, sum(ws.weight), len(ws.small_positions))}
+    for j, row in zip(range(n, 0, -1), rows):
+        ordered = sorted(above)
+        for a, b in zip(ordered, ordered[1:]):
+            if a[1:] == b[1:]:
+                pairs.append((above[a][1:], above[b][1:], ws.small_cap(j)))
+        above = row
+    assert pairs
+    if case == "maxmin-growing-budgets":
+        assert all(wa < wb for (wa, _), (wb, _), _ in pairs)
+    if case == "maxmin-tie":
+        assert any(wa == wb and la == lb == cap for (wa, la), (wb, lb), cap in pairs)
+
+
+def test_golden_wide_decide_enumerates_few_repeats(monkeypatch):
+    # The first decide of the golden Min-Max n=12, m=120 case, at t = L:
+    # every item is small, and without the skip the rows enumerate 14.7
+    # candidates per mark.
+    inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
+    rd = rounded(scale(inst, minmax_lower_bound(inst)), 8)
+    assert len(_Workspace(rd).active) == 1
+    tally = counting_product(monkeypatch)
+    table = forward(rd)
+    marks = sum(map(len, table.marks))
+    assert table.succeeded and 0 < tally[0] <= 2 * marks
+
+
+def test_solve_rounded_builds_no_full_rows(monkeypatch):
+    # Full vectors are built only when a caller reads the rows: an untraced
+    # solve expands nothing but the workspace's own nu_in.
+    expanded = [0]
+    expand = _Workspace.expand
+
+    def counting_expand(self, nu):
+        expanded[0] += 1
+        return expand(self, nu)
+    monkeypatch.setattr(_Workspace, "expand", counting_expand)
+    inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
+    rd = rounded(scale(inst, minmax_lower_bound(inst)), 8)
+    assignment, table = solve_rounded(rd)
+    assert assignment is not None
+    assert expanded[0] <= rd.instance.n + 1
+    assert "rows" not in vars(table)
+    assert rd.scheme.zero_vector() in table.row(1)  # the first read builds them
+    assert "rows" in vars(table) and expanded[0] > rd.instance.n + 1
 
 
 @drawn
