@@ -120,9 +120,7 @@ def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
     maxmin = inst.mode is Mode.MAXMIN
     _require_one_assignment(rounded, one_assignment)
 
-    order = lexicographic_order(inst)
-    lows = [inst.agents[i].lo for i in order]
-    highs = [inst.agents[i].hi for i in order]
+    order, lows, highs = inst.lex
     n = inst.n
     bundles_in = _lex_bundles(rounded, one_assignment)
     if sorted(p for bundle in bundles_in for p in bundle) != list(range(1, inst.m + 1)):

@@ -110,8 +110,7 @@ from itertools import filterfalse, product
 from operator import getitem
 from typing import Iterator, Optional
 
-from .instance_model import (Assignment, Mode, assignment_from_positions,
-                             integer_values, lexicographic_order)
+from .instance_model import Assignment, Mode, assignment_from_positions, integer_values
 from .rounding import InputVector, RoundedInstance, small_units
 
 # The bundle rule's margin in units of 1/k: an agent's bundle must be worth at
@@ -126,21 +125,19 @@ class DPTable:
 
     Only marked entries are stored; row n entries point at the full
     instance's vector (row n+1, which is not stored).  ``marks[j-1]`` holds
-    row j over the active coordinates of the workspace ``forward`` keeps on
-    the table for ``backward``, or over every coordinate for a table built
-    without one.  ``rows`` holds the same rows as full (nu_0, ..., nu_C)
-    vectors; it is built on its first read (by ``row``, ``trace_lines`` or
-    a caller), which ``solve_rounded`` never makes.
+    row j over the active coordinates of the workspace ``_ws``, which
+    ``forward`` keeps on the table for ``backward``.  ``rows`` holds the
+    same rows as full (nu_0, ..., nu_C) vectors; it is built on its first
+    read (by ``row``, ``trace_lines`` or a caller), which ``solve_rounded``
+    never makes.
     """
     nu_in: InputVector
     marks: tuple[dict[InputVector, InputVector], ...]
-    _ws: Optional[_Workspace] = field(default=None, compare=False, repr=False)
+    _ws: _Workspace = field(compare=False, repr=False)
 
     @cached_property
     def rows(self) -> tuple[dict[InputVector, InputVector], ...]:
         """Index j-1 holds row j over every coordinate."""
-        if self._ws is None:
-            return self.marks
         expand = cache(self._ws.expand)
         return tuple({expand(nu): expand(ptr) for nu, ptr in row.items()} for row in self.marks)
 
@@ -177,10 +174,8 @@ class _Workspace:
     def __init__(self, rounded: RoundedInstance):
         inst = rounded.instance
         sch = rounded.scheme
-        self.order = order = lexicographic_order(inst)
-        self.lows = [inst.agents[i].lo for i in order]
-        self.highs = [inst.agents[i].hi for i in order]
-        if not (order and self.lows[0] == 1 and self.highs[-1] == inst.m
+        self.order, self.lows, self.highs = inst.lex
+        if not (self.order and self.lows[0] == 1 and self.highs[-1] == inst.m
                 and all(a <= b for a, b in zip(self.highs, self.highs[1:]))):
             raise ValueError("the dynamic program needs agents whose intervals start "
                              "at item 1, end at item m and are inclusion-free")
@@ -359,11 +354,8 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
     """
     if not table.succeeded:
         raise LookupError("dynamic program recorded no feasible assignment")
-    ws = table._ws or _Workspace(rounded)
-    # forward's marks run over ws.active; a table built from full rows, over
-    # every coordinate.
-    coords = ws.active if table._ws else range(len(ws.positions))
-    chain = [(0,) * len(coords)]
+    ws = table._ws
+    chain = [(0,) * len(ws.active)]
     for row in table.marks:
         chain.append(row[chain[-1]])
     # chain[j] is the vector marked at row j (chain[0] = zero for "row 0"),
@@ -374,7 +366,7 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
     bundles = {}
     for j in range(1, len(chain)):
         items = ws.small_positions[small[j - 1]:small[j]]
-        for c, a, b in zip(coords[1:], chain[j - 1][1:], chain[j][1:]):
+        for c, a, b in zip(ws.active[1:], chain[j - 1][1:], chain[j][1:]):
             items += ws.positions[c][a:b]
         bundles[ws.order[j - 1]] = items
     return assignment_from_positions(rounded.instance, bundles)

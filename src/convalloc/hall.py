@@ -9,9 +9,10 @@ matching in a convex bipartite graph", Naval Res. Logistics Q. 14, 1967).
 So each mode has one O(n^2) sweep over the runs i..j of that order, on
 integer weights over one common denominator, and both its check and its
 bound read it; a run's demand or allowed load is a prefix-sum difference
-over the ranks.  A Max-Min witness is a tight interval (see
-``_maxmin_runs``).  A subset-enumeration oracle cross-validates the checks
-on small instances.
+over the ranks.  The order and its endpoints are the instance's ``lex``,
+and each agent's demand (Max-Min) or allowed load (Min-Max) is its own
+``demand``.  A Max-Min witness is a tight interval (see ``_maxmin_runs``).
+A subset-enumeration oracle cross-validates the checks on small instances.
 
 With every demand (Max-Min) or every allowed load (Min-Max) equal to one
 number t, the interval condition solved for t bounds the optimum:
@@ -36,7 +37,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Iterator, Optional, Sequence
 
-from .instance_model import ConvexInstance, Mode, coverage_ranges, lexicographic_order
+from .instance_model import ConvexInstance, Mode, coverage_ranges
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -50,32 +51,21 @@ class HallWitness:
     rhs: Fraction
 
 
-def _resolve_demands(instance: ConvexInstance,
-                     demands: Optional[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    if demands is None:
-        return tuple(a.demand for a in instance.agents)
-    if len(demands) != instance.n:
-        raise ValueError(f"expected {instance.n} demand entries, got {len(demands)}")
-    return tuple(Fraction(d) for d in demands)
-
-
 def _lex_profile(instance: ConvexInstance
-                 ) -> tuple[tuple[int, ...], list[int], list[int], int, list[int]]:
-    """The lexicographic order, its lows and highs, the common denominator D
-    of the instance's integer view, and the prefix sums of its weights D v.
-    Raises ValueError with no agents, or when the highs decrease (a nesting)."""
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, list[int]]:
+    """The instance's ``lex`` (order, lows, highs), the common denominator D
+    of its integer view, and the prefix sums of its weights D v.  Raises
+    ValueError with no agents, or when the highs decrease (a nesting)."""
     if not instance.agents:
         raise ValueError("instance has no agents")
-    order = lexicographic_order(instance)
-    lows = [instance.agents[i].lo for i in order]
-    highs = [instance.agents[i].hi for i in order]
-    if highs != sorted(highs):
+    order, lows, highs = instance.lex
+    if any(a > b for a, b in zip(highs, highs[1:])):
         raise ValueError("the highs decrease in lexicographic order: not inclusion-free")
     weights, denom = instance.integers
     return order, lows, highs, denom, list(accumulate(weights, initial=0))
 
 
-def _maxmin_runs(lows: list[int], highs: list[int],
+def _maxmin_runs(lows: Sequence[int], highs: Sequence[int],
                  prefix: list[int]) -> Iterator[tuple[int, int, int]]:
     """(i, j, w) for each maximal run i..j of lexicographic ranks, in
     (lo_i, hi_j) order: no rank before i has lo_i and none after j has hi_j,
@@ -93,7 +83,7 @@ def _maxmin_runs(lows: list[int], highs: list[int],
                     yield i, j, prefix[highs[j]] - before
 
 
-def _minmax_runs(lows: list[int], highs: list[int],
+def _minmax_runs(lows: Sequence[int], highs: Sequence[int],
                  prefix: list[int]) -> Iterator[tuple[int, int, int]]:
     """(i, j, w) for each run i..j of lexicographic ranks, i then j
     ascending, with w the integer work of the jobs confined to it: those
@@ -109,16 +99,14 @@ def _minmax_runs(lows: list[int], highs: list[int],
             yield i, j, (prefix[ends[j]] - before if ends[j] > start else 0)
 
 
-def _violations(instance: ConvexInstance, mode: Mode,
-                weights: Optional[Sequence[Fraction]]) -> Iterator[HallWitness]:
+def _violations(instance: ConvexInstance, mode: Mode) -> Iterator[HallWitness]:
     """The violated runs of ``mode``'s sweep, in sweep order."""
     if instance.mode is not mode:
         raise ValueError(f"expected a {mode.value} instance, got {instance.mode.value}")
-    demands = _resolve_demands(instance, weights)
     if not instance.agents:
         return
     order, lows, highs, denom, prefix = _lex_profile(instance)
-    sums = list(accumulate((demands[i] for i in order), initial=Fraction(0)))
+    sums = list(accumulate((instance.agents[i].demand for i in order), initial=Fraction(0)))
     if mode is Mode.MAXMIN:
         for i, j, w in _maxmin_runs(lows, highs, prefix):
             value, demand = Fraction(w, denom), sums[j + 1] - sums[i]
@@ -131,35 +119,29 @@ def _violations(instance: ConvexInstance, mode: Mode,
                 yield HallWitness(i + 1, j + 1, work, load)
 
 
-def check_hall_maxmin(instance: ConvexInstance,
-                      demands: Optional[Sequence[Fraction]] = None) -> Optional[HallWitness]:
+def check_hall_maxmin(instance: ConvexInstance) -> Optional[HallWitness]:
     """First tight item interval [lo,hi], in (lo, hi) order, with
     val([lo,hi]) < sum of demands of agents fully inside it; None if Hall
     holds.  Every violated item interval contains a violated tight one.
     Raises ValueError when the instance is not inclusion-free.
     """
-    return next(_violations(instance, Mode.MAXMIN, demands), None)
+    return next(_violations(instance, Mode.MAXMIN), None)
 
 
-def all_hall_violations_maxmin(instance: ConvexInstance,
-                               demands: Optional[Sequence[Fraction]] = None
-                               ) -> tuple[HallWitness, ...]:
-    return tuple(_violations(instance, Mode.MAXMIN, demands))
+def all_hall_violations_maxmin(instance: ConvexInstance) -> tuple[HallWitness, ...]:
+    return tuple(_violations(instance, Mode.MAXMIN))
 
 
-def check_hall_minmax(instance: ConvexInstance,
-                      loads: Optional[Sequence[Fraction]] = None) -> Optional[HallWitness]:
+def check_hall_minmax(instance: ConvexInstance) -> Optional[HallWitness]:
     """First machine interval [lo,hi] (lex ranks) whose enclosed jobs exceed
     the interval's total allowable load; None if Hall holds.  Raises
     ValueError when the instance is not inclusion-free.
     """
-    return next(_violations(instance, Mode.MINMAX, loads), None)
+    return next(_violations(instance, Mode.MINMAX), None)
 
 
-def all_hall_violations_minmax(instance: ConvexInstance,
-                               loads: Optional[Sequence[Fraction]] = None
-                               ) -> tuple[HallWitness, ...]:
-    return tuple(_violations(instance, Mode.MINMAX, loads))
+def all_hall_violations_minmax(instance: ConvexInstance) -> tuple[HallWitness, ...]:
+    return tuple(_violations(instance, Mode.MINMAX))
 
 
 def maxmin_upper_bound(instance: ConvexInstance) -> tuple[Fraction, bool]:
@@ -194,9 +176,7 @@ def minmax_lower_bound(instance: ConvexInstance) -> Fraction:
     return Fraction(best_w, denom * best_c)
 
 
-def check_hall_bruteforce(instance: ConvexInstance,
-                          weights: Optional[Sequence[Fraction]] = None
-                          ) -> Optional[tuple[str, ...]]:
+def check_hall_bruteforce(instance: ConvexInstance) -> Optional[tuple[str, ...]]:
     """Subset-enumeration oracle for the interval checks.
 
     Max-Min: enumerates agent subsets, smallest first, and returns the ids of
@@ -207,24 +187,21 @@ def check_hall_bruteforce(instance: ConvexInstance,
     if instance.mode is Mode.MAXMIN:
         if instance.n > BRUTE_FORCE_LIMIT:
             raise ValueError(f"brute-force Hall check limited to {BRUTE_FORCE_LIMIT} agents")
-        demands = _resolve_demands(instance, weights)
         for size in range(1, instance.n + 1):
             for subset in combinations(range(instance.n), size):
                 covered: set[int] = set()
                 for i in subset:
                     covered.update(range(instance.agents[i].lo, instance.agents[i].hi + 1))
                 value = sum((instance.value_at(p) for p in covered), Fraction(0))
-                demand = sum((demands[i] for i in subset), Fraction(0))
+                demand = sum((instance.agents[i].demand for i in subset), Fraction(0))
                 if value < demand:
                     return tuple(instance.agents[i].id for i in subset)
         return None
 
     if instance.m > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute-force Hall check limited to {BRUTE_FORCE_LIMIT} jobs")
-    loads = _resolve_demands(instance, weights)
-    order = lexicographic_order(instance)
     ranges = coverage_ranges(instance)
-    loads_by_rank = [loads[order[r - 1]] for r in range(1, instance.n + 1)]
+    loads_by_rank = [instance.agents[i].demand for i in instance.lex[0]]
     for size in range(1, instance.m + 1):
         for subset in combinations(range(1, instance.m + 1), size):
             machines: set[int] = set()

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 def integer_values(values: Sequence[Fraction], base: int = 1) -> tuple[tuple[int, ...], int]:
@@ -107,10 +107,13 @@ class ConvexInstance:
     values as integer numerators over one common denominator D, built by
     ``integer_values`` on first use and kept, so that validation, the Hall
     bounds, the search bracket, scaling, rounding and verification read
-    the same integers.  ``with_integers`` builds an instance around a view
-    already at hand: ``solver.scale`` hands its instance the view
-    ``(w t_den, D t_num)`` it computes anyway, a common denominator but not
-    always the least one.
+    the same integers.  ``lex`` is its agent view ``(order, lows, highs)``:
+    the agent indices in lexicographic (lo, hi) order and their endpoints in
+    that order.  ``with_items`` builds an instance with new items that
+    carries the source's ``lex``, so a solve sorts its agents once, and
+    takes an integer view at hand: ``solver.scale`` hands its instance the
+    view ``(w t_den, D t_num)`` it computes anyway, a common denominator but
+    not always the least one.
     """
 
     mode: Mode
@@ -132,6 +135,13 @@ class ConvexInstance:
     def integers(self) -> tuple[tuple[int, ...], int]:
         return integer_values([it.value for it in self.items])
 
+    @cached_property
+    def lex(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        # sorted is stable: agents with equal intervals keep their input order
+        spans = [(a.lo, a.hi) for a in self.agents]
+        order = tuple(sorted(range(self.n), key=spans.__getitem__))
+        return order, tuple(spans[i][0] for i in order), tuple(spans[i][1] for i in order)
+
     def total_value(self) -> Fraction:
         weights, denom = self.integers
         return Fraction(sum(weights), denom)
@@ -143,16 +153,19 @@ class ConvexInstance:
         raise KeyError(item_id)
 
 
-def with_integers(mode: Mode, items: tuple[Item, ...], agents: tuple[Agent, ...],
-                  integers: tuple[tuple[int, ...], int]) -> ConvexInstance:
-    """A ``ConvexInstance`` whose integer view is ``integers``, not derived.
-
-    ``integers`` is ``(weights, D)`` with ``weights[i] / D`` the value of
-    ``items[i]``; D need not be the least common denominator.
+def with_items(source: ConvexInstance, items: tuple[Item, ...],
+               integers: Optional[tuple[tuple[int, ...], int]] = None) -> ConvexInstance:
+    """``source`` with new ``items``: its mode, agents and ``lex``, and, when
+    given, the integer view ``integers``, ``(weights, D)`` with
+    ``weights[i] / D`` the value of ``items[i]``; D need not be the least
+    common denominator.
     """
-    out = ConvexInstance(mode, items, agents)
+    out = ConvexInstance(source.mode, items, source.agents)
     # a value in the instance's __dict__ is what the cached_property returns
-    vars(out)["integers"] = integers
+    cached = vars(out)
+    cached["lex"] = source.lex
+    if integers is not None:
+        cached["integers"] = integers
     return out
 
 
@@ -223,11 +236,11 @@ def validate(instance: ConvexInstance) -> ValidationReport:
 
     # Inclusion-freeness: in lexicographic (lo, hi) order the hi endpoints
     # must be non-decreasing; a decrease exhibits a margined inclusion.
-    order = lexicographic_order(instance)
+    order, _, highs = instance.lex
     for k in range(1, len(order)):
-        p = instance.agents[order[k - 1]]
-        q = instance.agents[order[k]]
-        if q.hi < p.hi:
+        if highs[k] < highs[k - 1]:
+            p = instance.agents[order[k - 1]]
+            q = instance.agents[order[k]]
             out.append(Violation("margined-inclusion", (p.id, q.id),
                                  f"margined inclusion ({p.id},{q.id}): "
                                  f"[{q.lo},{q.hi}] strictly inside [{p.lo},{p.hi}]"))
@@ -247,8 +260,7 @@ def validate(instance: ConvexInstance) -> ValidationReport:
 
 def lexicographic_order(instance: ConvexInstance) -> tuple[int, ...]:
     """Agent indices sorted by (lo, hi); ties keep input order (stable)."""
-    return tuple(sorted(range(instance.n), key=lambda i: (instance.agents[i].lo,
-                                                          instance.agents[i].hi)))
+    return instance.lex[0]
 
 
 def stranded_items(instance: ConvexInstance, items: Iterable[int], j: int) -> frozenset[int]:

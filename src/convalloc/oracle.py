@@ -17,8 +17,7 @@ from itertools import product
 from typing import Optional
 
 from .instance_model import (Assignment, ConvexInstance, Mode,
-                             assignment_from_positions, lexicographic_order,
-                             validate)
+                             assignment_from_positions, validate)
 
 MAX_AGENTS = 6
 MAX_ITEMS = 64
@@ -30,13 +29,9 @@ class OracleSizeError(Exception):
 
 
 def _prepare(instance: ConvexInstance):
-    order = lexicographic_order(instance)
-    lows = [instance.agents[i].lo for i in order]
-    highs = [instance.agents[i].hi for i in order]
-    n, m = len(order), instance.m
-
-    weights, denom = instance.integers
-    weight = [0, *weights]
+    _, lows, highs = instance.lex
+    m = instance.m
+    weight = [0, *instance.integers[0]]
 
     # Cells: maximal position ranges not crossing any interval endpoint.
     cuts = sorted({1, m + 1} | set(lows) | {h + 1 for h in highs})
@@ -50,7 +45,7 @@ def _prepare(instance: ConvexInstance):
             by_weight.setdefault(weight[p], []).append(p)
         for w in sorted(by_weight):
             groups.append(((lo, hi), w, tuple(by_weight[w])))
-    return order, lows, highs, denom, groups
+    return groups
 
 
 def _solve(instance: ConvexInstance, maximize_min: bool,
@@ -63,7 +58,8 @@ def _solve(instance: ConvexInstance, maximize_min: bool,
     if not report.ok:
         raise ValueError(f"oracle requires a valid instance: {report.violations[0].message}")
 
-    order, lows, highs, denom, groups = _prepare(instance)
+    order, lows, highs = instance.lex
+    groups = _prepare(instance)
     n = len(order)
     sentinel_low = instance.m + 1  # treat the (n+1)-th agent as starting past the end
 
@@ -92,6 +88,13 @@ def _solve(instance: ConvexInstance, maximize_min: bool,
     unit = [w for (_, w, _) in groups]
     size = [len(pos) for (_, _, pos) in groups]
 
+    def available(j: int, carry: tuple[int, ...]) -> dict[int, int]:
+        """Untaken items per group at step j: the carry plus fresh groups."""
+        avail = dict(zip(step_optional[j - 1] if j > 0 else [], carry))
+        for gi in fresh[j]:
+            avail[gi] = size[gi]
+        return avail
+
     work = 0
     memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
 
@@ -105,9 +108,7 @@ def _solve(instance: ConvexInstance, maximize_min: bool,
         hit = memo.get(key)
         if hit is not None:
             return hit
-        avail = {gi: c for gi, c in zip(step_optional[j - 1] if j > 0 else [], carry)}
-        for gi in fresh[j]:
-            avail[gi] = size[gi]
+        avail = available(j, carry)
         base = sum(unit[gi] * avail.get(gi, 0) for gi in step_forced[j])
         optional = step_optional[j]
         best: Optional[int] = None
@@ -144,9 +145,7 @@ def _solve(instance: ConvexInstance, maximize_min: bool,
     bundles: dict[int, list[int]] = {i: [] for i in range(n)}
     carry: tuple[int, ...] = ()
     for j in range(n):
-        avail = {gi: c for gi, c in zip(step_optional[j - 1] if j > 0 else [], carry)}
-        for gi in fresh[j]:
-            avail[gi] = size[gi]
+        avail = available(j, carry)
         _, take = memo[(j, carry)]
         agent = order[j]
         for gi in step_forced[j]:
@@ -159,7 +158,7 @@ def _solve(instance: ConvexInstance, maximize_min: bool,
         carry = tuple(avail.get(gi, 0) - t for gi, t in zip(step_optional[j], take))
 
     witness = assignment_from_positions(instance, bundles)
-    return Fraction(objective, denom), witness
+    return Fraction(objective, instance.integers[1]), witness
 
 
 def opt_maxmin(instance: ConvexInstance,

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .instance_model import ConvexInstance, Item, Mode
+from .instance_model import ConvexInstance, Item, Mode, with_items
 
 
 InputVector = tuple[int, ...]
@@ -158,8 +158,7 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
     rounded, cats = _round_values([it.value for it in items], *instance.integers, sch)
     rounded_items = tuple(it if rv is it.value else Item(it.id, rv)
                           for it, rv in zip(items, rounded))
-    return RoundedInstance(ConvexInstance(instance.mode, rounded_items, instance.agents),
-                           sch, tuple(cats))
+    return RoundedInstance(with_items(instance, rounded_items), sch, tuple(cats))
 
 
 def small_units(total: Fraction, sch: RoundingScheme) -> int:

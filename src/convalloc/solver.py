@@ -26,7 +26,7 @@ from . import dp_engine
 from .hall import maxmin_upper_bound, minmax_lower_bound
 from .instance_model import (Assignment, ConvexInstance, Item, Mode,
                              assignment_from_positions, lexicographic_order,
-                             partition_violations, validate, with_integers)
+                             partition_violations, validate, with_items)
 from .rounding import round_instance, scheme
 
 _ONE = Fraction(1)  # every clamped Max-Min value
@@ -88,7 +88,7 @@ def scale(instance: ConvexInstance, t: Fraction) -> Optional[ConvexInstance]:
         else:
             items.append(Item(it.id, Fraction(w, denom)))
             scaled.append(w)
-    return with_integers(instance.mode, tuple(items), instance.agents, (tuple(scaled), denom))
+    return with_items(instance, tuple(items), (tuple(scaled), denom))
 
 
 def decide(instance: ConvexInstance, t: Fraction, k: int,

@@ -9,6 +9,7 @@ M1: the scheduling twin of T1 (two machines, four jobs); optimum makespan
     11/10.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,13 @@ E1_LAYOUT = [
     ("c11", "c"), ("s6", "sq"), ("c12", "c"), ("c13", "c"), ("c14", "c"),
     ("c15", "c"),
 ]
+
+
+def with_demands(inst, demands):
+    """``inst`` with agent i's demand (Max-Min) or allowed load (Min-Max)
+    set to ``demands[i]``: the Hall checks read them from the agents."""
+    agents = tuple(replace(a, demand=d) for a, d in zip(inst.agents, demands, strict=True))
+    return ConvexInstance(inst.mode, inst.items, agents)
 
 
 @pytest.fixture

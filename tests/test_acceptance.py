@@ -22,6 +22,7 @@ from convalloc.cli import main as cli_main
 from convalloc.generator import gen_inclusion_free, gen_planted
 from convalloc.hall import all_hall_violations_maxmin, all_hall_violations_minmax
 from convalloc.instance_model import coverage_ranges
+from conftest import with_demands
 
 
 def report(label: str, ok: bool, detail: str) -> None:
@@ -90,15 +91,15 @@ def test_criterion_4_hall_equivalence():
         n = rng.randint(1, 5)
         m = rng.randint(n, 10)
         inst = gen_inclusion_free(rng.randint(0, 10**6), n, m, mode=mode)
-        weights = [Fraction(rng.randint(1, 24), rng.randint(1, 12))
-                   for _ in range(inst.n)]
+        inst = with_demands(inst, [Fraction(rng.randint(1, 24), rng.randint(1, 12))
+                                   for _ in range(inst.n)])
         if mode is Mode.MAXMIN:
-            interval = check_hall_maxmin(inst, weights)
-            flagged = all_hall_violations_maxmin(inst, weights)
+            interval = check_hall_maxmin(inst)
+            flagged = all_hall_violations_maxmin(inst)
         else:
-            interval = check_hall_minmax(inst, weights)
-            flagged = all_hall_violations_minmax(inst, weights)
-        subset = check_hall_bruteforce(inst, weights)
+            interval = check_hall_minmax(inst)
+            flagged = all_hall_violations_minmax(inst)
+        subset = check_hall_bruteforce(inst)
         if (interval is None) != (subset is None):
             mismatches += 1
             continue

@@ -26,6 +26,32 @@ def test_check(paths, capsys):
     assert lines == ["inclusion-free: ok", "hall: ok"]
 
 
+@pytest.mark.parametrize("json_flag", [False, True])
+@pytest.mark.parametrize("instance, witness", [
+    # one unit item against a demand of 2
+    ({"mode": "maxmin", "items": [{"id": "x1", "value": "1"}],
+      "agents": [{"id": "p1", "l": 1, "r": 1, "demand": "2"}]}, (1, 1, "1", "2")),
+    # both machines together confine all four jobs, 11/5 against loads 1 + 1
+    ({"mode": "minmax",
+      "items": [{"id": f"j{i}", "value": v} for i, v in enumerate(["3/5", "1/2", "1/2", "3/5"], 1)],
+      "agents": [{"id": "M1", "l": 1, "r": 3, "demand": "1"},
+                 {"id": "M2", "l": 2, "r": 4, "demand": "1"}]}, (1, 2, "11/5", "2")),
+])
+def test_check_reads_demands_and_loads_from_the_file(tmp_path, capsys, instance, witness,
+                                                     json_flag):
+    path = tmp_path / "demands.json"
+    path.write_text(json.dumps(instance))
+    assert main(["check", "-i", str(path)] + ["--json"] * json_flag) == 0
+    out = capsys.readouterr().out
+    lo, hi, lhs, rhs = witness
+    if json_flag:
+        assert json.loads(out) == {"valid": True, "violations": [],
+                                   "hall": {"lo": lo, "hi": hi, "lhs": lhs, "rhs": rhs}}
+    else:
+        assert out.splitlines() == ["inclusion-free: ok", f"hall: violated on [{lo},{hi}] "
+                                    f"(value {lhs} vs demand {rhs})"]
+
+
 def test_check_invalid_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -303,7 +303,8 @@ def structure_ok(before_mask, after, window):
 
 def dense_forward(rd):
     """Every vector dominated by a marked predecessor, with the reference
-    reconstruction and every test; the new forward must mark the same rows."""
+    reconstruction and every test; the new forward must mark the same rows.
+    The table keeps them over ``ws.active``, as ``forward``'s does."""
     ws = _Workspace(rd)
     n = rd.instance.n
     lo_bound, hi_bound = ws.denom - 3 * ws.unit, ws.denom + 3 * ws.unit
@@ -328,7 +329,12 @@ def dense_forward(rd):
                 if (structure_ok(before_mask, after, windows[j - 1])
                         and bundle_ok(before_total - after[1])):
                     row[nu] = nu_prev
-    return DPTable(ws.nu_in, tuple(rows[:n]))
+
+    def active(nu):
+        return tuple(nu[c] for c in ws.active)
+
+    marks = tuple({active(nu): active(ptr) for nu, ptr in row.items()} for row in rows[:n])
+    return DPTable(ws.nu_in, marks, ws)
 
 
 def guess_instances(mode, k):
@@ -383,7 +389,7 @@ def test_forward_matches_dense_enumeration(mode, k):
         assert pruned.rows == dense.rows
         assert trace_lines(pruned) == trace_lines(dense)
         if pruned.succeeded:
-            # a table of full rows, built without forward, gives the same bundles
+            # the dense table's pointers give the same bundles
             assert backward(dense, rd) == backward(pruned, rd)
         marked += sum(len(row) for row in pruned.rows)
         succeeded.append(pruned.succeeded)

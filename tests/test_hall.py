@@ -15,6 +15,7 @@ from convalloc.hall import (HallWitness, all_hall_violations_maxmin, all_hall_vi
                             maxmin_upper_bound, minmax_lower_bound)
 from convalloc.instance_model import coverage_ranges, lexicographic_order
 from convalloc.generator import gen_inclusion_free
+from conftest import with_demands
 
 
 def test_e1_unit_demands_ok(e1):
@@ -36,9 +37,8 @@ def test_t1_unit_demands_ok(t1):
 
 
 def test_m1_loads(m1):
-    loads = [Fraction(11, 10)] * 2
-    assert check_hall_minmax(m1, loads) is None
-    witness = check_hall_minmax(m1, [Fraction(1)] * 2)
+    assert check_hall_minmax(with_demands(m1, [Fraction(11, 10)] * 2)) is None
+    witness = check_hall_minmax(with_demands(m1, [Fraction(1)] * 2))
     # [1,1] holds only j1 (3/5 <= 1); the first violated interval is [1,2]
     assert (witness.lo, witness.hi) == (1, 2)
     assert witness.lhs == Fraction(11, 5) and witness.rhs == Fraction(2)
@@ -48,10 +48,10 @@ def test_a_run_confining_no_job_has_no_work():
     # M2 alone confines no job: every job it can take, M1 or M3 can take too
     # (hi_M1 = 3 > lo_M3 - 1 = 2).  Only a negative allowed load shows it.
     items = tuple(Item(f"j{i}", Fraction(1)) for i in range(1, 6))
-    inst = ConvexInstance(Mode.MINMAX, items,
-                          (Agent("M1", 1, 3), Agent("M2", 2, 4), Agent("M3", 3, 5)))
-    loads = [Fraction(5), Fraction(-1), Fraction(5)]
-    assert all_hall_violations_minmax(inst, loads) == (
+    inst = ConvexInstance(Mode.MINMAX, items, (Agent("M1", 1, 3, Fraction(5)),
+                                               Agent("M2", 2, 4, Fraction(-1)),
+                                               Agent("M3", 3, 5, Fraction(5))))
+    assert all_hall_violations_minmax(inst) == (
         HallWitness(2, 2, Fraction(0), Fraction(-1)),)
 
 
@@ -85,15 +85,14 @@ def test_interval_and_subset_checks_agree(mode):
         n = rng.randint(1, 5)
         m = rng.randint(n, 10)
         inst = gen_inclusion_free(rng.randint(0, 10**6), n, m, mode=mode)
-        weights = random_demands(rng, inst.n)
+        inst = with_demands(inst, random_demands(rng, inst.n))
+        subset = check_hall_bruteforce(inst)
         if mode is Mode.MAXMIN:
-            interval = check_hall_maxmin(inst, weights)
-            subset = check_hall_bruteforce(inst, weights)
-            flagged = all_hall_violations_maxmin(inst, weights)
+            interval = check_hall_maxmin(inst)
+            flagged = all_hall_violations_maxmin(inst)
         else:
-            interval = check_hall_minmax(inst, weights)
-            subset = check_hall_bruteforce(inst, weights)
-            flagged = all_hall_violations_minmax(inst, weights)
+            interval = check_hall_minmax(inst)
+            flagged = all_hall_violations_minmax(inst)
         assert (interval is None) == (subset is None)
         if subset is not None:
             assert contained_in_some_flagged(inst, mode, subset, flagged)
@@ -153,7 +152,7 @@ def swept_upper_bound(inst):
     return min(ratios)
 
 
-def all_interval_violations(inst, weights):
+def all_interval_violations(inst):
     """Every violated interval as (lo, hi, lhs, rhs), in (lo, hi) order: each
     item interval against the demands of the agents inside it (Max-Min), each
     machine rank interval against its loads and confined jobs (Min-Max)."""
@@ -162,7 +161,7 @@ def all_interval_violations(inst, weights):
         for lo in range(1, inst.m + 1):
             for hi in range(lo, inst.m + 1):
                 value = sum((inst.value_at(p) for p in range(lo, hi + 1)), Fraction(0))
-                demand = sum((d for a, d in zip(inst.agents, weights)
+                demand = sum((a.demand for a in inst.agents
                               if lo <= a.lo and a.hi <= hi), Fraction(0))
                 if value < demand:
                     out.append((lo, hi, value, demand))
@@ -173,7 +172,8 @@ def all_interval_violations(inst, weights):
         for hi in range(lo, inst.n + 1):
             work = sum((inst.value_at(p) for p in range(1, inst.m + 1)
                         if lo <= ranges[p - 1][0] and ranges[p - 1][1] <= hi), Fraction(0))
-            allowed = sum((weights[order[r - 1]] for r in range(lo, hi + 1)), Fraction(0))
+            allowed = sum((inst.agents[order[r - 1]].demand for r in range(lo, hi + 1)),
+                          Fraction(0))
             if work > allowed:
                 out.append((lo, hi, work, allowed))
     return out
@@ -253,18 +253,19 @@ def test_checks_match_the_all_interval_reference(seed, mode, shape, data):
     weights = data.draw(st.none() | st.lists(
         st.builds(Fraction, st.integers(1, 24), st.integers(1, 12)),
         min_size=inst.n, max_size=inst.n))
-    reference = all_interval_violations(
-        inst, [a.demand for a in inst.agents] if weights is None else weights)
+    if weights is not None:
+        inst = with_demands(inst, weights)
+    reference = all_interval_violations(inst)
     violated = bool(reference)
     if mode is Mode.MAXMIN:
-        verdict = check_hall_maxmin(inst, weights)
-        flagged = all_hall_violations_maxmin(inst, weights)
+        verdict = check_hall_maxmin(inst)
+        flagged = all_hall_violations_maxmin(inst)
         # the tight intervals are those whose ends are agent endpoints
         reference = [v for v in reference if v[0] in {a.lo for a in inst.agents}
                      and v[1] in {a.hi for a in inst.agents}]
     else:
-        verdict = check_hall_minmax(inst, weights)
-        flagged = all_hall_violations_minmax(inst, weights)
+        verdict = check_hall_minmax(inst)
+        flagged = all_hall_violations_minmax(inst)
     assert (verdict is not None) == violated
     assert [(w.lo, w.hi, w.lhs, w.rhs) for w in flagged] == reference
     assert verdict == (flagged[0] if flagged else None)

@@ -8,12 +8,14 @@ from functools import partial
 
 import pytest
 
-from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, decide,
+from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, decide, dp_engine,
                        gen_inclusion_free, opt_maxmin, opt_minmax, rounding,
                        scale, solve_maxmin, solve_minmax, solver, verify)
+from convalloc.dp_engine import DPTable, _Workspace
 from convalloc.hall import maxmin_upper_bound
 from convalloc import instance_model
 from convalloc.instance_model import integer_values, partition_violations
+from convalloc.rounding import RoundedInstance
 from convalloc.solver import SolveError, VerifyReport
 
 
@@ -93,6 +95,32 @@ def test_single_decide_solve_converts_the_values_once(monkeypatch):
     assert calls.count(own) == 1
     # the one other conversion is the DP workspace's, of the rounded values
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode, seed", [(Mode.MAXMIN, 0), (Mode.MINMAX, 160)])
+def test_a_solve_sorts_its_agents_once(monkeypatch, mode, seed):
+    # Six decides each (test_guess_sequence_is_pinned).  Every scaled and
+    # rounded instance carries the original's agent view, and the DP
+    # workspace reads its order there.
+    made = []
+
+    def recorded(fn):
+        def wrapper(*args):
+            made.append(fn(*args))
+            return made[-1]
+        return wrapper
+
+    for module, name in ((solver, "scale"), (solver, "round_instance"), (dp_engine, "forward")):
+        monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+    inst = gen_inclusion_free(seed, 4, 8, mode=mode)
+    (solve_maxmin if mode is Mode.MAXMIN else solve_minmax)(inst, 8)
+    scaled = [x for x in made if isinstance(x, ConvexInstance)]
+    rounded = [x for x in made if isinstance(x, RoundedInstance)]
+    tables = [x for x in made if isinstance(x, DPTable)]
+    assert len(tables) == len(rounded) == len(scaled) == 6
+    assert all(x.lex is inst.lex for x in scaled + [rd.instance for rd in rounded])
+    assert all(_Workspace(rd).order is inst.lex[0] for rd in rounded)
+    assert all(table._ws.order is inst.lex[0] for table in tables)
 
 
 def test_decide_examples(e1, t0):
