@@ -86,6 +86,10 @@ def _write(texts: dict[str, str]) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    paths = [os.path.realpath(path) for path in (args.output, args.trace) if path]
+    if len(paths) == 2 and paths[0] == paths[1]:
+        print(f"error: -o and --trace name the same file {args.output!r}", file=sys.stderr)
+        return 2
     instance = _load(args.input)
     mode = Mode(args.mode) if args.mode else instance.mode
     if mode is not instance.mode:

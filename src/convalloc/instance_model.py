@@ -109,11 +109,12 @@ class ConvexInstance:
     bounds, the search bracket, scaling, rounding and verification read
     the same integers.  ``lex`` is its agent view ``(order, lows, highs)``:
     the agent indices in lexicographic (lo, hi) order and their endpoints in
-    that order.  ``with_items`` builds an instance with new items that
-    carries the source's ``lex``, so a solve sorts its agents once, and
-    takes an integer view at hand: ``solver.scale`` hands its instance the
-    view ``(w t_den, D t_num)`` it computes anyway, a common denominator but
-    not always the least one.
+    that order.  ``ids`` is its id view ``({item id: position}, {agent id:
+    index})``; the first occurrence of a repeated id wins.  ``with_items``
+    builds an instance with new items that carries the source's ``lex`` and
+    ``ids``, so a solve sorts its agents once, and takes an integer view at
+    hand: ``solver.scale`` hands its instance the view ``(w t_den, D t_num)``
+    it computes anyway, a common denominator but not always the least one.
     """
 
     mode: Mode
@@ -142,28 +143,31 @@ class ConvexInstance:
         order = tuple(sorted(range(self.n), key=spans.__getitem__))
         return order, tuple(spans[i][0] for i in order), tuple(spans[i][1] for i in order)
 
+    @cached_property
+    def ids(self) -> tuple[dict[str, int], dict[str, int]]:
+        # built from the back, so that the first occurrence of an id wins
+        return ({it.id: p for p, it in zip(range(self.m, 0, -1), reversed(self.items))},
+                {a.id: i for i, a in zip(range(self.n - 1, -1, -1), reversed(self.agents))})
+
     def total_value(self) -> Fraction:
         weights, denom = self.integers
         return Fraction(sum(weights), denom)
 
     def item_index(self, item_id: str) -> int:
-        for pos, it in enumerate(self.items, start=1):
-            if it.id == item_id:
-                return pos
-        raise KeyError(item_id)
+        return self.ids[0][item_id]
 
 
 def with_items(source: ConvexInstance, items: tuple[Item, ...],
                integers: Optional[tuple[tuple[int, ...], int]] = None) -> ConvexInstance:
-    """``source`` with new ``items``: its mode, agents and ``lex``, and, when
-    given, the integer view ``integers``, ``(weights, D)`` with
-    ``weights[i] / D`` the value of ``items[i]``; D need not be the least
-    common denominator.
+    """``source`` with new ``items`` of the same ids: its mode, agents, ``lex``
+    and ``ids``, and, when given, the integer view ``integers``, ``(weights,
+    D)`` with ``weights[i] / D`` the value of ``items[i]``; D need not be the
+    least common denominator.
     """
     out = ConvexInstance(source.mode, items, source.agents)
     # a value in the instance's __dict__ is what the cached_property returns
     cached = vars(out)
-    cached["lex"] = source.lex
+    cached["lex"], cached["ids"] = source.lex, source.ids
     if integers is not None:
         cached["integers"] = integers
     return out
@@ -197,20 +201,17 @@ def validate(instance: ConvexInstance) -> ValidationReport:
     out: list[Violation] = []
     m = instance.m
     weights, denom = instance.integers
-
-    seen: set[str] = set()
-    for it, w in zip(instance.items, weights):
-        if it.id in seen:
+    # the id view names the first occurrence of each id; any other is a duplicate
+    item_pos, agent_index = instance.ids
+    for pos, (it, w) in enumerate(zip(instance.items, weights), start=1):
+        if item_pos[it.id] != pos:
             out.append(Violation("duplicate-id", (it.id,), f"duplicate item id {it.id!r}"))
-        seen.add(it.id)
         if w <= 0:
             out.append(Violation("nonpositive-value", (it.id,),
                                  f"item {it.id!r} has value {it.value} <= 0"))
-    seen = set()
-    for a in instance.agents:
-        if a.id in seen:
+    for i, a in enumerate(instance.agents):
+        if agent_index[a.id] != i:
             out.append(Violation("duplicate-id", (a.id,), f"duplicate agent id {a.id!r}"))
-        seen.add(a.id)
         if not (1 <= a.lo <= a.hi <= m):
             out.append(Violation("bad-interval", (a.id,),
                                  f"agent {a.id!r} interval [{a.lo},{a.hi}] not within [1,{m}]"))
@@ -288,8 +289,7 @@ class Assignment:
 
     def positions(self, instance: ConvexInstance) -> dict[int, tuple[int, ...]]:
         """Bundles as item positions keyed by agent index into instance.agents."""
-        pos_of = {it.id: p for p, it in enumerate(instance.items, start=1)}
-        agent_of = {a.id: i for i, a in enumerate(instance.agents)}
+        pos_of, agent_of = instance.ids
         return {agent_of[aid]: tuple(sorted(pos_of[x] for x in ids))
                 for aid, ids in self.bundles}
 
@@ -313,34 +313,34 @@ def partition_violations(instance: ConvexInstance, assignment: "Assignment",
     ``require_cover`` is set, that every item is assigned.
     """
     out: list[str] = []
-    agent_by_id = {a.id: a for a in instance.agents}
-    pos_of = {it.id: p for p, it in enumerate(instance.items, start=1)}
-    seen: dict[str, str] = {}
-    owners: set[str] = set()
+    pos_of, index_of = instance.ids
+    owner: dict[int, str] = {}  # item position -> the id of the agent holding it
+    owners: set[int] = set()
     for aid, ids in assignment.bundles:
-        agent = agent_by_id.get(aid)
-        if agent is None:
+        i = index_of.get(aid)
+        if i is None:
             out.append(f"unknown agent {aid!r}")
             continue
-        if aid in owners:
+        if i in owners:
             out.append(f"agent {aid!r} has more than one bundle")
-        owners.add(aid)
+        owners.add(i)
+        agent = instance.agents[i]
         for x in ids:
             pos = pos_of.get(x)
             if pos is None:
                 out.append(f"unknown item {x!r} in bundle of {aid!r}")
                 continue
-            if x in seen:
-                out.append(f"item {x!r} assigned to both {seen[x]!r} and {aid!r}")
-            seen[x] = aid
+            if pos in owner:
+                out.append(f"item {x!r} assigned to both {owner[pos]!r} and {aid!r}")
+            owner[pos] = aid
             if not agent.covers(pos):
                 out.append(f"item {x!r} (position {pos}) outside interval "
                            f"[{agent.lo},{agent.hi}] of agent {aid!r}")
-    out.extend(f"agent {a.id!r} has no bundle" for a in instance.agents if a.id not in owners)
+    out.extend(f"agent {a.id!r} has no bundle" for a in instance.agents
+               if index_of[a.id] not in owners)
     if require_cover:
-        for it in instance.items:
-            if it.id not in seen:
-                out.append(f"item {it.id!r} is unassigned")
+        out.extend(f"item {it.id!r} is unassigned" for it in instance.items
+                   if pos_of[it.id] not in owner)
     return out
 
 

@@ -18,6 +18,7 @@ objective any success verified against the original values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -25,8 +26,8 @@ from typing import Optional
 from . import dp_engine
 from .hall import maxmin_upper_bound, minmax_lower_bound
 from .instance_model import (Assignment, ConvexInstance, Item, Mode,
-                             assignment_from_positions, lexicographic_order,
-                             partition_violations, validate, with_items)
+                             assignment_from_positions, partition_violations,
+                             validate, with_items)
 from .rounding import round_instance, scheme
 
 _ONE = Fraction(1)  # every clamped Max-Min value
@@ -126,15 +127,12 @@ def verify(instance: ConvexInstance, assignment: Assignment) -> VerifyReport:
     require_cover = instance.mode is Mode.MINMAX
     violations = tuple(partition_violations(instance, assignment, require_cover))
     weights, denom = instance.integers
-    # reversed: with duplicate ids the first item wins, as in item_index
-    weight_of = {it.id: w for it, w in zip(reversed(instance.items), reversed(weights))}
-    assigned: set[str] = set()
-    totals = []
-    for _, ids in assignment.bundles:
-        assigned.update(ids)
-        # an unknown id is already reported as a violation
-        totals.append(sum(weight_of.get(x, 0) for x in ids))
-    unassigned = tuple(it.id for it in instance.items if it.id not in assigned)
+    pos_of = instance.ids[0]
+    # an unknown id is already reported as a violation
+    bundles = [[pos_of[x] for x in ids if x in pos_of] for _, ids in assignment.bundles]
+    totals = [sum(weights[p - 1] for p in positions) for positions in bundles]
+    assigned = {p for positions in bundles for p in positions}
+    unassigned = tuple(it.id for it in instance.items if pos_of[it.id] not in assigned)
     pick = min if instance.mode is Mode.MAXMIN else max
     values = tuple((aid, Fraction(total, denom))
                    for (aid, _), total in zip(assignment.bundles, totals))
@@ -162,14 +160,12 @@ def _search_parameters(k: int, delta: Optional[Fraction]) -> Fraction:
 
 
 def _fallback_partition(instance: ConvexInstance) -> Assignment:
-    """Every item to its first covering agent in lexicographic order."""
-    order = lexicographic_order(instance)
+    """Every item to its first covering agent in lexicographic order: on a
+    valid instance, the first rank whose high reaches the item's position."""
+    order, _, highs = instance.lex
     bundles: dict[int, list[int]] = {}
     for pos in range(1, instance.m + 1):
-        for idx in order:
-            if instance.agents[idx].covers(pos):
-                bundles.setdefault(idx, []).append(pos)
-                break
+        bundles.setdefault(order[bisect_left(highs, pos)], []).append(pos)
     return assignment_from_positions(instance, bundles)
 
 

@@ -334,6 +334,24 @@ def test_unwritable_output_exits_2(paths, tmp_path, capsys, argv, target):
     assert list(tmp_path.glob("good.txt*")) == []  # nor a temporary file
 
 
+@pytest.mark.parametrize("trace", ["r.json", "sub/../r.json", "link.json"])
+def test_solve_refuses_one_file_for_result_and_trace(paths, tmp_path, capsys, monkeypatch,
+                                                     trace):
+    # Both texts were written to the one path, the result last, so the trace
+    # was lost with exit 0.  The paths are compared as they resolve, before
+    # the instance is read.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.json").symlink_to("r.json")
+    for source in (paths["e1"], "missing.json"):
+        assert main(["solve", "-i", source, "-o", "r.json", "--trace", trace]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: -o and --trace name the same file 'r.json'\n"
+        assert not (tmp_path / "r.json").exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_bench_reports_ratio(paths, capsys):
     assert main(["bench", "-d", paths["dir"], "-k", "8", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)

@@ -14,6 +14,7 @@ from convalloc import (Agent, ConvexInstance, Item, Mode, dump_instance,
                        validate)
 from convalloc.generator import gen_inclusion_free
 from convalloc.instance_model import coverage_ranges, integer_values
+from conftest import with_demands
 
 
 def agents_of(*intervals):
@@ -131,6 +132,13 @@ def test_validate_misc_violations():
                          (Item("x1", Fraction(1)), Item("x1", Fraction(1))),
                          agents_of((1, 2)))
     assert any(v.code == "duplicate-id" for v in validate(dup).violations)
+    # three occurrences of an id, the id view naming the first: two repeats each
+    items = tuple(Item(x, Fraction(1)) for x in ("x1", "x2", "x1", "x1"))
+    thrice = ConvexInstance(Mode.MAXMIN, items, (Agent("p1", 1, 4),) * 3)
+    assert thrice.ids == ({"x1": 1, "x2": 2}, {"p1": 0})
+    assert [(v.code, v.message) for v in validate(thrice).violations] == \
+        [("duplicate-id", "duplicate item id 'x1'")] * 2 + \
+        [("duplicate-id", "duplicate agent id 'p1'")] * 2
 
 
 def test_lexicographic_order_sorts_by_interval(e1):
@@ -206,6 +214,22 @@ def test_json_round_trip(e1, m1, tmp_path):
         data["agents"][0]["demand"] = "3/2"
         again = instance_from_dict(data)
         assert again.agents[0].demand == Fraction(3, 2)
+
+
+# Drawn instances whose demands are not 1, so that every agent writes its
+# "demand" key, come back equal through the JSON text, with the same ids.
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(0, 6),
+       st.sampled_from(list(Mode)), st.data())
+def test_json_round_trip_property(seed, n, extra, mode, data):
+    inst = gen_inclusion_free(seed, n, n + extra, mode=mode)
+    demand = st.fractions(min_value=Fraction(1, 100), max_value=100).filter(lambda d: d != 1)
+    inst = with_demands(inst, data.draw(st.lists(demand, min_size=n, max_size=n)))
+    text = json.dumps(instance_to_dict(inst))
+    assert text.count('"demand"') == n
+    back = instance_from_dict(json.loads(text))
+    assert back == inst
+    assert back.ids == inst.ids
 
 
 def test_json_numbers_load_exactly(tmp_path):

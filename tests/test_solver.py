@@ -7,6 +7,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, decide, dp_engine,
                        gen_inclusion_free, opt_maxmin, opt_minmax, rounding,
@@ -14,7 +16,8 @@ from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, decide, dp
 from convalloc.dp_engine import DPTable, _Workspace
 from convalloc.hall import maxmin_upper_bound
 from convalloc import instance_model
-from convalloc.instance_model import integer_values, partition_violations
+from convalloc.instance_model import (assignment_from_positions, integer_values,
+                                      partition_violations, validate)
 from convalloc.rounding import RoundedInstance
 from convalloc.solver import SolveError, VerifyReport
 
@@ -119,6 +122,7 @@ def test_a_solve_sorts_its_agents_once(monkeypatch, mode, seed):
     tables = [x for x in made if isinstance(x, DPTable)]
     assert len(tables) == len(rounded) == len(scaled) == 6
     assert all(x.lex is inst.lex for x in scaled + [rd.instance for rd in rounded])
+    assert all(x.ids is inst.ids for x in scaled + [rd.instance for rd in rounded])
     assert all(_Workspace(rd).order is inst.lex[0] for rd in rounded)
     assert all(table._ws.order is inst.lex[0] for table in tables)
 
@@ -252,6 +256,43 @@ def test_verify_sums_integers_as_the_fraction_reference(mode):
     assert not report.feasible and report.unassigned == ()
     assert any("unknown item 'zz'" in v for v in report.violations)
     assert report.agent_values[0] == ("p1", values[0] + values[1])
+
+
+def test_every_reader_names_the_first_position_of_a_repeated_id():
+    # x2 sits at positions 2 and 4; p1's interval holds only the first
+    items = tuple(Item(x, v) for x, v in
+                  zip(("x1", "x2", "x3", "x2"), map(Fraction, ("1", "1/2", "1", "1/3"))))
+    inst = ConvexInstance(Mode.MAXMIN, items, (Agent("p1", 1, 2), Agent("p2", 3, 4)))
+    assignment = Assignment(Mode.MAXMIN, (("p1", ("x1", "x2")), ("p2", ("x3",))))
+    assert inst.item_index("x2") == 2
+    assert assignment.positions(inst) == {0: (1, 2), 1: (3,)}
+    assert partition_violations(inst, assignment) == []
+    report = verify(inst, assignment)
+    assert report.violations == () and report.unassigned == ()
+    assert report.agent_values == (("p1", Fraction(3, 2)), ("p2", Fraction(1)))
+
+
+def first_covering_scan(instance):
+    """The reference fallback: each item to the first lex-ordered agent that
+    covers it, found by trying every agent."""
+    order = instance.lex[0]
+    by_agent = {}
+    for pos in range(1, instance.m + 1):
+        idx = next(i for i in order if instance.agents[i].covers(pos))
+        by_agent.setdefault(idx, []).append(pos)
+    return assignment_from_positions(instance, by_agent)
+
+
+# Agents are shuffled, so the lexicographic order is not the input order.
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 10 ** 6), st.integers(1, 8), st.integers(0, 8), st.randoms())
+def test_fallback_partition_matches_the_scan(seed, n, extra, rng):
+    inst = gen_inclusion_free(seed, n, n + extra)
+    agents = list(inst.agents)
+    rng.shuffle(agents)
+    inst = ConvexInstance(inst.mode, inst.items, tuple(agents))
+    assert validate(inst).ok
+    assert solver._fallback_partition(inst) == first_covering_scan(inst)
 
 
 def three_unit_items(mode):
