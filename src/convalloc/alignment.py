@@ -181,7 +181,8 @@ def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
             if not value_ok(j, taken):
                 continue
             new_total = remainder_total - (taken - forced_val)
-            if small_units(new_total, sch) != vectors[j][0]:  # H^j's small bracket
+            # H^j's small bracket
+            if small_units(*new_total.as_integer_ratio(), sch) != vectors[j][0]:
                 continue
             chosen = set(forced_idx) | set(ext_idx)
             rest_vals = [v for i, v in enumerate(survivors) if i not in chosen]

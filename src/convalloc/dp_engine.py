@@ -95,22 +95,23 @@ it, so the sum is exactly the weight of R(nu, j-1).  A mark carries its
 ``before_total`` and ``before_small``.  ``backward`` and ``retrieve`` read
 a remainder's items as the position prefixes of those lengths, from the
 tables whose weights ``forward`` sums, so the sweep's rule has one
-definition (``small_kept``).  Value sums and comparisons run on integers
-after normalizing every rounded value by a common denominator divisible by
-k.
+definition (``small_kept``).  Value sums and comparisons run on the
+rounded instance's integer view, whose common denominator ``round_instance``
+makes divisible by k: the engine takes no lcm and builds no ``Fraction`` or
+``Item``, and nu_0 is one integer ceil or floor.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import filterfalse, product
+from math import gcd
 from operator import getitem
 from typing import Iterator, Optional
 
-from .instance_model import Assignment, Mode, assignment_from_positions, integer_values
+from .instance_model import Assignment, Mode, assignment_from_positions
 from .rounding import InputVector, RoundedInstance, small_units
 
 # The bundle rule's margin in units of 1/k: an agent's bundle must be worth at
@@ -151,7 +152,7 @@ class DPTable:
 
 
 class _Workspace:
-    """Integer-normalized view of a rounded instance for the DP hot path.
+    """The rounded instance's integer view, laid out for the DP hot path.
 
     Coordinate 0 stands for the small items and coordinate c >= 1 for big
     category c; ``positions[c]`` lists the coordinate's item positions left to
@@ -174,17 +175,19 @@ class _Workspace:
     def __init__(self, rounded: RoundedInstance):
         inst = rounded.instance
         sch = rounded.scheme
+        weights, denom = inst.integers
         self.order, self.lows, self.highs = inst.lex
-        if not (self.order and self.lows[0] == 1 and self.highs[-1] == inst.m
+        if not (self.order and self.lows[0] == 1 and self.highs[-1] == len(weights)
                 and all(a <= b for a, b in zip(self.highs, self.highs[1:]))):
             raise ValueError("the dynamic program needs agents whose intervals start "
                              "at item 1, end at item m and are inclusion-free")
         self.up = sch.mode is Mode.MAXMIN
 
-        weights, denom = integer_values([it.value for it in inst.items], sch.k)
-        self.denom = denom
-        self.unit = denom // sch.k
-        self.weight = [0, *weights]
+        # round_instance's D is a multiple of k; any other view is lifted to one
+        lift = sch.k // gcd(denom, sch.k)
+        self.denom = denom * lift
+        self.unit = self.denom // sch.k
+        self.weight = [0, *weights] if lift == 1 else [0, *(w * lift for w in weights)]
 
         self.positions = rounded.positions()
         self.active = tuple(c for c, ps in enumerate(self.positions) if c == 0 or ps)
@@ -200,7 +203,7 @@ class _Workspace:
         self.reach = [tuple(bisect_right(ps, hi) for ps in active_positions) for hi in self.highs]
         self.left_of = [tuple(bisect_left(ps, lo) for ps in active_positions) for lo in self.lows]
 
-        nu0 = small_units(Fraction(self.small_prefix[-1], denom), sch)
+        nu0 = small_units(self.small_prefix[-1], self.denom, sch)
         self.nu_active = (nu0,) + tuple(len(ps) for ps in active_positions[1:])
         self.nu_in = self.expand(self.nu_active)
         # One merge sweep: the prefix length and its bound both grow with x.

@@ -20,19 +20,19 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
-def integer_values(values: Sequence[Fraction], base: int = 1) -> tuple[tuple[int, ...], int]:
+def integer_values(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """(weights, D): the values as integer numerators over one common
-    denominator D, the lcm of their denominators and ``base``.
+    denominator D, the lcm of their denominators.
 
     Sums and comparisons then run on integers; a ``Fraction`` sum reduces by
     a gcd at every addition.  ``ConvexInstance.integers`` keeps this view of
     an instance's own values.
     """
     ratios = [v.as_integer_ratio() for v in values]
-    denom = lcm(base, *{d for _, d in ratios})
+    denom = lcm(*{d for _, d in ratios})
     return tuple([n * (denom // d) for n, d in ratios]), denom
 
 
@@ -110,11 +110,13 @@ class ConvexInstance:
     the same integers.  ``lex`` is its agent view ``(order, lows, highs)``:
     the agent indices in lexicographic (lo, hi) order and their endpoints in
     that order.  ``ids`` is its id view ``({item id: position}, {agent id:
-    index})``; the first occurrence of a repeated id wins.  ``with_items``
-    builds an instance with new items that carries the source's ``lex`` and
-    ``ids``, so a solve sorts its agents once, and takes an integer view at
-    hand: ``solver.scale`` hands its instance the view ``(w t_den, D t_num)``
-    it computes anyway, a common denominator but not always the least one.
+    index})``; the first occurrence of a repeated id wins.
+
+    ``with_integers`` derives an instance from an integer view alone, as
+    ``solver.scale`` and ``rounding.round_instance`` do for every guess: it
+    carries the source's ``lex`` and ``ids``, so a solve sorts its agents
+    once, and builds its ``Item``s only when ``items`` is first read, which
+    no step of a decide does.
     """
 
     mode: Mode
@@ -149,6 +151,18 @@ class ConvexInstance:
         return ({it.id: p for p, it in zip(range(self.m, 0, -1), reversed(self.items))},
                 {a.id: i for i, a in zip(range(self.n - 1, -1, -1), reversed(self.agents))})
 
+    def __getattr__(self, name: str):
+        # Reached only when ordinary lookup fails, which for ``items`` means
+        # an instance from ``with_integers``: its items are built here, once.
+        source = vars(self).get("_source")
+        if name != "items" or source is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        weights, denom = self.integers
+        items = tuple(it if it.value == v else Item(it.id, v)
+                      for it, v in zip(source.items, (Fraction(w, denom) for w in weights)))
+        vars(self)["items"] = items
+        return items
+
     def total_value(self) -> Fraction:
         weights, denom = self.integers
         return Fraction(sum(weights), denom)
@@ -157,20 +171,29 @@ class ConvexInstance:
         return self.ids[0][item_id]
 
 
-def with_items(source: ConvexInstance, items: tuple[Item, ...],
-               integers: Optional[tuple[tuple[int, ...], int]] = None) -> ConvexInstance:
-    """``source`` with new ``items`` of the same ids: its mode, agents, ``lex``
-    and ``ids``, and, when given, the integer view ``integers``, ``(weights,
-    D)`` with ``weights[i] / D`` the value of ``items[i]``; D need not be the
-    least common denominator.
+def with_integers(source: ConvexInstance,
+                  integers: tuple[tuple[int, ...], int]) -> ConvexInstance:
+    """``source`` with the values ``weights[i] / D`` for ``integers ==
+    (weights, D)``, D a common denominator but not always the least one.
+
+    The result has ``source``'s mode, agents, item ids, ``lex`` and ``ids``,
+    and ``integers`` as its integer view.  It builds no ``Item`` until its
+    ``items`` is read; then an item whose value is unchanged is ``source``'s
+    own.
     """
-    out = ConvexInstance(source.mode, items, source.agents)
-    # a value in the instance's __dict__ is what the cached_property returns
-    cached = vars(out)
-    cached["lex"], cached["ids"] = source.lex, source.ids
-    if integers is not None:
-        cached["integers"] = integers
+    out = object.__new__(ConvexInstance)
+    # a frozen dataclass keeps its fields, like its cached views, in __dict__
+    vars(out).update(mode=source.mode, agents=source.agents, integers=integers,
+                     lex=source.lex, ids=source.ids, _source=source)
     return out
+
+
+def _named_items(instance: ConvexInstance) -> tuple[Item, ...]:
+    """Items with ``instance``'s ids, with no value built: its own once they
+    are built, else those of the nearest instance it derives from."""
+    while "items" not in vars(instance):
+        instance = vars(instance)["_source"]
+    return instance.items
 
 
 @dataclass(frozen=True)
@@ -296,11 +319,15 @@ class Assignment:
 
 def assignment_from_positions(instance: ConvexInstance,
                               by_agent: Mapping[int, Iterable[int]]) -> Assignment:
-    """Build an Assignment from {agent index: item positions}."""
+    """Build an Assignment from {agent index: item positions}.
+
+    It reads item ids only, so it builds no items of a derived instance.
+    """
+    items = _named_items(instance)
     bundles = []
     for i, a in enumerate(instance.agents):
         poss = sorted(by_agent.get(i, ()))
-        bundles.append((a.id, tuple(instance.items[p - 1].id for p in poss)))
+        bundles.append((a.id, tuple(items[p - 1].id for p in poss)))
     return Assignment(instance.mode, tuple(bundles))
 
 

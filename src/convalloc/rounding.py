@@ -17,7 +17,17 @@ same category as bisecting v into the grid would, with no ``Fraction``
 comparison.  Any common denominator classifies as the least one does, so
 ``round_instance`` reads the instance's integer view: for a scaled instance
 that is the ``D t_num`` that ``solver.scale`` hands over with the weights
-``w t_den``, and no second lcm is taken.
+``w t_den``.
+
+The rounded values are an integer view too.  Over D' = lcm(D, k^(c+1)),
+for the largest category c that occurs, every grid point up to q_c, 1/k and
+each kept small value is an exact integer, since
+q_tau = (k+1)^tau / k^(tau+1).  ``round_instance`` then cuts D' to the
+least common denominator of the rounded values that k divides, so the
+dynamic program sums the smallest integers, reads them as they are and
+takes no common denominator of its own.  A scaled or rounded instance
+builds its ``Item``s only when its ``items`` is read, and no step of a
+decide reads them.
 """
 
 from __future__ import annotations
@@ -26,9 +36,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .instance_model import ConvexInstance, Item, Mode, with_items
+from .instance_model import ConvexInstance, Mode, with_integers
 
 
 InputVector = tuple[int, ...]
@@ -88,11 +99,13 @@ class RoundedInstance:
     """An instance with values snapped per the scheme, plus classification.
 
     ``instance`` carries the rounded values (same ids, order, agents and mode
-    as the instance rounded).  ``category[i]`` is the configuration-vector
-    coordinate of 1-based position i+1: 0 for a small item, which keeps its
-    value, and c >= 1 for a big item snapped to the grid value q_c.  A
-    Min-Max value in (1/k, q_1) rounds down to exactly 1/k and is small (it
-    is value-interchangeable with small jobs from then on).
+    as the instance rounded) as its integer view; its items are built on
+    first read, and a kept small item is then the ``Item`` of the instance
+    rounded.  ``category[i]`` is the configuration-vector coordinate of
+    1-based position i+1: 0 for a small item, which keeps its value, and
+    c >= 1 for a big item snapped to the grid value q_c.  A Min-Max value
+    in (1/k, q_1) rounds down to exactly 1/k and is small (it is
+    value-interchangeable with small jobs from then on).
     """
 
     instance: ConvexInstance
@@ -111,68 +124,68 @@ class RoundedInstance:
         return grouped
 
 
-def _round_values(values: Sequence[Fraction], weights: Sequence[int], denom: int,
-                  sch: RoundingScheme) -> tuple[list[Fraction], list[int]]:
-    """Round values in (0, 1], given as integer ``weights`` over a common
-    denominator ``denom``: (rounded, category) lists.
+def _categories(weights: Sequence[int], denom: int, sch: RoundingScheme) -> list[int]:
+    """The category of each value in (0, 1], given as integer ``weights``
+    over a common denominator ``denom``.
 
-    A small value comes back as the same object.  Every other rounded value
-    is a grid point or 1/k, shared with the scheme.
+    A value is small iff k w <= denom, that is iff w <= floor(denom/k).
     """
-    thresholds = sch.thresholds(denom)
-    k, grid, up = sch.k, sch.grid, sch.mode is Mode.MAXMIN
-    rounded: list[Fraction] = []
-    cats: list[int] = []
-    for v, w in zip(values, weights):
-        if not 0 < w <= denom:
-            raise ValueError(f"value {v} outside (0, 1]; scale the instance first")
-        if k * w <= denom:
-            rounded.append(v)
-            cats.append(0)
-            continue
-        if up:
-            # v in (q_{tau-1}, q_tau] snaps to q_tau
-            cat = bisect_left(thresholds, w) + 1
-        else:
-            # v in [q_tau, q_{tau+1}) snaps to q_tau; below q_1 it rounds
-            # down to exactly 1/k, a small value (category 0)
-            cat = bisect_right(thresholds, w)
-        rounded.append(grid[cat - 1] if cat else sch.small_threshold)
-        cats.append(cat)
-    return rounded, cats
+    if weights and not (min(weights) > 0 and max(weights) <= denom):
+        bad = next(w for w in weights if not 0 < w <= denom)
+        raise ValueError(f"value {Fraction(bad, denom)} outside (0, 1]; "
+                         "scale the instance first")
+    small, thresholds = denom // sch.k, sch.thresholds(denom)
+    if sch.mode is Mode.MAXMIN:
+        # v in (q_{tau-1}, q_tau] snaps to q_tau
+        return [0 if w <= small else bisect_left(thresholds, w) + 1 for w in weights]
+    # v in [q_tau, q_{tau+1}) snaps to q_tau; below q_1 it rounds down to
+    # exactly 1/k, a small value (category 0)
+    return [0 if w <= small else bisect_right(thresholds, w) for w in weights]
 
 
 def round_value(value: Fraction, sch: RoundingScheme) -> tuple[Fraction, int]:
     """Round one value; returns (rounded, category)."""
     num, den = value.as_integer_ratio()
-    (rounded,), (cat,) = _round_values((value,), (num,), den, sch)
-    return rounded, cat
+    (cat,) = _categories((num,), den, sch)
+    if num <= den // sch.k:
+        return value, 0
+    return (sch.grid[cat - 1] if cat else sch.small_threshold), cat
 
 
 def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInstance:
     """Round every item value; order, ids, agents and mode are unchanged.
 
-    An item whose value rounding keeps is reused as it is.
+    The rounded instance is an integer view over the least common
+    denominator of its values that k divides (module docstring).
     """
-    items = instance.items
-    rounded, cats = _round_values([it.value for it in items], *instance.integers, sch)
-    rounded_items = tuple(it if rv is it.value else Item(it.id, rv)
-                          for it, rv in zip(items, rounded))
-    return RoundedInstance(with_items(instance, rounded_items), sch, tuple(cats))
+    weights, denom = instance.integers
+    cats = _categories(weights, denom, sch)
+    k, small = sch.k, denom // sch.k
+    top = max(cats, default=0)
+    common = lcm(denom, k ** (top + 1))
+    lift = common // denom
+    # 1/k, then q_1 .. q_top, over the common denominator
+    on_grid = [common // k ** (c + 1) * (k + 1) ** c for c in range(top + 1)]
+    rounded = [w * lift if w <= small else on_grid[c] for w, c in zip(weights, cats)]
+    # Cut D' to the least common denominator that k divides: the DP's sums
+    # then stay on the smallest integers.
+    cut = common // lcm(k, common // gcd(common, *rounded))
+    if cut > 1:
+        common //= cut
+        rounded = [w // cut for w in rounded]
+    return RoundedInstance(with_integers(instance, (tuple(rounded), common)), sch, tuple(cats))
 
 
-def small_units(total: Fraction, sch: RoundingScheme) -> int:
-    """The nu_0 coordinate for a given small mass.
+def small_units(weight: int, denom: int, sch: RoundingScheme) -> int:
+    """The nu_0 coordinate of the small mass ``weight / denom``.
 
-    Max-Min: the unique nu_0 with total in ((nu_0-1)/k, nu_0/k]; Min-Max:
-    total in [nu_0/k, (nu_0+1)/k).  Zero mass gives 0 in both modes.
+    Max-Min: the unique nu_0 with the mass in ((nu_0-1)/k, nu_0/k]; Min-Max:
+    the mass in [nu_0/k, (nu_0+1)/k).  Zero mass gives 0 in both modes.
     """
-    if total == 0:
-        return 0
-    scaled = total * sch.k
+    scaled = weight * sch.k
     if sch.mode is Mode.MAXMIN:
-        return -((-scaled.numerator) // scaled.denominator)  # ceil
-    return scaled.numerator // scaled.denominator            # floor
+        return -(-scaled // denom)  # ceil
+    return scaled // denom          # floor
 
 
 def input_vector(rounded: RoundedInstance, items: Iterable[int]) -> InputVector:
@@ -180,9 +193,10 @@ def input_vector(rounded: RoundedInstance, items: Iterable[int]) -> InputVector:
     ``items``: big items counted by category, small mass by ``small_units``.
     Raises ValueError for a position outside 1..m.
     """
-    m = rounded.instance.m
+    weights, denom = rounded.instance.integers
+    m = len(weights)
     counts = [0] * (rounded.scheme.C + 1)
-    small_total = Fraction(0)
+    small = 0
     for pos in items:
         if not 1 <= pos <= m:
             raise ValueError(f"item position {pos} outside 1..{m}")
@@ -190,6 +204,6 @@ def input_vector(rounded: RoundedInstance, items: Iterable[int]) -> InputVector:
         if cat:
             counts[cat] += 1
         else:
-            small_total += rounded.value_at(pos)
-    counts[0] = small_units(small_total, rounded.scheme)
+            small += weights[pos - 1]
+    counts[0] = small_units(small, denom, rounded.scheme)
     return tuple(counts)

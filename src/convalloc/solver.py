@@ -25,12 +25,10 @@ from typing import Optional
 
 from . import dp_engine
 from .hall import maxmin_upper_bound, minmax_lower_bound
-from .instance_model import (Assignment, ConvexInstance, Item, Mode,
+from .instance_model import (Assignment, ConvexInstance, Mode,
                              assignment_from_positions, partition_violations,
-                             validate, with_items)
+                             validate, with_integers)
 from .rounding import round_instance, scheme
-
-_ONE = Fraction(1)  # every clamped Max-Min value
 
 
 class SolveError(Exception):
@@ -68,28 +66,19 @@ def scale(instance: ConvexInstance, t: Fraction) -> Optional[ConvexInstance]:
     Max-Min clamps values above t down to t first; Min-Max instead reports
     infeasibility (None) when any processing time exceeds t.  With the
     instance's integer view (w, D), v / t = w t_den / (D t_num), so the
-    scaled instance gets the view (w t_den, D t_num), a clamped weight being
-    D t_num.
+    scaled instance is the view (w t_den, D t_num), a clamped weight being
+    D t_num; its items are built only when read.
     """
     if t <= 0:
         raise ValueError(f"guess t must be positive, got {t}")
-    t_num, t_den = t.numerator, t.denominator
-    minmax = instance.mode is Mode.MINMAX
     weights, denom = instance.integers
-    denom *= t_num
-    items = []
-    scaled = []
-    for it, w in zip(instance.items, weights):
-        w *= t_den
-        if w > denom:
-            if minmax:
-                return None
-            items.append(Item(it.id, _ONE))
-            scaled.append(denom)
-        else:
-            items.append(Item(it.id, Fraction(w, denom)))
-            scaled.append(w)
-    return with_items(instance, tuple(items), (tuple(scaled), denom))
+    denom, t_den = denom * t.numerator, t.denominator
+    scaled = tuple([w * t_den for w in weights])
+    if max(scaled, default=0) > denom:
+        if instance.mode is Mode.MINMAX:
+            return None
+        scaled = tuple([min(w, denom) for w in scaled])
+    return with_integers(instance, (scaled, denom))
 
 
 def decide(instance: ConvexInstance, t: Fraction, k: int,

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convalloc import (Mode, gen_inclusion_free, input_vector, retrieve,
-                       round_instance, round_value, scale, scheme)
+from convalloc import (ConvexInstance, Item, Mode, RoundedInstance, gen_inclusion_free,
+                       input_vector, retrieve, round_instance, round_value, scale, scheme)
+from convalloc.dp_engine import _Workspace, solve_rounded
+from convalloc.hall import maxmin_upper_bound, minmax_lower_bound
 from convalloc.instance_model import integer_values
 
 
@@ -240,3 +242,98 @@ def test_input_vector_reads_the_rounding_classification(seed, mode, k, shape, fa
         assert input_vector(rd, items) == reference_input_vector(rd, items)
     assert all(a <= b for a, b in zip(input_vector(rd, smaller), input_vector(rd, larger)))
     assert retrieve(rd, input_vector(rd, everything), n) == frozenset(everything)
+
+
+def reference_scale(instance, t):
+    """Scaling on Fractions, built eagerly: one ``Item`` per value v / t,
+    clamped to 1 (Max-Min), or None when some v > t (Min-Max)."""
+    items = []
+    for it in instance.items:
+        v = it.value / t
+        if v > 1:
+            if instance.mode is Mode.MINMAX:
+                return None
+            v = Fraction(1)
+        items.append(Item(it.id, v))
+    return ConvexInstance(instance.mode, tuple(items), instance.agents)
+
+
+def reference_round_instance(instance, sch):
+    """Rounding on Fractions, built eagerly: ``reference_round_value`` of
+    every item."""
+    pairs = [reference_round_value(it.value, sch) for it in instance.items]
+    items = tuple(Item(it.id, v) for it, (v, _) in zip(instance.items, pairs))
+    return RoundedInstance(ConvexInstance(instance.mode, items, instance.agents), sch,
+                           tuple(c for _, c in pairs))
+
+
+def search_bracket(instance):
+    """The binary search's bracket (``solver._search``), or the whole
+    range of values when no matching covers every Max-Min agent."""
+    values = [it.value for it in instance.items]
+    if instance.mode is Mode.MAXMIN:
+        bound, covered = maxmin_upper_bound(instance)
+        if not covered:
+            return min(values), sum(values)
+        return max(min(values), bound - max(values)), bound
+    bound = minmax_lower_bound(instance)
+    return bound, min(sum(values), bound + max(values))
+
+
+def assert_is_reference(got, want, source):
+    """``got`` equals ``want`` as an instance and carries ``source``'s views."""
+    assert got.lex is source.lex and got.ids is source.ids
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert [it.value for it in got.items] == [it.value for it in want.items]
+    weights, denom = got.integers
+    assert [Fraction(w, denom) for w in weights] == [it.value for it in want.items]
+
+
+# Derandomized: every run draws the same examples and stores none.
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2 ** 16), mode=st.sampled_from(Mode),
+       k=st.sampled_from([4, 6, 8, 12]),
+       shape=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 4 * n + 3))),
+       where=st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                              Fraction(7, 8), Fraction(1), Fraction(3, 2)]))
+def test_integer_views_equal_the_eager_references(seed, mode, k, shape, where):
+    # ``where`` places the guess in the bracket [lo, hi], 0 at lo and 1 at
+    # hi, and just outside it, where Max-Min clamps and Min-Max may fail.
+    inst = gen_inclusion_free(seed, *shape, mode=mode)
+    lo, hi = search_bracket(inst)
+    t = max(lo + where * (hi - lo), lo / 2)
+    sch = scheme(k, mode)
+    scaled, want_scaled = scale(inst, t), reference_scale(inst, t)
+    if want_scaled is None:
+        assert scaled is None
+        return
+    rd, want = round_instance(scaled, sch), reference_round_instance(want_scaled, sch)
+    assert "items" not in vars(scaled) and "items" not in vars(rd.instance)
+    assert_is_reference(rd.instance, want.instance, inst)
+    assert rd.category == want.category
+    # The workspace reads the rounded view as it is: over the least common
+    # denominator that k divides, which is the reference's.
+    ws, ref = _Workspace(rd), _Workspace(want)
+    factor, rest = divmod(ws.denom, ref.denom)
+    assert rest == 0 and ws.unit == factor * ref.unit
+    assert ws.prefix_weight == [[factor * w for w in ws_c] for ws_c in ref.prefix_weight]
+    assert ws.nu_in == ref.nu_in and factor == 1
+    assert_is_reference(scaled, want_scaled, inst)
+
+
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_a_decide_builds_no_items_of_its_derived_instances(mode):
+    for seed in range(4):
+        inst = gen_inclusion_free(seed, 4, 12, mode=mode)
+        t = search_bracket(inst)[1]
+        sch = scheme(8, mode)
+        scaled = scale(inst, t)
+        rd = round_instance(scaled, sch)
+        solve_rounded(rd)
+        assert "items" not in vars(scaled) and "items" not in vars(rd.instance)
+        want = reference_round_instance(reference_scale(inst, t), sch)
+        assert rd.instance.items == want.instance.items
+        assert scaled.items == reference_scale(inst, t).items
+        assert rd.instance.items is rd.instance.items  # built once, then kept
+        with pytest.raises(AttributeError, match="no attribute 'weights'"):
+            rd.instance.weights
