@@ -12,17 +12,16 @@ from .alignment import (AlignmentError, align, assignment_vector,
                         is_non_wasteful, is_right_aligned)
 from .dp_engine import DPTable, backward, forward, retrieve, solve_rounded
 from .generator import gen_inclusion_free, gen_planted
-from .hall import (HallWitness, check_hall_bruteforce, check_hall_maxmin,
-                   check_hall_minmax)
+from .hall import HallWitness, check_hall_maxmin, check_hall_minmax
 from .instance_model import (Agent, Assignment, ConvexInstance, Item, Mode,
-                             ValidationReport, Value, Violation,
+                             ValidationReport, Violation,
                              assignment_from_positions, dump_instance,
                              format_value, instance_from_dict, instance_to_dict,
                              lexicographic_order, load_instance, parse_value,
                              stranded_items, validate)
 from .oracle import OracleSizeError, opt_maxmin, opt_minmax
 from .rounding import (InputVector, RoundedInstance, RoundingScheme, input_vector,
-                       round_instance, round_value, scheme)
+                       round_instance, scheme)
 from .solver import (SolveError, SolveResult, VerifyReport, decide, scale,
                      solve_maxmin, solve_minmax, verify)
 

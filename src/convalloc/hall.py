@@ -12,7 +12,6 @@ bound read it; a run's demand or allowed load is a prefix-sum difference
 over the ranks.  The order and its endpoints are the instance's ``lex``,
 and each agent's demand (Max-Min) or allowed load (Min-Max) is its own
 ``demand``.  A Max-Min witness is a tight interval (see ``_maxmin_runs``).
-A subset-enumeration oracle cross-validates the checks on small instances.
 
 With every demand (Max-Min) or every allowed load (Min-Max) equal to one
 number t, the interval condition solved for t bounds the optimum:
@@ -34,12 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
-from .instance_model import ConvexInstance, Mode, coverage_ranges
-
-BRUTE_FORCE_LIMIT = 20
+from .instance_model import ConvexInstance, Mode
 
 
 @dataclass(frozen=True)
@@ -174,42 +171,3 @@ def minmax_lower_bound(instance: ConvexInstance) -> Fraction:
         if w * best_c > best_w * count:
             best_w, best_c = w, count
     return Fraction(best_w, denom * best_c)
-
-
-def check_hall_bruteforce(instance: ConvexInstance) -> Optional[tuple[str, ...]]:
-    """Subset-enumeration oracle for the interval checks.
-
-    Max-Min: enumerates agent subsets, smallest first, and returns the ids of
-    the first subset whose neighbourhood value falls short of its demand.
-    Min-Max: enumerates job subsets against the allowable loads of their
-    machine neighbourhood.  Returns None when the condition holds everywhere.
-    """
-    if instance.mode is Mode.MAXMIN:
-        if instance.n > BRUTE_FORCE_LIMIT:
-            raise ValueError(f"brute-force Hall check limited to {BRUTE_FORCE_LIMIT} agents")
-        for size in range(1, instance.n + 1):
-            for subset in combinations(range(instance.n), size):
-                covered: set[int] = set()
-                for i in subset:
-                    covered.update(range(instance.agents[i].lo, instance.agents[i].hi + 1))
-                value = sum((instance.value_at(p) for p in covered), Fraction(0))
-                demand = sum((instance.agents[i].demand for i in subset), Fraction(0))
-                if value < demand:
-                    return tuple(instance.agents[i].id for i in subset)
-        return None
-
-    if instance.m > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute-force Hall check limited to {BRUTE_FORCE_LIMIT} jobs")
-    ranges = coverage_ranges(instance)
-    loads_by_rank = [instance.agents[i].demand for i in instance.lex[0]]
-    for size in range(1, instance.m + 1):
-        for subset in combinations(range(1, instance.m + 1), size):
-            machines: set[int] = set()
-            for pos in subset:
-                first, last = ranges[pos - 1]
-                machines.update(range(first, last + 1))
-            work = sum((instance.value_at(p) for p in subset), Fraction(0))
-            allowed = sum((loads_by_rank[r - 1] for r in machines), Fraction(0))
-            if work > allowed:
-                return tuple(instance.items[p - 1].id for p in subset)
-    return None

@@ -41,8 +41,6 @@ class Mode(Enum):
     MINMAX = "minmax"
 
 
-Value = Fraction
-
 # A decimal exponent, as in '1e-9'; Fraction reads '_' as a digit separator.
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
 
@@ -369,26 +367,6 @@ def partition_violations(instance: ConvexInstance, assignment: "Assignment",
         out.extend(f"item {it.id!r} is unassigned" for it in instance.items
                    if pos_of[it.id] not in owner)
     return out
-
-
-def coverage_ranges(instance: ConvexInstance) -> tuple[tuple[int, int], ...]:
-    """For each item position, the (first, last) lex-rank of covering agents.
-
-    On a validated instance the covering agents of any item form a contiguous
-    range of lex ranks (1-based); (0, -1) marks an uncovered item.
-    """
-    order = lexicographic_order(instance)
-    out = []
-    for pos in range(1, instance.m + 1):
-        ranks = [r + 1 for r, i in enumerate(order) if instance.agents[i].covers(pos)]
-        if not ranks:
-            out.append((0, -1))
-        elif ranks == list(range(ranks[0], ranks[-1] + 1)):
-            out.append((ranks[0], ranks[-1]))
-        else:
-            raise ValueError(f"covering agents of item position {pos} are not contiguous "
-                             "in the lexicographic order (instance is not inclusion-free)")
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

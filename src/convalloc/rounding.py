@@ -8,6 +8,10 @@ the small mass expressed in units of 1/k form the configuration vectors the
 dynamic program runs on, and an item's category is its coordinate in them:
 0 for a small item, tau for grid category tau.
 
+The grid is written once, as the integer table ``RoundingScheme.ratios``:
+q_tau = (k+1)^tau / k^(tau+1) as the pair ((k+1)^tau, k^(tau+1)) for
+tau = 0..C, entry 0 being 1/k.  Every reader takes the grid from it.
+
 Rounding runs on integers.  With D a common denominator of the values and
 w = D v the integer numerator of a value v, v is small iff k w <= D, and the
 grid becomes C integer thresholds: floor(D q_tau) for Max-Min and
@@ -21,21 +25,21 @@ that is the ``D t_num`` that ``solver.scale`` hands over with the weights
 
 The rounded values are an integer view too.  Over D' = lcm(D, k^(c+1)),
 for the largest category c that occurs, every grid point up to q_c, 1/k and
-each kept small value is an exact integer, since
-q_tau = (k+1)^tau / k^(tau+1).  ``round_instance`` then cuts D' to the
-least common denominator of the rounded values that k divides, so the
-dynamic program sums the smallest integers, reads them as they are and
-takes no common denominator of its own.  A scaled or rounded instance
-builds its ``Item``s only when its ``items`` is read, and no step of a
-decide reads them.
+each kept small value is an exact integer, read off the table's pairs.
+``round_instance`` then cuts D' to the least common denominator of the
+rounded values that k divides, so the dynamic program sums the smallest
+integers, reads them as they are and takes no common denominator of its
+own.  A scaled or rounded instance builds its ``Item``s only when its
+``items`` is read, and no step of a decide reads them.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -50,8 +54,13 @@ class RoundingScheme:
     k: int
     mode: Mode  # Max-Min rounds up, Min-Max down
     C: int
-    grid: tuple[Fraction, ...]  # q_1 .. q_C, strictly increasing, q_1 > 1/k
-    small_threshold: Fraction  # 1/k, the largest small value
+    # (a, b) with q_tau = a / b = (k+1)^tau / k^(tau+1), for tau = 0..C
+    ratios: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def grid(self) -> tuple[Fraction, ...]:
+        """q_1 .. q_C, strictly increasing, q_1 > 1/k."""
+        return tuple(Fraction(a, b) for a, b in self.ratios[1:])
 
     def thresholds(self, denom: int) -> list[int]:
         """The grid on the denominator ``denom``, rounded to integers.
@@ -61,37 +70,34 @@ class RoundingScheme:
         w >= ceil(denom q).
         """
         if self.mode is Mode.MAXMIN:
-            return [denom * q.numerator // q.denominator for q in self.grid]
-        return [-(-denom * q.numerator // q.denominator) for q in self.grid]
+            return [denom * a // b for a, b in self.ratios[1:]]
+        return [-(-denom * a // b) for a, b in self.ratios[1:]]
 
     def zero_vector(self) -> InputVector:
         return (0,) * (self.C + 1)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def scheme(k: int, mode: Mode) -> RoundingScheme:
-    """Build the rounding scheme for error parameter k (k >= 4).
+    """Build the rounding scheme for error parameter k, an int >= 4.
 
-    The category count is C = ceil(log k / log(1+1/k)), computed exactly as
-    the least C with (1+1/k)^C >= k, so that the top grid point q_C reaches
-    1.  Since (1+1/k)^k >= 2, C <= k * ceil(log2 k) for every k >= 4, which
-    is O(k log k) and depends on k alone.  Schemes are immutable, so each
-    (k, mode) is built once and shared by every decide.
+    The category count C is the least C with (1+1/k)^C >= k, that is with
+    (k+1)^C >= k^(C+1), so that the top grid point q_C reaches 1: the table
+    grows by one pair per step until it does.  Since (1+1/k)^k >= 2,
+    C <= k * ceil(log2 k) for every k >= 4, which is O(k log k) and depends
+    on k alone.  Schemes are immutable, so each (k, mode) is built once and
+    shared by every decide; the cache keys on type, so a float or
+    ``Fraction`` k equal to a cached int is refused too.
     """
+    k = operator.index(k)
     if k < 4:
         raise ValueError(f"error parameter k must be >= 4, got {k}")
-    ratio = Fraction(k + 1, k)
-    c = 0
-    power = Fraction(1)
-    while power < k:
-        power *= ratio
-        c += 1
-    grid = []
-    q = Fraction(1, k)
-    for _ in range(c):
-        q *= ratio
-        grid.append(q)
-    return RoundingScheme(k, mode, c, tuple(grid), Fraction(1, k))
+    a, b = 1, k
+    ratios = [(a, b)]
+    while a < b:
+        a, b = a * (k + 1), b * k
+        ratios.append((a, b))
+    return RoundingScheme(k, mode, len(ratios) - 1, tuple(ratios))
 
 
 @dataclass(frozen=True)
@@ -143,15 +149,6 @@ def _categories(weights: Sequence[int], denom: int, sch: RoundingScheme) -> list
     return [0 if w <= small else bisect_right(thresholds, w) for w in weights]
 
 
-def round_value(value: Fraction, sch: RoundingScheme) -> tuple[Fraction, int]:
-    """Round one value; returns (rounded, category)."""
-    num, den = value.as_integer_ratio()
-    (cat,) = _categories((num,), den, sch)
-    if num <= den // sch.k:
-        return value, 0
-    return (sch.grid[cat - 1] if cat else sch.small_threshold), cat
-
-
 def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInstance:
     """Round every item value; order, ids, agents and mode are unchanged.
 
@@ -162,10 +159,10 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
     cats = _categories(weights, denom, sch)
     k, small = sch.k, denom // sch.k
     top = max(cats, default=0)
-    common = lcm(denom, k ** (top + 1))
+    common = lcm(denom, sch.ratios[top][1])
     lift = common // denom
     # 1/k, then q_1 .. q_top, over the common denominator
-    on_grid = [common // k ** (c + 1) * (k + 1) ** c for c in range(top + 1)]
+    on_grid = [common // b * a for a, b in sch.ratios[:top + 1]]
     rounded = [w * lift if w <= small else on_grid[c] for w, c in zip(weights, cats)]
     # Cut D' to the least common denominator that k divides: the DP's sums
     # then stay on the smallest integers.

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from convalloc import Agent, Assignment, ConvexInstance, Item, Mode
+from convalloc import Agent, Assignment, ConvexInstance, Item, Mode, round_instance
 
 E1_LAYOUT = [
     ("s1", "sq"), ("s2", "sq"), ("c1", "c"), ("c2", "c"), ("c3", "c"),
@@ -30,6 +30,15 @@ def with_demands(inst, demands):
     set to ``demands[i]``: the Hall checks read them from the agents."""
     agents = tuple(replace(a, demand=d) for a, d in zip(inst.agents, demands, strict=True))
     return ConvexInstance(inst.mode, inst.items, agents)
+
+
+def round_one(value, sch):
+    """(rounded value, category) of ``value`` alone under the scheme
+    ``sch``: ``round_instance`` on a one-item instance, the path a solve
+    runs."""
+    inst = ConvexInstance(sch.mode, (Item("x1", value),), (Agent("p1", 1, 1),))
+    rounded = round_instance(inst, sch)
+    return rounded.value_at(1), rounded.category[0]
 
 
 @pytest.fixture

@@ -13,16 +13,15 @@ Each test prints one pass/fail line (run pytest with -s to watch them).
 from fractions import Fraction
 
 from convalloc import (Mode, align, assignment_vector,
-                       check_hall_bruteforce, check_hall_maxmin,
-                       check_hall_minmax, decide,
+                       check_hall_maxmin, check_hall_minmax, decide,
                        is_non_wasteful, is_right_aligned, lexicographic_order,
                        opt_maxmin, opt_minmax, retrieve, round_instance, scale,
                        scheme, solve_maxmin, solve_minmax, verify)
 from convalloc.cli import main as cli_main
 from convalloc.generator import gen_inclusion_free, gen_planted
 from convalloc.hall import all_hall_violations_maxmin, all_hall_violations_minmax
-from convalloc.instance_model import coverage_ranges
-from conftest import with_demands
+from conftest import round_one, with_demands
+from reference import check_hall_bruteforce, coverage_ranges
 
 
 def report(label: str, ok: bool, detail: str) -> None:
@@ -262,14 +261,13 @@ def test_criterion_8a_rounding_ratios():
     rng = random.Random(88)
     bad = []
     for k in range(4, 65):
-        from convalloc.rounding import round_value
         up = scheme(k, Mode.MAXMIN)
         down = scheme(k, Mode.MINMAX)
         values = [Fraction(rng.randint(1, 840), 840) for _ in range(40)]
         values += [Fraction(1), Fraction(1, k)]
         for v in values:
-            rv_up, _ = round_value(v, up)
-            rv_down, _ = round_value(v, down)
+            rv_up, _ = round_one(v, up)
+            rv_down, _ = round_one(v, down)
             if not 1 <= rv_up / v < 1 + Fraction(1, k):
                 bad.append((k, str(v), "up"))
             if not Fraction(k, k + 1) < rv_down / v <= 1:

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convalloc import (Agent, ConvexInstance, Item, Mode,
-                       check_hall_bruteforce, check_hall_maxmin,
-                       check_hall_minmax, opt_maxmin, opt_minmax, scale, validate)
+from convalloc import (Agent, ConvexInstance, Item, Mode, check_hall_maxmin,
+                       check_hall_minmax, lexicographic_order, opt_maxmin, opt_minmax,
+                       scale, validate)
 from convalloc.hall import (HallWitness, all_hall_violations_maxmin, all_hall_violations_minmax,
                             maxmin_upper_bound, minmax_lower_bound)
-from convalloc.instance_model import coverage_ranges, lexicographic_order
 from convalloc.generator import gen_inclusion_free
 from conftest import with_demands
+from reference import check_hall_bruteforce, coverage_ranges
 
 
 def test_e1_unit_demands_ok(e1):
@@ -105,7 +105,6 @@ def contained_in_some_flagged(inst, mode, subset, flagged):
             if all(w.lo <= agents[x].lo and agents[x].hi <= w.hi for x in subset):
                 return True
         return False
-    from convalloc.instance_model import coverage_ranges
     ranges = {inst.items[p - 1].id: coverage_ranges(inst)[p - 1]
               for p in range(1, inst.m + 1)}
     for w in flagged:

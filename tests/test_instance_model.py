@@ -13,8 +13,9 @@ from convalloc import (Agent, ConvexInstance, Item, Mode, dump_instance,
                        lexicographic_order, load_instance, stranded_items,
                        validate)
 from convalloc.generator import gen_inclusion_free
-from convalloc.instance_model import coverage_ranges, integer_values
+from convalloc.instance_model import integer_values
 from conftest import with_demands
+from reference import coverage_ranges
 
 
 def agents_of(*intervals):

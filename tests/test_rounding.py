@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convalloc import (ConvexInstance, Item, Mode, RoundedInstance, gen_inclusion_free,
-                       input_vector, retrieve, round_instance, round_value, scale, scheme)
+                       input_vector, retrieve, round_instance, scale, scheme, solve_maxmin)
 from convalloc.dp_engine import _Workspace, solve_rounded
 from convalloc.hall import maxmin_upper_bound, minmax_lower_bound
 from convalloc.instance_model import integer_values
+from convalloc.rounding import _categories
+from conftest import round_one
 
 
 def test_scheme_category_counts():
@@ -45,23 +47,64 @@ def test_grid_strictly_increasing_above_threshold():
         assert all(a < b for a, b in zip(s.grid, s.grid[1:]))
 
 
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_grid_table_holds_q_tau_and_thresholds_round_it(mode):
+    for k in range(4, 65):
+        sch = scheme(k, mode)
+        c = sch.C
+        assert len(sch.ratios) == c + 1
+        # C is the least tau with (k+1)^tau >= k^(tau+1)
+        assert (k + 1) ** c >= k ** (c + 1) and (k + 1) ** (c - 1) < k ** c
+        grid, q = [], Fraction(1, k)
+        for tau, (a, b) in enumerate(sch.ratios):
+            assert (a, b) == (q.numerator, q.denominator), (k, tau)
+            grid.append(q)
+            q *= Fraction(k + 1, k)
+        assert sch.grid == tuple(grid[1:])
+        # k + 1 and 10**6 + 1 are not multiples of k; at k^(C+1) every
+        # D q_tau is an integer
+        for denom in (k + 1, 10 ** 6 + 1, k ** (c + 1)):
+            exact = [denom * q for q in sch.grid]
+            want = [math.floor(x) if mode is Mode.MAXMIN else math.ceil(x) for x in exact]
+            assert sch.thresholds(denom) == want, (k, denom)
+        # a value exactly on a grid point q_1 .. q_{C-1} is its own category,
+        # on any D (q_C > 1, since (k+1)^C and k^(C+1) are coprime)
+        denom = k ** (c + 1)
+        on_grid = [denom * a // b for a, b in sch.ratios[1:c]]
+        assert _categories(on_grid, denom, sch) == list(range(1, c))
+        for tau in {1, c // 2, c - 1}:
+            assert round_one(sch.grid[tau - 1], sch) == (sch.grid[tau - 1], tau)
+
+
+@pytest.mark.parametrize("k", [8.0, Fraction(8)], ids=["float", "Fraction"])
+def test_scheme_refuses_a_k_that_is_not_an_int(k, t1):
+    for mode in Mode:
+        scheme(8, mode)  # an equal int k already cached
+        with pytest.raises((TypeError, ValueError)):
+            scheme(k, mode)
+    trace = []
+    with pytest.raises((TypeError, ValueError)):
+        solve_maxmin(t1, k, Fraction(1, 32), trace)
+    assert trace == []  # no decide ran
+
+
 def test_round_value_examples():
     up = scheme(4, Mode.MAXMIN)
     down = scheme(4, Mode.MINMAX)
-    assert round_value(Fraction(1, 10), up) == (Fraction(1, 10), 0)
-    assert round_value(Fraction(3, 10), up) == (Fraction(5, 16), 1)
+    assert round_one(Fraction(1, 10), up) == (Fraction(1, 10), 0)
+    assert round_one(Fraction(3, 10), up) == (Fraction(5, 16), 1)
     # 3/10 lies in [1/4, 5/16): rounds down to exactly 1/4 and behaves as a
     # small job from then on
-    assert round_value(Fraction(3, 10), down) == (Fraction(1, 4), 0)
-    assert round_value(Fraction(1, 3), down) == (Fraction(5, 16), 1)
+    assert round_one(Fraction(3, 10), down) == (Fraction(1, 4), 0)
+    assert round_one(Fraction(1, 3), down) == (Fraction(5, 16), 1)
 
 
 def test_round_value_domain():
     s = scheme(4, Mode.MAXMIN)
     with pytest.raises(ValueError):
-        round_value(Fraction(0), s)
+        round_one(Fraction(0), s)
     with pytest.raises(ValueError):
-        round_value(Fraction(3, 2), s)
+        round_one(Fraction(3, 2), s)
 
 
 @pytest.mark.parametrize("k", [4, 5, 8, 16, 64])
@@ -72,9 +115,9 @@ def test_rounding_ratio_bounds(k):
     values = [Fraction(rng.randint(1, 420), 420) for _ in range(300)]
     values += [Fraction(1), Fraction(1, k), up.grid[0], up.grid[-1] / (k + 1) * k]
     for v in values:
-        rv, _ = round_value(v, up)
+        rv, _ = round_one(v, up)
         assert 1 <= rv / v < 1 + Fraction(1, k)
-        rv, _ = round_value(v, down)
+        rv, _ = round_one(v, down)
         assert Fraction(k, k + 1) < rv / v <= 1
 
 
@@ -191,7 +234,6 @@ def test_integer_rounding_matches_fraction_reference(mode, k):
                 expected = reference_round_value(v, sch)
                 got = (rd.value_at(pos), rd.category[pos - 1])
                 assert got == expected, (seed, t, v)
-                assert round_value(v, sch) == expected
                 if expected[1] == 0 and expected[0] == v:
                     assert rd.instance.items[pos - 1] is it  # kept as it is
                 hits["1/k"] += v == Fraction(1, k)
@@ -208,7 +250,7 @@ def reference_input_vector(rd, items):
     small_total = Fraction(0)
     for pos in items:
         v = rd.value_at(pos)
-        if v <= sch.small_threshold:
+        if v <= Fraction(1, sch.k):
             small_total += v
             continue
         idx = bisect_left(sch.grid, v)
