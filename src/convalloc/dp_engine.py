@@ -32,7 +32,11 @@ j's interval.  The small prefix the sweep keeps grows monotonically with
 nu_0, so the allowed nu_0 form one interval ending at nu'_0; below it the
 bundle takes a small item left of l_j.  Row 1 considers only the zero
 vector.  Every window contains all vectors that can pass, so the marking
-and the back-pointers are exactly those of the dense double loop.
+and the back-pointers are exactly those of the dense double loop.  The
+bounds #{P_c < l_j} and #{P_c <= r_{j-1}}, and their small-item
+counterparts, depend on the row alone: ``_Workspace.row_windows`` reads them
+once per row, and a predecessor's box then costs conditional expressions
+only.
 
 The windows also settle every other test of that loop, so ``forward`` tests
 a candidate against the value bound alone.  This needs the highs
@@ -68,6 +72,16 @@ u_0 + 1.  By induction this holds also when u skipped a part of its own
 box.  In Min-Max before_total grows with v_0, so the skip holds for every
 such pair; in Max-Min it shrinks, so the skip holds on ties only.
 
+Row 1 is marked in closed form.  Its windows admit only the zero vector,
+and R(0, 0) is empty, so the zero's remainder weighs 0 and keeps 0 small
+items: a predecessor marks it iff its budget admits 0, before_total - bound
+>= 0 (Max-Min) or <= 0 (Min-Max).  The skip only ever removes an
+already-marked zero: it cuts v's box only where u's budget admits every
+candidate v's does, so if v's admits the zero, u or an earlier predecessor
+marked it.  So row 1 is {zero: (the first sorted predecessor whose budget
+admits 0, weight 0, small length 0)}, or empty when no budget admits 0,
+which is what enumerating the boxes marks.
+
 All of this runs on the occupied coordinates only: nu_0 and the big
 categories that hold an item of the rounded instance.  Every vector the DP
 meets is dominated by the instance's vector, so an empty category's
@@ -91,8 +105,9 @@ small items at positions <= r_{j-1}: the sweep's two stopping rules, each
 monotone in the prefix length.  The one test this sum cannot see is the
 stranding test, which turns a vector into None; by (i) no candidate fails
 it, so the sum is exactly the weight of R(nu, j-1).  A mark carries its
-(weight, small length) into the next row, where it is the predecessor's
-``before_total`` and ``before_small``.  ``backward`` and ``retrieve`` read
+(weight, small length) into the next row, where they are the predecessor's
+``before_total`` (read as its budget, before_total - bound) and
+``before_small``.  ``backward`` and ``retrieve`` read
 a remainder's items as the position prefixes of those lengths, from the
 tables whose weights ``forward`` sums, so the sweep's rule has one
 definition (``small_kept``).  Value sums and comparisons run on the
@@ -109,7 +124,7 @@ from functools import cache, cached_property
 from itertools import filterfalse, product
 from math import gcd
 from operator import getitem
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .instance_model import Assignment, Mode, assignment_from_positions
 from .rounding import InputVector, RoundedInstance, small_units
@@ -247,6 +262,37 @@ class _Workspace:
             items += self.positions[c][:nu[c]]
         return items
 
+    def row_windows(self, j: int, preds: Iterable[tuple[InputVector, int, int]]
+                    ) -> Iterator[tuple[InputVector, int, int, Sequence[range]]]:
+        """The boxes of row j >= 2: for each (nu_prev, budget, before_small)
+        in ``preds``, yield (nu_prev, budget, start, big).  The box of
+        nu_prev is range(start, nu_prev[0] + 1) times the ranges ``big`` of
+        the big coordinates; start lies past nu_prev[0] when the
+        coordinate-0 window is empty, and ``big`` is empty when no big
+        category is occupied.  ``before_small`` is the number of small items
+        in the remainder before agent j; ``budget`` passes through unread.
+
+        Row j's bounds, ``left_of[j-1]`` and ``reach[j-2]``, are read once;
+        each box then costs conditional expressions only.
+        """
+        reach, left_of = self.reach[j - 2], self.left_of[j - 1]
+        left, top = left_of[0], reach[0]
+        small_prefix, unit = self.small_prefix, self.unit
+        past = self.nu_active[0] + 1
+        bounds = tuple(zip(left_of[1:], reach[1:]))
+        for nu_prev, budget, before_small in preds:
+            # Small items: the remainder's prefix length grows monotonically
+            # with nu_0 and must reach target = min(before_small, #small < l_j),
+            # which the sweep keeps only if target <= #small <= r_{j-1}; the
+            # least such nu_0 has (nu_0 + 1) * unit > small_prefix[target].
+            target = before_small if before_small < left else left
+            # Big category c: the bundle takes items nu_c..a-1 of the
+            # category, which must lie at or after l_j, while the remainder's
+            # first nu_c items must lie at or before r_{j-1}.
+            yield (nu_prev, budget, small_prefix[target] // unit if target <= top else past,
+                   [range(a if a < lo else lo, (a if a < hi else hi) + 1)
+                    for a, (lo, hi) in zip(nu_prev[1:], bounds)] if bounds else ())
+
     def windows(self, nu_prev: InputVector, before_small: int, j: int) -> list[range]:
         """One range per active coordinate: their product holds the vectors
         nu <= nu_prev that can leave agent j a bundle inside [l_j, r_j], in
@@ -256,27 +302,13 @@ class _Workspace:
         before agent j.  Every vector left out either reconstructs no
         remainder for agents 1..j-1 or hands agent j an item outside its
         interval; every vector in the product does neither (module
-        docstring).
+        docstring).  Rows j >= 2 read the box ``row_windows`` yields.
         """
         if j == 1:
             # The zero vector: the only one retrieve(., 0) accepts.
             return [range(1)] * len(nu_prev)
-        reach = self.reach[j - 2]
-        left_of = self.left_of[j - 1]
-        # Small items: the remainder's prefix length grows monotonically with
-        # nu_0 and must reach min(before_small, #small < l_j); the least such
-        # nu_0 has (nu_0 + 1) * unit > small_prefix[target].
-        target = min(before_small, left_of[0])
-        if target > reach[0]:
-            return [range(0)]
-        ranges = [range(self.small_prefix[target] // self.unit, nu_prev[0] + 1)]
-        # Big category c: the bundle takes items nu_c..a-1 of the category,
-        # which must lie at or after l_j, while the remainder's first nu_c
-        # items must lie at or before r_{j-1}.
-        for i in range(1, len(nu_prev)):
-            a = nu_prev[i]
-            ranges.append(range(min(a, left_of[i]), min(a, reach[i]) + 1))
-        return ranges
+        _, _, start, big = next(self.row_windows(j, [(nu_prev, 0, before_small)]))
+        return [range(start, nu_prev[0] + 1), *big]
 
 
 def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[frozenset[int]]:
@@ -302,43 +334,51 @@ def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, tuple[InputVector, 
     smallest) marking predecessor, and the weight and small-prefix length of
     R(nu, j-1), which is what nu needs as a predecessor for row j-1.
 
-    A candidate's remainder weight is a sum of table entries: the small
-    prefix its nu_0 keeps, cut at the row's ``small_cap``, plus the prefix
-    weight of each big coordinate (module docstring).  A box's coordinate-0
-    range starts past the previous predecessor's nu_0 when that predecessor
-    settled the part below (module docstring).
+    Each row is carried to the next as one sorted list of (nu, budget, small
+    length), the budget being weight - bound, and ``row_windows`` gives each
+    predecessor's box from bounds it reads once per row.  A candidate's
+    remainder weight is a sum of table entries: the small prefix its nu_0
+    keeps, cut at the row's ``small_cap``, plus the prefix weight of each
+    big coordinate (module docstring).  A box's coordinate-0 range starts
+    past the previous predecessor's nu_0 when that predecessor settled the
+    part below.  Row 1 is not enumerated: it is the zero vector, pointing at
+    the first predecessor whose budget admits weight 0, or empty (module
+    docstring).
     """
     bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
     up = ws.up
     small_len, small_prefix = ws.small_len, ws.small_prefix
-    # small_prefix[min(small_len[x], cap)] for every cap: small_len does not
-    # decrease, so each row keeps a prefix of this list and pads with the cap.
+    # min(small_len[x], cap) and small_prefix of it, for every cap: small_len
+    # does not decrease, so each row keeps a prefix of these lists and pads.
     small_weight = [small_prefix[x] for x in small_len]
-    # Row n+1: the instance's vector, with no pointer; it reconstructs to
-    # every item.
-    above = {ws.nu_active: (None, sum(ws.weight), len(ws.small_positions))}
-    for j in range(len(ws.order), 0, -1):
+    # Row n+1: the instance's vector; it reconstructs to every item.
+    preds = [(ws.nu_active, sum(ws.weight) - bound, len(ws.small_positions))]
+    for j in range(len(ws.order), 1, -1):
         cap = ws.small_cap(j - 1)
         cut = bisect_right(small_len, cap)
+        kept = small_len[:cut] + [cap] * (len(small_len) - cut)
         tables = [small_weight[:cut] + [small_prefix[cap]] * (len(small_len) - cut),
                   *ws.prefix_weight[1:]]
         row: dict[InputVector, tuple[InputVector, int, int]] = {}
         last_big, last_nu0, last_limit = None, 0, 0
-        for nu_prev in sorted(above):
-            _, before_total, before_small = above[nu_prev]
-            # The bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after.
-            limit = before_total - bound
-            box = ws.windows(nu_prev, before_small, j)
-            if nu_prev[1:] == last_big and (last_limit >= limit if up else last_limit <= limit):
-                box[0] = range(max(box[0].start, last_nu0 + 1), box[0].stop)
-            last_big, last_nu0, last_limit = nu_prev[1:], nu_prev[0], limit
+        for nu_prev, limit, start, big in ws.row_windows(j, preds):
+            # The bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after,
+            # and limit is before_total - bound.
+            big_prev, a0 = nu_prev[1:], nu_prev[0]
+            if (big_prev == last_big and start <= last_nu0
+                    and (last_limit >= limit if up else last_limit <= limit)):
+                start = last_nu0 + 1
+            last_big, last_nu0, last_limit = big_prev, a0, limit
             # The unmarked candidates, in lexicographic order.
-            for nu in filterfalse(row.__contains__, product(*box)):
+            for nu in filterfalse(row.__contains__, product(range(start, a0 + 1), *big)):
                 after = sum(map(getitem, tables, nu))
                 if (after <= limit) if up else (after >= limit):
-                    row[nu] = (nu_prev, after, min(small_len[nu[0]], cap))
+                    row[nu] = (nu_prev, after, kept[nu[0]])
         yield row
-        above = row
+        preds = sorted([(nu, after - bound, length) for nu, (_, after, length) in row.items()])
+    # Row 1: the zero vector, whose remainder R(0, 0) is empty and weighs 0.
+    first = next((nu_prev for nu_prev, limit, _ in preds if (limit >= 0 if up else limit <= 0)), None)
+    yield {} if first is None else {(0,) * len(ws.active): (first, 0, 0)}
 
 
 def forward(rounded: RoundedInstance) -> DPTable:

@@ -18,6 +18,7 @@ objective any success verified against the original values.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,14 +139,17 @@ def _require_valid(instance: ConvexInstance, mode: Mode) -> None:
                          + "; ".join(v.message for v in report.violations))
 
 
-def _search_parameters(k: int, delta: Optional[Fraction]) -> Fraction:
-    """Check k, then delta; returns delta, 1/(4k) when not given."""
+def _search_parameters(k: int, delta: Optional[Fraction]) -> tuple[int, Fraction]:
+    """Check k, then delta; returns k as an int and delta, 1/(4k) when not
+    given.  k is taken through ``operator.index``, as ``rounding.scheme``
+    takes it, so a solve that decides no guess refuses a float k too."""
+    k = operator.index(k)
     if k < 4:
         raise ValueError(f"error parameter k must be >= 4, got {k}")
     delta = Fraction(1, 4 * k) if delta is None else Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    return delta
+    return k, delta
 
 
 def _fallback_partition(instance: ConvexInstance) -> Assignment:
@@ -170,7 +174,7 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
     untried end of the bracket, which bounds OPT, is decided last.
     """
     _require_valid(instance, mode)
-    delta = _search_parameters(k, delta)
+    k, delta = _search_parameters(k, delta)
     if instance.n == 0:
         raise SolveError("instance has no agents")
     maxmin = mode is Mode.MAXMIN

@@ -522,6 +522,46 @@ def test_carried_weights_on_drawn_instances(seed, mode, k, shape, factor):
     check_carried_weights(drawn_rounded(seed, mode, k, shape, factor))
 
 
+@drawn
+def test_all_small_marks_on_drawn_instances(seed, mode, k, shape, factor):
+    # A guess of at least k * v_max leaves every item small: the DP runs on
+    # nu_0 alone and builds no big range.  Marks, pointers and carried
+    # weights are the dense enumeration's and the reference reconstruction's.
+    n, m = shape
+    inst = gen_inclusion_free(seed, n, m, mode=mode)
+    t = max(k * max(it.value for it in inst.items), inst.total_value() / n * factor)
+    rd = rounded(scale(inst, t), k)
+    assert _Workspace(rd).active == (0,)
+    assert forward(rd).rows == dense_forward(rd).rows
+    check_carried_weights(rd)
+
+
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_row_one_points_at_the_first_predecessor_that_admits_zero(mode):
+    # Row 1 is marked in closed form: the zero vector, pointing at the first
+    # sorted row-2 mark whose budget admits a remainder of weight 0.  Over a
+    # fixed sweep, that is past the first row-2 mark on some cases; there
+    # too the pointer is the dense enumeration's.
+    late = 0
+    for seed in range(24):
+        n = 2 + seed % 4
+        for k in (4, 6, 8):
+            for factor in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4)):
+                rd = drawn_rounded(seed, mode, k, (n, 2 * n + seed % 5), factor)
+                ws = _Workspace(rd)
+                rows = list(_mark_rows(ws))
+                assert forward(rd).rows == dense_forward(rd).rows
+                bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
+                admits = [nu for nu, (_, weight, _) in sorted(rows[-2].items())
+                          if (weight >= bound if ws.up else weight <= bound)]
+                if not admits:
+                    assert rows[-1] == {}
+                    continue
+                assert rows[-1] == {(0,) * len(ws.active): (admits[0], 0, 0)}
+                late += admits[0] != min(rows[-2])
+    assert late > 0
+
+
 def counting_product(monkeypatch):
     """Count the candidates ``_mark_rows`` enumerates; returns the tally."""
     tally = [0]
@@ -535,11 +575,13 @@ def counting_product(monkeypatch):
 
 
 def full_boxes(ws, rows):
-    """The candidates of every predecessor's whole box, summed over the
-    rows, and the distinct candidates of each row, summed the same way."""
+    """The candidates of every predecessor's whole box, summed over rows
+    n..2, and the distinct candidates of each row, summed the same way.
+    Row 1 enumerates nothing: its one candidate, the zero vector, is marked
+    in closed form."""
     total = distinct = 0
     above = {ws.nu_active: (None, sum(ws.weight), len(ws.small_positions))}
-    for j, row in zip(range(len(ws.order), 0, -1), rows):
+    for j, row in zip(range(len(ws.order), 1, -1), rows):
         boxes = [list(itertools.product(*ws.windows(nu_prev, before_small, j)))
                  for nu_prev, (_, _, before_small) in above.items()]
         total += sum(map(len, boxes))

@@ -342,6 +342,19 @@ def test_solve_maxmin_optimum_zero_falls_back():
     assert verify(inst, res.assignment).feasible
 
 
+@pytest.mark.parametrize("k", [8.0, 8.5])
+def test_fallback_solve_refuses_a_k_that_is_not_an_int(k):
+    # OPT = 0 takes the fallback with no decide, so no scheme is built: the
+    # search's own check must refuse k, not echo it in the result.
+    inst = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)),),
+                          (Agent("p1", 1, 1), Agent("p2", 1, 1)))
+    trace = []
+    with pytest.raises(TypeError):
+        solve_maxmin(inst, k, Fraction(1, 32), trace)
+    assert trace == []
+    assert solve_maxmin(inst, 8, Fraction(1, 32)).k == 8
+
+
 @pytest.mark.parametrize("solve, mode", [(solve_maxmin, Mode.MAXMIN),
                                          (solve_minmax, Mode.MINMAX)])
 def test_solve_rejects_an_instance_with_no_agents(solve, mode):
