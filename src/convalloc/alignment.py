@@ -9,23 +9,46 @@ Peeling agents from the last lexicographic rank down, the output's big-item
 structure is forced: within each category, the surviving big items of every
 remainder must be the leftmost ones (the sweep's prefix rule), so lex agent j
 gets the items of a category between the input's counts in H^(j-1) and H^j (an
-exchange argument shows the blocks always fit their agents' intervals).  The
-small items per agent form a suffix of the surviving small items inside the
-agent's interval; suffix lengths are found by backtracking under two exact
-constraints per step: the surviving small mass must stay in the same 1/k
-bracket as the input's remainder, and the agent's bundle must clear the value
-bound.  Items that only the current agent can still reach are always part of
-the suffix, which is what keeps every remainder free of stranded items.
+exchange argument shows the blocks always fit their agents' intervals).
+
+The small items follow from the alignment lemma, in one pass.  Index agents
+by lex rank j = n..1 and let ``small`` list the small positions in ascending
+order.  Peeling leaves agents 1..j a prefix ``small[:K]``, and agent j takes
+``small[C:K]`` for a cut C such that:
+- min(K, L_j) <= C <= min(K, T_j), with L_j = #small < l_j, T_j = #small <=
+  r_(j-1) and T_1 = 0: agent j takes every item only it can still reach, so
+  no remainder strands an item;
+- the bundle's integer weight w over the rounded view's denominator D clears
+  the bound: k w > (k-1) D for Max-Min, k w < (k+1) D for Min-Max;
+- small_units(P[C], D), P[C] the weight of ``small[:C]``, is the nu_0 of the
+  input's H^(j-1): the surviving small mass keeps the input's 1/k bracket.
+
+Lemma: the first passing cut always completes if any cut sequence does, so
+``align`` takes it and never backtracks.  It is the largest C (the shortest
+suffix) for Max-Min and the smallest C for Min-Max.
+- Max-Min: let C0 be the first (largest) passing cut at j, and C* <= C0 a
+  cut whose completing sequence goes on with C' at j-1.  C' also passes
+  after C0, leaving the same prefix: agent j-1's bundle grows from
+  small[C':C*] to small[C':C0], and min(C0, L_(j-1)) <= C' <= min(C0,
+  T_(j-1)), as L_(j-1) <= L_j <= C* unless C* = C0 = K.
+- Min-Max: by induction on j, cuts that complete from K at j complete from
+  any K' in the same 1/k bracket with min(K, L_j) <= K' <= K: keep a cut
+  C <= K' (the bundle shrinks), else cut at K' (the big items alone; then
+  K' >= L_j >= L_(j-1), since lows never fall as j falls).  The first
+  (smallest) passing C0 is such a K' at j-1 for any completing C* >= C0.
+The lemma needs highs that never fall in lexicographic order, as on every
+inclusion-free instance: only then is r_(j-1) the rightmost end of the
+agents below j, which makes the bracket exact.  ``align`` refuses a nested one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import accumulate
 
 from .instance_model import (Assignment, Mode, assignment_from_positions,
-                             lexicographic_order, partition_violations,
-                             stranded_items)
+                             partition_violations, stranded_items)
 from .rounding import InputVector, RoundedInstance, input_vector, small_units
 
 
@@ -33,30 +56,29 @@ class AlignmentError(Exception):
     """The input is not a feasible 1-assignment, or no aligned form exists."""
 
 
-def _lex_bundles(rounded: RoundedInstance, assignment: Assignment) -> list[list[int]]:
-    """Bundles as position lists indexed by lex rank (0-based)."""
+def _peel(rounded: RoundedInstance,
+          assignment: Assignment) -> list[tuple[list[int], frozenset[int]]]:
+    """Peeling from the last lex rank down: entry j-1 holds lex agent j's
+    bundle as sorted positions and the survivors H^j that peeling ranks
+    n..j+1 leaves."""
     inst = rounded.instance
     by_agent = assignment.positions(inst)
-    order = lexicographic_order(inst)
-    return [sorted(by_agent.get(agent_idx, ())) for agent_idx in order]
-
-
-def _bundle_value(rounded: RoundedInstance, positions: Sequence[int]) -> Fraction:
-    return sum((rounded.value_at(p) for p in positions), Fraction(0))
+    order = inst.lex[0]
+    survivors = frozenset(range(1, inst.m + 1))
+    peel: list[tuple[list[int], frozenset[int]]] = []
+    for agent_idx in reversed(order):
+        bundle = sorted(by_agent.get(agent_idx, ()))
+        peel.append((bundle, survivors))
+        survivors = survivors.difference(bundle)
+    peel.reverse()
+    return peel
 
 
 def assignment_vector(rounded: RoundedInstance,
                       assignment: Assignment) -> tuple[InputVector, ...]:
     """Input vectors of the remainder graphs H^1..H^n induced by peeling."""
-    inst = rounded.instance
-    bundles = _lex_bundles(rounded, assignment)
-    n = inst.n
-    survivors = set(range(1, inst.m + 1))
-    vectors: list[InputVector] = [()] * n
-    for j in range(n, 0, -1):
-        vectors[j - 1] = input_vector(rounded, survivors)
-        survivors -= set(bundles[j - 1])
-    return tuple(vectors)
+    return tuple(input_vector(rounded, survivors)
+                 for _, survivors in _peel(rounded, assignment))
 
 
 def is_right_aligned(rounded: RoundedInstance, assignment: Assignment) -> bool:
@@ -64,12 +86,10 @@ def is_right_aligned(rounded: RoundedInstance, assignment: Assignment) -> bool:
     rightmost available items of each class inside her interval?
     """
     inst = rounded.instance
-    bundles = _lex_bundles(rounded, assignment)
-    order = lexicographic_order(inst)
-    survivors = set(range(1, inst.m + 1))
-    for j in range(inst.n, 0, -1):
-        agent = inst.agents[order[j - 1]]
-        bundle = set(bundles[j - 1])
+    order = inst.lex[0]
+    for agent_idx, (bundle_list, survivors) in zip(order, _peel(rounded, assignment)):
+        agent = inst.agents[agent_idx]
+        bundle = set(bundle_list)
         classes: dict[int, list[int]] = {}
         for p in sorted(survivors):
             if agent.covers(p):
@@ -80,20 +100,14 @@ def is_right_aligned(rounded: RoundedInstance, assignment: Assignment) -> bool:
                 return False
         if any(p not in survivors or not agent.covers(p) for p in bundle):
             return False
-        survivors -= bundle
     return True
 
 
 def is_non_wasteful(rounded: RoundedInstance, assignment: Assignment) -> bool:
     """No intermediate remainder graph H^j (j = n-1 .. 1) strands an item."""
-    inst = rounded.instance
-    bundles = _lex_bundles(rounded, assignment)
-    survivors = set(range(1, inst.m + 1))
-    for j in range(inst.n, 1, -1):
-        survivors -= set(bundles[j - 1])
-        if stranded_items(inst, survivors, j - 1):
-            return False
-    return True
+    peel = _peel(rounded, assignment)
+    return not any(stranded_items(rounded.instance, survivors, j)
+                   for j, (_, survivors) in enumerate(peel[:-1], start=1))
 
 
 def _require_one_assignment(rounded: RoundedInstance, assignment: Assignment) -> None:
@@ -101,12 +115,22 @@ def _require_one_assignment(rounded: RoundedInstance, assignment: Assignment) ->
     problems = partition_violations(inst, assignment)
     if problems:
         raise AlignmentError(f"not a feasible partition: {problems[0]}")
+    weights, denom = inst.integers
+    pos_of = inst.ids[0]
     for aid, ids in assignment.bundles:
-        value = sum((inst.value_at(inst.item_index(x)) for x in ids), Fraction(0))
-        if inst.mode is Mode.MAXMIN and value < 1:
-            raise AlignmentError(f"bundle of {aid!r} has rounded value {value} < 1")
-        if inst.mode is Mode.MINMAX and value > 1:
-            raise AlignmentError(f"bundle of {aid!r} has rounded load {value} > 1")
+        weight = sum(weights[pos_of[x] - 1] for x in ids)
+        if inst.mode is Mode.MAXMIN and weight < denom:
+            raise AlignmentError(
+                f"bundle of {aid!r} has rounded value {Fraction(weight, denom)} < 1")
+        if inst.mode is Mode.MINMAX and weight > denom:
+            raise AlignmentError(
+                f"bundle of {aid!r} has rounded load {Fraction(weight, denom)} > 1")
+
+
+def _clears(maxmin: bool, k: int, weight: int, denom: int) -> bool:
+    """Does the bundle value ``weight / denom`` clear the bound: above
+    1 - 1/k for Max-Min, below 1 + 1/k for Min-Max?"""
+    return k * weight > (k - 1) * denom if maxmin else k * weight < (k + 1) * denom
 
 
 def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
@@ -114,24 +138,31 @@ def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
 
     Max-Min output bundles keep rounded value > 1 - 1/k (minimal small
     suffixes); Min-Max bundles stay < 1 + 1/k (maximal small suffixes).
-    Raises AlignmentError when the input is not a 1-assignment.
+    Each agent, from the last lex rank down, takes the first small cut that
+    passes; by the alignment lemma (module docstring) that never needs a
+    second try.  Raises AlignmentError when the instance is nested (the
+    lemma needs highs that never fall in lexicographic order), when the
+    input is not a 1-assignment, and when no aligned form exists.
     """
     inst = rounded.instance
     maxmin = inst.mode is Mode.MAXMIN
+    order, lows, highs = inst.lex
+    if any(a > b for a, b in zip(highs, highs[1:])):
+        raise AlignmentError("alignment needs an inclusion-free instance: "
+                             "some agent's interval is nested inside another's")
     _require_one_assignment(rounded, one_assignment)
 
-    order, lows, highs = inst.lex
     n = inst.n
-    bundles_in = _lex_bundles(rounded, one_assignment)
-    if sorted(p for bundle in bundles_in for p in bundle) != list(range(1, inst.m + 1)):
+    peel = _peel(rounded, one_assignment)
+    if sorted(p for bundle, _ in peel for p in bundle) != list(range(1, inst.m + 1)):
         raise AlignmentError("input bundles do not partition the items")
     sch = rounded.scheme
     by_coordinate = rounded.positions()
     # vectors[j] is the input's H^j, H^0 empty.  Forced big structure: lex
     # agent j gets each category's items from H^(j-1)'s count to H^j's, the
     # leftmost-prefix rule of the sweep.
-    vectors = (sch.zero_vector(),) + assignment_vector(rounded, one_assignment)
-    big_out: list[list[int]] = [[] for _ in range(n)]
+    vectors = [sch.zero_vector()] + [input_vector(rounded, survivors) for _, survivors in peel]
+    bundles: list[list[int]] = [[] for _ in range(n)]
     for cat in range(1, sch.C + 1):
         for j in range(n):
             block = by_coordinate[cat][vectors[j][cat]:vectors[j + 1][cat]]
@@ -140,62 +171,26 @@ def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
                     raise AlignmentError(
                         f"category {cat} block escapes the interval of lex agent {j + 1}; "
                         "input cannot be a feasible assignment of this instance")
-            big_out[j].extend(block)
-    big_value = [_bundle_value(rounded, big_out[j]) for j in range(n)]
+            bundles[j].extend(block)
 
-    one_over_k = Fraction(1, sch.k)
-    bound = 1 - one_over_k if maxmin else 1 + one_over_k
+    # The small suffixes, lex agent j+1 (0-based j) from the last down:
+    # small[:left] survives, and the agent takes small[cut:left].
+    weights, denom = inst.integers
+    big = [sum(weights[p - 1] for p in bundle) for bundle in bundles]
+    small = by_coordinate[0]
+    prefix = [0, *accumulate(weights[p - 1] for p in small)]
+    left = len(small)
+    for j in range(n - 1, -1, -1):
+        low = min(left, bisect_left(small, lows[j]))
+        high = min(left, bisect_right(small, highs[j - 1])) if j else 0
+        cuts = range(high, low - 1, -1) if maxmin else range(low, high + 1)
+        cut = next((c for c in cuts
+                    if _clears(maxmin, sch.k, big[j] + prefix[left] - prefix[c], denom)
+                    and small_units(prefix[c], denom, sch) == vectors[j][0]), None)
+        if cut is None:
+            raise AlignmentError("no right-aligned assignment preserves the assignment "
+                                 "vector at the required value bound")
+        bundles[j].extend(small[cut:left])
+        left = cut
 
-    def value_ok(j: int, taken: Fraction) -> bool:
-        v = big_value[j] + taken
-        return v > bound if maxmin else v < bound
-
-    small_out: list[Optional[list[int]]] = [None] * n
-
-    def search(j: int, survivors: list[Fraction], positions: list[int]) -> bool:
-        """Assign small suffixes for lex agents j..0 (0-based, descending)."""
-        avail_idx = [i for i, p in enumerate(positions) if lows[j] <= p <= highs[j]]
-        prev_high = highs[j - 1] if j > 0 else 0
-        if j == 0:
-            if any(p > highs[0] or p < lows[0] for p in positions):
-                return False
-            taken = sum(survivors, Fraction(0))
-            if not value_ok(0, taken):
-                return False
-            small_out[0] = list(positions)
-            return True
-        forced_idx = [i for i in avail_idx if positions[i] > prev_high]
-        if any(p > highs[j] for p in positions):
-            return False  # already-stranded item; unreachable from valid states
-        optional_idx = [i for i in avail_idx if positions[i] <= prev_high]
-        forced_val = sum((survivors[i] for i in forced_idx), Fraction(0))
-        remainder_total = sum(survivors, Fraction(0)) - forced_val
-        # Extension sizes: suffix of the optional positions, tried smallest
-        # first for Max-Min (minimal bundles) and largest first for Min-Max.
-        sizes = range(len(optional_idx) + 1)
-        if not maxmin:
-            sizes = reversed(sizes)
-        for extra in sizes:
-            ext_idx = optional_idx[len(optional_idx) - extra:]
-            taken = forced_val + sum((survivors[i] for i in ext_idx), Fraction(0))
-            if not value_ok(j, taken):
-                continue
-            new_total = remainder_total - (taken - forced_val)
-            # H^j's small bracket
-            if small_units(*new_total.as_integer_ratio(), sch) != vectors[j][0]:
-                continue
-            chosen = set(forced_idx) | set(ext_idx)
-            rest_vals = [v for i, v in enumerate(survivors) if i not in chosen]
-            rest_pos = [p for i, p in enumerate(positions) if i not in chosen]
-            if search(j - 1, rest_vals, rest_pos):
-                small_out[j] = [positions[i] for i in sorted(chosen)]
-                return True
-        return False
-
-    values = [rounded.value_at(p) for p in by_coordinate[0]]
-    if not search(n - 1, values, by_coordinate[0]):
-        raise AlignmentError("no right-aligned assignment preserves the assignment "
-                             "vector at the required value bound")
-
-    return assignment_from_positions(
-        inst, {order[j]: big_out[j] + (small_out[j] or []) for j in range(n)})
+    return assignment_from_positions(inst, dict(zip(order, bundles)))

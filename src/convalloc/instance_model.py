@@ -289,7 +289,7 @@ def stranded_items(instance: ConvexInstance, items: Iterable[int], j: int) -> fr
     """Positions in ``items`` that no agent of the lex-prefix p_1..p_j covers."""
     if not 0 <= j <= instance.n:
         raise ValueError(f"agent count {j} out of range 0..{instance.n}")
-    agents = [instance.agents[i] for i in lexicographic_order(instance)[:j]]
+    agents = [instance.agents[i] for i in instance.lex[0][:j]]
     return frozenset(pos for pos in items if not any(a.covers(pos) for a in agents))
 
 

@@ -3,14 +3,19 @@
 ``check_hall_bruteforce`` enumerates subsets for the generalized Hall
 condition, and ``coverage_ranges`` lists each item's covering agents by
 lexicographic rank; the interval sweeps of ``convalloc.hall`` must agree with
-both on small instances.
+both on small instances.  ``first_aligned_cuts`` enumerates every sequence of
+small-item cuts that ``convalloc.align`` could take; ``align`` must take the
+first one that passes.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
+from math import ceil, floor
 from typing import Optional
 
-from convalloc import ConvexInstance, Mode
+from convalloc import Assignment, ConvexInstance, Mode, assignment_vector
+from convalloc.rounding import RoundedInstance
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -71,4 +76,54 @@ def check_hall_bruteforce(instance: ConvexInstance) -> Optional[tuple[str, ...]]
             allowed = sum((loads_by_rank[r - 1] for r in machines), Fraction(0))
             if work > allowed:
                 return tuple(instance.items[p - 1].id for p in subset)
+    return None
+
+
+def first_aligned_cuts(rounded: RoundedInstance,
+                       assignment: Assignment) -> Optional[list[list[int]]]:
+    """The small bundles, by lex rank (0-based), of the first cut sequence
+    that passes, or None when none does.
+
+    Big items are dealt by the prefix rule off the input's assignment
+    vector; None if a block leaves its agent's interval.  The small
+    positions are dealt from the last lex rank down: each agent takes a
+    suffix of the small positions still left.  Every sequence of cuts is
+    enumerated, each agent's cut tried shortest suffix first for Max-Min and
+    longest first for Min-Max.  A sequence passes when, for every agent, the
+    bundle lies in its interval, the agents below it cover every small
+    position left, and two tests hold: the bundle's rounded value is above
+    1 - 1/k (Max-Min) or below 1 + 1/k (Min-Max), and the small mass left is
+    in the 1/k bracket of the input's remainder.
+    """
+    inst, sch = rounded.instance, rounded.scheme
+    maxmin = inst.mode is Mode.MAXMIN
+    agents = [inst.agents[i] for i in inst.lex[0]]
+    n, k = inst.n, sch.k
+    vectors = (sch.zero_vector(),) + assignment_vector(rounded, assignment)
+    by_coordinate = rounded.positions()
+    big = [[p for c in range(1, sch.C + 1)
+            for p in by_coordinate[c][vectors[j][c]:vectors[j + 1][c]]] for j in range(n)]
+    if any(not agents[j].covers(p) for j in range(n) for p in big[j]):
+        return None
+    small = by_coordinate[0]
+
+    @cache
+    def passes(j: int, cut: int, end: int) -> bool:
+        bundle, left = small[cut:end], small[:cut]
+        if not all(agents[j].covers(p) for p in bundle):
+            return False
+        if not all(any(a.covers(p) for a in agents[:j]) for p in left):
+            return False
+        value = sum((rounded.value_at(p) for p in bundle + big[j]), Fraction(0))
+        mass = k * sum((rounded.value_at(p) for p in left), Fraction(0))
+        if maxmin:
+            return value > 1 - Fraction(1, k) and ceil(mass) == vectors[j][0]
+        return value < 1 + Fraction(1, k) and floor(mass) == vectors[j][0]
+
+    cuts = range(len(small), -1, -1) if maxmin else range(len(small) + 1)
+    for sequence in product(cuts, repeat=n):  # lex ranks n..1
+        ends = (len(small),) + sequence
+        if all(cut <= end and passes(n - 1 - i, cut, end)
+               for i, (cut, end) in enumerate(zip(sequence, ends))):
+            return [small[sequence[n - 1 - j]:ends[n - 1 - j]] for j in range(n)]
     return None

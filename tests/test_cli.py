@@ -2,10 +2,12 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
-from convalloc import dump_instance, format_value, load_instance, parse_value, validate, verify
+from convalloc import (Agent, ConvexInstance, Item, Mode, dump_instance, format_value,
+                       load_instance, parse_value, validate, verify)
 from convalloc.cli import build_parser, main
 
 
@@ -81,6 +83,9 @@ def test_check_heading_names_inclusion_only_when_it_fails(tmp_path, capsys):
 def test_oracle_t1(paths, capsys):
     assert main(["oracle", "-i", paths["t1"]]) == 0
     assert capsys.readouterr().out.strip() == "opt: 11/10"
+    assert main(["oracle", "-i", paths["t1"], "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "opt": "11/10", "assignment": {"p1": ["x1", "x2"], "p2": ["x3", "x4"]}}
 
 
 def test_solve_e1(paths, capsys, e1, tmp_path):
@@ -126,8 +131,13 @@ def test_solve_optimum_zero_traces_no_decide(tmp_path, capsys):
     assert "# decide" not in trace.read_text()
 
 
-def test_missing_file_exit_code(capsys):
+def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["check", "-i", "does-not-exist.json"]) == 2
+    capsys.readouterr()
+    # a directory with no *.json holds no instance to bench
+    (tmp_path / "notes.txt").write_text("")
+    assert main(["bench", "-d", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: no instances under {tmp_path}\n"
 
 
 ONE_ITEM = [{"id": "x1", "value": "1"}]
@@ -263,6 +273,9 @@ def test_every_accepted_exponent_prints_back(mantissa, sign):
 @pytest.mark.parametrize("delta, message", [
     ("1/0", "value '1/0' has a zero denominator"),
     ("abc", "Invalid literal for Fraction: 'abc'"),
+    ("0", "delta must lie in (0,1), got 0"),
+    ("1", "delta must lie in (0,1), got 1"),
+    ("3/2", "delta must lie in (0,1), got 3/2"),
 ])
 def test_solve_rejects_malformed_delta(paths, capsys, delta, message):
     assert main(["solve", "-i", paths["e1"], "--delta", delta]) == 2
@@ -309,6 +322,10 @@ def test_gen_writes_instance(tmp_path, capsys):
     assert main(["gen", "--seed", "9", "-n", "3", "-m", "8", "-o", str(target)]) == 0
     data = json.loads(target.read_text())
     assert len(data["items"]) == 8 and len(data["agents"]) == 3
+    # with no -o the same bytes go to stdout
+    capsys.readouterr()
+    assert main(["gen", "--seed", "9", "-n", "3", "-m", "8"]) == 0
+    assert capsys.readouterr().out == target.read_text()
 
 
 @pytest.mark.parametrize("argv", [["solve", "-i", "E1", "-o"], ["solve", "-i", "E1", "--trace"],
@@ -358,6 +375,20 @@ def test_bench_reports_ratio(paths, capsys):
     assert {r["instance"] for r in rows} == {"e1.json", "t1.json", "m1.json"}
     t1_row = next(r for r in rows if r["instance"] == "t1.json")
     assert t1_row["opt"] == "11/10"
+
+
+def test_bench_table_dashes_what_the_oracle_refuses(tmp_path, t1, capsys):
+    # seven agents are past the oracle's limit: no opt and no ratio
+    seven = ConvexInstance(Mode.MAXMIN, tuple(Item(f"x{i}", Fraction(1)) for i in range(1, 8)),
+                           tuple(Agent(f"p{i}", i, i) for i in range(1, 8)))
+    dump_instance(seven, str(tmp_path / "seven.json"))
+    dump_instance(t1, str(tmp_path / "t1.json"))
+    assert main(["bench", "-d", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "instance    mode    objective  opt    ratio",
+        "seven.json  maxmin  1          -      -    ",
+        "t1.json     maxmin  11/10      11/10  1    ",
+    ]
 
 
 @pytest.mark.parametrize("mode", ["maxmin", "minmax"])

@@ -82,6 +82,8 @@ def test_retrieve_rejects_oversized_vectors(e1):
     rd = rounded(e1, 10)
     with pytest.raises(ValueError):
         retrieve(rd, vec(rd.scheme, 99), 1)
+    with pytest.raises(ValueError, match="agent count 4 out of range"):
+        retrieve(rd, vec(rd.scheme, 0), rd.instance.n + 1)
     nu_in = input_vector(rd, all_items(rd))
     # one past every count, plus an item of the empty category 9
     probes = 0
@@ -126,6 +128,8 @@ def test_forward_failure_when_infeasible():
     assert not table.row(1)
     out, _ = solve_rounded(rd)
     assert out is None
+    with pytest.raises(LookupError, match="no feasible assignment"):
+        backward(table, rd)
 
 
 def test_backward_e1_bundle_values(e1):

@@ -228,6 +228,10 @@ def test_bounds_reject_the_other_mode_and_no_agents(t1, m1):
         minmax_lower_bound(t1)
     with pytest.raises(ValueError, match="no agents"):
         minmax_lower_bound(ConvexInstance(Mode.MINMAX, (Item("j1", Fraction(1)),), ()))
+    with pytest.raises(ValueError, match="expected a maxmin instance, got minmax"):
+        check_hall_maxmin(m1)
+    with pytest.raises(ValueError, match="expected a minmax instance, got maxmin"):
+        check_hall_minmax(t1)
 
 
 # Derandomized: every run draws the same examples and stores none.

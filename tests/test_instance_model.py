@@ -127,6 +127,10 @@ def test_validate_misc_violations():
     bad_value = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(0)),),
                                agents_of((1, 1)))
     assert any(v.code == "nonpositive-value" for v in validate(bad_value).violations)
+    bad_demand = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)),),
+                                (Agent("p1", 1, 1, Fraction(0)),))
+    assert [(v.code, v.message) for v in validate(bad_demand).violations] == \
+        [("nonpositive-demand", "agent 'p1' has demand 0 <= 0")]
     bad_interval = uniform_instance(2, (0, 2))
     assert any(v.code == "bad-interval" for v in validate(bad_interval).violations)
     dup = ConvexInstance(Mode.MAXMIN,

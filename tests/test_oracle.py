@@ -101,11 +101,21 @@ def test_size_guard():
     inst = ConvexInstance(Mode.MAXMIN, items, agents)
     with pytest.raises(OracleSizeError):
         opt_maxmin(inst)
+    wide = ConvexInstance(Mode.MAXMIN, tuple(Item(f"x{i}", Fraction(1)) for i in range(1, 66)),
+                          (Agent("p1", 1, 65),))
+    with pytest.raises(OracleSizeError, match="at most 64 items supported, got 65"):
+        opt_maxmin(wide)
+    with pytest.raises(OracleSizeError, match="work cap exceeded"):
+        opt_maxmin(ConvexInstance(Mode.MAXMIN, items, agents[:2]), work_cap=1)
 
 
-def test_rejects_invalid_instances():
+def test_rejects_invalid_instances(t1, m1):
     inst = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)),) * 2,
                           (Agent("p1", 1, 1),))
     assert not validate(inst).ok
     with pytest.raises(ValueError):
         opt_maxmin(inst)
+    with pytest.raises(ValueError, match="opt_maxmin expects a Max-Min instance"):
+        opt_maxmin(m1)
+    with pytest.raises(ValueError, match="opt_minmax expects a Min-Max instance"):
+        opt_minmax(t1)

@@ -125,13 +125,17 @@ def test_a_solve_sorts_its_agents_once(monkeypatch, mode, seed):
     assert all(table._ws.order is inst.lex[0] for table in tables)
 
 
-def test_decide_examples(e1, t0):
+def test_decide_examples(e1, t0, m1):
     got = decide(e1, Fraction(1), 10)
     assert got is not None
     report = verify(e1, got)
     assert report.feasible and report.objective >= Fraction(7, 11)
     got = decide(t0, Fraction(1), 4)
     assert got.bundle_map() == {"p1": ("x1",)}
+    # a Min-Max guess below the longest job fails before rounding
+    trace = []
+    assert decide(m1, Fraction(1, 100), 8, trace) is None
+    assert trace == ["# decide t=1/100 k=8 infeasible-scaling"]
 
 
 def test_decide_above_optimum_keeps_its_promise(t1):
@@ -210,6 +214,10 @@ def test_verify_skips_unknown_items(e1):
     assert not report.feasible
     assert any("unknown item 'zz'" in v for v in report.violations)
     assert report.agent_values[0] == ("p1", Fraction(1, 4))
+    stranger = Assignment(Mode.MAXMIN, (("p1", ("s1",)), ("p2", ()), ("p3", ()), ("pz", ())))
+    report = verify(e1, stranger)
+    assert not report.feasible
+    assert "unknown agent 'pz'" in report.violations
 
 
 def fraction_verify(instance, assignment):
