@@ -60,9 +60,15 @@ def _peel(rounded: RoundedInstance,
           assignment: Assignment) -> list[tuple[list[int], frozenset[int]]]:
     """Peeling from the last lex rank down: entry j-1 holds lex agent j's
     bundle as sorted positions and the survivors H^j that peeling ranks
-    n..j+1 leaves."""
+    n..j+1 leaves.  Raises AlignmentError on an unknown agent or item id,
+    naming the first as ``align`` does."""
     inst = rounded.instance
-    by_agent = assignment.positions(inst)
+    try:
+        by_agent = assignment.positions(inst)
+    except KeyError:
+        unknown = next(v for v in partition_violations(inst, assignment)
+                       if v.startswith("unknown "))
+        raise AlignmentError(f"not a feasible partition: {unknown}") from None
     order = inst.lex[0]
     survivors = frozenset(range(1, inst.m + 1))
     peel: list[tuple[list[int], frozenset[int]]] = []

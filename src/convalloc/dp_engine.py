@@ -72,6 +72,23 @@ u_0 + 1.  By induction this holds also when u skipped a part of its own
 box.  In Min-Max before_total grows with v_0, so the skip holds for every
 such pair; in Max-Min it shrinks, so the skip holds on ties only.
 
+A box on nu_0 alone, when no big category is occupied, is cut to the run
+of its candidates that pass, found by one bisection.  Candidate x leaves a
+remainder of weight small_prefix[min(small_len[x], small_cap(j-1))]:
+small_len never decreases in x, and neither the cut at the cap nor the
+prefix weights undo that, so this row's table of these weights never
+decreases in x.  A candidate passes iff its weight is at most the budget
+(Max-Min) or at least it (Min-Max).  So the passing part of the box
+range(start, nu'_0 + 1) is a leading run ending at bisect_right(table,
+budget, start, nu'_0 + 1) in Max-Min, and a trailing run starting at
+bisect_left(table, budget, start, nu'_0 + 1) in Min-Max: every candidate of
+the run passes and every other one fails.  The run is walked in the scan's
+ascending order, so each unmarked candidate gets the pointer, weight and
+small length the scan would give it.  A Min-Max run starts past the
+previous predecessor's nu_0 (the skip), above every mark made so far, so it
+meets none; a Max-Min run can reach below it, and a candidate marked there
+keeps its first pointer.
+
 Row 1 is marked in closed form.  Its windows admit only the zero vector,
 and R(0, 0) is empty, so the zero's remainder weighs 0 and keeps 0 small
 items: a predecessor marks it iff its budget admits 0, before_total - bound
@@ -121,7 +138,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import filterfalse, product
+from itertools import accumulate, filterfalse, product
 from math import gcd
 from operator import getitem
 from typing import Iterable, Iterator, Optional, Sequence
@@ -207,12 +224,9 @@ class _Workspace:
         self.positions = rounded.positions()
         self.active = tuple(c for c, ps in enumerate(self.positions) if c == 0 or ps)
         active_positions = [self.positions[c] for c in self.active]
-        self.prefix_weight: list[list[int]] = []
-        for positions in active_positions:
-            weights = [0]
-            for p in positions:
-                weights.append(weights[-1] + self.weight[p])
-            self.prefix_weight.append(weights)
+        weight_of = self.weight.__getitem__
+        self.prefix_weight = [list(accumulate(map(weight_of, ps), initial=0))
+                              for ps in active_positions]
         self.small_positions = self.positions[0]
         self.small_prefix = self.prefix_weight[0]
         self.reach = [tuple(bisect_right(ps, hi) for ps in active_positions) for hi in self.highs]
@@ -221,13 +235,11 @@ class _Workspace:
         nu0 = small_units(self.small_prefix[-1], self.denom, sch)
         self.nu_active = (nu0,) + tuple(len(ps) for ps in active_positions[1:])
         self.nu_in = self.expand(self.nu_active)
-        # One merge sweep: the prefix length and its bound both grow with x.
-        self.small_len: list[int] = []
-        length = 0
-        for bound in range(self.unit, (nu0 + 2) * self.unit, self.unit):
-            while length < len(self.small_positions) and self.small_prefix[length + 1] < bound:
-                length += 1
-            self.small_len.append(length)
+        # The prefix weights never decrease, so the longest prefix worth
+        # < (x + 1)/k ends just before the first one worth at least that.
+        small_prefix, unit = self.small_prefix, self.unit
+        self.small_len = [bisect_left(small_prefix, bound) - 1
+                          for bound in range(unit, (nu0 + 2) * unit, unit)]
 
     def expand(self, nu: InputVector) -> InputVector:
         """The full (nu_0, ..., nu_C) vector of a vector over ``active``."""
@@ -341,9 +353,11 @@ def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, tuple[InputVector, 
     keeps, cut at the row's ``small_cap``, plus the prefix weight of each
     big coordinate (module docstring).  A box's coordinate-0 range starts
     past the previous predecessor's nu_0 when that predecessor settled the
-    part below.  Row 1 is not enumerated: it is the zero vector, pointing at
-    the first predecessor whose budget admits weight 0, or empty (module
-    docstring).
+    part below.  A box with no big range walks only the run of candidates
+    that pass, which one bisection of the row's small-weight table finds:
+    the table never decreases in nu_0.  Row 1 is not enumerated: it is the
+    zero vector, pointing at the first predecessor whose budget admits
+    weight 0, or empty (module docstring).
     """
     bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
     up = ws.up
@@ -357,9 +371,10 @@ def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, tuple[InputVector, 
         cap = ws.small_cap(j - 1)
         cut = bisect_right(small_len, cap)
         kept = small_len[:cut] + [cap] * (len(small_len) - cut)
-        tables = [small_weight[:cut] + [small_prefix[cap]] * (len(small_len) - cut),
-                  *ws.prefix_weight[1:]]
-        row: dict[InputVector, tuple[InputVector, int, int]] = {}
+        small_table = small_weight[:cut] + [small_prefix[cap]] * (len(small_len) - cut)
+        tables = [small_table, *ws.prefix_weight[1:]]
+        # Built by name, so that a test can count the membership tests.
+        row: dict[InputVector, tuple[InputVector, int, int]] = dict()
         last_big, last_nu0, last_limit = None, 0, 0
         for nu_prev, limit, start, big in ws.row_windows(j, preds):
             # The bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after,
@@ -369,11 +384,21 @@ def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, tuple[InputVector, 
                     and (last_limit >= limit if up else last_limit <= limit)):
                 start = last_nu0 + 1
             last_big, last_nu0, last_limit = big_prev, a0, limit
-            # The unmarked candidates, in lexicographic order.
-            for nu in filterfalse(row.__contains__, product(range(start, a0 + 1), *big)):
-                after = sum(map(getitem, tables, nu))
-                if (after <= limit) if up else (after >= limit):
-                    row[nu] = (nu_prev, after, kept[nu[0]])
+            if big:
+                # The unmarked candidates, in lexicographic order.
+                for nu in filterfalse(row.__contains__, product(range(start, a0 + 1), *big)):
+                    after = sum(map(getitem, tables, nu))
+                    if (after <= limit) if up else (after >= limit):
+                        row[nu] = (nu_prev, after, kept[nu[0]])
+            else:
+                # nu_0 alone: small_table never decreases, so the candidates
+                # that pass are one run of the box, found by one bisection.
+                run = (range(start, bisect_right(small_table, limit, start, a0 + 1)) if up
+                       else range(bisect_left(small_table, limit, start, a0 + 1), a0 + 1))
+                for x in run:
+                    nu = (x,)
+                    if nu not in row:
+                        row[nu] = (nu_prev, small_table[x], kept[x])
         yield row
         preds = sorted([(nu, after - bound, length) for nu, (_, after, length) in row.items()])
     # Row 1: the zero vector, whose remainder R(0, 0) is empty and weighs 0.

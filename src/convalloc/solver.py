@@ -201,7 +201,11 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
         found = decide(instance, t, k, trace)
         if found is None:
             return False
-        objective = verify(instance, found).objective
+        report = verify(instance, found)
+        if not report.feasible:
+            raise AssertionError(f"decide returned an infeasible assignment at t={t}: "
+                                 f"{report.violations[0]}")
+        objective = report.objective
         if best is None or (objective > best[0] if maxmin else objective < best[0]):
             best = (objective, found)
         t_star = t

@@ -37,6 +37,18 @@ def test_assignment_vector_trivial(t0):
     assert vectors == (input_vector(rd, (1,)),)
 
 
+@pytest.mark.parametrize("bundles, message", [
+    ((("pz", ("x1",)),), "not a feasible partition: unknown agent 'pz'"),
+    ((("p1", ("zz",)),), "not a feasible partition: unknown item 'zz' in bundle of 'p1'"),
+], ids=["agent", "item"])
+@pytest.mark.parametrize("check", [assignment_vector, is_right_aligned, is_non_wasteful, align])
+def test_unknown_ids_raise_alignment_error(t0, check, bundles, message):
+    # The predicates name an unknown id as align does, not by a KeyError.
+    with pytest.raises(AlignmentError) as raised:
+        check(rounded(t0, 4), Assignment(Mode.MAXMIN, bundles))
+    assert str(raised.value) == message
+
+
 def test_is_right_aligned(e1, e1_assignment_1, e1_assignment_2, t0, t1):
     rd = rounded(e1, 10)
     assert is_right_aligned(rd, e1_assignment_1)

@@ -230,6 +230,22 @@ def test_bundle_margin_is_one_rule(mode, values, ok):
     assert forward(rd).succeeded is ok
 
 
+@pytest.mark.parametrize("mode, per_agent", [(Mode.MAXMIN, 5), (Mode.MINMAX, 11)])
+def test_one_coordinate_run_keeps_a_bundle_on_the_bound(mode, per_agent):
+    # Two agents on disjoint intervals of items worth 1/8 at k = 8: each
+    # bundle must be worth exactly 1 - 3/8 (Max-Min) or 1 + 3/8 (Min-Max),
+    # so row 2's passing run starts (Min-Max) or ends (Max-Min) on a
+    # candidate whose bundle sits on the bound.
+    m = 2 * per_agent
+    inst = ConvexInstance(mode, make_items([Fraction(1, 8)] * m), (
+        Agent("p1", 1, per_agent), Agent("p2", per_agent + 1, m)))
+    rd = rounded(inst, 8)
+    assert _Workspace(rd).active == (0,)
+    table = forward(rd)
+    assert table.succeeded
+    assert table.rows == dense_forward(rd).rows
+
+
 # ---------------------------------------------------------------------------
 # Window-pruned transitions against the dense enumeration
 # ---------------------------------------------------------------------------
@@ -566,15 +582,17 @@ def test_row_one_points_at_the_first_predecessor_that_admits_zero(mode):
     assert late > 0
 
 
-def counting_product(monkeypatch):
-    """Count the candidates ``_mark_rows`` enumerates; returns the tally."""
+def counting_candidates(monkeypatch):
+    """Count the candidates ``_mark_rows`` walks, each tested once for
+    membership in its row: the product of a box with a big range, and the
+    passing run of a box on nu_0 alone.  Returns the tally."""
     tally = [0]
 
-    def product(*ranges):
-        for nu in itertools.product(*ranges):
+    class Row(dict):
+        def __contains__(self, nu):
             tally[0] += 1
-            yield nu
-    monkeypatch.setattr(dp_engine, "product", product)
+            return super().__contains__(nu)
+    monkeypatch.setattr(dp_engine, "dict", Row, raising=False)
     return tally
 
 
@@ -617,13 +635,15 @@ def test_skipped_candidates_were_settled(case, skips, monkeypatch):
         "maxmin-tie": lambda: drawn_rounded(1, Mode.MAXMIN, 4, (3, 4), 1),
     }[case]()
     ws = _Workspace(rd)
-    tally = counting_product(monkeypatch)
+    tally = counting_candidates(monkeypatch)
     rows = list(_mark_rows(ws))
     total, distinct = full_boxes(ws, rows)
     assert (tally[0] < total) is skips
     if len(ws.active) == 1 and not ws.up:
-        # On nu_0 alone every Min-Max box starts past the previous one.
-        assert tally[0] == distinct
+        # On nu_0 alone every Min-Max run starts past the previous
+        # predecessor's nu_0 and holds only passing candidates: each one it
+        # walks is marked.
+        assert tally[0] == sum(map(len, rows[:-1])) <= distinct
     n = rd.instance.n
     dense = dense_forward(rd).rows
     for j, row in zip(range(n, 0, -1), rows):
@@ -646,17 +666,46 @@ def test_skipped_candidates_were_settled(case, skips, monkeypatch):
         assert any(wa == wb and la == lb == cap for (wa, la), (wb, lb), cap in pairs)
 
 
+def test_maxmin_one_coordinate_runs_match_dense(monkeypatch):
+    # Every value at most t/k: the DP runs on nu_0 alone and each box is cut
+    # to the run its bisection finds.  A Max-Min budget shrinks as nu_0
+    # grows, so a run can reach below the previous predecessor's nu_0 into
+    # marks already made, which keep their first pointer; over this sweep
+    # that happens on some cases.  Marks, pointers and carried weights are
+    # the dense enumeration's and the reference reconstruction's.
+    tally = counting_candidates(monkeypatch)
+    overlaps = cases = 0
+    for seed in range(40):
+        n = 2 + seed % 4
+        inst = gen_inclusion_free(seed, n, 3 * n + seed % 7, mode=Mode.MAXMIN)
+        for k in (4, 6, 8):
+            base = max(k * max(it.value for it in inst.items), inst.total_value() / n)
+            for factor in (1, Fraction(9, 8), Fraction(5, 4)):
+                rd = rounded(scale(inst, base * factor), k)
+                ws = _Workspace(rd)
+                assert ws.active == (0,)
+                tally[0] = 0
+                rows = list(_mark_rows(ws))
+                # every walked candidate passes: the surplus was marked before
+                overlaps += tally[0] > sum(map(len, rows[:-1]))
+                assert forward(rd).rows == dense_forward(rd).rows
+                check_carried_weights(rd)
+                cases += 1
+    assert cases == 360 and overlaps > 0
+
+
 def test_golden_wide_decide_enumerates_few_repeats(monkeypatch):
     # The first decide of the golden Min-Max n=12, m=120 case, at t = L:
     # every item is small, and without the skip the rows enumerate 14.7
-    # candidates per mark.
+    # candidates per mark.  With it, and each box cut to its passing run,
+    # rows n..2 walk no candidate they do not mark.
     inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
     rd = rounded(scale(inst, minmax_lower_bound(inst)), 8)
     assert len(_Workspace(rd).active) == 1
-    tally = counting_product(monkeypatch)
+    tally = counting_candidates(monkeypatch)
     table = forward(rd)
     marks = sum(map(len, table.marks))
-    assert table.succeeded and 0 < tally[0] <= 2 * marks
+    assert table.succeeded and 0 < tally[0] <= marks
 
 
 def test_solve_rounded_builds_no_full_rows(monkeypatch):

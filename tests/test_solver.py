@@ -1,6 +1,7 @@
 """Scaling, single-guess decisions, binary search, and verification."""
 
 import gc
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -471,6 +472,33 @@ def test_search_keeps_the_best_verified_objective(monkeypatch, mode, seed, count
     assert res.t_star == successes[-1][0]
     assert res.assignment == successes[0][1]
     assert res.objective == verify(inst, successes[0][1]).objective != verify(inst, worse).objective
+
+
+@pytest.mark.parametrize("mode, bundles, violation", [
+    (Mode.MAXMIN, (("p1", ("x2",)), ("p2", ("x1",))),
+     "item 'x2' (position 2) outside interval [1,1] of agent 'p1'"),
+    (Mode.MINMAX, (("p1", ("x2",)), ("p2", ("x1",))),
+     "item 'x2' (position 2) outside interval [1,1] of agent 'p1'"),
+    (Mode.MINMAX, (("p1", ("x1",)), ("p2", ())), "item 'x2' is unassigned"),
+], ids=["maxmin-outside", "minmax-outside", "minmax-unassigned"])
+def test_search_refuses_an_infeasible_decide(monkeypatch, mode, bundles, violation):
+    # A decide's assignment is verified before the search keeps it; one
+    # that breaks the partition rules is a fault, not a result.
+    inst = ConvexInstance(mode, (Item("x1", Fraction(1)), Item("x2", Fraction(1))),
+                          (Agent("p1", 1, 1), Agent("p2", 2, 2)))
+    monkeypatch.setattr(solver, "decide", lambda *args: Assignment(mode, bundles))
+    with pytest.raises(AssertionError, match=re.escape(f"infeasible assignment at t=1: {violation}")):
+        (solve_maxmin if mode is Mode.MAXMIN else solve_minmax)(inst, 8)
+
+
+def test_search_keeps_a_maxmin_decide_that_leaves_an_item_unassigned(monkeypatch):
+    # Max-Min may leave items unassigned: verify does not count it a violation.
+    inst = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)), Item("x2", Fraction(1))),
+                          (Agent("p1", 1, 2),))
+    kept = Assignment(Mode.MAXMIN, (("p1", ("x1",)),))
+    monkeypatch.setattr(solver, "decide", lambda *args: kept)
+    res = solve_maxmin(inst, 8)
+    assert res.assignment == kept and res.objective == 1
 
 
 def test_certified_factor_exact(e1):
