@@ -12,7 +12,7 @@ from .alignment import (AlignmentError, align, assignment_vector,
                         is_non_wasteful, is_right_aligned)
 from .dp_engine import DPTable, backward, forward, retrieve, solve_rounded
 from .generator import gen_inclusion_free, gen_planted
-from .hall import HallWitness, check_hall_maxmin, check_hall_minmax
+from .hall import HallWitness, hall_violations
 from .instance_model import (Agent, Assignment, ConvexInstance, Item, Mode,
                              ValidationReport, Violation,
                              assignment_from_positions, dump_instance,

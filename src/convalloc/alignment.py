@@ -153,7 +153,7 @@ def align(rounded: RoundedInstance, one_assignment: Assignment) -> Assignment:
     inst = rounded.instance
     maxmin = inst.mode is Mode.MAXMIN
     order, lows, highs = inst.lex
-    if any(a > b for a, b in zip(highs, highs[1:])):
+    if inst.nested:
         raise AlignmentError("alignment needs an inclusion-free instance: "
                              "some agent's interval is nested inside another's")
     _require_one_assignment(rounded, one_assignment)

@@ -91,11 +91,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: -o and --trace name the same file {args.output!r}", file=sys.stderr)
         return 2
     instance = _load(args.input)
-    mode = Mode(args.mode) if args.mode else instance.mode
-    if mode is not instance.mode:
-        print(f"error: instance mode is {instance.mode.value}, requested {mode.value}",
-              file=sys.stderr)
-        return 2
     trace: list[str] | None = [] if args.trace else None
     try:
         delta = parse_value(args.delta) if args.delta else None
@@ -119,9 +114,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     instance = _load(args.input)
     report = validate(instance)
-    check_hall = (hall.check_hall_maxmin if instance.mode is Mode.MAXMIN
-                  else hall.check_hall_minmax)
-    witness = check_hall(instance) if report.ok else None
+    witness = next(hall.hall_violations(instance), None) if report.ok else None
     try:  # a value too long to print raises here
         sides = None if witness is None else (format_value(witness.lhs),
                                               format_value(witness.rhs))
@@ -227,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="approximate an instance by binary search")
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=None)
     p.add_argument("-k", type=int, default=8, help="error parameter (k >= 4)")
     p.add_argument("--delta", default=None, help="binary-search precision, e.g. 1/40")
     p.add_argument("-i", "--input", required=True)

@@ -199,9 +199,9 @@ class _Workspace:
     methods take only vectors <= ``nu_in`` (``retrieve`` checks; the DP
     meets no other).
 
-    Raises ValueError unless the highs are non-decreasing in that order,
-    l_1 = 1 and r_n = m: the ``windows`` settle the reconstruction,
-    containment and interval tests only then.
+    Raises ValueError unless ``nested`` is empty (the highs never decrease
+    in that order), l_1 = 1 and r_n = m: the ``windows`` settle the
+    reconstruction, containment and interval tests only then.
     """
 
     def __init__(self, rounded: RoundedInstance):
@@ -210,7 +210,7 @@ class _Workspace:
         weights, denom = inst.integers
         self.order, self.lows, self.highs = inst.lex
         if not (self.order and self.lows[0] == 1 and self.highs[-1] == len(weights)
-                and all(a <= b for a, b in zip(self.highs, self.highs[1:]))):
+                and not inst.nested):
             raise ValueError("the dynamic program needs agents whose intervals start "
                              "at item 1, end at item m and are inclusion-free")
         self.up = sch.mode is Mode.MAXMIN
@@ -328,12 +328,13 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[froz
     prefix p_1..p_j.
 
     Returns None when a reconstructed big item would be stranded (the small
-    sweep instead stops at the prefix's reachable positions).  Raises when nu
-    is not dominated by the full instance's vector.
+    sweep instead stops at the prefix's reachable positions).  Raises
+    ValueError when a coordinate of nu is negative or above the full
+    instance's.
     """
     ws = _Workspace(rounded)
-    if len(nu) != len(ws.nu_in) or any(a > b for a, b in zip(nu, ws.nu_in)):
-        raise ValueError(f"vector {nu} is not <= the instance vector {ws.nu_in}")
+    if len(nu) != len(ws.nu_in) or any(not 0 <= a <= b for a, b in zip(nu, ws.nu_in)):
+        raise ValueError(f"vector {nu} is not between 0 and the instance vector {ws.nu_in}")
     if not 0 <= j <= rounded.instance.n:
         raise ValueError(f"agent count {j} out of range")
     items = ws.remainder(nu, j)

@@ -7,11 +7,12 @@ machine intervals against the processing time of fully-enclosed jobs
 use, are then runs of consecutive lexicographic ranks (Glover, "Maximum
 matching in a convex bipartite graph", Naval Res. Logistics Q. 14, 1967).
 So each mode has one O(n^2) sweep over the runs i..j of that order, on
-integer weights over one common denominator, and both its check and its
-bound read it; a run's demand or allowed load is a prefix-sum difference
-over the ranks.  The order and its endpoints are the instance's ``lex``,
-and each agent's demand (Max-Min) or allowed load (Min-Max) is its own
-``demand``.  A Max-Min witness is a tight interval (see ``_maxmin_runs``).
+integer weights over one common denominator; ``hall_violations`` runs the
+instance's own mode's sweep, and that mode's bound reads it.  A run's
+demand or allowed load is a prefix-sum difference over the ranks.  The
+order and its endpoints are the instance's ``lex``, and each agent's demand
+(Max-Min) or allowed load (Min-Max) is its own ``demand``.  A Max-Min
+witness is a tight interval (see ``_maxmin_runs``).
 
 With every demand (Max-Min) or every allowed load (Min-Max) equal to one
 number t, the interval condition solved for t bounds the optimum:
@@ -34,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence
+from operator import gt
+from typing import Iterator, Sequence
 
 from .instance_model import ConvexInstance, Mode
 
@@ -52,13 +54,17 @@ def _lex_profile(instance: ConvexInstance
                  ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, list[int]]:
     """The instance's ``lex`` (order, lows, highs), the common denominator D
     of its integer view, and the prefix sums of its weights D v.  Raises
-    ValueError with no agents, or when the highs decrease (a nesting)."""
+    ValueError with no agents, when the highs decrease (a nesting), or when
+    an interval leaves 1..m or has lo > hi."""
     if not instance.agents:
         raise ValueError("instance has no agents")
-    order, lows, highs = instance.lex
-    if any(a > b for a, b in zip(highs, highs[1:])):
+    if instance.nested:
         raise ValueError("the highs decrease in lexicographic order: not inclusion-free")
+    order, lows, highs = instance.lex
     weights, denom = instance.integers
+    # the lows and, with no nesting, the highs never decrease in lex order
+    if lows[0] < 1 or highs[-1] > len(weights) or any(map(gt, lows, highs)):
+        raise ValueError(f"an agent interval is empty or not within [1,{len(weights)}]")
     return order, lows, highs, denom, list(accumulate(weights, initial=0))
 
 
@@ -96,15 +102,20 @@ def _minmax_runs(lows: Sequence[int], highs: Sequence[int],
             yield i, j, (prefix[ends[j]] - before if ends[j] > start else 0)
 
 
-def _violations(instance: ConvexInstance, mode: Mode) -> Iterator[HallWitness]:
-    """The violated runs of ``mode``'s sweep, in sweep order."""
-    if instance.mode is not mode:
-        raise ValueError(f"expected a {mode.value} instance, got {instance.mode.value}")
+def hall_violations(instance: ConvexInstance) -> Iterator[HallWitness]:
+    """The violated runs of the sweep of ``instance.mode``, in sweep order;
+    none with no agents.  ``next(hall_violations(instance), None)`` is the
+    first, or None when Hall holds.  Max-Min yields tight item intervals
+    [lo,hi] whose value is below the demands of the agents inside (every
+    violated item interval contains one); Min-Max yields runs [lo,hi] of lex
+    ranks whose confined jobs exceed their total allowable load.  Raises
+    ValueError when ``_lex_profile`` does.
+    """
     if not instance.agents:
         return
     order, lows, highs, denom, prefix = _lex_profile(instance)
     sums = list(accumulate((instance.agents[i].demand for i in order), initial=Fraction(0)))
-    if mode is Mode.MAXMIN:
+    if instance.mode is Mode.MAXMIN:
         for i, j, w in _maxmin_runs(lows, highs, prefix):
             value, demand = Fraction(w, denom), sums[j + 1] - sums[i]
             if value < demand:
@@ -114,31 +125,6 @@ def _violations(instance: ConvexInstance, mode: Mode) -> Iterator[HallWitness]:
             work, load = Fraction(w, denom), sums[j + 1] - sums[i]
             if work > load:
                 yield HallWitness(i + 1, j + 1, work, load)
-
-
-def check_hall_maxmin(instance: ConvexInstance) -> Optional[HallWitness]:
-    """First tight item interval [lo,hi], in (lo, hi) order, with
-    val([lo,hi]) < sum of demands of agents fully inside it; None if Hall
-    holds.  Every violated item interval contains a violated tight one.
-    Raises ValueError when the instance is not inclusion-free.
-    """
-    return next(_violations(instance, Mode.MAXMIN), None)
-
-
-def all_hall_violations_maxmin(instance: ConvexInstance) -> tuple[HallWitness, ...]:
-    return tuple(_violations(instance, Mode.MAXMIN))
-
-
-def check_hall_minmax(instance: ConvexInstance) -> Optional[HallWitness]:
-    """First machine interval [lo,hi] (lex ranks) whose enclosed jobs exceed
-    the interval's total allowable load; None if Hall holds.  Raises
-    ValueError when the instance is not inclusion-free.
-    """
-    return next(_violations(instance, Mode.MINMAX), None)
-
-
-def all_hall_violations_minmax(instance: ConvexInstance) -> tuple[HallWitness, ...]:
-    return tuple(_violations(instance, Mode.MINMAX))
 
 
 def maxmin_upper_bound(instance: ConvexInstance) -> tuple[Fraction, bool]:

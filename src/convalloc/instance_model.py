@@ -108,13 +108,16 @@ class ConvexInstance:
     the same integers.  ``lex`` is its agent view ``(order, lows, highs)``:
     the agent indices in lexicographic (lo, hi) order and their endpoints in
     that order.  ``ids`` is its id view ``({item id: position}, {agent id:
-    index})``; the first occurrence of a repeated id wins.
+    index})``; the first occurrence of a repeated id wins.  ``nested`` holds
+    the lex ranks (0-based) whose high falls below the rank before: it is
+    empty exactly when the instance is inclusion-free, the one test of that
+    shape that validation, the Hall sweeps, the DP and ``align`` read.
 
     ``with_integers`` derives an instance from an integer view alone, as
     ``solver.scale`` and ``rounding.round_instance`` do for every guess: it
-    carries the source's ``lex`` and ``ids``, so a solve sorts its agents
-    once, and builds its ``Item``s only when ``items`` is first read, which
-    no step of a decide does.
+    carries the source's ``lex``, ``ids`` and ``nested``, so a solve sorts
+    and tests its agents once, and builds its ``Item``s only when ``items``
+    is first read, which no step of a decide does.
     """
 
     mode: Mode
@@ -142,6 +145,11 @@ class ConvexInstance:
         spans = [(a.lo, a.hi) for a in self.agents]
         order = tuple(sorted(range(self.n), key=spans.__getitem__))
         return order, tuple(spans[i][0] for i in order), tuple(spans[i][1] for i in order)
+
+    @cached_property
+    def nested(self) -> tuple[int, ...]:
+        highs = self.lex[2]
+        return tuple(r for r in range(1, self.n) if highs[r] < highs[r - 1])
 
     @cached_property
     def ids(self) -> tuple[dict[str, int], dict[str, int]]:
@@ -174,15 +182,16 @@ def with_integers(source: ConvexInstance,
     """``source`` with the values ``weights[i] / D`` for ``integers ==
     (weights, D)``, D a common denominator but not always the least one.
 
-    The result has ``source``'s mode, agents, item ids, ``lex`` and ``ids``,
-    and ``integers`` as its integer view.  It builds no ``Item`` until its
-    ``items`` is read; then an item whose value is unchanged is ``source``'s
-    own.
+    The result has ``source``'s mode, agents, item ids, ``lex``, ``ids`` and
+    ``nested``, and ``integers`` as its integer view.  It builds no ``Item``
+    until its ``items`` is read; then an item whose value is unchanged is
+    ``source``'s own.
     """
     out = object.__new__(ConvexInstance)
     # a frozen dataclass keeps its fields, like its cached views, in __dict__
     vars(out).update(mode=source.mode, agents=source.agents, integers=integers,
-                     lex=source.lex, ids=source.ids, _source=source)
+                     lex=source.lex, ids=source.ids, nested=source.nested,
+                     _source=source)
     return out
 
 
@@ -256,16 +265,14 @@ def validate(instance: ConvexInstance) -> ValidationReport:
                                  f"item {instance.items[pos - 1].id!r} (position {pos}) "
                                  "lies in no agent interval"))
 
-    # Inclusion-freeness: in lexicographic (lo, hi) order the hi endpoints
-    # must be non-decreasing; a decrease exhibits a margined inclusion.
-    order, _, highs = instance.lex
-    for k in range(1, len(order)):
-        if highs[k] < highs[k - 1]:
-            p = instance.agents[order[k - 1]]
-            q = instance.agents[order[k]]
-            out.append(Violation("margined-inclusion", (p.id, q.id),
-                                 f"margined inclusion ({p.id},{q.id}): "
-                                 f"[{q.lo},{q.hi}] strictly inside [{p.lo},{p.hi}]"))
+    # Inclusion-freeness: each lex rank whose high falls below the rank
+    # before exhibits a margined inclusion.
+    order = instance.lex[0]
+    for r in instance.nested:
+        p, q = instance.agents[order[r - 1]], instance.agents[order[r]]
+        out.append(Violation("margined-inclusion", (p.id, q.id),
+                             f"margined inclusion ({p.id},{q.id}): "
+                             f"[{q.lo},{q.hi}] strictly inside [{p.lo},{p.hi}]"))
 
     # A common denominator D of more than ``limit`` digits cannot be
     # printed; 8**limit < 10**limit skips the power for every shorter D.

@@ -12,14 +12,12 @@ Each test prints one pass/fail line (run pytest with -s to watch them).
 
 from fractions import Fraction
 
-from convalloc import (Mode, align, assignment_vector,
-                       check_hall_maxmin, check_hall_minmax, decide,
+from convalloc import (Mode, align, assignment_vector, decide, hall_violations,
                        is_non_wasteful, is_right_aligned, lexicographic_order,
                        opt_maxmin, opt_minmax, retrieve, round_instance, scale,
                        scheme, solve_maxmin, solve_minmax, verify)
 from convalloc.cli import main as cli_main
 from convalloc.generator import gen_inclusion_free, gen_planted
-from convalloc.hall import all_hall_violations_maxmin, all_hall_violations_minmax
 from conftest import round_one, with_demands
 from reference import check_hall_bruteforce, coverage_ranges
 
@@ -92,14 +90,9 @@ def test_criterion_4_hall_equivalence():
         inst = gen_inclusion_free(rng.randint(0, 10**6), n, m, mode=mode)
         inst = with_demands(inst, [Fraction(rng.randint(1, 24), rng.randint(1, 12))
                                    for _ in range(inst.n)])
-        if mode is Mode.MAXMIN:
-            interval = check_hall_maxmin(inst)
-            flagged = all_hall_violations_maxmin(inst)
-        else:
-            interval = check_hall_minmax(inst)
-            flagged = all_hall_violations_minmax(inst)
+        flagged = tuple(hall_violations(inst))
         subset = check_hall_bruteforce(inst)
-        if (interval is None) != (subset is None):
+        if (not flagged) != (subset is None):
             mismatches += 1
             continue
         if subset is None:

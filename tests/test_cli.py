@@ -90,7 +90,7 @@ def test_oracle_t1(paths, capsys):
 
 def test_solve_e1(paths, capsys, e1, tmp_path):
     result_path = tmp_path / "res.json"
-    code = main(["solve", "--mode", "maxmin", "-k", "10", "--delta", "1/40",
+    code = main(["solve", "-k", "10", "--delta", "1/40",
                  "-i", paths["e1"], "--json", "-o", str(result_path)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
@@ -101,10 +101,6 @@ def test_solve_e1(paths, capsys, e1, tmp_path):
         (aid, tuple(ids)) for aid, ids in payload["assignment"].items()))
     assert verify(e1, assignment).objective == parse_value(payload["objective"])
     assert json.loads(result_path.read_text()) == payload
-
-
-def test_solve_mode_mismatch(paths, capsys):
-    assert main(["solve", "--mode", "minmax", "-i", paths["e1"]]) == 2
 
 
 def test_solve_failure_exit_code(tmp_path, capsys):

@@ -95,6 +95,14 @@ def test_retrieve_rejects_oversized_vectors(e1):
                 retrieve(rd, vec(rd.scheme, a0, **{"9": a9, "10": a10}), j)
             probes += 1
     assert nu_in[9] == 0 and probes > 0
+    # a negative count: category 18 holds positions 4 and 5, and -1 of it
+    # must not read as its prefix [:-1]; nor may nu_0 = -1 index from the end
+    rd = rounded(scale(gen_inclusion_free(3, 3, 9, mode=Mode.MAXMIN), Fraction(1)), 8)
+    assert rd.positions()[18] == [4, 5]
+    for nu in (vec(rd.scheme, 0, **{"18": -1}), vec(rd.scheme, -1)):
+        for j in range(rd.instance.n + 1):
+            with pytest.raises(ValueError, match="not between 0 and the instance vector"):
+                retrieve(rd, nu, j)
 
 
 def test_feasible(e1, e1_assignment_1):

@@ -8,37 +8,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convalloc import (Agent, ConvexInstance, Item, Mode, check_hall_maxmin,
-                       check_hall_minmax, lexicographic_order, opt_maxmin, opt_minmax,
-                       scale, validate)
-from convalloc.hall import (HallWitness, all_hall_violations_maxmin, all_hall_violations_minmax,
-                            maxmin_upper_bound, minmax_lower_bound)
+from convalloc import (Agent, ConvexInstance, Item, Mode, hall_violations,
+                       lexicographic_order, opt_maxmin, opt_minmax, scale, validate)
+from convalloc.hall import HallWitness, maxmin_upper_bound, minmax_lower_bound
 from convalloc.generator import gen_inclusion_free
 from conftest import with_demands
 from reference import check_hall_bruteforce, coverage_ranges
 
 
+def first_violation(instance):
+    return next(hall_violations(instance), None)
+
+
 def test_e1_unit_demands_ok(e1):
-    assert check_hall_maxmin(e1) is None
+    assert first_violation(e1) is None
     assert check_hall_bruteforce(e1) is None
 
 
 def test_t0_demand_two_violated(t0):
     inst = ConvexInstance(t0.mode, t0.items, (Agent("p1", 1, 1, Fraction(2)),))
-    witness = check_hall_maxmin(inst)
+    witness = first_violation(inst)
     assert (witness.lo, witness.hi) == (1, 1)
     assert witness.lhs == Fraction(1) and witness.rhs == Fraction(2)
     assert check_hall_bruteforce(inst) == ("p1",)
 
 
 def test_t1_unit_demands_ok(t1):
-    assert check_hall_maxmin(t1) is None
+    assert first_violation(t1) is None
     assert check_hall_bruteforce(t1) is None
 
 
 def test_m1_loads(m1):
-    assert check_hall_minmax(with_demands(m1, [Fraction(11, 10)] * 2)) is None
-    witness = check_hall_minmax(with_demands(m1, [Fraction(1)] * 2))
+    assert first_violation(with_demands(m1, [Fraction(11, 10)] * 2)) is None
+    witness = first_violation(with_demands(m1, [Fraction(1)] * 2))
     # [1,1] holds only j1 (3/5 <= 1); the first violated interval is [1,2]
     assert (witness.lo, witness.hi) == (1, 2)
     assert witness.lhs == Fraction(11, 5) and witness.rhs == Fraction(2)
@@ -51,14 +53,14 @@ def test_a_run_confining_no_job_has_no_work():
     inst = ConvexInstance(Mode.MINMAX, items, (Agent("M1", 1, 3, Fraction(5)),
                                                Agent("M2", 2, 4, Fraction(-1)),
                                                Agent("M3", 3, 5, Fraction(5))))
-    assert all_hall_violations_minmax(inst) == (
+    assert tuple(hall_violations(inst)) == (
         HallWitness(2, 2, Fraction(0), Fraction(-1)),)
 
 
 def test_single_machine_equality_ok():
     inst = ConvexInstance(Mode.MINMAX, (Item("j1", Fraction(1)),),
                           (Agent("M1", 1, 1, Fraction(1)),))
-    assert check_hall_minmax(inst) is None
+    assert first_violation(inst) is None
 
 
 @pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
@@ -69,9 +71,8 @@ def test_non_interval_machine_sets_rejected(mode):
     # M2 nests strictly inside M1, so the instance is not inclusion-free: in
     # lexicographic order the highs go 5, 3, 5, and job 4 is covered by lex
     # ranks 1 and 3 but not 2
-    check = check_hall_maxmin if mode is Mode.MAXMIN else check_hall_minmax
     with pytest.raises(ValueError, match="not inclusion-free"):
-        check(inst)
+        first_violation(inst)
 
 
 def random_demands(rng, n):
@@ -87,13 +88,8 @@ def test_interval_and_subset_checks_agree(mode):
         inst = gen_inclusion_free(rng.randint(0, 10**6), n, m, mode=mode)
         inst = with_demands(inst, random_demands(rng, inst.n))
         subset = check_hall_bruteforce(inst)
-        if mode is Mode.MAXMIN:
-            interval = check_hall_maxmin(inst)
-            flagged = all_hall_violations_maxmin(inst)
-        else:
-            interval = check_hall_minmax(inst)
-            flagged = all_hall_violations_minmax(inst)
-        assert (interval is None) == (subset is None)
+        flagged = tuple(hall_violations(inst))
+        assert (not flagged) == (subset is None)
         if subset is not None:
             assert contained_in_some_flagged(inst, mode, subset, flagged)
 
@@ -121,7 +117,7 @@ def test_hall_is_necessary_for_feasibility():
         if opt == 0:
             continue
         scaled = scale(inst, opt)
-        assert check_hall_maxmin(scaled) is None
+        assert first_violation(scaled) is None
 
 
 def test_hall_is_not_sufficient():
@@ -130,7 +126,7 @@ def test_hall_is_not_sufficient():
     found = False
     for seed in range(400):
         inst = gen_inclusion_free(seed, 3, 4 + seed % 6)
-        if not validate(inst).ok or check_hall_maxmin(inst) is not None:
+        if not validate(inst).ok or first_violation(inst) is not None:
             continue
         opt, _ = opt_maxmin(inst)
         if opt < 1:
@@ -201,7 +197,7 @@ def check_bounds(inst):
         bound, covered = maxmin_upper_bound(inst)
         opt, _ = opt_maxmin(inst)
         assert bound - max(values) <= opt <= bound
-        assert covered == (opt > 0) == (check_hall_maxmin(unit_instance(inst)) is None)
+        assert covered == (opt > 0) == (first_violation(unit_instance(inst)) is None)
         assert bound == swept_upper_bound(inst)
     else:
         bound = minmax_lower_bound(inst)
@@ -228,10 +224,23 @@ def test_bounds_reject_the_other_mode_and_no_agents(t1, m1):
         minmax_lower_bound(t1)
     with pytest.raises(ValueError, match="no agents"):
         minmax_lower_bound(ConvexInstance(Mode.MINMAX, (Item("j1", Fraction(1)),), ()))
-    with pytest.raises(ValueError, match="expected a maxmin instance, got minmax"):
-        check_hall_maxmin(m1)
-    with pytest.raises(ValueError, match="expected a minmax instance, got maxmin"):
-        check_hall_minmax(t1)
+
+
+@pytest.mark.parametrize("mode, spans", [
+    (Mode.MAXMIN, [(1, 5)]),            # past m = 3
+    (Mode.MAXMIN, [(0, 2), (2, 3)]),    # before item 1
+    (Mode.MAXMIN, [(3, 1)]),            # lo > hi
+    (Mode.MINMAX, [(1, 5), (2, 5)]),
+    (Mode.MINMAX, [(0, 2), (2, 3)]),
+    (Mode.MINMAX, [(3, 1)]),
+])
+def test_sweeps_reject_intervals_outside_the_items(mode, spans):
+    inst = ConvexInstance(mode, tuple(Item(f"x{i}", Fraction(1)) for i in range(1, 4)),
+                          tuple(Agent(f"p{i}", lo, hi) for i, (lo, hi) in enumerate(spans, 1)))
+    bound = maxmin_upper_bound if mode is Mode.MAXMIN else minmax_lower_bound
+    for run in (lambda: first_violation(inst), lambda: bound(inst)):
+        with pytest.raises(ValueError, match=r"an agent interval is empty or not within \[1,3\]"):
+            run()
 
 
 # Derandomized: every run draws the same examples and stores none.
@@ -261,14 +270,11 @@ def test_checks_match_the_all_interval_reference(seed, mode, shape, data):
     reference = all_interval_violations(inst)
     violated = bool(reference)
     if mode is Mode.MAXMIN:
-        verdict = check_hall_maxmin(inst)
-        flagged = all_hall_violations_maxmin(inst)
         # the tight intervals are those whose ends are agent endpoints
         reference = [v for v in reference if v[0] in {a.lo for a in inst.agents}
                      and v[1] in {a.hi for a in inst.agents}]
-    else:
-        verdict = check_hall_minmax(inst)
-        flagged = all_hall_violations_minmax(inst)
+    verdict = first_violation(inst)
+    flagged = tuple(hall_violations(inst))
     assert (verdict is not None) == violated
     assert [(w.lo, w.hi, w.lhs, w.rhs) for w in flagged] == reference
     assert verdict == (flagged[0] if flagged else None)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convalloc import (Agent, ConvexInstance, Item, Mode, dump_instance,
-                       instance_from_dict, instance_to_dict,
-                       lexicographic_order, load_instance, stranded_items,
-                       validate)
+from convalloc import (Agent, AlignmentError, ConvexInstance, Item, Mode, align,
+                       assignment_from_positions, dump_instance, forward,
+                       hall_violations, instance_from_dict, instance_to_dict,
+                       lexicographic_order, load_instance, round_instance, scale,
+                       scheme, stranded_items, validate)
 from convalloc.generator import gen_inclusion_free
 from convalloc.instance_model import integer_values
 from conftest import with_demands
@@ -39,6 +40,36 @@ def test_validate_margined_inclusion():
     codes = {v.code for v in report.violations}
     assert codes == {"margined-inclusion"}
     assert report.violations[0].subjects == ("p1", "p2")
+
+
+@pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
+def test_one_nesting_verdict_keeps_each_readers_error(mode):
+    # p2's [2,3] lies strictly inside p1's [1,4]: lex rank 1's high falls
+    inst = ConvexInstance(mode, tuple(Item(f"x{i}", Fraction(1)) for i in range(1, 5)),
+                          (Agent("p1", 1, 4), Agent("p2", 2, 3)))
+    assert inst.nested == (1,)
+    assert [(v.code, v.message) for v in validate(inst).violations] == [
+        ("margined-inclusion", "margined inclusion (p1,p2): [2,3] strictly inside [1,4]")]
+    with pytest.raises(ValueError, match="^the highs decrease in lexicographic order: "
+                                         "not inclusion-free$"):
+        next(hall_violations(inst), None)
+    rd = round_instance(scale(inst, Fraction(1)), scheme(4, mode))
+    assert rd.instance.nested is inst.nested
+    with pytest.raises(ValueError, match="^the dynamic program needs agents whose intervals "
+                                         "start at item 1, end at item m and are "
+                                         "inclusion-free$"):
+        forward(rd)
+    with pytest.raises(AlignmentError, match="^alignment needs an inclusion-free instance: "
+                                             "some agent's interval is nested inside "
+                                             "another's$"):
+        align(rd, assignment_from_positions(rd.instance, {0: [1, 4], 1: [2, 3]}))
+
+
+def test_nested_lists_every_falling_high():
+    # lex order p1 [1,6], p2 [2,3], p3 [3,5], p4 [4,4]: highs 6, 3, 5, 4
+    inst = uniform_instance(6, (2, 3), (1, 6), (4, 4), (3, 5))
+    assert inst.nested == (1, 3)
+    assert uniform_instance(5, (1, 3), (1, 5), (2, 5)).nested == ()
 
 
 def test_validate_left_right_inclusion_allowed():

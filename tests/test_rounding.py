@@ -325,6 +325,7 @@ def search_bracket(instance):
 def assert_is_reference(got, want, source):
     """``got`` equals ``want`` as an instance and carries ``source``'s views."""
     assert got.lex is source.lex and got.ids is source.ids
+    assert got.nested is source.nested
     assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
     assert [it.value for it in got.items] == [it.value for it in want.items]
     weights, denom = got.integers
