@@ -82,12 +82,48 @@ decreases in x.  A candidate passes iff its weight is at most the budget
 range(start, nu'_0 + 1) is a leading run ending at bisect_right(table,
 budget, start, nu'_0 + 1) in Max-Min, and a trailing run starting at
 bisect_left(table, budget, start, nu'_0 + 1) in Min-Max: every candidate of
-the run passes and every other one fails.  The run is walked in the scan's
-ascending order, so each unmarked candidate gets the pointer, weight and
-small length the scan would give it.  A Min-Max run starts past the
-previous predecessor's nu_0 (the skip), above every mark made so far, so it
-meets none; a Max-Min run can reach below it, and a candidate marked there
-keeps its first pointer.
+the run passes and every other one fails.  A Max-Min run is walked in the
+scan's ascending order, so each unmarked candidate gets the pointer, weight
+and small length the scan would give it; it can reach below the previous
+predecessor's nu_0, and a candidate marked there keeps its first pointer.
+A Min-Max run starts past it (the skip), above every mark made so far, and
+more holds there: the whole row is one interval, found without walking it.
+
+Let c_j = small_cap(j), S_j = small_prefix[c_j] and
+w[x] = small_prefix[small_len[x]], and for row j let
+T_j[x] = small_prefix[min(small_len[x], c_{j-1})] = min(w[x], S_{j-1}) and
+kept_j[x] = min(small_len[x], c_{j-1}), the weight and small length of
+R(x, j-1).  Lemma (Min-Max, nu_0 alone): if row j+1 is the interval [a, b]
+(row n+1 is {nu_in_0}, whose remainder is every item), row j is [lo, hi]
+with lo = bisect_left(T_j, T_{j+1}[a] - bound, start(a), a + 1), start(a)
+the low end of a's coordinate-0 window, and hi the last y in [a, b] with
+D(y) = T_{j+1}[y] - T_j[y] <= bound; mark x points at max(x, a) and carries
+(T_j[x], kept_j[x]).  The row is empty when lo > a, and then so is every
+row below it.  Row 1 is {0: a} when T_2[a] <= bound, else empty.
+Proof.  D(y) is the weight of the small items between the prefixes
+min(small_len[y], c_{j-1}) and min(small_len[y], c_j): 0 while
+small_len[y] <= c_{j-1}, then growing with small_len[y], then S_j - S_{j-1}
+once small_len[y] >= c_j.  So D never decreases in y, and D(y) <= bound iff
+S_j - S_{j-1} <= bound or w[y] <= S_{j-1} + bound.  The budgets
+T_{j+1}[y] - bound never decrease in y either, so the skip holds for every
+pair of consecutive predecessors y - 1, y of [a, b]: a's box gives the run
+[lo, a] of the bisection above, each mark pointing at a, and each y > a
+gives at most {y}, marked iff y's coordinate-0 window holds y and
+T_j[y] >= T_{j+1}[y] - bound, that is D(y) <= bound.  The window holds y
+unless it is empty: start(y) = small_prefix[t] // unit, with
+t = min(kept_{j+1}[y], #{small < l_j}), is the least nu_0 whose sweep keeps
+t items, and small_len[y] >= kept_{j+1}[y] >= t.  The window is empty only
+when t > c_{j-1}, which needs a small item p in a gap r_{j-1} < p < l_j.
+Such an item lies in no interval (``validate`` rejects it, ``_Workspace``
+does not), and it can pass the weight test: D(y) can be any weight up to
+S_j - S_{j-1}.  But by (iii) no bundle of agents j..n takes it, so every
+remainder of row j+1 keeps it, every window of row j is empty, a's too,
+and lo > a.  Otherwise the marks above a are (a, hi], a prefix of (a, b]
+because D never decreases.  If a fails its weight test, D(a) > bound, then
+D(y) > bound for every y > a too, lo > a and the row is empty; a row with
+no predecessors marks nothing.  Row 1 is marked by the first sorted
+predecessor whose budget admits 0 (below), and T_2 never decreases, so that
+is a or none.
 
 Row 1 is marked in closed form.  Its windows admit only the zero vector,
 and R(0, 0) is empty, so the zero's remainder weighs 0 and keeps 0 small
@@ -104,8 +140,11 @@ categories that hold an item of the rounded instance.  Every vector the DP
 meets is dominated by the instance's vector, so an empty category's
 coordinate is 0 in every candidate and every mark; dropping it keeps the
 lexicographic order and hence the first-marking predecessor.  The
-``DPTable`` keeps the marks on these coordinates, and ``succeeded`` and
-``backward`` read them there; the full (nu_0, ..., nu_C) rows are built only
+``DPTable`` keeps the marks on these coordinates, each row as
+``_mark_rows`` yields it: a dict, or a ``_Run`` for a Min-Max row on nu_0
+alone, which holds the lemma's interval and builds an entry only when one
+is read.  ``succeeded`` and ``backward`` read them there; the full
+(nu_0, ..., nu_C) rows are built only
 when a caller reads ``rows``, as ``trace_lines`` does.  ``backward`` walks
 the pointer chain and, since by (ii) each remainder on it is a
 per-coordinate prefix of the next, takes agent j's bundle as one slice of
@@ -136,6 +175,7 @@ makes divisible by k: the engine takes no lcm and builds no ``Fraction`` or
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate, filterfalse, product
@@ -152,6 +192,11 @@ from .rounding import InputVector, RoundedInstance, small_units
 BUNDLE_MARGIN = 3
 
 
+# A mark's (pointer, weight, small length): its first marking predecessor,
+# and the weight and small-prefix length of its remainder.
+Mark = tuple[InputVector, int, int]
+
+
 @dataclass(frozen=True)
 class DPTable:
     """Sparse forward-phase result: row(j)[nu] = back-pointer into row j+1.
@@ -159,20 +204,24 @@ class DPTable:
     Only marked entries are stored; row n entries point at the full
     instance's vector (row n+1, which is not stored).  ``marks[j-1]`` holds
     row j over the active coordinates of the workspace ``_ws``, which
-    ``forward`` keeps on the table for ``backward``.  ``rows`` holds the
-    same rows as full (nu_0, ..., nu_C) vectors; it is built on its first
-    read (by ``row``, ``trace_lines`` or a caller), which ``solve_rounded``
-    never makes.
+    ``forward`` keeps on the table for ``backward``, as ``_mark_rows``
+    yields it: each marked nu maps to (pointer, weight, small length), and
+    a Min-Max row on nu_0 alone is a ``_Run``, one interval whose entries
+    are built on read.  ``rows`` holds the same rows as full
+    (nu_0, ..., nu_C) vectors mapping to their pointers; it is built on its
+    first read (by ``row``, ``trace_lines`` or a caller), which
+    ``solve_rounded`` never makes.
     """
     nu_in: InputVector
-    marks: tuple[dict[InputVector, InputVector], ...]
+    marks: tuple[Mapping[InputVector, Mark], ...]
     _ws: _Workspace = field(compare=False, repr=False)
 
     @cached_property
     def rows(self) -> tuple[dict[InputVector, InputVector], ...]:
         """Index j-1 holds row j over every coordinate."""
         expand = cache(self._ws.expand)
-        return tuple({expand(nu): expand(ptr) for nu, ptr in row.items()} for row in self.marks)
+        return tuple({expand(nu): expand(mark[0]) for nu, mark in row.items()}
+                     for row in self.marks)
 
     def row(self, j: int) -> dict[InputVector, InputVector]:
         return self.rows[j - 1]
@@ -195,9 +244,9 @@ class _Workspace:
     coordinate ``active[i]``, ``reach[j-1][i]`` counts its items at
     positions <= r_j and ``left_of[j-1][i]`` those at positions < l_j, for
     the j-th agent in lexicographic order.  ``small_len[x]`` is the longest
-    small prefix worth < (x + 1)/k, for x up to the instance's nu_0, so the
-    methods take only vectors <= ``nu_in`` (``retrieve`` checks; the DP
-    meets no other).
+    small prefix worth < (x + 1)/k and ``small_weight[x]`` its weight, for x
+    up to the instance's nu_0, so the methods take only vectors <= ``nu_in``
+    (``retrieve`` checks; the DP meets no other).
 
     Raises ValueError unless ``nested`` is empty (the highs never decrease
     in that order), l_1 = 1 and r_n = m: the ``windows`` settle the
@@ -240,6 +289,7 @@ class _Workspace:
         small_prefix, unit = self.small_prefix, self.unit
         self.small_len = [bisect_left(small_prefix, bound) - 1
                           for bound in range(unit, (nu0 + 2) * unit, unit)]
+        self.small_weight = [small_prefix[x] for x in self.small_len]
 
     def expand(self, nu: InputVector) -> InputVector:
         """The full (nu_0, ..., nu_C) vector of a vector over ``active``."""
@@ -341,41 +391,110 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[froz
     return None if items is None else frozenset(items)
 
 
-def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, tuple[InputVector, int, int]]]:
+class _Run(Mapping):
+    """Row j of a Min-Max DP on nu_0 alone: the marks (lo,) .. (hi,), mark
+    (x,) pointing at (max(x, a),) and carrying the weight and small length
+    of R(x, j-1), min(small_weight[x], small_prefix[cap]) and
+    min(small_len[x], cap) for cap = small_cap(j-1) (module docstring).  It
+    answers ``in``, ``[nu]``, ``len``, iteration and ``items()`` as a dict
+    row does, and builds an entry only when it is read."""
+    __slots__ = ("lo", "hi", "a", "cap", "cap_weight", "ws")
+
+    def __init__(self, lo: int, hi: int, a: int, cap: int, ws: _Workspace):
+        self.lo, self.hi, self.a, self.cap, self.ws = lo, hi, a, cap, ws
+        self.cap_weight = ws.small_prefix[cap]
+
+    def __contains__(self, nu) -> bool:
+        return type(nu) is tuple and len(nu) == 1 and nu[0] in range(self.lo, self.hi + 1)
+
+    def __getitem__(self, nu: InputVector) -> Mark:
+        if nu not in self:
+            raise KeyError(nu)
+        x, a, cap, cap_weight = nu[0], self.a, self.cap, self.cap_weight
+        weight, length = self.ws.small_weight[x], self.ws.small_len[x]
+        return ((x if x > a else a,), weight if weight < cap_weight else cap_weight,
+                length if length < cap else cap)
+
+    def __len__(self) -> int:
+        return self.hi - self.lo + 1
+
+    def __iter__(self) -> Iterator[InputVector]:
+        return ((x,) for x in range(self.lo, self.hi + 1))
+
+
+def _run_rows(ws: _Workspace, bound: int) -> Iterator[Mapping[InputVector, Mark]]:
+    """Yield rows n..1 of a Min-Max DP on nu_0 alone: each row j >= 2 is the
+    ``_Run`` [lo, hi] that row j+1's interval [a, b] gives by the module
+    docstring's lemma, found by two bisections of ``small_weight``.  An
+    empty row and every row below it are {}."""
+    small_weight, small_prefix, unit = ws.small_weight, ws.small_prefix, ws.unit
+    # Row n+1: the instance's vector, whose remainder is every item (r_n = m,
+    # so S_n is their weight).  before and before_small are T_{j+1}[a] and
+    # kept_{j+1}[a], above and below S_j and S_{j-1}.
+    a = b = ws.nu_active[0]
+    before = above = small_prefix[-1]
+    before_small = len(ws.small_positions)
+    for j in range(len(ws.order), 1, -1):
+        cap = ws.small_cap(j - 1)
+        below = small_prefix[cap]
+        # a's box is range(start, a + 1), empty when start > a; candidate x
+        # passes iff T_j[x] = min(small_weight[x], below) >= before - bound.
+        left, limit = ws.left_of[j - 1][0], before - bound
+        target = before_small if before_small < left else left
+        lo = (bisect_left(small_weight, limit, small_prefix[target] // unit, a + 1)
+              if target <= cap and limit <= below else a + 1)
+        if lo > a:
+            yield from ({} for _ in range(j, 0, -1))
+            return
+        # y > a is marked iff D(y) <= bound: always when S_j - S_{j-1} <= bound,
+        # else iff small_weight[y] <= S_{j-1} + bound.
+        hi = b if above - below <= bound else bisect_right(small_weight, below + bound, a, b + 1) - 1
+        yield _Run(lo, hi, a, cap, ws)
+        a, b, above = lo, hi, below
+        before, before_small = min(small_weight[lo], below), min(ws.small_len[lo], cap)
+    # Row 1: the zero vector, pointing at a if its budget admits weight 0.
+    yield {(0,): ((a,), 0, 0)} if before <= bound else {}
+
+
+def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
     """Yield rows n..1 over the active coordinates.  Row j maps each marked
     nu to (pointer, weight, small length): its first (lexicographically
     smallest) marking predecessor, and the weight and small-prefix length of
     R(nu, j-1), which is what nu needs as a predecessor for row j-1.
 
-    Each row is carried to the next as one sorted list of (nu, budget, small
-    length), the budget being weight - bound, and ``row_windows`` gives each
-    predecessor's box from bounds it reads once per row.  A candidate's
-    remainder weight is a sum of table entries: the small prefix its nu_0
-    keeps, cut at the row's ``small_cap``, plus the prefix weight of each
-    big coordinate (module docstring).  A box's coordinate-0 range starts
-    past the previous predecessor's nu_0 when that predecessor settled the
-    part below.  A box with no big range walks only the run of candidates
-    that pass, which one bisection of the row's small-weight table finds:
-    the table never decreases in nu_0.  Row 1 is not enumerated: it is the
-    zero vector, pointing at the first predecessor whose budget admits
-    weight 0, or empty (module docstring).
+    A Min-Max row on nu_0 alone is one interval, which ``_run_rows`` finds
+    without walking a candidate.  Every other row is a dict, carried to the
+    next as one sorted list of (nu, budget, small length), the budget being
+    weight - bound, and ``row_windows`` gives each predecessor's box from
+    bounds it reads once per row.  A candidate's remainder weight is a sum
+    of table entries: the small prefix its nu_0 keeps, cut at the row's
+    ``small_cap``, plus the prefix weight of each big coordinate (module
+    docstring).  A box's coordinate-0 range starts past the previous
+    predecessor's nu_0 when that predecessor settled the part below.  A
+    Max-Min box with no big range walks only the run of candidates that
+    pass, which one bisection of the row's small-weight table finds: the
+    table never decreases in nu_0.  Row 1 is not enumerated: it is the zero
+    vector, pointing at the first predecessor whose budget admits weight 0,
+    or empty (module docstring).
     """
     bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
     up = ws.up
-    small_len, small_prefix = ws.small_len, ws.small_prefix
-    # min(small_len[x], cap) and small_prefix of it, for every cap: small_len
-    # does not decrease, so each row keeps a prefix of these lists and pads.
-    small_weight = [small_prefix[x] for x in small_len]
+    if not up and ws.active == (0,):
+        yield from _run_rows(ws, bound)
+        return
+    small_len, small_prefix, small_weight = ws.small_len, ws.small_prefix, ws.small_weight
     # Row n+1: the instance's vector; it reconstructs to every item.
     preds = [(ws.nu_active, sum(ws.weight) - bound, len(ws.small_positions))]
     for j in range(len(ws.order), 1, -1):
         cap = ws.small_cap(j - 1)
+        # min(small_len[x], cap) and small_prefix of it: small_len does not
+        # decrease, so the row keeps a prefix of each list and pads.
         cut = bisect_right(small_len, cap)
         kept = small_len[:cut] + [cap] * (len(small_len) - cut)
         small_table = small_weight[:cut] + [small_prefix[cap]] * (len(small_len) - cut)
         tables = [small_table, *ws.prefix_weight[1:]]
         # Built by name, so that a test can count the membership tests.
-        row: dict[InputVector, tuple[InputVector, int, int]] = dict()
+        row: dict[InputVector, Mark] = dict()
         last_big, last_nu0, last_limit = None, 0, 0
         for nu_prev, limit, start, big in ws.row_windows(j, preds):
             # The bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after,
@@ -392,11 +511,9 @@ def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, tuple[InputVector, 
                     if (after <= limit) if up else (after >= limit):
                         row[nu] = (nu_prev, after, kept[nu[0]])
             else:
-                # nu_0 alone: small_table never decreases, so the candidates
-                # that pass are one run of the box, found by one bisection.
-                run = (range(start, bisect_right(small_table, limit, start, a0 + 1)) if up
-                       else range(bisect_left(small_table, limit, start, a0 + 1), a0 + 1))
-                for x in run:
+                # Max-Min on nu_0 alone: small_table never decreases, so the
+                # candidates that pass are one leading run of the box.
+                for x in range(start, bisect_right(small_table, limit, start, a0 + 1)):
                     nu = (x,)
                     if nu not in row:
                         row[nu] = (nu_prev, small_table[x], kept[x])
@@ -412,8 +529,7 @@ def forward(rounded: RoundedInstance) -> DPTable:
     smallest) marked predecessor vector in row j+1.
     """
     ws = _Workspace(rounded)
-    marks = [{nu: mark[0] for nu, mark in row.items()} for row in _mark_rows(ws)]
-    return DPTable(ws.nu_in, tuple(marks[::-1]), ws)  # rows 1..n
+    return DPTable(ws.nu_in, tuple(_mark_rows(ws))[::-1], ws)  # rows 1..n
 
 
 def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
@@ -426,7 +542,7 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
     ws = table._ws
     chain = [(0,) * len(ws.active)]
     for row in table.marks:
-        chain.append(row[chain[-1]])
+        chain.append(row[chain[-1]][0])
     # chain[j] is the vector marked at row j (chain[0] = zero for "row 0"),
     # chain[n] the instance's vector.  R(chain[j-1], j-1) is a per-coordinate
     # prefix of R(chain[j], j) (module docstring, (ii)), so bundle j is the

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -109,7 +110,8 @@ class ConvexInstance:
     the agent indices in lexicographic (lo, hi) order and their endpoints in
     that order.  ``ids`` is its id view ``({item id: position}, {agent id:
     index})``; the first occurrence of a repeated id wins.  ``nested`` holds
-    the lex ranks (0-based) whose high falls below the rank before: it is
+    the lex ranks (0-based) whose high falls below the highest high of the
+    ranks before, each an interval strictly inside an earlier one: it is
     empty exactly when the instance is inclusion-free, the one test of that
     shape that validation, the Hall sweeps, the DP and ``align`` read.
 
@@ -149,7 +151,8 @@ class ConvexInstance:
     @cached_property
     def nested(self) -> tuple[int, ...]:
         highs = self.lex[2]
-        return tuple(r for r in range(1, self.n) if highs[r] < highs[r - 1])
+        return tuple(r for r, (high, top) in enumerate(zip(highs[1:], accumulate(highs, max)), 1)
+                     if high < top)
 
     @cached_property
     def ids(self) -> tuple[dict[str, int], dict[str, int]]:
@@ -265,11 +268,12 @@ def validate(instance: ConvexInstance) -> ValidationReport:
                                  f"item {instance.items[pos - 1].id!r} (position {pos}) "
                                  "lies in no agent interval"))
 
-    # Inclusion-freeness: each lex rank whose high falls below the rank
-    # before exhibits a margined inclusion.
-    order = instance.lex[0]
+    # Inclusion-freeness: each lex rank whose high falls below the highest
+    # high before it lies strictly inside the first agent holding that high.
+    order, _, highs = instance.lex
     for r in instance.nested:
-        p, q = instance.agents[order[r - 1]], instance.agents[order[r]]
+        top = max(range(r), key=highs.__getitem__)
+        p, q = instance.agents[order[top]], instance.agents[order[r]]
         out.append(Violation("margined-inclusion", (p.id, q.id),
                              f"margined inclusion ({p.id},{q.id}): "
                              f"[{q.lo},{q.hi}] strictly inside [{p.lo},{p.hi}]"))

@@ -332,7 +332,8 @@ def structure_ok(before_mask, after, window):
 def dense_forward(rd):
     """Every vector dominated by a marked predecessor, with the reference
     reconstruction and every test; the new forward must mark the same rows.
-    The table keeps them over ``ws.active``, as ``forward``'s does."""
+    The table keeps them over ``ws.active``, as ``forward``'s does, each
+    mark as (pointer, weight, small length) of the reference R(nu, j-1)."""
     ws = _Workspace(rd)
     n = rd.instance.n
     lo_bound, hi_bound = ws.denom - 3 * ws.unit, ws.denom + 3 * ws.unit
@@ -356,12 +357,14 @@ def dense_forward(rd):
                 after = linear_retrieve(ws, nu, j - 1)
                 if (structure_ok(before_mask, after, windows[j - 1])
                         and bundle_ok(before_total - after[1])):
-                    row[nu] = nu_prev
+                    small = linear_small_prefix_len(ws, nu[0], ws.highs[j - 2]) if j > 1 else 0
+                    row[nu] = (nu_prev, after[1], small)
 
     def active(nu):
         return tuple(nu[c] for c in ws.active)
 
-    marks = tuple({active(nu): active(ptr) for nu, ptr in row.items()} for row in rows[:n])
+    marks = tuple({active(nu): (active(ptr), weight, small)
+                   for nu, (ptr, weight, small) in row.items()} for row in rows[:n])
     return DPTable(ws.nu_in, marks, ws)
 
 
@@ -648,10 +651,9 @@ def test_skipped_candidates_were_settled(case, skips, monkeypatch):
     total, distinct = full_boxes(ws, rows)
     assert (tally[0] < total) is skips
     if len(ws.active) == 1 and not ws.up:
-        # On nu_0 alone every Min-Max run starts past the previous
-        # predecessor's nu_0 and holds only passing candidates: each one it
-        # walks is marked.
-        assert tally[0] == sum(map(len, rows[:-1])) <= distinct
+        # On nu_0 alone a Min-Max row is one interval, marked in closed
+        # form: the rows walk no candidate at all.
+        assert tally[0] == 0 < sum(map(len, rows[:-1])) <= distinct
     n = rd.instance.n
     dense = dense_forward(rd).rows
     for j, row in zip(range(n, 0, -1), rows):
@@ -702,19 +704,103 @@ def test_maxmin_one_coordinate_runs_match_dense(monkeypatch):
     assert cases == 360 and overlaps > 0
 
 
+def minmax_all_small_cases():
+    """A seeded Min-Max sweep at guesses of k * v_max and above, so every
+    item is small and the DP runs on nu_0 alone: n = 1 to 5, some rows
+    ending below the row above, some decides failing after row n marked,
+    and one instance with an uncovered small item between two agents."""
+    cases = []
+    for seed in range(40):
+        n = 1 + seed % 5
+        inst = gen_inclusion_free(seed, n, 6 * n + seed % 7, (Fraction(1, 2), Fraction(1)),
+                                  mode=Mode.MINMAX)
+        for k in (4, 6, 8):
+            for factor in (1, Fraction(9, 8), Fraction(5, 4)):
+                cases.append(rounded(scale(inst, k * max(it.value for it in inst.items) * factor), k))
+    # Item 4 lies in no interval (validation rejects the instance; the DP
+    # takes it): no bundle can hold it, so row 2 is empty, though agent 2's
+    # bundle would pass the weight test.
+    values = [Fraction(1, 9 + i % 4) for i in range(12)]
+    cases.append(rounded(ConvexInstance(Mode.MINMAX, make_items(values), (
+        Agent("p1", 1, 3), Agent("p2", 5, 8), Agent("p3", 7, 12))), 8))
+    return cases
+
+
+def test_minmax_one_coordinate_rows_match_dense():
+    # Each row n..2 is written down as one interval from the row above it,
+    # with no candidate walked.  Marks, pointers, carried weights and small
+    # lengths are the dense enumeration's and the reference
+    # reconstruction's, also where a row empties partway and past an
+    # uncovered item.
+    cases = minmax_all_small_cases()
+    seen = {"n = 1": 0, "row empties partway": 0, "row ends below the row above": 0,
+            "succeeded": 0}
+    for rd in cases:
+        ws = _Workspace(rd)
+        assert ws.active == (0,) and not ws.up
+        table, dense = forward(rd), dense_forward(rd)
+        assert table.marks == dense.marks
+        assert table.rows == dense.rows
+        assert trace_lines(table) == trace_lines(dense)
+        check_carried_weights(rd)
+        seen["n = 1"] += rd.instance.n == 1
+        seen["row empties partway"] += bool(table.marks[-1]) and not table.succeeded
+        tops = [max(row)[0] for row in table.marks[1:] if row] + [ws.nu_active[0]]
+        seen["row ends below the row above"] += any(map(int.__lt__, tops, tops[1:]))
+        seen["succeeded"] += table.succeeded
+    assert all(seen.values()), seen
+    # the uncovered item: row 3 marks, row 2 is empty, and the weight test
+    # alone would pass agent 2's bundle from row 3's lowest mark
+    ws, table = _Workspace(cases[-1]), forward(cases[-1])
+    a = min(table.marks[2])[0]
+    bound = ws.denom + BUNDLE_MARGIN * ws.unit
+    cut = ws.small_prefix[ws.small_cap(1)]
+    assert table.marks[1] == {} and len(table.marks[2]) > 0
+    assert min(ws.small_weight[a], ws.small_prefix[ws.small_cap(2)]) - min(ws.small_weight[a], cut) <= bound
+
+
+def test_minmax_one_coordinate_rows_are_intervals_in_the_dense_table():
+    # The lemma behind the closed form, on the dense enumeration's own table:
+    # each Min-Max row on nu_0 alone is one contiguous run of nu_0, and each
+    # mark x points at max(x, a), a being the lowest nu_0 of the row above
+    # (the instance's nu_0 for row n).
+    intervals = 0
+    for rd in minmax_all_small_cases():
+        dense = dense_forward(rd)
+        above = [dense.nu_in[0]]
+        for row in reversed(dense.marks):
+            xs = sorted(x for x, in row)
+            if xs:
+                assert above and xs == list(range(xs[0], xs[-1] + 1))
+                assert all(mark[0] == (max(x, above[0]),) for (x,), mark in row.items())
+                intervals += len(xs) > 1
+            above = xs
+    assert intervals > 0
+
+
 def test_golden_wide_decide_enumerates_few_repeats(monkeypatch):
     # The first decide of the golden Min-Max n=12, m=120 case, at t = L:
     # every item is small, and without the skip the rows enumerate 14.7
-    # candidates per mark.  With it, and each box cut to its passing run,
-    # rows n..2 walk no candidate they do not mark.
+    # candidates per mark.  Each row n..2 is one interval in closed form:
+    # the rows walk no candidate, and an untraced solve reads one entry of
+    # each, the pointer chain, and builds no other.
     inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
     rd = rounded(scale(inst, minmax_lower_bound(inst)), 8)
     assert len(_Workspace(rd).active) == 1
     tally = counting_candidates(monkeypatch)
-    table = forward(rd)
-    marks = sum(map(len, table.marks))
-    # table.marks[0] is row 1, marked in closed form
-    assert table.succeeded and 0 < tally[0] == marks - len(table.marks[0])
+    reads = [0]
+    read = dp_engine._Run.__getitem__
+
+    def counting_read(self, nu):
+        reads[0] += 1
+        return read(self, nu)
+    monkeypatch.setattr(dp_engine._Run, "__getitem__", counting_read)
+    assignment, table = solve_rounded(rd)
+    assert assignment is not None and tally[0] == 0
+    # table.marks[0] is row 1, the zero vector alone
+    inner = table.marks[1:]
+    assert all(isinstance(row, dp_engine._Run) for row in inner)
+    assert reads[0] == len(inner) < sum(map(len, inner))
 
 
 def test_solve_rounded_builds_no_full_rows(monkeypatch):

@@ -66,10 +66,26 @@ def test_one_nesting_verdict_keeps_each_readers_error(mode):
 
 
 def test_nested_lists_every_falling_high():
-    # lex order p1 [1,6], p2 [2,3], p3 [3,5], p4 [4,4]: highs 6, 3, 5, 4
+    # lex order p1 [1,6], p2 [2,3], p3 [3,5], p4 [4,4]: highs 6, 3, 5, 4;
+    # [3,5] rises above [2,3] but still lies inside [1,6]
     inst = uniform_instance(6, (2, 3), (1, 6), (4, 4), (3, 5))
-    assert inst.nested == (1, 3)
+    assert inst.nested == (1, 2, 3)
     assert uniform_instance(5, (1, 3), (1, 5), (2, 5)).nested == ()
+
+
+def test_validate_lists_every_margined_inclusion():
+    # [2,3], [4,5] and [6,7] each lie strictly inside [1,8], though only
+    # the first falls below the high just before it
+    inst = uniform_instance(8, (1, 8), (2, 3), (4, 5), (6, 7))
+    assert inst.nested == (1, 2, 3)
+    assert [(v.code, v.subjects) for v in validate(inst).violations] == [
+        ("margined-inclusion", ("p1", "p2")), ("margined-inclusion", ("p1", "p3")),
+        ("margined-inclusion", ("p1", "p4"))]
+    # lex order [1,6], [1,8], [2,8], [3,4], [5,7]: a shared end is no
+    # inclusion, and each nested interval pairs with the first agent holding
+    # the highest high before it, p5 rather than p2
+    inst = uniform_instance(8, (1, 6), (2, 8), (3, 4), (5, 7), (1, 8))
+    assert [v.subjects for v in validate(inst).violations] == [("p5", "p3"), ("p5", "p4")]
 
 
 def test_validate_left_right_inclusion_allowed():
