@@ -448,7 +448,8 @@ def _run_rows(ws: _Workspace, bound: int) -> Iterator[Mapping[InputVector, Mark]
             return
         # y > a is marked iff D(y) <= bound: always when S_j - S_{j-1} <= bound,
         # else iff small_weight[y] <= S_{j-1} + bound.
-        hi = b if above - below <= bound else bisect_right(small_weight, below + bound, a, b + 1) - 1
+        hi = (b if above - below <= bound
+              else bisect_right(small_weight, below + bound, a, b + 1) - 1)
         yield _Run(lo, hi, a, cap, ws)
         a, b, above = lo, hi, below
         before, before_small = min(small_weight[lo], below), min(ws.small_len[lo], cap)

@@ -151,8 +151,8 @@ class ConvexInstance:
     @cached_property
     def nested(self) -> tuple[int, ...]:
         highs = self.lex[2]
-        return tuple(r for r, (high, top) in enumerate(zip(highs[1:], accumulate(highs, max)), 1)
-                     if high < top)
+        tops = list(accumulate(highs, max))  # tops[r]: the highest high of ranks 0..r
+        return tuple(r for r in range(1, self.n) if highs[r] < tops[r - 1])
 
     @cached_property
     def ids(self) -> tuple[dict[str, int], dict[str, int]]:

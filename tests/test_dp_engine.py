@@ -714,9 +714,10 @@ def minmax_all_small_cases():
         n = 1 + seed % 5
         inst = gen_inclusion_free(seed, n, 6 * n + seed % 7, (Fraction(1, 2), Fraction(1)),
                                   mode=Mode.MINMAX)
+        v_max = max(it.value for it in inst.items)
         for k in (4, 6, 8):
             for factor in (1, Fraction(9, 8), Fraction(5, 4)):
-                cases.append(rounded(scale(inst, k * max(it.value for it in inst.items) * factor), k))
+                cases.append(rounded(scale(inst, k * v_max * factor), k))
     # Item 4 lies in no interval (validation rejects the instance; the DP
     # takes it): no bundle can hold it, so row 2 is empty, though agent 2's
     # bundle would pass the weight test.
@@ -746,17 +747,17 @@ def test_minmax_one_coordinate_rows_match_dense():
         seen["n = 1"] += rd.instance.n == 1
         seen["row empties partway"] += bool(table.marks[-1]) and not table.succeeded
         tops = [max(row)[0] for row in table.marks[1:] if row] + [ws.nu_active[0]]
-        seen["row ends below the row above"] += any(map(int.__lt__, tops, tops[1:]))
+        seen["row ends below the row above"] += any(low < high for low, high in zip(tops, tops[1:]))
         seen["succeeded"] += table.succeeded
     assert all(seen.values()), seen
     # the uncovered item: row 3 marks, row 2 is empty, and the weight test
     # alone would pass agent 2's bundle from row 3's lowest mark
     ws, table = _Workspace(cases[-1]), forward(cases[-1])
-    a = min(table.marks[2])[0]
-    bound = ws.denom + BUNDLE_MARGIN * ws.unit
-    cut = ws.small_prefix[ws.small_cap(1)]
     assert table.marks[1] == {} and len(table.marks[2]) > 0
-    assert min(ws.small_weight[a], ws.small_prefix[ws.small_cap(2)]) - min(ws.small_weight[a], cut) <= bound
+    a = min(table.marks[2])[0]
+    taken = (min(ws.small_weight[a], ws.small_prefix[ws.small_cap(2)])
+             - min(ws.small_weight[a], ws.small_prefix[ws.small_cap(1)]))
+    assert taken <= ws.denom + BUNDLE_MARGIN * ws.unit
 
 
 def test_minmax_one_coordinate_rows_are_intervals_in_the_dense_table():
