@@ -166,7 +166,8 @@ it, so the sum is exactly the weight of R(nu, j-1).  A mark carries its
 ``before_small``.  ``backward`` and ``retrieve`` read
 a remainder's items as the position prefixes of those lengths, from the
 tables whose weights ``forward`` sums, so the sweep's rule has one
-definition (``small_kept``).  Value sums and comparisons run on the
+definition (``small_kept``, whose two tables ``backward`` reads for the
+whole pointer chain at once).  Value sums and comparisons run on the
 rounded instance's integer view, whose common denominator ``round_instance``
 makes divisible by k: the engine takes no lcm and builds no ``Fraction`` or
 ``Item``, and nu_0 is one integer ceil or floor.
@@ -178,7 +179,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import accumulate, filterfalse, product
+from itertools import accumulate, filterfalse, product, repeat
 from math import gcd
 from operator import getitem
 from typing import Iterable, Iterator, Optional, Sequence
@@ -273,22 +274,29 @@ class _Workspace:
         self.positions = rounded.positions()
         self.active = tuple(c for c, ps in enumerate(self.positions) if c == 0 or ps)
         active_positions = [self.positions[c] for c in self.active]
-        weight_of = self.weight.__getitem__
-        self.prefix_weight = [list(accumulate(map(weight_of, ps), initial=0))
+        # a coordinate that holds every item holds positions 1..m, and
+        # weight[0] = 0 starts their prefix weights
+        weight = self.weight
+        self.prefix_weight = [list(accumulate(weight)) if len(ps) == len(weights)
+                              else list(accumulate([weight[p] for p in ps], initial=0))
                               for ps in active_positions]
         self.small_positions = self.positions[0]
         self.small_prefix = self.prefix_weight[0]
-        self.reach = [tuple(bisect_right(ps, hi) for ps in active_positions) for hi in self.highs]
-        self.left_of = [tuple(bisect_left(ps, lo) for ps in active_positions) for lo in self.lows]
+        # Counted per coordinate by one C-level map over the agents, then
+        # read per agent: reach[j-1][i], left_of[j-1][i].
+        self.reach = list(zip(*[map(bisect_right, repeat(ps), self.highs)
+                                for ps in active_positions]))
+        self.left_of = list(zip(*[map(bisect_left, repeat(ps), self.lows)
+                                  for ps in active_positions]))
 
         nu0 = small_units(self.small_prefix[-1], self.denom, sch)
         self.nu_active = (nu0,) + tuple(len(ps) for ps in active_positions[1:])
         self.nu_in = self.expand(self.nu_active)
         # The prefix weights never decrease, so the longest prefix worth
-        # < (x + 1)/k ends just before the first one worth at least that.
+        # < (x + 1)/k is as long as the count of nonempty prefixes worth less.
         small_prefix, unit = self.small_prefix, self.unit
-        self.small_len = [bisect_left(small_prefix, bound) - 1
-                          for bound in range(unit, (nu0 + 2) * unit, unit)]
+        self.small_len = list(map(bisect_left, repeat(small_prefix[1:]),
+                                  range(unit, (nu0 + 2) * unit, unit)))
         self.small_weight = [small_prefix[x] for x in self.small_len]
 
     def expand(self, nu: InputVector) -> InputVector:
@@ -410,10 +418,16 @@ class _Run(Mapping):
     def __getitem__(self, nu: InputVector) -> Mark:
         if nu not in self:
             raise KeyError(nu)
-        x, a, cap, cap_weight = nu[0], self.a, self.cap, self.cap_weight
+        x, cap, cap_weight = nu[0], self.cap, self.cap_weight
         weight, length = self.ws.small_weight[x], self.ws.small_len[x]
-        return ((x if x > a else a,), weight if weight < cap_weight else cap_weight,
+        return (self.pointer(nu), weight if weight < cap_weight else cap_weight,
                 length if length < cap else cap)
+
+    def pointer(self, nu: InputVector) -> InputVector:
+        """The pointer of the mark nu alone, which ``backward`` reads: no
+        weight or small length is built, and nu is not tested."""
+        x, a = nu[0], self.a
+        return (x if x > a else a,)
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -541,20 +555,23 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
     if not table.succeeded:
         raise LookupError("dynamic program recorded no feasible assignment")
     ws = table._ws
+    # chain[j] is the vector marked at row j (chain[0] = zero for "row 0"),
+    # chain[n] the instance's vector; a mark of row j points into row j+1.
     chain = [(0,) * len(ws.active)]
     for row in table.marks:
-        chain.append(row[chain[-1]][0])
-    # chain[j] is the vector marked at row j (chain[0] = zero for "row 0"),
-    # chain[n] the instance's vector.  R(chain[j-1], j-1) is a per-coordinate
-    # prefix of R(chain[j], j) (module docstring, (ii)), so bundle j is the
-    # slice of each coordinate's positions between the two prefix lengths.
-    small = [ws.small_kept(nu[0], j) for j, nu in enumerate(chain)]
-    bundles = {}
-    for j in range(1, len(chain)):
-        items = ws.small_positions[small[j - 1]:small[j]]
-        for c, a, b in zip(ws.active[1:], chain[j - 1][1:], chain[j][1:]):
-            items += ws.positions[c][a:b]
-        bundles[ws.order[j - 1]] = items
+        chain.append(row.pointer(chain[-1]) if type(row) is _Run else row[chain[-1]][0])
+    # R(chain[j-1], j-1) is a per-coordinate prefix of R(chain[j], j) (module
+    # docstring, (ii)), so bundle j is the slice of each coordinate's
+    # positions between the two prefix lengths; the small one is
+    # small_kept(chain[j][0], j), read off its tables.
+    small_len, small_positions = ws.small_len, ws.small_positions
+    caps = [0, *(reach[0] for reach in ws.reach)]
+    small = [min(small_len[nu[0]], cap) for nu, cap in zip(chain, caps)]
+    bundles = {i: small_positions[a:b] for i, a, b in zip(ws.order, small, small[1:])}
+    for t, c in enumerate(ws.active[1:], start=1):
+        ps = ws.positions[c]
+        for i, before, after in zip(ws.order, chain, chain[1:]):
+            bundles[i] += ps[before[t]:after[t]]
     return assignment_from_positions(rounded.instance, bundles)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 
 def integer_values(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -232,17 +232,21 @@ def validate(instance: ConvexInstance) -> ValidationReport:
     on integer digits.
     """
     out: list[Violation] = []
-    m = instance.m
+    items, agents = instance.items, instance.agents
+    m = len(items)
     weights, denom = instance.integers
-    # the id view names the first occurrence of each id; any other is a duplicate
+    # The id view names the first occurrence of each id; any other is a
+    # duplicate.  An item can be at fault only if some id repeats or some
+    # value is not positive, so the per-item loop runs only then.
     item_pos, agent_index = instance.ids
-    for pos, (it, w) in enumerate(zip(instance.items, weights), start=1):
-        if item_pos[it.id] != pos:
-            out.append(Violation("duplicate-id", (it.id,), f"duplicate item id {it.id!r}"))
-        if w <= 0:
-            out.append(Violation("nonpositive-value", (it.id,),
-                                 f"item {it.id!r} has value {it.value} <= 0"))
-    for i, a in enumerate(instance.agents):
+    if len(item_pos) < m or min(weights, default=1) <= 0:
+        for pos, (it, w) in enumerate(zip(items, weights), start=1):
+            if item_pos[it.id] != pos:
+                out.append(Violation("duplicate-id", (it.id,), f"duplicate item id {it.id!r}"))
+            if w <= 0:
+                out.append(Violation("nonpositive-value", (it.id,),
+                                     f"item {it.id!r} has value {it.value} <= 0"))
+    for i, a in enumerate(agents):
         if agent_index[a.id] != i:
             out.append(Violation("duplicate-id", (a.id,), f"duplicate agent id {a.id!r}"))
         if not (1 <= a.lo <= a.hi <= m):
@@ -252,28 +256,27 @@ def validate(instance: ConvexInstance) -> ValidationReport:
             out.append(Violation("nonpositive-demand", (a.id,),
                                  f"agent {a.id!r} has demand {a.demand} <= 0"))
 
-    # Coverage counts by one difference-array sweep, each interval clipped to
-    # [1, m], so that a bad interval still covers the positions it overlaps.
-    delta = [0] * (m + 2)
-    for a in instance.agents:
-        lo, hi = max(a.lo, 1), min(a.hi, m)
-        if lo <= hi:
-            delta[lo] += 1
-            delta[hi + 1] -= 1
-    cover = 0
-    for pos in range(1, m + 1):
-        cover += delta[pos]
-        if not cover:
-            out.append(Violation("degree-zero-item", (instance.items[pos - 1].id,),
-                                 f"item {instance.items[pos - 1].id!r} (position {pos}) "
-                                 "lies in no agent interval"))
+    # Coverage by one sweep over the intervals in lexicographic order, each
+    # clipped to [1, m], so that a bad interval still covers the positions it
+    # overlaps.  Clipping keeps the lows in order, so the positions past the
+    # highest high so far and before the next low lie in no interval.
+    order, lows, highs = instance.lex
+    covered = 0  # positions 1..covered lie in some interval
+    for lo, hi in zip(lows, highs):
+        if hi > m:
+            hi = m
+        # a clipped interval that reaches past covered is nonempty iff lo <= hi
+        if covered < hi >= lo:
+            if lo > covered + 1:
+                out.extend(_uncovered(items, covered + 1, lo))
+            covered = hi
+    out.extend(_uncovered(items, covered + 1, m + 1))
 
     # Inclusion-freeness: each lex rank whose high falls below the highest
     # high before it lies strictly inside the first agent holding that high.
-    order, _, highs = instance.lex
     for r in instance.nested:
         top = max(range(r), key=highs.__getitem__)
-        p, q = instance.agents[order[top]], instance.agents[order[r]]
+        p, q = agents[order[top]], agents[order[r]]
         out.append(Violation("margined-inclusion", (p.id, q.id),
                              f"margined inclusion ({p.id},{q.id}): "
                              f"[{q.lo},{q.hi}] strictly inside [{p.lo},{p.hi}]"))
@@ -289,6 +292,14 @@ def validate(instance: ConvexInstance) -> ValidationReport:
                              "digits, too many to print"))
 
     return ValidationReport(tuple(out))
+
+
+def _uncovered(items: Sequence[Item], start: int, stop: int) -> Iterator[Violation]:
+    """A ``degree-zero-item`` violation for each position start..stop-1."""
+    for pos in range(start, stop):
+        item_id = items[pos - 1].id
+        yield Violation("degree-zero-item", (item_id,),
+                        f"item {item_id!r} (position {pos}) lies in no agent interval")
 
 
 def lexicographic_order(instance: ConvexInstance) -> tuple[int, ...]:
@@ -333,11 +344,9 @@ def assignment_from_positions(instance: ConvexInstance,
     It reads item ids only, so it builds no items of a derived instance.
     """
     items = _named_items(instance)
-    bundles = []
-    for i, a in enumerate(instance.agents):
-        poss = sorted(by_agent.get(i, ()))
-        bundles.append((a.id, tuple(items[p - 1].id for p in poss)))
-    return Assignment(instance.mode, tuple(bundles))
+    return Assignment(instance.mode, tuple(
+        (a.id, tuple([items[p - 1].id for p in sorted(by_agent.get(i, ()))]))
+        for i, a in enumerate(instance.agents)))
 
 
 def partition_violations(instance: ConvexInstance, assignment: "Assignment",
@@ -348,36 +357,58 @@ def partition_violations(instance: ConvexInstance, assignment: "Assignment",
     items, no double assignment), interval membership, and, when
     ``require_cover`` is set, that every item is assigned.
     """
+    return _partition_pass(instance, assignment, require_cover)[0]
+
+
+def _partition_pass(instance: ConvexInstance, assignment: "Assignment", require_cover: bool
+                    ) -> tuple[list[str], list[int], Collection[int]]:
+    """One pass over the items of every bundle: (the problems
+    ``partition_violations`` reports, in its order; each bundle's weight on
+    the integer view, summed over its known items, an unknown agent's
+    bundle included; the positions some bundle holds)."""
     out: list[str] = []
     pos_of, index_of = instance.ids
+    agents = instance.agents
+    weight = (0, *instance.integers[0])  # by 1-based position
     owner: dict[int, str] = {}  # item position -> the id of the agent holding it
     owners: set[int] = set()
+    stray: set[int] = set()  # the known items of unknown agents' bundles
+    totals: list[int] = []
     for aid, ids in assignment.bundles:
         i = index_of.get(aid)
         if i is None:
             out.append(f"unknown agent {aid!r}")
+            positions = [pos_of[x] for x in ids if x in pos_of]
+            stray.update(positions)
+            totals.append(sum([weight[p] for p in positions]))
             continue
         if i in owners:
             out.append(f"agent {aid!r} has more than one bundle")
         owners.add(i)
-        agent = instance.agents[i]
+        lo, hi = agents[i].lo, agents[i].hi
+        total = 0
         for x in ids:
             pos = pos_of.get(x)
             if pos is None:
                 out.append(f"unknown item {x!r} in bundle of {aid!r}")
                 continue
+            total += weight[pos]
             if pos in owner:
                 out.append(f"item {x!r} assigned to both {owner[pos]!r} and {aid!r}")
             owner[pos] = aid
-            if not agent.covers(pos):
+            if not lo <= pos <= hi:
                 out.append(f"item {x!r} (position {pos}) outside interval "
-                           f"[{agent.lo},{agent.hi}] of agent {aid!r}")
-    out.extend(f"agent {a.id!r} has no bundle" for a in instance.agents
-               if index_of[a.id] not in owners)
-    if require_cover:
-        out.extend(f"item {it.id!r} is unassigned" for it in instance.items
+                           f"[{lo},{hi}] of agent {aid!r}")
+        totals.append(total)
+    # owners holds indices of the id view: it names every agent iff it is as long
+    if len(owners) < len(index_of):
+        out.extend(f"agent {a.id!r} has no bundle" for a in agents
+                   if index_of[a.id] not in owners)
+    # owner holds first positions of ids: every item is assigned iff it holds m
+    if require_cover and len(owner) < len(weight) - 1:
+        out.extend(f"item {it.id!r} is unassigned" for it in _named_items(instance)
                    if pos_of[it.id] not in owner)
-    return out
+    return out, totals, owner.keys() | stray if stray else owner.keys()
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -125,6 +126,9 @@ class RoundedInstance:
         """Item positions grouped by coordinate: entry c lists the positions
         of coordinate c (0 for the small items) left to right, c = 0..C."""
         grouped: list[list[int]] = [[] for _ in range(self.scheme.C + 1)]
+        if not any(self.category):
+            grouped[0] = list(range(1, len(self.category) + 1))
+            return grouped
         for p, c in enumerate(self.category, start=1):
             grouped[c].append(p)
         return grouped
@@ -156,20 +160,28 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
     denominator of its values that k divides (module docstring).
     """
     weights, denom = instance.integers
-    cats = _categories(weights, denom, sch)
     k, small = sch.k, denom // sch.k
-    top = max(cats, default=0)
-    common = lcm(denom, sch.ratios[top][1])
-    lift = common // denom
-    # 1/k, then q_1 .. q_top, over the common denominator
-    on_grid = [common // b * a for a, b in sch.ratios[:top + 1]]
-    rounded = [w * lift if w <= small else on_grid[c] for w, c in zip(weights, cats)]
+    if weights and max(weights) <= small and min(weights) > 0:
+        # Every value is small (k w <= D): category 0, kept over lcm(D, k).
+        # A Min-Max value in (1/k, q_1) is category 0 too, but it rounds to
+        # 1/k, so it takes the general path below.
+        cats = [0] * len(weights)
+        common = lcm(denom, k)
+        rounded = list(map(operator.mul, weights, repeat(common // denom)))
+    else:
+        cats = _categories(weights, denom, sch)
+        top = max(cats, default=0)
+        common = lcm(denom, sch.ratios[top][1])
+        lift = common // denom
+        # 1/k, then q_1 .. q_top, over the common denominator
+        on_grid = [common // b * a for a, b in sch.ratios[:top + 1]]
+        rounded = [w * lift if w <= small else on_grid[c] for w, c in zip(weights, cats)]
     # Cut D' to the least common denominator that k divides: the DP's sums
     # then stay on the smallest integers.
     cut = common // lcm(k, common // gcd(common, *rounded))
     if cut > 1:
         common //= cut
-        rounded = [w // cut for w in rounded]
+        rounded = list(map(operator.floordiv, rounded, repeat(cut)))
     return RoundedInstance(with_integers(instance, (tuple(rounded), common)), sch, tuple(cats))
 
 

@@ -26,9 +26,8 @@ from typing import Optional
 
 from . import dp_engine
 from .hall import maxmin_upper_bound, minmax_lower_bound
-from .instance_model import (Assignment, ConvexInstance, Mode,
-                             assignment_from_positions, partition_violations,
-                             validate, with_integers)
+from .instance_model import (Assignment, ConvexInstance, Mode, _partition_pass,
+                             assignment_from_positions, validate, with_integers)
 from .rounding import round_instance, scheme
 
 
@@ -114,20 +113,20 @@ def verify(instance: ConvexInstance, assignment: Assignment) -> VerifyReport:
     the minimum agent value (Max-Min) or the maximum load (Min-Max) in
     original, unrounded values.
     """
-    require_cover = instance.mode is Mode.MINMAX
-    violations = tuple(partition_violations(instance, assignment, require_cover))
+    maxmin = instance.mode is Mode.MAXMIN
+    violations, totals, assigned = _partition_pass(instance, assignment, not maxmin)
     weights, denom = instance.integers
-    pos_of = instance.ids[0]
-    # an unknown id is already reported as a violation
-    bundles = [[pos_of[x] for x in ids if x in pos_of] for _, ids in assignment.bundles]
-    totals = [sum(weights[p - 1] for p in positions) for positions in bundles]
-    assigned = {p for positions in bundles for p in positions}
-    unassigned = tuple(it.id for it in instance.items if pos_of[it.id] not in assigned)
-    pick = min if instance.mode is Mode.MAXMIN else max
+    # assigned holds first positions of ids: no item is unassigned iff it holds m
+    if len(assigned) < len(weights):
+        pos_of = instance.ids[0]
+        unassigned = tuple(it.id for it in instance.items if pos_of[it.id] not in assigned)
+    else:
+        unassigned = ()
     values = tuple((aid, Fraction(total, denom))
                    for (aid, _), total in zip(assignment.bundles, totals))
-    return VerifyReport(not violations, violations, values,
-                        Fraction(pick(totals, default=0), denom), unassigned)
+    return VerifyReport(not violations, tuple(violations), values,
+                        Fraction((min if maxmin else max)(totals, default=0), denom),
+                        unassigned)
 
 
 def _require_valid(instance: ConvexInstance, mode: Mode) -> None:

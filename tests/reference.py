@@ -6,16 +6,31 @@ lexicographic rank; the interval sweeps of ``convalloc.hall`` must agree with
 both on small instances.  ``first_aligned_cuts`` enumerates every sequence of
 small-item cuts that ``convalloc.align`` could take; ``align`` must take the
 first one that passes.
+
+The per-item loops that the one-pass layers replaced are kept here as they
+were, and the package's reports and tables must equal theirs:
+``reference_partition_violations`` and ``reference_verify`` check and value
+an assignment item by item through ``Agent.covers``; ``reference_validate``
+runs the per-item duplicate and sign loop on every instance and counts
+coverage by a difference array over the positions;
+``reference_round_instance`` classifies every value by ``_categories``,
+small or not; ``reference_workspace_tables`` builds the ``_Workspace`` tables
+one agent and one unit of nu_0 at a time, from ``positions`` grouped by a
+loop over the categories.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
-from math import ceil, floor
+from itertools import accumulate, combinations, product
+from math import ceil, floor, gcd, lcm
 from typing import Optional
 
 from convalloc import Assignment, ConvexInstance, Mode, assignment_vector
-from convalloc.rounding import RoundedInstance
+from convalloc.instance_model import (ValidationReport, Violation, _digit_limit,
+                                      with_integers)
+from convalloc.rounding import RoundedInstance, RoundingScheme, _categories, small_units
+from convalloc.solver import VerifyReport
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -127,3 +142,157 @@ def first_aligned_cuts(rounded: RoundedInstance,
                for i, (cut, end) in enumerate(zip(sequence, ends))):
             return [small[sequence[n - 1 - j]:ends[n - 1 - j]] for j in range(n)]
     return None
+
+
+def reference_partition_violations(instance: ConvexInstance, assignment: Assignment,
+                                   require_cover: bool = True) -> list[str]:
+    """Bundle ownership, interval membership and cover, item by item."""
+    out: list[str] = []
+    pos_of, index_of = instance.ids
+    owner: dict[int, str] = {}
+    owners: set[int] = set()
+    for aid, ids in assignment.bundles:
+        i = index_of.get(aid)
+        if i is None:
+            out.append(f"unknown agent {aid!r}")
+            continue
+        if i in owners:
+            out.append(f"agent {aid!r} has more than one bundle")
+        owners.add(i)
+        agent = instance.agents[i]
+        for x in ids:
+            pos = pos_of.get(x)
+            if pos is None:
+                out.append(f"unknown item {x!r} in bundle of {aid!r}")
+                continue
+            if pos in owner:
+                out.append(f"item {x!r} assigned to both {owner[pos]!r} and {aid!r}")
+            owner[pos] = aid
+            if not agent.covers(pos):
+                out.append(f"item {x!r} (position {pos}) outside interval "
+                           f"[{agent.lo},{agent.hi}] of agent {aid!r}")
+    out.extend(f"agent {a.id!r} has no bundle" for a in instance.agents
+               if index_of[a.id] not in owners)
+    if require_cover:
+        out.extend(f"item {it.id!r} is unassigned" for it in instance.items
+                   if pos_of[it.id] not in owner)
+    return out
+
+
+def reference_verify(instance: ConvexInstance, assignment: Assignment) -> VerifyReport:
+    """``reference_partition_violations``, then the ids mapped again, each
+    bundle summed, and every item scanned for ``unassigned``."""
+    require_cover = instance.mode is Mode.MINMAX
+    violations = tuple(reference_partition_violations(instance, assignment, require_cover))
+    weights, denom = instance.integers
+    pos_of = instance.ids[0]
+    bundles = [[pos_of[x] for x in ids if x in pos_of] for _, ids in assignment.bundles]
+    totals = [sum(weights[p - 1] for p in positions) for positions in bundles]
+    assigned = {p for positions in bundles for p in positions}
+    unassigned = tuple(it.id for it in instance.items if pos_of[it.id] not in assigned)
+    pick = min if instance.mode is Mode.MAXMIN else max
+    values = tuple((aid, Fraction(total, denom))
+                   for (aid, _), total in zip(assignment.bundles, totals))
+    return VerifyReport(not violations, violations, values,
+                        Fraction(pick(totals, default=0), denom), unassigned)
+
+
+def reference_validate(instance: ConvexInstance) -> ValidationReport:
+    """Every check of ``validate``, the item loop run on every instance and
+    coverage counted position by position."""
+    out: list[Violation] = []
+    m = instance.m
+    weights, denom = instance.integers
+    item_pos, agent_index = instance.ids
+    for pos, (it, w) in enumerate(zip(instance.items, weights), start=1):
+        if item_pos[it.id] != pos:
+            out.append(Violation("duplicate-id", (it.id,), f"duplicate item id {it.id!r}"))
+        if w <= 0:
+            out.append(Violation("nonpositive-value", (it.id,),
+                                 f"item {it.id!r} has value {it.value} <= 0"))
+    for i, a in enumerate(instance.agents):
+        if agent_index[a.id] != i:
+            out.append(Violation("duplicate-id", (a.id,), f"duplicate agent id {a.id!r}"))
+        if not (1 <= a.lo <= a.hi <= m):
+            out.append(Violation("bad-interval", (a.id,),
+                                 f"agent {a.id!r} interval [{a.lo},{a.hi}] not within [1,{m}]"))
+        if a.demand <= 0:
+            out.append(Violation("nonpositive-demand", (a.id,),
+                                 f"agent {a.id!r} has demand {a.demand} <= 0"))
+    delta = [0] * (m + 2)
+    for a in instance.agents:
+        lo, hi = max(a.lo, 1), min(a.hi, m)
+        if lo <= hi:
+            delta[lo] += 1
+            delta[hi + 1] -= 1
+    cover = 0
+    for pos in range(1, m + 1):
+        cover += delta[pos]
+        if not cover:
+            out.append(Violation("degree-zero-item", (instance.items[pos - 1].id,),
+                                 f"item {instance.items[pos - 1].id!r} (position {pos}) "
+                                 "lies in no agent interval"))
+    order, _, highs = instance.lex
+    for r in instance.nested:
+        top = max(range(r), key=highs.__getitem__)
+        p, q = instance.agents[order[top]], instance.agents[order[r]]
+        out.append(Violation("margined-inclusion", (p.id, q.id),
+                             f"margined inclusion ({p.id},{q.id}): "
+                             f"[{q.lo},{q.hi}] strictly inside [{p.lo},{p.hi}]"))
+    limit = _digit_limit()
+    if limit and denom.bit_length() > 3 * limit and denom >= 10 ** limit:
+        out.append(Violation("unprintable-denominator", (),
+                             f"the item values' common denominator has more than {limit} "
+                             "digits, too many to print"))
+    return ValidationReport(tuple(out))
+
+
+def reference_round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInstance:
+    """``round_instance`` with every value classified by ``_categories``."""
+    weights, denom = instance.integers
+    cats = _categories(weights, denom, sch)
+    k, small = sch.k, denom // sch.k
+    top = max(cats, default=0)
+    common = lcm(denom, sch.ratios[top][1])
+    lift = common // denom
+    on_grid = [common // b * a for a, b in sch.ratios[:top + 1]]
+    rounded = [w * lift if w <= small else on_grid[c] for w, c in zip(weights, cats)]
+    cut = common // lcm(k, common // gcd(common, *rounded))
+    if cut > 1:
+        common //= cut
+        rounded = [w // cut for w in rounded]
+    return RoundedInstance(with_integers(instance, (tuple(rounded), common)), sch, tuple(cats))
+
+
+def reference_workspace_tables(rounded: RoundedInstance) -> dict:
+    """The tables ``_Workspace`` builds, by name: positions grouped by a loop
+    over the categories, ``reach`` and ``left_of`` one tuple per agent, and
+    ``small_len`` one bisection per unit of nu_0."""
+    inst, sch = rounded.instance, rounded.scheme
+    weights, denom = inst.integers
+    _, lows, highs = inst.lex
+    lift = sch.k // gcd(denom, sch.k)
+    denom *= lift
+    unit = denom // sch.k
+    weight = [0, *(w * lift for w in weights)]
+    positions: list[list[int]] = [[] for _ in range(sch.C + 1)]
+    for p, c in enumerate(rounded.category, start=1):
+        positions[c].append(p)
+    active = tuple(c for c, ps in enumerate(positions) if c == 0 or ps)
+    active_positions = [positions[c] for c in active]
+    prefix_weight = [list(accumulate((weight[p] for p in ps), initial=0))
+                     for ps in active_positions]
+    small_prefix = prefix_weight[0]
+    nu0 = small_units(small_prefix[-1], denom, sch)
+    small_len = [bisect_left(small_prefix, bound) - 1
+                 for bound in range(unit, (nu0 + 2) * unit, unit)]
+    return {
+        "denom": denom, "unit": unit, "weight": weight, "positions": positions,
+        "active": active, "prefix_weight": prefix_weight,
+        "small_positions": positions[0], "small_prefix": small_prefix,
+        "reach": [tuple(bisect_right(ps, hi) for ps in active_positions) for hi in highs],
+        "left_of": [tuple(bisect_left(ps, lo) for ps in active_positions) for lo in lows],
+        "nu_active": (nu0,) + tuple(len(ps) for ps in active_positions[1:]),
+        "small_len": small_len,
+        "small_weight": [small_prefix[x] for x in small_len],
+    }

@@ -783,25 +783,35 @@ def test_golden_wide_decide_enumerates_few_repeats(monkeypatch):
     # The first decide of the golden Min-Max n=12, m=120 case, at t = L:
     # every item is small, and without the skip the rows enumerate 14.7
     # candidates per mark.  Each row n..2 is one interval in closed form:
-    # the rows walk no candidate, and an untraced solve reads one entry of
-    # each, the pointer chain, and builds no other.
+    # the rows walk no candidate, and an untraced solve reads one pointer of
+    # each, the pointer chain, and builds no (weight, small length) entry.
     inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
     rd = rounded(scale(inst, minmax_lower_bound(inst)), 8)
     assert len(_Workspace(rd).active) == 1
     tally = counting_candidates(monkeypatch)
-    reads = [0]
-    read = dp_engine._Run.__getitem__
+    reads, pointers = [0], [0]
+    read, pointer = dp_engine._Run.__getitem__, dp_engine._Run.pointer
 
     def counting_read(self, nu):
         reads[0] += 1
         return read(self, nu)
+
+    def counting_pointer(self, nu):
+        pointers[0] += 1
+        return pointer(self, nu)
     monkeypatch.setattr(dp_engine._Run, "__getitem__", counting_read)
+    monkeypatch.setattr(dp_engine._Run, "pointer", counting_pointer)
     assignment, table = solve_rounded(rd)
     assert assignment is not None and tally[0] == 0
     # table.marks[0] is row 1, the zero vector alone
     inner = table.marks[1:]
     assert all(isinstance(row, dp_engine._Run) for row in inner)
-    assert reads[0] == len(inner) < sum(map(len, inner))
+    assert reads[0] == 0
+    assert pointers[0] == len(inner) < sum(map(len, inner))
+    # a read entry carries the pointer backward read
+    for row in inner:
+        nu = next(iter(row))
+        assert row[nu][0] == pointer(row, nu)
 
 
 def test_solve_rounded_builds_no_full_rows(monkeypatch):

@@ -1,5 +1,6 @@
 """Scaling, single-guess decisions, binary search, and verification."""
 
+import collections
 import gc
 import re
 import sys
@@ -547,3 +548,51 @@ def test_caches_stay_bounded_across_many_solves():
         solve(gen_inclusion_free(i, 3, 6, mode=mode), 4 + i // 2)
         assert rounding.scheme.cache_info().currsize <= maxsize
     assert rounding.scheme.cache_info().currsize == maxsize
+
+
+def test_each_layer_is_called_where_the_benchmark_wraps_it(monkeypatch):
+    # The benchmark's traced runs wrap these six calls where they are looked
+    # up; a solve must call each there: validate once per solve, scale once
+    # per decide, round_instance and forward once per decide whose scaling
+    # succeeds, backward and verify once per successful decide.
+    calls = collections.Counter()
+    outcomes = collections.Counter()
+
+    def wrap(module, name, outcome=None):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            calls[name] += 1
+            if outcome is not None and result is not None:
+                outcomes[outcome] += 1
+            return result
+        monkeypatch.setattr(module, name, counted)
+    for name in ("validate", "round_instance", "verify"):
+        wrap(solver, name)
+    wrap(solver, "scale", "scaled")
+    wrap(solver, "decide", "succeeded")
+    wrap(dp_engine, "forward")
+    wrap(dp_engine, "backward")
+    # the golden wide case, a dense one, and a golden Max-Min search whose
+    # first decide fails
+    for inst, k in [(gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX), 8),
+                    (gen_inclusion_free(5, 5, 20, (Fraction(1, 2), Fraction(1)), Mode.MAXMIN), 6),
+                    (gen_inclusion_free(21, 4, 6, mode=Mode.MAXMIN), 8)]:
+        calls.clear()
+        outcomes.clear()
+        (solve_maxmin if inst.mode is Mode.MAXMIN else solve_minmax)(inst, k)
+        assert calls["decide"] >= 1
+        assert calls["validate"] == 1
+        assert calls["scale"] == calls["decide"]
+        assert calls["round_instance"] == calls["forward"] == outcomes["scaled"]
+        assert calls["backward"] == calls["verify"] == outcomes["succeeded"] >= 1
+    assert outcomes["succeeded"] < calls["decide"]
+    # A search starts at L >= p_max, so its scaling never fails; a Min-Max
+    # guess below p_max scales to None and rounds nothing.
+    calls.clear()
+    outcomes.clear()
+    inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
+    assert decide(inst, max(it.value for it in inst.items) / 2, 8) is None
+    assert calls["scale"] == 1 and outcomes["scaled"] == 0
+    assert calls["round_instance"] == calls["forward"] == calls["backward"] == 0
