@@ -211,12 +211,11 @@ def test_minmax_band_value_rounds_to_one_over_k():
 
 @derandomized
 @given(st.integers(0, 2 ** 16), st.sampled_from(Mode), st.sampled_from([4, 6, 8]),
-       st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 6 * n + 3))),
-       st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4)]),
-       st.sampled_from([(Fraction(0), Fraction(1)), (Fraction(0), Fraction(1, 8))]))
-def test_workspace_tables_match_the_reference(seed, mode, k, shape, factor, values):
-    # values in (0, 1/8] make every item small at most guesses
-    inst = gen_inclusion_free(seed, *shape, values, mode=mode)
+       st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 16 * n + 3))),
+       st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4)]))
+def test_workspace_tables_match_the_reference(seed, mode, k, shape, factor):
+    # many items per agent make every item small at some guesses
+    inst = gen_inclusion_free(seed, *shape, mode=mode)
     bound = maxmin_upper_bound(inst)[0] if mode is Mode.MAXMIN else minmax_lower_bound(inst)
     scaled = scale(inst, max(bound, Fraction(1, 10 ** 6)) * factor)
     if scaled is None:
