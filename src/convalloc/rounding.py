@@ -40,7 +40,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -167,7 +166,8 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
         # 1/k, so it takes the general path below.
         cats = [0] * len(weights)
         common = lcm(denom, k)
-        rounded = list(map(operator.mul, weights, repeat(common // denom)))
+        lift = common // denom
+        rounded = [w * lift for w in weights]
     else:
         cats = _categories(weights, denom, sch)
         top = max(cats, default=0)
@@ -181,7 +181,7 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
     cut = common // lcm(k, common // gcd(common, *rounded))
     if cut > 1:
         common //= cut
-        rounded = list(map(operator.floordiv, rounded, repeat(cut)))
+        rounded = [w // cut for w in rounded]
     return RoundedInstance(with_integers(instance, (tuple(rounded), common)), sch, tuple(cats))
 
 
