@@ -86,8 +86,9 @@ def _write(texts: dict[str, str]) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    paths = [os.path.realpath(path) for path in (args.output, args.trace) if path]
-    if len(paths) == 2 and paths[0] == paths[1]:
+    # paths are resolved only when there are two to compare
+    if (args.output and args.trace
+            and os.path.realpath(args.output) == os.path.realpath(args.trace)):
         print(f"error: -o and --trace name the same file {args.output!r}", file=sys.stderr)
         return 2
     instance = _load(args.input)

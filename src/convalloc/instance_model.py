@@ -146,13 +146,13 @@ class ConvexInstance:
         # sorted is stable: agents with equal intervals keep their input order
         spans = [(a.lo, a.hi) for a in self.agents]
         order = tuple(sorted(range(self.n), key=spans.__getitem__))
-        return order, tuple(spans[i][0] for i in order), tuple(spans[i][1] for i in order)
+        return order, tuple([spans[i][0] for i in order]), tuple([spans[i][1] for i in order])
 
     @cached_property
     def nested(self) -> tuple[int, ...]:
         highs = self.lex[2]
         tops = list(accumulate(highs, max))  # tops[r]: the highest high of ranks 0..r
-        return tuple(r for r in range(1, self.n) if highs[r] < tops[r - 1])
+        return tuple([r for r in range(1, self.n) if highs[r] < tops[r - 1]])
 
     @cached_property
     def ids(self) -> tuple[dict[str, int], dict[str, int]]:
@@ -252,7 +252,7 @@ def validate(instance: ConvexInstance) -> ValidationReport:
         if not (1 <= a.lo <= a.hi <= m):
             out.append(Violation("bad-interval", (a.id,),
                                  f"agent {a.id!r} interval [{a.lo},{a.hi}] not within [1,{m}]"))
-        if a.demand <= 0:
+        if a.demand.numerator <= 0:  # a Fraction's denominator is positive
             out.append(Violation("nonpositive-demand", (a.id,),
                                  f"agent {a.id!r} has demand {a.demand} <= 0"))
 

@@ -161,21 +161,26 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
     weights, denom = instance.integers
     k, small = sch.k, denom // sch.k
     if weights and max(weights) <= small and min(weights) > 0:
-        # Every value is small (k w <= D): category 0, kept over lcm(D, k).
+        # Every value is small (k w <= D): category 0, kept over lcm(k, D0)
+        # for D0 the values' least common denominator, which is
+        # lcm(D, k) / cut.  lift = lcm(D, k) / D takes the primes k has more
+        # of than D, cut those D has more of than k and D0, so the two are
+        # coprime, cut divides every w, and each value is written once.
         # A Min-Max value in (1/k, q_1) is category 0 too, but it rounds to
         # 1/k, so it takes the general path below.
-        cats = [0] * len(weights)
         common = lcm(denom, k)
         lift = common // denom
-        rounded = [w * lift for w in weights]
-    else:
-        cats = _categories(weights, denom, sch)
-        top = max(cats, default=0)
-        common = lcm(denom, sch.ratios[top][1])
-        lift = common // denom
-        # 1/k, then q_1 .. q_top, over the common denominator
-        on_grid = [common // b * a for a, b in sch.ratios[:top + 1]]
-        rounded = [w * lift if w <= small else on_grid[c] for w, c in zip(weights, cats)]
+        cut = common // lcm(k, denom // gcd(denom, *weights))
+        rounded = [w * lift // cut for w in weights] if cut > 1 else [w * lift for w in weights]
+        return RoundedInstance(with_integers(instance, (tuple(rounded), common // cut)),
+                               sch, (0,) * len(weights))
+    cats = _categories(weights, denom, sch)
+    top = max(cats, default=0)
+    common = lcm(denom, sch.ratios[top][1])
+    lift = common // denom
+    # 1/k, then q_1 .. q_top, over the common denominator
+    on_grid = [common // b * a for a, b in sch.ratios[:top + 1]]
+    rounded = [w * lift if w <= small else on_grid[c] for w, c in zip(weights, cats)]
     # Cut D' to the least common denominator that k divides: the DP's sums
     # then stay on the smallest integers.
     cut = common // lcm(k, common // gcd(common, *rounded))

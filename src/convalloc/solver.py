@@ -145,7 +145,9 @@ def _search_parameters(k: int, delta: Optional[Fraction]) -> tuple[int, Fraction
     k = operator.index(k)
     if k < 4:
         raise ValueError(f"error parameter k must be >= 4, got {k}")
-    delta = Fraction(1, 4 * k) if delta is None else Fraction(delta)
+    if delta is None:
+        return k, Fraction(1, 4 * k)  # in (0, 1) for every k >= 4
+    delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     return k, delta
@@ -168,17 +170,17 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
     Max-Min with no agent-covering matching has OPT = 0 and takes the
     fallback with no decide.  Otherwise Max-Min brackets
     [max(v_min, U - v_max), U] and Min-Max [L, min(total, L + p_max)], and
-    the first guess is the tight end, U or L.  A success moves lo (Max-Min)
-    or hi (Min-Max), a failure the other end.  If no guess succeeds, the
-    untried end of the bracket, which bounds OPT, is decided last.
+    the first guess is the tight end, U or L.  A success there ends the
+    search, so the bracket is built only when that guess fails.  A success
+    moves lo (Max-Min) or hi (Min-Max), a failure the other end.  If no
+    guess succeeds, the untried end of the bracket, which bounds OPT, is
+    decided last.
     """
     _require_valid(instance, mode)
     k, delta = _search_parameters(k, delta)
     if instance.n == 0:
         raise SolveError("instance has no agents")
     maxmin = mode is Mode.MAXMIN
-    weights, denom = instance.integers
-    v_max = Fraction(max(weights), denom)
     if maxmin:
         bound, covered = maxmin_upper_bound(instance)
         if not covered:
@@ -186,11 +188,8 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
             return SolveResult(mode, k, delta, Fraction(0),
                                verify(instance, assignment).objective, Fraction(0),
                                assignment)
-        # OPT > 0 gives every agent an item, so OPT >= v_min
-        lo, hi = max(Fraction(min(weights), denom), bound - v_max), bound
     else:
         bound = minmax_lower_bound(instance)
-        lo, hi = bound, min(instance.total_value(), bound + v_max)
 
     t_star: Optional[Fraction] = None  # the last success, the tightest
     best: Optional[tuple[Fraction, Assignment]] = None  # the best verified objective
@@ -210,24 +209,32 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
         t_star = t
         return True
 
-    if succeeds(bound):
-        lo = hi = bound
-    # Each step halves hi - lo, and lo >= v_min > 0 (Max-Min) or lo >= L > 0
-    # (Min-Max), so the loop ends.
-    while hi - lo > delta * lo:
-        mid = (lo + hi) / 2
-        if succeeds(mid) is maxmin:
-            lo = mid
+    if not succeeds(bound):
+        weights, denom = instance.integers
+        v_max = Fraction(max(weights), denom)
+        if maxmin:
+            # OPT > 0 gives every agent an item, so OPT >= v_min
+            lo, hi = max(Fraction(min(weights), denom), bound - v_max), bound
         else:
-            hi = mid
-
-    if t_star is None and not succeeds(lo if maxmin else hi):
-        raise AssertionError("decide failed at a proven bound on the optimum")
+            lo, hi = bound, min(instance.total_value(), bound + v_max)
+        # Each step halves hi - lo, and lo >= v_min > 0 (Max-Min) or lo >= L > 0
+        # (Min-Max), so the loop ends.
+        while hi - lo > delta * lo:
+            mid = (lo + hi) / 2
+            if succeeds(mid) is maxmin:
+                lo = mid
+            else:
+                hi = mid
+        if t_star is None and not succeeds(lo if maxmin else hi):
+            raise AssertionError("decide failed at a proven bound on the optimum")
     objective, assignment = best
+    # (1 - 4/(k+1)) (1 - delta) and (1 + 4/k + 3/k^2) (1 + delta), each as
+    # one fraction over delta = dn / dd
+    dn, dd = delta.numerator, delta.denominator
     if maxmin:
-        guarantee = (1 - Fraction(4, k + 1)) * (1 - delta)
+        guarantee = Fraction((k - 3) * (dd - dn), (k + 1) * dd)
     else:
-        guarantee = (1 + Fraction(4, k) + Fraction(3, k * k)) * (1 + delta)
+        guarantee = Fraction((k + 1) * (k + 3) * (dd + dn), k * k * dd)
     return SolveResult(mode, k, delta, t_star, objective, guarantee, assignment)
 
 

@@ -17,8 +17,15 @@ coverage by a difference array over the positions;
 small or not; ``reference_workspace_tables`` builds the ``_Workspace`` tables
 one agent and one unit of nu_0 at a time, from ``positions`` grouped by a
 loop over the categories.
+
+``reference_search`` is the binary search as it was before the bracket was
+built only on a failed first guess: it builds the bracket and tests the
+halving loop on every solve, and ``reference_guarantee`` derives the
+certified factor through its ``Fraction`` operations.  ``solve_maxmin`` and
+``solve_minmax`` must return the same results and trace lines.
 """
 
+import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
@@ -27,10 +34,12 @@ from math import ceil, floor, gcd, lcm
 from typing import Optional
 
 from convalloc import Assignment, ConvexInstance, Mode, assignment_vector
+from convalloc.hall import maxmin_upper_bound, minmax_lower_bound
 from convalloc.instance_model import (ValidationReport, Violation, _digit_limit,
                                       with_integers)
 from convalloc.rounding import RoundedInstance, RoundingScheme, _categories, small_units
-from convalloc.solver import VerifyReport
+from convalloc.solver import (SolveError, SolveResult, VerifyReport, _fallback_partition,
+                              _require_valid, decide, verify)
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -296,3 +305,73 @@ def reference_workspace_tables(rounded: RoundedInstance) -> dict:
         "small_len": small_len,
         "small_weight": [small_prefix[x] for x in small_len],
     }
+
+
+def reference_guarantee(mode: Mode, k: int, delta: Fraction) -> Fraction:
+    """(1 - 4/(k+1)) (1 - delta) for Max-Min, (1 + 4/k + 3/k^2) (1 + delta)
+    for Min-Max."""
+    if mode is Mode.MAXMIN:
+        return (1 - Fraction(4, k + 1)) * (1 - delta)
+    return (1 + Fraction(4, k) + Fraction(3, k * k)) * (1 + delta)
+
+
+def reference_search(instance: ConvexInstance, mode: Mode, k: int,
+                     delta: Optional[Fraction] = None,
+                     trace: Optional[list[str]] = None) -> SolveResult:
+    """The binary search with its bracket built before the first guess."""
+    _require_valid(instance, mode)
+    k = operator.index(k)
+    if k < 4:
+        raise ValueError(f"error parameter k must be >= 4, got {k}")
+    delta = Fraction(1, 4 * k) if delta is None else Fraction(delta)
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    if instance.n == 0:
+        raise SolveError("instance has no agents")
+    maxmin = mode is Mode.MAXMIN
+    weights, denom = instance.integers
+    v_max = Fraction(max(weights), denom)
+    if maxmin:
+        bound, covered = maxmin_upper_bound(instance)
+        if not covered:
+            assignment = _fallback_partition(instance)
+            return SolveResult(mode, k, delta, Fraction(0),
+                               verify(instance, assignment).objective, Fraction(0),
+                               assignment)
+        lo, hi = max(Fraction(min(weights), denom), bound - v_max), bound
+    else:
+        bound = minmax_lower_bound(instance)
+        lo, hi = bound, min(instance.total_value(), bound + v_max)
+
+    t_star: Optional[Fraction] = None
+    best: Optional[tuple[Fraction, Assignment]] = None
+
+    def succeeds(t: Fraction) -> bool:
+        nonlocal t_star, best
+        found = decide(instance, t, k, trace)
+        if found is None:
+            return False
+        report = verify(instance, found)
+        if not report.feasible:
+            raise AssertionError(f"decide returned an infeasible assignment at t={t}: "
+                                 f"{report.violations[0]}")
+        objective = report.objective
+        if best is None or (objective > best[0] if maxmin else objective < best[0]):
+            best = (objective, found)
+        t_star = t
+        return True
+
+    if succeeds(bound):
+        lo = hi = bound
+    while hi - lo > delta * lo:
+        mid = (lo + hi) / 2
+        if succeeds(mid) is maxmin:
+            lo = mid
+        else:
+            hi = mid
+
+    if t_star is None and not succeeds(lo if maxmin else hi):
+        raise AssertionError("decide failed at a proven bound on the optimum")
+    objective, assignment = best
+    return SolveResult(mode, k, delta, t_star, objective,
+                       reference_guarantee(mode, k, delta), assignment)

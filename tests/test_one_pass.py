@@ -8,6 +8,7 @@ reports and tables must equal those of the loops kept in ``reference``.
 
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, gen_inclus
                        round_instance, scheme, validate, verify)
 from convalloc.dp_engine import _Workspace
 from convalloc.hall import maxmin_upper_bound, minmax_lower_bound
-from convalloc.instance_model import partition_violations
+from convalloc.instance_model import partition_violations, with_integers
 from convalloc.solver import scale
 from reference import (reference_partition_violations, reference_round_instance,
                        reference_validate, reference_verify, reference_workspace_tables)
@@ -168,25 +169,52 @@ def grid_values(k, mode, rng, count):
     return out
 
 
-@derandomized
-@given(st.sampled_from(Mode), st.sampled_from([4, 6, 8, 12]), st.integers(1, 12),
-       st.sampled_from(["small", "band", "mixed"]), st.randoms())
-def test_round_instance_matches_the_category_reference(mode, k, m, kind, rng):
-    values = grid_values(k, mode, rng, m)
-    if kind == "small":
-        values = [v / k if v > Fraction(1, k) else v for v in values]
-    elif kind == "band":
-        # every value small but one in (1/k, q_1): Min-Max rounds it to 1/k
-        values = [v / k if v > Fraction(1, k) else v for v in values]
-        q1 = scheme(k, mode).grid[0]
-        values[rng.randrange(m)] = (Fraction(1, k) + q1) / 2
-    inst = ConvexInstance(mode, tuple(Item(f"x{i}", v) for i, v in enumerate(values, start=1)),
-                          (Agent("p1", 1, m),))
-    sch = scheme(k, mode)
-    got, want = round_instance(inst, sch), reference_round_instance(inst, sch)
-    assert got == want
-    assert got.instance.integers == want.instance.integers
-    assert got.positions() == want_positions(want)
+def test_round_instance_matches_the_category_reference():
+    # ``spread`` > 1 hands the values over on a common denominator that is
+    # not the least one, as ``scale`` does.  The all-small branch writes each
+    # value once as w lift / cut: lift and cut are coprime on every draw, and
+    # some draws need both (lift > 1 and cut > 1).
+    both = []
+
+    @derandomized
+    @given(st.sampled_from(Mode), st.sampled_from([4, 6, 8, 12]), st.integers(1, 12),
+           st.sampled_from(["small", "band", "off-k", "mixed"]),
+           st.sampled_from([1, 2, 3, 5, 6, 7, 9]),
+           st.randoms())
+    def check(mode, k, m, kind, spread, rng):
+        values = grid_values(k, mode, rng, m)
+        if kind == "small":
+            values = [v / k if v > Fraction(1, k) else v for v in values]
+        elif kind == "band":
+            # every value small but one in (1/k, q_1): Min-Max rounds it to 1/k
+            values = [v / k if v > Fraction(1, k) else v for v in values]
+            q1 = scheme(k, mode).grid[0]
+            values[rng.randrange(m)] = (Fraction(1, k) + q1) / 2
+        elif kind == "off-k":
+            # every value small, over odd multiples of k + 1: k often does
+            # not divide the common denominator, so lift > 1
+            values = [Fraction(rng.randint(1, d), d * (k + 1))
+                      for d in rng.choices([1, 3, 7, 97], k=m)]
+        inst = ConvexInstance(mode, tuple(Item(f"x{i}", v) for i, v in enumerate(values, start=1)),
+                              (Agent("p1", 1, m),))
+        weights, denom = inst.integers
+        if spread > 1:
+            weights, denom = tuple([w * spread for w in weights]), denom * spread
+            inst = with_integers(inst, (weights, denom))
+        sch = scheme(k, mode)
+        got, want = round_instance(inst, sch), reference_round_instance(inst, sch)
+        assert got == want
+        assert got.instance.integers == want.instance.integers
+        assert got.positions() == want_positions(want)
+        if max(weights) * k <= denom:
+            common = lcm(denom, k)
+            lift, cut = common // denom, common // got.instance.integers[1]
+            assert gcd(lift, cut) == 1
+            if lift > 1 and cut > 1:
+                both.append((mode, k, values, spread))
+
+    check()
+    assert both
 
 
 def want_positions(rounded):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, decide, dp_engine,
@@ -22,6 +22,7 @@ from convalloc.instance_model import (assignment_from_positions, integer_values,
                                       partition_violations, validate)
 from convalloc.rounding import RoundedInstance
 from convalloc.solver import SolveError, VerifyReport
+from reference import reference_guarantee, reference_search
 
 
 def test_scale_examples(t0, t1, m1):
@@ -431,6 +432,67 @@ def test_search_decides_the_untried_bound_when_every_guess_fails():
     assert headers == ["# decide t=3/2 k=40 failure", "# decide t=5/2 k=40 success"]
     res = solve_minmax(inst, 40, Fraction(9, 10))
     assert res.t_star == Fraction(5, 2) and res.objective == 2
+
+
+def test_search_matches_the_reference():
+    # The bracket is built only after a failed first guess; every guess,
+    # result and trace line stays that of the search that built it first.
+    failed_first = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    # the two searches of test_guess_sequence_is_pinned whose first guess
+    # fails, and a Max-Min one whose bracket starts at U - v_max > v_min
+    @example(Mode.MAXMIN, 8, 0, 4, 4, None)
+    @example(Mode.MINMAX, 8, 160, 4, 4, None)
+    @example(Mode.MAXMIN, 12, 91, 2, 2, None)
+    @given(st.sampled_from(Mode), st.sampled_from([4, 6, 8, 12]), st.integers(0, 10 ** 6),
+           st.integers(1, 4), st.integers(0, 4),
+           st.sampled_from([None, Fraction(1, 2), Fraction(1, 3)]))
+    def check(mode, k, seed, n, extra, delta):
+        inst = gen_inclusion_free(seed, n, n + extra, mode=mode)
+        solve = solve_maxmin if mode is Mode.MAXMIN else solve_minmax
+        got_trace, want_trace = [], []
+        assert solve(inst, k, delta, trace=got_trace) == \
+            reference_search(inst, mode, k, delta, want_trace)
+        assert got_trace == want_trace
+        if sum(line.startswith("# decide ") for line in got_trace) > 1:
+            failed_first.append((mode, k, seed, n, extra, delta))
+
+    check()
+    assert failed_first
+
+
+@pytest.mark.parametrize("solve, mode", [(solve_maxmin, Mode.MAXMIN),
+                                         (solve_minmax, Mode.MINMAX)])
+def test_guarantee_is_the_product_of_the_factors(solve, mode):
+    # One Fraction from k and delta's numerator and denominator equals
+    # (1 - 4/(k+1)) (1 - delta) and (1 + 4/k + 3/k^2) (1 + delta).
+    inst = ConvexInstance(mode, (Item("x1", Fraction(1)),), (Agent("p1", 1, 1),))
+    for k in range(4, 65):
+        for delta in (None, Fraction(1, 2), Fraction(1, 3), Fraction(999, 1000),
+                      Fraction(1, 10 ** 6)):
+            res = solve(inst, k, delta)
+            assert res.delta == (Fraction(1, 4 * k) if delta is None else delta)
+            assert res.guarantee == reference_guarantee(mode, k, res.delta)
+
+
+def test_a_search_builds_its_bracket_only_when_the_first_guess_fails(monkeypatch):
+    # The Min-Max bracket's upper end reads the total value; a solve whose
+    # first guess L succeeds (the golden wide case) never does.
+    calls = []
+    total_value = ConvexInstance.total_value
+
+    def counted(self):
+        calls.append(self)
+        return total_value(self)
+    monkeypatch.setattr(ConvexInstance, "total_value", counted)
+    inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
+    assert decide_headers(solve_minmax, inst, 8) == ["# decide t=410273/27720 k=8 success"]
+    assert calls == []
+    # L fails first on seed 160 (test_guess_sequence_is_pinned)
+    inst = gen_inclusion_free(160, 4, 8, mode=Mode.MINMAX)
+    assert decide_headers(solve_minmax, inst, 8)[0] == "# decide t=2069/2520 k=8 failure"
+    assert calls == [inst]
 
 
 def test_search_runs_until_the_bracket_is_within_delta():
