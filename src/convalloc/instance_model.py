@@ -47,13 +47,29 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
 
 
 def parse_value(text: Union[str, int]) -> Fraction:
-    """Parse an exact rational from a 'num/den' or integer string.
+    """Parse an exact rational from its text, or from an integer's.
+
+    The text is anything ``Fraction`` reads: 'num/den', an integer, a
+    decimal or an exponent, as in '-3/4', '25', '0.1' or '25e-2'.  The two
+    forms that ``format_value`` writes, ASCII digits and ASCII digits '/'
+    ASCII digits, are read straight through ``int``; every other text goes
+    to ``Fraction``, with the same value or the same error either way.
 
     Raises ValueError on anything else, a zero denominator included, and on
     a decimal exponent that, with the text's length, reaches Python's limit
     on printed digits: ``Fraction`` would build a value nobody can print.
     """
     text = str(text)
+    if text.isascii():  # str.isdigit alone takes '²' and '٣'
+        if text.isdigit():
+            return Fraction(int(text))
+        num, _, den = text.partition("/")
+        if num.isdigit() and den.isdigit():
+            # int(num) first, as Fraction does: a text with both parts past
+            # the digit limit then fails on the same part
+            numerator, denominator = int(num), int(den)
+            if denominator:
+                return Fraction(numerator, denominator)
     exponent = _EXPONENT.search(text)
     if exponent:
         limit = _digit_limit()
@@ -432,8 +448,8 @@ def instance_to_dict(instance: ConvexInstance) -> dict:
 def instance_from_dict(data: Mapping) -> ConvexInstance:
     """Build an instance from its JSON form.
 
-    Malformed input raises ValueError; a missing key is named with its place,
-    as in ``item 2: missing key 'value'``.
+    Malformed input raises ValueError; a missing key and an id that is not a
+    string are named with their place, as in ``item 2: missing key 'value'``.
     """
     if not isinstance(data, Mapping):
         raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
@@ -443,17 +459,33 @@ def instance_from_dict(data: Mapping) -> ConvexInstance:
     mode = Mode(data["mode"])
     records = _records(data, "items")
     try:
-        items = tuple(Item(str(d["id"]), parse_value(d["value"])) for d in records)
+        items = tuple([Item(d["id"], parse_value(d["value"])) for d in records])
     except KeyError as exc:
         raise _missing_key("item", records, exc) from None
+    _string_ids("item", items)
     records = _records(data, "agents")
     try:
-        agents = tuple(Agent(str(d["id"]), _position(d, "l"), _position(d, "r"),
-                             parse_value(d.get("demand", "1")))
-                       for d in records)
+        agents = tuple([_agent(d) for d in records])
     except KeyError as exc:
         raise _missing_key("agent", records, exc) from None
+    _string_ids("agent", agents)
     return ConvexInstance(mode, items, agents)
+
+
+def _agent(record: dict) -> Agent:
+    """An agent from its record; an absent demand is the default 1."""
+    if "demand" in record:
+        return Agent(record["id"], _position(record, "l"), _position(record, "r"),
+                     parse_value(record["demand"]))
+    return Agent(record["id"], _position(record, "l"), _position(record, "r"))
+
+
+def _string_ids(kind: str, built: Sequence[Union[Item, Agent]]) -> None:
+    """Refuse the first id that is not a JSON string; ``type`` and not
+    ``isinstance``, since a JSON number decodes to a ``str`` subclass."""
+    for place, obj in enumerate(built, start=1):
+        if type(obj.id) is not str:
+            raise ValueError(f"{kind} {place}: 'id' must be a string, got {obj.id!r}")
 
 
 def _missing_key(kind: str, records: list[dict], exc: KeyError) -> ValueError:

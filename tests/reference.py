@@ -23,15 +23,20 @@ built only on a failed first guess: it builds the bracket and tests the
 halving loop on every solve, and ``reference_guarantee`` derives the
 certified factor through its ``Fraction`` operations.  ``solve_maxmin`` and
 ``solve_minmax`` must return the same results and trace lines.
+
+``reference_parse_value`` reads every text through ``Fraction(text)`` behind
+the exponent guard, with no fast path for digits; ``parse_value`` must give
+the same value or raise the same ``ValueError`` message.
 """
 
 import operator
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, product
 from math import ceil, floor, gcd, lcm
-from typing import Optional
+from typing import Optional, Union
 
 from convalloc import Assignment, ConvexInstance, Mode, assignment_vector
 from convalloc.hall import maxmin_upper_bound, minmax_lower_bound
@@ -375,3 +380,18 @@ def reference_search(instance: ConvexInstance, mode: Mode, k: int,
     objective, assignment = best
     return SolveResult(mode, k, delta, t_star, objective,
                        reference_guarantee(mode, k, delta), assignment)
+
+
+def reference_parse_value(text: Union[str, int]) -> Fraction:
+    """``Fraction(text)`` for every text, refused as ``parse_value`` refuses
+    a zero denominator and an exponent past the digit limit."""
+    text = str(text)
+    exponent = re.search(r"[eE]([-+]?[0-9_]+)", text)
+    if exponent:
+        limit = _digit_limit()
+        if limit and len(text) + abs(int(exponent.group(1))) >= limit:
+            raise ValueError(f"value {text!r} has too many digits to print (limit {limit})")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"value {text!r} has a zero denominator") from None

@@ -1,14 +1,19 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convalloc import (Agent, ConvexInstance, Item, Mode, dump_instance, format_value,
-                       load_instance, parse_value, validate, verify)
+                       instance_to_dict, load_instance, parse_value, validate, verify)
 from convalloc.cli import build_parser, main
+from convalloc.generator import gen_inclusion_free
 
 
 @pytest.fixture
@@ -297,6 +302,104 @@ def test_missing_key_names_its_place(tmp_path, capsys, payload, message):
     bad.write_text(json.dumps(payload))
     assert main(["solve", "-i", str(bad)]) == 2
     assert capsys.readouterr().err == f"error: cannot read instance {str(bad)!r}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "oracle"])
+@pytest.mark.parametrize("kind", ["item", "agent"])
+@pytest.mark.parametrize("bad", [["a"], {"a": 1}, 1, None, True, 1.5])
+def test_non_string_id_exits_2(tmp_path, capsys, command, kind, bad):
+    # Such ids used to load as their str(), "['a']" or "None", and solve.  A
+    # JSON number decodes to a str subclass, which is no id either.
+    payload = {"mode": "maxmin",
+               "items": [{"id": "x1", "value": "1"}, {"id": "x2", "value": "1"}],
+               "agents": [{"id": "p1", "l": 1, "r": 1}, {"id": "p2", "l": 2, "r": 2}]}
+    payload[f"{kind}s"][1]["id"] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read instance {str(path)!r}: "
+                            f"{kind} 2: 'id' must be a string, got {bad!r}\n")
+
+
+# Where a defect goes in the instance's JSON text: the string MARK is
+# replaced by a raw JSON token, so that NaN and 1e999999 can be written.
+MARK = "@defect@"
+NOT_STRINGS = ['["a"]', '{"a": 1}', "1", "1.5", "null", "true"]
+NOT_OBJECTS = ["[]", '"x"', "1", "null"]
+NOT_LISTS = ["{}", '"x"', "1", "null"]
+
+
+DEFECTS = ["json", "container", "missing-key", "value", "position", "id", "mode"]
+
+
+@st.composite
+def malformed_texts(draw, kind):
+    """A valid instance's JSON text with one drawn defect of ``kind`` in it."""
+    n = draw(st.integers(1, 4))
+    inst = gen_inclusion_free(draw(st.integers(0, 10 ** 6)), n, n + draw(st.integers(0, 5)),
+                              mode=draw(st.sampled_from(list(Mode))))
+    data = instance_to_dict(inst)
+    items, agents = data["items"], data["agents"]
+    token = None
+    if kind == "json":  # no proper prefix of an object's text is JSON
+        text = json.dumps(data)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "container":
+        place = draw(st.sampled_from(["document", "items", "agents", "record"]))
+        token = draw(st.sampled_from(NOT_OBJECTS if place in ("document", "record")
+                                     else NOT_LISTS))
+        if place == "document":
+            return token
+        if place == "record":
+            records = draw(st.sampled_from([items, agents]))
+            records[draw(st.integers(0, len(records) - 1))] = MARK
+        else:
+            data[place] = MARK
+    elif kind == "missing-key":
+        place = draw(st.sampled_from(["document", "item", "agent"]))
+        if place == "document":
+            del data[draw(st.sampled_from(["mode", "items", "agents"]))]
+        elif place == "item":
+            del draw(st.sampled_from(items))[draw(st.sampled_from(["id", "value"]))]
+        else:
+            del draw(st.sampled_from(agents))[draw(st.sampled_from(["id", "l", "r"]))]
+    elif kind == "value":
+        token = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", '"1/0"', "1e999999"]))
+        if draw(st.booleans()):
+            draw(st.sampled_from(items))["value"] = MARK
+        else:
+            draw(st.sampled_from(agents))["demand"] = MARK
+    elif kind == "position":
+        token = draw(st.sampled_from(["true", "false", "1.0", "1.5"]))
+        draw(st.sampled_from(agents))[draw(st.sampled_from(["l", "r"]))] = MARK
+    elif kind == "id":
+        token = draw(st.sampled_from(NOT_STRINGS))
+        draw(st.sampled_from(items + agents))["id"] = MARK
+    else:
+        token = draw(st.sampled_from(NOT_STRINGS))
+        data["mode"] = MARK
+    text = json.dumps(data)
+    return text if token is None else text.replace(json.dumps(MARK), token)
+
+
+# Derandomized: every run draws the same examples and stores none.
+@pytest.mark.parametrize("kind", DEFECTS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_malformed_input_exits_2_with_one_line(tmp_path_factory, kind, data):
+    text = data.draw(malformed_texts(kind))
+    path = tmp_path_factory.mktemp("malformed") / "bad.json"
+    path.write_text(text)
+    for command in ("solve", "check", "oracle"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "-i", str(path)])
+        assert code == 2, (command, text)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"error: cannot read instance {str(path)!r}: ")
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from convalloc import (Agent, AlignmentError, ConvexInstance, Item, Mode, align,
                        assignment_from_positions, dump_instance, forward,
                        hall_violations, instance_from_dict, instance_to_dict,
-                       lexicographic_order, load_instance, round_instance, scale,
-                       scheme, stranded_items, validate)
+                       lexicographic_order, load_instance, parse_value, round_instance,
+                       scale, scheme, stranded_items, validate)
 from convalloc.generator import gen_inclusion_free
 from convalloc.instance_model import integer_values
 from conftest import with_demands
-from reference import coverage_ranges
+from reference import coverage_ranges, reference_parse_value
 
 
 def agents_of(*intervals):
@@ -308,3 +308,45 @@ def test_json_rational_strings(tmp_path, t1):
     assert raw["items"][0]["value"] == "3/5"
     assert raw["mode"] == "maxmin"
     assert raw["agents"][0] == {"id": "p1", "l": 1, "r": 3}
+
+
+def parsed(parse, text):
+    """(numerator, denominator) of ``parse(text)``, or its ValueError's text."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    assert type(value) is Fraction
+    return value.numerator, value.denominator
+
+
+# The fast path reads ASCII digits and ASCII digits '/' ASCII digits; every
+# other text, and the zero denominators, must fare as through ``Fraction``.
+@pytest.mark.parametrize("text", [
+    "0", "7", "007", "0/5", "00/05", "12/8", "3/5", "10/1", "+1", "-1/2", " 1/2", "1/2 ",
+    "1 /2", "1_000", "1_000/3", "\u00b2", "\u0663/4", "4/\u0663", "\uff11", "1/0", "1/00", "0/0",
+    "", "/", "/2", "1/", "1/2/3", "2.5", "2.5/2", ".5", "1e-3", "1E3", "abc", "nan", "inf",
+    0, 12, -3, True, None])
+def test_parse_value_matches_the_general_path(text):
+    assert parsed(parse_value, text) == parsed(reference_parse_value, text)
+
+
+def test_parse_value_matches_the_general_path_past_the_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python has no limit on the digits of an integer's text")
+    long = "1" * (limit + 1)
+    # with both parts too long, the error counts the numerator's digits
+    for text in (long, "0" + long, f"{long}/3", f"3/{long}", f"{long}/{long}0", f"{long}/0",
+                 f"-{long}"):
+        outcome = parsed(parse_value, text)
+        assert outcome[0] == "ValueError"
+        assert outcome == parsed(reference_parse_value, text)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.one_of(st.text(st.sampled_from("0123456789/+-_. eE\u00b2\u0663"), max_size=7),
+                 st.from_regex(r"\A[0-9]{1,12}(/[0-9]{1,12})?\Z"),
+                 st.integers(-10 ** 6, 10 ** 6)))
+def test_parse_value_matches_the_general_path_on_drawn_texts(text):
+    assert parsed(parse_value, text) == parsed(reference_parse_value, text)
