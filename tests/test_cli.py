@@ -329,8 +329,6 @@ MARK = "@defect@"
 NOT_STRINGS = ['["a"]', '{"a": 1}', "1", "1.5", "null", "true"]
 NOT_OBJECTS = ["[]", '"x"', "1", "null"]
 NOT_LISTS = ["{}", '"x"', "1", "null"]
-
-
 DEFECTS = ["json", "container", "missing-key", "value", "position", "id", "mode"]
 
 
@@ -342,10 +340,10 @@ def malformed_texts(draw, kind):
                               mode=draw(st.sampled_from(list(Mode))))
     data = instance_to_dict(inst)
     items, agents = data["items"], data["agents"]
-    token = None
     if kind == "json":  # no proper prefix of an object's text is JSON
         text = json.dumps(data)
         return text[:draw(st.integers(0, len(text) - 1))]
+    token = None
     if kind == "container":
         place = draw(st.sampled_from(["document", "items", "agents", "record"]))
         token = draw(st.sampled_from(NOT_OBJECTS if place in ("document", "record")
