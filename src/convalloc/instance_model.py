@@ -20,19 +20,24 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 
-def integer_values(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+def integer_values(values: Sequence[Union[Fraction, tuple[int, int]]]
+                   ) -> tuple[tuple[int, ...], int]:
     """(weights, D): the values as integer numerators over one common
     denominator D, the lcm of their denominators.
 
-    Sums and comparisons then run on integers; a ``Fraction`` sum reduces by
-    a gcd at every addition.  ``ConvexInstance.integers`` keeps this view of
-    an instance's own values.
+    Each value is a ``Fraction`` (or an int), or its lowest-terms
+    ``(numerator, denominator)`` pair with a positive denominator, as
+    ``parse_ratio`` reads it from a file: a loaded instance builds its view
+    from those pairs, one built in code from its items' values.  Sums and
+    comparisons then run on integers; a ``Fraction`` sum reduces by a gcd at
+    every addition.  ``ConvexInstance.integers`` keeps this view of an
+    instance's own values.
     """
-    ratios = [v.as_integer_ratio() for v in values]
+    ratios = [v if type(v) is tuple else v.as_integer_ratio() for v in values]
     denom = lcm(*{d for _, d in ratios})
     return tuple([n * (denom // d) for n, d in ratios]), denom
 
@@ -46,14 +51,16 @@ class Mode(Enum):
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
 
 
-def parse_value(text: Union[str, int]) -> Fraction:
-    """Parse an exact rational from its text, or from an integer's.
+def parse_ratio(text: Union[str, int]) -> tuple[int, int]:
+    """An exact rational as its lowest-terms ``(numerator, denominator)``
+    pair, the denominator positive, read from its text or an integer's.
 
     The text is anything ``Fraction`` reads: 'num/den', an integer, a
     decimal or an exponent, as in '-3/4', '25', '0.1' or '25e-2'.  The two
     forms that ``format_value`` writes, ASCII digits and ASCII digits '/'
-    ASCII digits, are read straight through ``int``; every other text goes
-    to ``Fraction``, with the same value or the same error either way.
+    ASCII digits, are read straight through ``int``, reduced by their gcd;
+    every other text goes to ``Fraction``, with the same value or the same
+    error either way.
 
     Raises ValueError on anything else, a zero denominator included, and on
     a decimal exponent that, with the text's length, reaches Python's limit
@@ -62,23 +69,31 @@ def parse_value(text: Union[str, int]) -> Fraction:
     text = str(text)
     if text.isascii():  # str.isdigit alone takes '²' and '٣'
         if text.isdigit():
-            return Fraction(int(text))
+            return int(text), 1
         num, _, den = text.partition("/")
         if num.isdigit() and den.isdigit():
             # int(num) first, as Fraction does: a text with both parts past
             # the digit limit then fails on the same part
             numerator, denominator = int(num), int(den)
             if denominator:
-                return Fraction(numerator, denominator)
+                g = gcd(numerator, denominator)
+                return (numerator, denominator) if g == 1 else (numerator // g, denominator // g)
     exponent = _EXPONENT.search(text)
     if exponent:
         limit = _digit_limit()
         if limit and len(text) + abs(int(exponent.group(1))) >= limit:
             raise ValueError(f"value {text!r} has too many digits to print (limit {limit})")
     try:
-        return Fraction(text)
+        return Fraction(text).as_integer_ratio()
     except ZeroDivisionError:
         raise ValueError(f"value {text!r} has a zero denominator") from None
+
+
+def parse_value(text: Union[str, int]) -> Fraction:
+    """Parse an exact rational from its text, or from an integer's: the
+    ``Fraction`` of ``parse_ratio``'s pair, which names the texts it reads
+    and the ValueError it raises on any other."""
+    return Fraction(*parse_ratio(text))
 
 
 def _digit_limit() -> int:
@@ -122,20 +137,25 @@ class ConvexInstance:
     values as integer numerators over one common denominator D, built by
     ``integer_values`` on first use and kept, so that validation, the Hall
     bounds, the search bracket, scaling, rounding and verification read
-    the same integers.  ``lex`` is its agent view ``(order, lows, highs)``:
-    the agent indices in lexicographic (lo, hi) order and their endpoints in
-    that order.  ``ids`` is its id view ``({item id: position}, {agent id:
-    index})``; the first occurrence of a repeated id wins.  ``nested`` holds
-    the lex ranks (0-based) whose high falls below the highest high of the
-    ranks before, each an interval strictly inside an earlier one: it is
-    empty exactly when the instance is inclusion-free, the one test of that
-    shape that validation, the Hall sweeps, the DP and ``align`` read.
+    the same integers.  ``item_ids`` is the item ids in item order, which
+    everything that names or counts items reads in place of ``items``.
+    ``lex`` is its agent view ``(order, lows, highs)``: the agent indices in
+    lexicographic (lo, hi) order and their endpoints in that order.  ``ids``
+    is its id view ``({item id: position}, {agent id: index})``; the first
+    occurrence of a repeated id wins.  ``nested`` holds the lex ranks
+    (0-based) whose high falls below the highest high of the ranks before,
+    each an interval strictly inside an earlier one: it is empty exactly
+    when the instance is inclusion-free, the one test of that shape that
+    validation, the Hall sweeps, the DP and ``align`` read.
 
-    ``with_integers`` derives an instance from an integer view alone, as
-    ``solver.scale`` and ``rounding.round_instance`` do for every guess: it
-    carries the source's ``lex``, ``ids`` and ``nested``, so a solve sorts
-    and tests its agents once, and builds its ``Item``s only when ``items``
-    is first read, which no step of a decide does.
+    Two kinds of instance hold ``item_ids`` and ``integers`` but no
+    ``items``, and build their ``Item``s only when ``items`` is first read,
+    which no step of a solve does: those ``instance_from_dict`` (and so
+    ``load_instance``) loads, and those ``with_integers`` derives from an
+    integer view, as ``solver.scale`` and ``rounding.round_instance`` do for
+    every guess.  A derived instance carries its source's ``lex``, ``ids``
+    and ``nested`` too, so a solve sorts and tests its agents once.
+    Equality, hashing and ``repr`` read ``items`` and so build them.
     """
 
     mode: Mode
@@ -144,7 +164,7 @@ class ConvexInstance:
 
     @property
     def m(self) -> int:
-        return len(self.items)
+        return len(self.item_ids)
 
     @property
     def n(self) -> int:
@@ -152,6 +172,10 @@ class ConvexInstance:
 
     def value_at(self, pos: int) -> Fraction:
         return self.items[pos - 1].value
+
+    @cached_property
+    def item_ids(self) -> tuple[str, ...]:
+        return tuple([it.id for it in self.items])
 
     @cached_property
     def integers(self) -> tuple[tuple[int, ...], int]:
@@ -173,18 +197,24 @@ class ConvexInstance:
     @cached_property
     def ids(self) -> tuple[dict[str, int], dict[str, int]]:
         # built from the back, so that the first occurrence of an id wins
-        return ({it.id: p for p, it in zip(range(self.m, 0, -1), reversed(self.items))},
-                {a.id: i for i, a in zip(range(self.n - 1, -1, -1), reversed(self.agents))})
+        return (dict(zip(reversed(self.item_ids), range(self.m, 0, -1))),
+                dict(zip(reversed([a.id for a in self.agents]), range(self.n - 1, -1, -1))))
 
     def __getattr__(self, name: str):
         # Reached only when ordinary lookup fails, which for ``items`` means
-        # an instance from ``with_integers``: its items are built here, once.
-        source = vars(self).get("_source")
-        if name != "items" or source is None:
+        # an instance that holds its item ids and integer view alone: its
+        # items are built here, once, keeping a source item whose value is
+        # unchanged.
+        if name != "items" or "item_ids" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         weights, denom = self.integers
-        items = tuple(it if it.value == v else Item(it.id, v)
-                      for it, v in zip(source.items, (Fraction(w, denom) for w in weights)))
+        values = [Fraction(w, denom) for w in weights]
+        source = vars(self).get("_source")
+        if source is None:
+            items = tuple(map(Item, self.item_ids, values))
+        else:
+            items = tuple([it if it.value == v else Item(it.id, v)
+                           for it, v in zip(source.items, values)])
         vars(self)["items"] = items
         return items
 
@@ -196,30 +226,28 @@ class ConvexInstance:
         return self.ids[0][item_id]
 
 
+def _unbuilt(mode: Mode, agents: tuple[Agent, ...], item_ids: tuple[str, ...],
+             integers: tuple[tuple[int, ...], int], **views) -> ConvexInstance:
+    """An instance of ``item_ids`` valued by ``integers``, whose ``items``
+    are built on first read, with ``views`` as further cached views."""
+    out = object.__new__(ConvexInstance)
+    # a frozen dataclass keeps its fields, like its cached views, in __dict__
+    vars(out).update(mode=mode, agents=agents, item_ids=item_ids, integers=integers, **views)
+    return out
+
+
 def with_integers(source: ConvexInstance,
                   integers: tuple[tuple[int, ...], int]) -> ConvexInstance:
     """``source`` with the values ``weights[i] / D`` for ``integers ==
     (weights, D)``, D a common denominator but not always the least one.
 
-    The result has ``source``'s mode, agents, item ids, ``lex``, ``ids`` and
-    ``nested``, and ``integers`` as its integer view.  It builds no ``Item``
-    until its ``items`` is read; then an item whose value is unchanged is
-    ``source``'s own.
+    The result has ``source``'s mode, agents, ``item_ids``, ``lex``, ``ids``
+    and ``nested``, and ``integers`` as its integer view.  It builds no
+    ``Item`` until its ``items`` is read; then an item whose value is
+    unchanged is ``source``'s own.
     """
-    out = object.__new__(ConvexInstance)
-    # a frozen dataclass keeps its fields, like its cached views, in __dict__
-    vars(out).update(mode=source.mode, agents=source.agents, integers=integers,
-                     lex=source.lex, ids=source.ids, nested=source.nested,
-                     _source=source)
-    return out
-
-
-def _named_items(instance: ConvexInstance) -> tuple[Item, ...]:
-    """Items with ``instance``'s ids, with no value built: its own once they
-    are built, else those of the nearest instance it derives from."""
-    while "items" not in vars(instance):
-        instance = vars(instance)["_source"]
-    return instance.items
+    return _unbuilt(source.mode, source.agents, source.item_ids, integers,
+                    lex=source.lex, ids=source.ids, nested=source.nested, _source=source)
 
 
 @dataclass(frozen=True)
@@ -248,20 +276,20 @@ def validate(instance: ConvexInstance) -> ValidationReport:
     on integer digits.
     """
     out: list[Violation] = []
-    items, agents = instance.items, instance.agents
-    m = len(items)
+    item_ids, agents = instance.item_ids, instance.agents
+    m = len(item_ids)
     weights, denom = instance.integers
     # The id view names the first occurrence of each id; any other is a
     # duplicate.  An item can be at fault only if some id repeats or some
     # value is not positive, so the per-item loop runs only then.
     item_pos, agent_index = instance.ids
     if len(item_pos) < m or min(weights, default=1) <= 0:
-        for pos, (it, w) in enumerate(zip(items, weights), start=1):
-            if item_pos[it.id] != pos:
-                out.append(Violation("duplicate-id", (it.id,), f"duplicate item id {it.id!r}"))
+        for pos, (x, w) in enumerate(zip(item_ids, weights), start=1):
+            if item_pos[x] != pos:
+                out.append(Violation("duplicate-id", (x,), f"duplicate item id {x!r}"))
             if w <= 0:
-                out.append(Violation("nonpositive-value", (it.id,),
-                                     f"item {it.id!r} has value {it.value} <= 0"))
+                out.append(Violation("nonpositive-value", (x,),
+                                     f"item {x!r} has value {Fraction(w, denom)} <= 0"))
     for i, a in enumerate(agents):
         if agent_index[a.id] != i:
             out.append(Violation("duplicate-id", (a.id,), f"duplicate agent id {a.id!r}"))
@@ -284,9 +312,9 @@ def validate(instance: ConvexInstance) -> ValidationReport:
         # a clipped interval that reaches past covered is nonempty iff lo <= hi
         if covered < hi >= lo:
             if lo > covered + 1:
-                out.extend(_uncovered(items, covered + 1, lo))
+                out.extend(_uncovered(item_ids, covered + 1, lo))
             covered = hi
-    out.extend(_uncovered(items, covered + 1, m + 1))
+    out.extend(_uncovered(item_ids, covered + 1, m + 1))
 
     # Inclusion-freeness: each lex rank whose high falls below the highest
     # high before it lies strictly inside the first agent holding that high.
@@ -310,10 +338,10 @@ def validate(instance: ConvexInstance) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _uncovered(items: Sequence[Item], start: int, stop: int) -> Iterator[Violation]:
+def _uncovered(item_ids: Sequence[str], start: int, stop: int) -> Iterator[Violation]:
     """A ``degree-zero-item`` violation for each position start..stop-1."""
     for pos in range(start, stop):
-        item_id = items[pos - 1].id
+        item_id = item_ids[pos - 1]
         yield Violation("degree-zero-item", (item_id,),
                         f"item {item_id!r} (position {pos}) lies in no agent interval")
 
@@ -357,11 +385,11 @@ def assignment_from_positions(instance: ConvexInstance,
                               by_agent: Mapping[int, Iterable[int]]) -> Assignment:
     """Build an Assignment from {agent index: item positions}.
 
-    It reads item ids only, so it builds no items of a derived instance.
+    It reads item ids only, so it builds no items of an unbuilt instance.
     """
-    items = _named_items(instance)
+    item_ids = instance.item_ids
     return Assignment(instance.mode, tuple(
-        (a.id, tuple([items[p - 1].id for p in sorted(by_agent.get(i, ()))]))
+        (a.id, tuple([item_ids[p - 1] for p in sorted(by_agent.get(i, ()))]))
         for i, a in enumerate(instance.agents)))
 
 
@@ -422,8 +450,8 @@ def _partition_pass(instance: ConvexInstance, assignment: "Assignment", require_
                    if index_of[a.id] not in owners)
     # owner holds first positions of ids: every item is assigned iff it holds m
     if require_cover and len(owner) < len(weight) - 1:
-        out.extend(f"item {it.id!r} is unassigned" for it in _named_items(instance)
-                   if pos_of[it.id] not in owner)
+        out.extend(f"item {x!r} is unassigned" for x in instance.item_ids
+                   if pos_of[x] not in owner)
     return out, totals, owner.keys() | stray if stray else owner.keys()
 
 
@@ -448,8 +476,11 @@ def instance_to_dict(instance: ConvexInstance) -> dict:
 def instance_from_dict(data: Mapping) -> ConvexInstance:
     """Build an instance from its JSON form.
 
-    Malformed input raises ValueError; a missing key and an id that is not a
-    string are named with their place, as in ``item 2: missing key 'value'``.
+    Each item is read to its id and its ``parse_ratio`` pair, and the
+    instance holds their ``item_ids`` and integer view: it builds its
+    ``Item``s only when ``items`` is read.  Malformed input raises
+    ValueError; a missing key and an id that is not a string are named with
+    their place, as in ``item 2: missing key 'value'``.
     """
     if not isinstance(data, Mapping):
         raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
@@ -459,17 +490,18 @@ def instance_from_dict(data: Mapping) -> ConvexInstance:
     mode = Mode(data["mode"])
     records = _records(data, "items")
     try:
-        items = tuple([Item(d["id"], parse_value(d["value"])) for d in records])
+        rows = [(d["id"], parse_ratio(d["value"])) for d in records]
     except KeyError as exc:
         raise _missing_key("item", records, exc) from None
-    _string_ids("item", items)
+    item_ids, ratios = tuple(zip(*rows)) or ((), ())
+    _string_ids("item", item_ids)
     records = _records(data, "agents")
     try:
         agents = tuple([_agent(d) for d in records])
     except KeyError as exc:
         raise _missing_key("agent", records, exc) from None
-    _string_ids("agent", agents)
-    return ConvexInstance(mode, items, agents)
+    _string_ids("agent", [a.id for a in agents])
+    return _unbuilt(mode, agents, item_ids, integer_values(ratios))
 
 
 def _agent(record: dict) -> Agent:
@@ -480,12 +512,12 @@ def _agent(record: dict) -> Agent:
     return Agent(record["id"], _position(record, "l"), _position(record, "r"))
 
 
-def _string_ids(kind: str, built: Sequence[Union[Item, Agent]]) -> None:
+def _string_ids(kind: str, ids: Sequence[object]) -> None:
     """Refuse the first id that is not a JSON string; ``type`` and not
     ``isinstance``, since a JSON number decodes to a ``str`` subclass."""
-    for place, obj in enumerate(built, start=1):
-        if type(obj.id) is not str:
-            raise ValueError(f"{kind} {place}: 'id' must be a string, got {obj.id!r}")
+    for place, x in enumerate(ids, start=1):
+        if type(x) is not str:
+            raise ValueError(f"{kind} {place}: 'id' must be a string, got {x!r}")
 
 
 def _missing_key(kind: str, records: list[dict], exc: KeyError) -> ValueError:

@@ -119,7 +119,7 @@ def verify(instance: ConvexInstance, assignment: Assignment) -> VerifyReport:
     # assigned holds first positions of ids: no item is unassigned iff it holds m
     if len(assigned) < len(weights):
         pos_of = instance.ids[0]
-        unassigned = tuple(it.id for it in instance.items if pos_of[it.id] not in assigned)
+        unassigned = tuple(x for x in instance.item_ids if pos_of[x] not in assigned)
     else:
         unassigned = ()
     values = tuple((aid, Fraction(total, denom))
