@@ -27,6 +27,9 @@ certified factor through its ``Fraction`` operations.  ``solve_maxmin`` and
 ``reference_parse_value`` reads every text through ``Fraction(text)`` behind
 the exponent guard, with no fast path for digits; ``parse_value`` must give
 the same value or raise the same ``ValueError`` message.
+``reference_instance_from_dict`` is the eager loader, which builds an
+``Item`` and its ``Fraction`` for every value; ``instance_from_dict`` must
+give an equal instance, with equal views, or raise the same error.
 """
 
 import operator
@@ -36,12 +39,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, product
 from math import ceil, floor, gcd, lcm
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
-from convalloc import Assignment, ConvexInstance, Mode, assignment_vector
+from convalloc import Assignment, ConvexInstance, Item, Mode, assignment_vector
 from convalloc.hall import maxmin_upper_bound, minmax_lower_bound
-from convalloc.instance_model import (ValidationReport, Violation, _digit_limit,
-                                      with_integers)
+from convalloc.instance_model import (ValidationReport, Violation, _agent, _digit_limit,
+                                      _missing_key, _records, with_integers)
 from convalloc.rounding import RoundedInstance, RoundingScheme, _categories, small_units
 from convalloc.solver import (SolveError, SolveResult, VerifyReport, _fallback_partition,
                               _require_valid, decide, verify)
@@ -395,3 +398,34 @@ def reference_parse_value(text: Union[str, int]) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"value {text!r} has a zero denominator") from None
+
+
+def reference_instance_from_dict(data: Mapping) -> ConvexInstance:
+    """The loader as it was before a loaded instance held its integer view:
+    every item's ``Item`` is built from its id and ``reference_parse_value``,
+    the values first, then the ids checked for type."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
+    for key in ("mode", "items", "agents"):
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    mode = Mode(data["mode"])
+    records = _records(data, "items")
+    try:
+        items = tuple([Item(d["id"], reference_parse_value(d["value"])) for d in records])
+    except KeyError as exc:
+        raise _missing_key("item", records, exc) from None
+    _reference_string_ids("item", items)
+    records = _records(data, "agents")
+    try:
+        agents = tuple([_agent(d) for d in records])
+    except KeyError as exc:
+        raise _missing_key("agent", records, exc) from None
+    _reference_string_ids("agent", agents)
+    return ConvexInstance(mode, items, agents)
+
+
+def _reference_string_ids(kind: str, built) -> None:
+    for place, obj in enumerate(built, start=1):
+        if type(obj.id) is not str:
+            raise ValueError(f"{kind} {place}: 'id' must be a string, got {obj.id!r}")
