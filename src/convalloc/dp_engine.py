@@ -72,22 +72,16 @@ u_0 + 1.  By induction this holds also when u skipped a part of its own
 box.  In Min-Max before_total grows with v_0, so the skip holds for every
 such pair; in Max-Min it shrinks, so the skip holds on ties only.
 
-A box on nu_0 alone, when no big category is occupied, is cut to the run
-of its candidates that pass, found by one bisection.  Candidate x leaves a
-remainder of weight small_prefix[min(small_len[x], small_cap(j-1))]:
-small_len never decreases in x, and neither the cut at the cap nor the
-prefix weights undo that, so this row's table of these weights never
-decreases in x.  A candidate passes iff its weight is at most the budget
-(Max-Min) or at least it (Min-Max).  So the passing part of the box
-range(start, nu'_0 + 1) is a leading run ending at bisect_right(table,
-budget, start, nu'_0 + 1) in Max-Min, and a trailing run starting at
-bisect_left(table, budget, start, nu'_0 + 1) in Min-Max: every candidate of
-the run passes and every other one fails.  A Max-Min run is walked in the
-scan's ascending order, so each unmarked candidate gets the pointer, weight
-and small length the scan would give it; it can reach below the previous
-predecessor's nu_0, and a candidate marked there keeps its first pointer.
-A Min-Max run starts past it (the skip), above every mark made so far, and
-more holds there: the whole row is one interval, found without walking it.
+A box on nu_0 alone, when no big category is occupied, has a passing part
+found by one bisection in Min-Max.  Candidate x leaves a remainder of weight
+small_prefix[min(small_len[x], small_cap(j-1))]: small_len never decreases
+in x, and neither the cut at the cap nor the prefix weights undo that, so
+this row's table of these weights never decreases in x.  A candidate passes
+iff its weight is at least the budget, so the passing part of the box
+range(start, nu'_0 + 1) is a trailing run starting at bisect_left(table,
+budget, start, nu'_0 + 1).  The run starts past the previous predecessor's
+nu_0 (the skip), above every mark made so far, and more holds there: the
+whole row is one interval, found without walking it.
 
 Let c_j = small_cap(j), S_j = small_prefix[c_j] and
 w[x] = small_prefix[small_len[x]], and for row j let
@@ -361,7 +355,7 @@ class _Workspace:
             # first nu_c items must lie at or before r_{j-1}.
             yield (nu_prev, budget, small_prefix[target] // unit if target <= top else past,
                    [range(a if a < lo else lo, (a if a < hi else hi) + 1)
-                    for a, (lo, hi) in zip(nu_prev[1:], bounds)] if bounds else ())
+                    for a, (lo, hi) in zip(nu_prev[1:], bounds)])
 
     def windows(self, nu_prev: InputVector, before_small: int, j: int) -> list[range]:
         """One range per active coordinate: their product holds the vectors
@@ -485,12 +479,9 @@ def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
     of table entries: the small prefix its nu_0 keeps, cut at the row's
     ``small_cap``, plus the prefix weight of each big coordinate (module
     docstring).  A box's coordinate-0 range starts past the previous
-    predecessor's nu_0 when that predecessor settled the part below.  A
-    Max-Min box with no big range walks only the run of candidates that
-    pass, which one bisection of the row's small-weight table finds: the
-    table never decreases in nu_0.  Row 1 is not enumerated: it is the zero
-    vector, pointing at the first predecessor whose budget admits weight 0,
-    or empty (module docstring).
+    predecessor's nu_0 when that predecessor settled the part below.  Row 1
+    is not enumerated: it is the zero vector, pointing at the first
+    predecessor whose budget admits weight 0, or empty (module docstring).
     """
     bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
     up = ws.up
@@ -519,19 +510,11 @@ def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
                     and (last_limit >= limit if up else last_limit <= limit)):
                 start = last_nu0 + 1
             last_big, last_nu0, last_limit = big_prev, a0, limit
-            if big:
-                # The unmarked candidates, in lexicographic order.
-                for nu in filterfalse(row.__contains__, product(range(start, a0 + 1), *big)):
-                    after = sum(map(getitem, tables, nu))
-                    if (after <= limit) if up else (after >= limit):
-                        row[nu] = (nu_prev, after, kept[nu[0]])
-            else:
-                # Max-Min on nu_0 alone: small_table never decreases, so the
-                # candidates that pass are one leading run of the box.
-                for x in range(start, bisect_right(small_table, limit, start, a0 + 1)):
-                    nu = (x,)
-                    if nu not in row:
-                        row[nu] = (nu_prev, small_table[x], kept[x])
+            # The unmarked candidates, in lexicographic order.
+            for nu in filterfalse(row.__contains__, product(range(start, a0 + 1), *big)):
+                after = sum(map(getitem, tables, nu))
+                if (after <= limit) if up else (after >= limit):
+                    row[nu] = (nu_prev, after, kept[nu[0]])
         yield row
         preds = sorted([(nu, after - bound, length) for nu, (_, after, length) in row.items()])
     # Row 1: the zero vector, whose remainder R(0, 0) is empty and weighs 0.

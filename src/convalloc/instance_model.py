@@ -203,18 +203,12 @@ class ConvexInstance:
     def __getattr__(self, name: str):
         # Reached only when ordinary lookup fails, which for ``items`` means
         # an instance that holds its item ids and integer view alone: its
-        # items are built here, once, keeping a source item whose value is
-        # unchanged.
+        # items are built here, once.
         if name != "items" or "item_ids" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         weights, denom = self.integers
         values = [Fraction(w, denom) for w in weights]
-        source = vars(self).get("_source")
-        if source is None:
-            items = tuple(map(Item, self.item_ids, values))
-        else:
-            items = tuple([it if it.value == v else Item(it.id, v)
-                           for it, v in zip(source.items, values)])
+        items = tuple(map(Item, self.item_ids, values))
         vars(self)["items"] = items
         return items
 
@@ -243,11 +237,10 @@ def with_integers(source: ConvexInstance,
 
     The result has ``source``'s mode, agents, ``item_ids``, ``lex``, ``ids``
     and ``nested``, and ``integers`` as its integer view.  It builds no
-    ``Item`` until its ``items`` is read; then an item whose value is
-    unchanged is ``source``'s own.
+    ``Item`` until its ``items`` is read.
     """
     return _unbuilt(source.mode, source.agents, source.item_ids, integers,
-                    lex=source.lex, ids=source.ids, nested=source.nested, _source=source)
+                    lex=source.lex, ids=source.ids, nested=source.nested)
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,7 @@ class RoundedInstance:
 
     ``instance`` carries the rounded values (same ids, order, agents and mode
     as the instance rounded) as its integer view; its items are built on
-    first read, and a kept small item is then the ``Item`` of the instance
-    rounded.  ``category[i]`` is the configuration-vector coordinate of
+    first read.  ``category[i]`` is the configuration-vector coordinate of
     1-based position i+1: 0 for a small item, which keeps its value, and
     c >= 1 for a big item snapped to the grid value q_c.  A Min-Max value
     in (1/k, q_1) rounds down to exactly 1/k and is small (it is

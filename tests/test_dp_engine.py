@@ -242,8 +242,8 @@ def test_bundle_margin_is_one_rule(mode, values, ok):
 def test_one_coordinate_run_keeps_a_bundle_on_the_bound(mode, per_agent):
     # Two agents on disjoint intervals of items worth 1/8 at k = 8: each
     # bundle must be worth exactly 1 - 3/8 (Max-Min) or 1 + 3/8 (Min-Max),
-    # so row 2's passing run starts (Min-Max) or ends (Max-Min) on a
-    # candidate whose bundle sits on the bound.
+    # so row 2 marks a candidate whose bundle sits on the bound, in its box
+    # scan (Max-Min) or at the start of its passing run (Min-Max).
     m = 2 * per_agent
     inst = ConvexInstance(mode, make_items([Fraction(1, 8)] * m), (
         Agent("p1", 1, per_agent), Agent("p2", per_agent + 1, m)))
@@ -595,8 +595,8 @@ def test_row_one_points_at_the_first_predecessor_that_admits_zero(mode):
 
 def counting_candidates(monkeypatch):
     """Count the candidates ``_mark_rows`` walks, each tested once for
-    membership in its row: the product of a box with a big range, and the
-    passing run of a box on nu_0 alone.  Returns the tally."""
+    membership in its row: the product of each box's ranges, cut by the
+    skip.  Returns the tally."""
     tally = [0]
 
     class Row(dict):
@@ -677,14 +677,13 @@ def test_skipped_candidates_were_settled(case, skips, monkeypatch):
 
 
 def test_maxmin_one_coordinate_runs_match_dense(monkeypatch):
-    # Every value at most t/k: the DP runs on nu_0 alone and each box is cut
-    # to the run its bisection finds.  A Max-Min budget shrinks as nu_0
-    # grows, so a run can reach below the previous predecessor's nu_0 into
-    # marks already made, which keep their first pointer; over this sweep
-    # that happens on some cases.  Marks, pointers and carried weights are
-    # the dense enumeration's and the reference reconstruction's.
+    # Every value at most t/k: the DP runs on nu_0 alone and each row is the
+    # box scan.  A Max-Min budget shrinks as nu_0 grows, so the skip cuts a
+    # box only on ties; over this sweep that happens on some cases.  Marks,
+    # pointers and carried weights are the dense enumeration's and the
+    # reference reconstruction's.
     tally = counting_candidates(monkeypatch)
-    overlaps = cases = 0
+    skipped = cases = 0
     for seed in range(40):
         n = 2 + seed % 4
         inst = gen_inclusion_free(seed, n, 3 * n + seed % 7, mode=Mode.MAXMIN)
@@ -696,12 +695,11 @@ def test_maxmin_one_coordinate_runs_match_dense(monkeypatch):
                 assert ws.active == (0,)
                 tally[0] = 0
                 rows = list(_mark_rows(ws))
-                # every walked candidate passes: the surplus was marked before
-                overlaps += tally[0] > sum(map(len, rows[:-1]))
+                skipped += tally[0] < full_boxes(ws, rows)[0]
                 assert forward(rd).rows == dense_forward(rd).rows
                 check_carried_weights(rd)
                 cases += 1
-    assert cases == 360 and overlaps > 0
+    assert cases == 360 and skipped > 0
 
 
 def minmax_all_small_cases():

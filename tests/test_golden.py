@@ -25,10 +25,19 @@ GOLDEN_CASES = (
 RESULT_SHA256 = "db0b20c07f3f2dab7705a31a322f53f7e8155e3515038e3997d2953c54f04a63"
 TRACE_SHA256 = "e77c036e6778d742ee83893b79091082c614654c54566324377b3bcc0e3eb515"
 
+# Pinned on the commit before Max-Min rows on nu_0 alone took the box scan.
+# Long intervals whose items are all small: each search runs one Max-Min
+# decide on nu_0 alone that walks rows n..2.
+ALL_SMALL_MAXMIN_CASES = [(7, 4, 400, Mode.MAXMIN, 8), (7, 4, 200, Mode.MAXMIN, 8),
+                          (1, 3, 300, Mode.MAXMIN, 4)]
 
-def solve_digests(tmp_path) -> tuple[str, str]:
+ALL_SMALL_RESULT_SHA256 = "0aeeb5d5875f6b5b606b6b99660ae7a4a475235fb9ab5cd99188fce60b6a2505"
+ALL_SMALL_TRACE_SHA256 = "02fdff4b8cda9ebb5bb20c56b95fadf317928d7310d4f881fe722c90f6d4592e"
+
+
+def solve_digests(tmp_path, cases=GOLDEN_CASES) -> tuple[str, str]:
     results, traces = hashlib.sha256(), hashlib.sha256()
-    for i, (seed, n, m, mode, k) in enumerate(GOLDEN_CASES):
+    for i, (seed, n, m, mode, k) in enumerate(cases):
         instance = tmp_path / f"case{i}.json"
         result, trace = tmp_path / f"case{i}.out.json", tmp_path / f"case{i}.trace"
         dump_instance(gen_inclusion_free(seed, n, m, mode=mode), str(instance))
@@ -41,3 +50,8 @@ def solve_digests(tmp_path) -> tuple[str, str]:
 
 def test_solve_bytes_are_pinned(tmp_path, capsys):
     assert solve_digests(tmp_path) == (RESULT_SHA256, TRACE_SHA256)
+
+
+def test_all_small_maxmin_bytes_are_pinned(tmp_path, capsys):
+    assert (solve_digests(tmp_path, ALL_SMALL_MAXMIN_CASES)
+            == (ALL_SMALL_RESULT_SHA256, ALL_SMALL_TRACE_SHA256))
