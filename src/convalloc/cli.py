@@ -21,8 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import hall, oracle
-from .generator import gen_inclusion_free, gen_planted
+from . import hall
 from .instance_model import (Mode, format_value, instance_to_dict, load_instance,
                              parse_value, validate)
 from .solver import SolveError, SolveResult, solve_maxmin, solve_minmax
@@ -53,6 +52,7 @@ def _solve(instance, k: int, delta=None, trace=None) -> SolveResult:
 
 
 def _opt(instance):
+    from . import oracle
     opt = oracle.opt_maxmin if instance.mode is Mode.MAXMIN else oracle.opt_minmax
     return opt(instance)
 
@@ -147,6 +147,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
     instance = _load(args.input)
     try:
         opt, witness = _opt(instance)
@@ -164,6 +165,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generator import gen_inclusion_free, gen_planted
     mode = Mode(args.mode)
     try:
         if args.plant:
@@ -182,6 +184,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import oracle
     directory = Path(args.directory)
     paths = sorted(directory.glob("*.json"))
     if not paths:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -35,11 +36,47 @@ class SolveError(Exception):
     """The instance is unusable (failed validation or wrong mode)."""
 
 
+class _AgentValues(Sequence):
+    """Each bundle's (agent id, value), built on first read: the search
+    reads a report's feasibility and objective, never these values.  Equal
+    to the tuple of the same pairs, and hashed as it."""
+
+    __slots__ = ("_bundles", "_totals", "_denom", "_values")
+
+    def __init__(self, bundles, totals: list[int], denom: int) -> None:
+        self._bundles, self._totals, self._denom = bundles, totals, denom
+        self._values: Optional[tuple[tuple[str, Fraction], ...]] = None
+
+    def _tuple(self) -> tuple[tuple[str, Fraction], ...]:
+        if self._values is None:
+            denom = self._denom
+            self._values = tuple((aid, Fraction(total, denom))
+                                 for (aid, _), total in zip(self._bundles, self._totals))
+        return self._values
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __len__(self) -> int:
+        return len(self._totals)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _AgentValues)):
+            return self._tuple() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     feasible: bool
     violations: tuple[str, ...]
-    agent_values: tuple[tuple[str, Fraction], ...]
+    agent_values: Sequence[tuple[str, Fraction]]
     objective: Fraction
     unassigned: tuple[str, ...]
 
@@ -122,9 +159,8 @@ def verify(instance: ConvexInstance, assignment: Assignment) -> VerifyReport:
         unassigned = tuple(x for x in instance.item_ids if pos_of[x] not in assigned)
     else:
         unassigned = ()
-    values = tuple((aid, Fraction(total, denom))
-                   for (aid, _), total in zip(assignment.bundles, totals))
-    return VerifyReport(not violations, tuple(violations), values,
+    return VerifyReport(not violations, tuple(violations),
+                        _AgentValues(assignment.bundles, totals, denom),
                         Fraction((min if maxmin else max)(totals, default=0), denom),
                         unassigned)
 
