@@ -36,19 +36,9 @@ _LAZY = {
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [
-    "Agent", "AlignmentError", "Assignment", "ConvexInstance", "DPTable", "HallWitness",
-    "InputVector", "Item", "Mode", "OracleSizeError", "RoundedInstance", "RoundingScheme",
-    "SolveError", "SolveResult", "ValidationReport", "VerifyReport", "Violation", "align",
-    "alignment", "assignment_from_positions", "assignment_vector", "backward", "decide",
-    "dp_engine", "dump_instance", "format_value", "forward", "gen_inclusion_free",
-    "gen_planted", "generator", "hall", "hall_violations", "input_vector",
-    "instance_from_dict", "instance_model", "instance_to_dict", "is_non_wasteful",
-    "is_right_aligned", "lexicographic_order", "load_instance", "opt_maxmin", "opt_minmax",
-    "oracle", "parse_value", "retrieve", "round_instance", "rounding", "scale", "scheme",
-    "solve_maxmin", "solve_minmax", "solve_rounded", "solver", "stranded_items", "validate",
-    "verify",
-]
+# The public names bound by the import above, then each submodule and its names.
+__all__ = sorted({*(name for name in globals() if not name.startswith("_")),
+                  *_LAZY, *_MODULE_OF})
 __version__ = "0.1.0"
 
 

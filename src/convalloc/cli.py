@@ -5,8 +5,9 @@ plus the Hall condition), ``oracle`` (exact optimum on small instances),
 ``gen`` (seeded instance generation), and ``bench`` (a directory of instances
 against the solver and, where tractable, the oracle).
 
-Exit codes: 0 success, 1 solver failure, 2 validation or usage error or an
-output file that cannot be written.
+Exit codes: 0 success, 1 solver failure, 2 validation or usage error or
+output that cannot be written: an output file, or a standard output closed
+early, as by ``| head``.
 ``main`` returns the exit code to an in-process caller, 2 for a usage error
 included; it raises no ``SystemExit``.
 """
@@ -19,6 +20,7 @@ import functools
 import json
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from . import hall
@@ -270,10 +272,21 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        try:
+            args = _parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        sys.stdout.flush()  # buffered output meets a closed reader here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output.  Point it at os.devnull, as
+        # Python's note on SIGPIPE does, so that the flush at exit cannot fail
+        # again; an in-process stdout may have no descriptor to point.
+        with suppress(OSError, ValueError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        print("error: cannot write standard output: the reader closed it", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,15 +7,16 @@ machine intervals against the processing time of fully-enclosed jobs
 use, are then runs of consecutive lexicographic ranks (Glover, "Maximum
 matching in a convex bipartite graph", Naval Res. Logistics Q. 14, 1967).
 So each mode has one O(n^2) sweep over the runs i..j of that order, on
-integer weights over one common denominator; ``hall_violations`` runs the
-instance's own mode's sweep, and that mode's bound reads it.  A run's
+integer weights over one common denominator; ``hall_violations`` and
+``hall_bound`` each run the instance's own mode's sweep.  A run's
 demand or allowed load is a prefix-sum difference over the ranks.  The
 order and its endpoints are the instance's ``lex``, and each agent's demand
 (Max-Min) or allowed load (Min-Max) is its own ``demand``.  A Max-Min
 witness is a tight interval (see ``_maxmin_runs``).
 
 With every demand (Max-Min) or every allowed load (Min-Max) equal to one
-number t, the interval condition solved for t bounds the optimum:
+number t, the interval condition solved for t bounds the optimum, and
+``hall_bound`` returns that bound with whether OPT > 0:
 
 - Max-Min: ``U = min over item intervals of val(interval) / #agents inside``.
   The agents inside an interval can only take items from it, so OPT <= U.
@@ -127,33 +128,24 @@ def hall_violations(instance: ConvexInstance) -> Iterator[HallWitness]:
                 yield HallWitness(i + 1, j + 1, work, load)
 
 
-def maxmin_upper_bound(instance: ConvexInstance) -> tuple[Fraction, bool]:
-    """(U, covered) for a valid Max-Min instance: OPT <= U, OPT >= U - v_max,
-    and covered tells whether a matching covers every agent, i.e. OPT > 0.
-    Both are extremes over the tight intervals of ``_maxmin_runs``.
-    """
-    if instance.mode is not Mode.MAXMIN:
-        raise ValueError("maxmin_upper_bound expects a Max-Min instance")
+def hall_bound(instance: ConvexInstance) -> tuple[Fraction, bool]:
+    """(bound, OPT > 0) from the sweep of ``instance.mode``: (U, whether a
+    matching covers every agent) for Max-Min, extremes over the tight
+    intervals, and (L, True) for Min-Max, with each run's confined work.
+    Raises ValueError when ``_lex_profile`` does."""
     _, lows, highs, denom, prefix = _lex_profile(instance)
-    best_w, best_c = prefix[-1], 1  # val / count, kept as two integers
     covered = True
-    for i, j, w in _maxmin_runs(lows, highs, prefix):
-        count = j - i + 1
-        covered = covered and highs[j] - lows[i] + 1 >= count
-        if w * best_c < best_w * count:
-            best_w, best_c = w, count
+    if instance.mode is Mode.MAXMIN:
+        best_w, best_c = prefix[-1], 1  # val / count, kept as two integers
+        for i, j, w in _maxmin_runs(lows, highs, prefix):
+            count = j - i + 1
+            covered = covered and highs[j] - lows[i] + 1 >= count
+            if w * best_c < best_w * count:
+                best_w, best_c = w, count
+    else:
+        best_w, best_c = max(instance.integers[0]), 1  # p_max / 1
+        for i, j, w in _minmax_runs(lows, highs, prefix):
+            count = j - i + 1
+            if w * best_c > best_w * count:
+                best_w, best_c = w, count
     return Fraction(best_w, denom * best_c), covered
-
-
-def minmax_lower_bound(instance: ConvexInstance) -> Fraction:
-    """L for a valid Min-Max instance: L <= OPT <= L + p_max, with the
-    confined work of each run from ``_minmax_runs``."""
-    if instance.mode is not Mode.MINMAX:
-        raise ValueError("minmax_lower_bound expects a Min-Max instance")
-    _, lows, highs, denom, prefix = _lex_profile(instance)
-    best_w, best_c = max(instance.integers[0]), 1  # p_max / 1
-    for i, j, w in _minmax_runs(lows, highs, prefix):
-        count = j - i + 1
-        if w * best_c > best_w * count:
-            best_w, best_c = w, count
-    return Fraction(best_w, denom * best_c)

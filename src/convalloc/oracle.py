@@ -48,8 +48,7 @@ def _prepare(instance: ConvexInstance):
     return groups
 
 
-def _solve(instance: ConvexInstance, maximize_min: bool,
-           work_cap: int) -> tuple[Fraction, Assignment]:
+def _solve(instance: ConvexInstance, work_cap: int) -> tuple[Fraction, Assignment]:
     if instance.n > MAX_AGENTS:
         raise OracleSizeError(f"at most {MAX_AGENTS} agents supported, got {instance.n}")
     if instance.m > MAX_ITEMS:
@@ -58,6 +57,7 @@ def _solve(instance: ConvexInstance, maximize_min: bool,
     if not report.ok:
         raise ValueError(f"oracle requires a valid instance: {report.violations[0].message}")
 
+    maxmin = instance.mode is Mode.MAXMIN
     order, lows, highs = instance.lex
     groups = _prepare(instance)
     n = len(order)
@@ -121,10 +121,10 @@ def _solve(instance: ConvexInstance, maximize_min: bool,
             if j + 1 < n:
                 rest, _ = solve(j + 1, tuple(avail.get(gi, 0) - t
                                              for gi, t in zip(optional, take)))
-                value = min(bundle, rest) if maximize_min else max(bundle, rest)
+                value = min(bundle, rest) if maxmin else max(bundle, rest)
             else:
                 value = bundle
-            if best is None or (value > best if maximize_min else value < best):
+            if best is None or (value > best if maxmin else value < best):
                 best = value
                 best_take = take
         assert best is not None
@@ -166,7 +166,7 @@ def opt_maxmin(instance: ConvexInstance,
     """Exact optimum of the Max-Min objective over all partitions, with witness."""
     if instance.mode is not Mode.MAXMIN:
         raise ValueError("opt_maxmin expects a Max-Min instance")
-    return _solve(instance, maximize_min=True, work_cap=work_cap)
+    return _solve(instance, work_cap)
 
 
 def opt_minmax(instance: ConvexInstance,
@@ -174,4 +174,4 @@ def opt_minmax(instance: ConvexInstance,
     """Exact minimum makespan over all complete job assignments, with witness."""
     if instance.mode is not Mode.MINMAX:
         raise ValueError("opt_minmax expects a Min-Max instance")
-    return _solve(instance, maximize_min=False, work_cap=work_cap)
+    return _solve(instance, work_cap)

@@ -117,6 +117,12 @@ class RoundedInstance:
     scheme: RoundingScheme
     category: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # the DP's rows read the scheme's mode, its backward pass the instance's
+        if self.instance.mode is not self.scheme.mode:
+            raise ValueError(f"a {self.scheme.mode.value} scheme cannot round a "
+                             f"{self.instance.mode.value} instance")
+
     def value_at(self, pos: int) -> Fraction:
         return self.instance.value_at(pos)
 

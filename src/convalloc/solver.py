@@ -5,12 +5,12 @@ dynamic program.  It succeeds whenever a t-assignment exists, and any success
 certifies an original-value objective within the rounded factor of t:
 at least (1 - 4/(k+1)) t for Max-Min, at most (1 + 4/k + 3/k^2) t for
 Min-Max.  One binary search over t serves both modes, inside the interval
-Hall bracket of ``hall``: [max(v_min, U - v_max), U] for Max-Min, with
-OPT <= U and OPT >= U - v_max by Bezakova-Dani (SIGecom Exchanges 5(3),
-2005), and [L, min(total, L + p_max)] for Min-Max, with OPT >= L and
-OPT <= L + p_max by Lenstra-Shmoys-Tardos (Math. Programming 46, 1990).  It
-tries U or L first, and a Max-Min instance with no agent-covering matching
-(OPT = 0) needs no decide at all.  The search reports the largest (Max-Min)
+Hall bracket of ``hall.hall_bound``: [max(v_min, U - v_max), U] for
+Max-Min, with OPT <= U and OPT >= U - v_max by Bezakova-Dani (SIGecom
+Exchanges 5(3), 2005), and [L, min(total, L + p_max)] for Min-Max, with
+OPT >= L and OPT <= L + p_max by Lenstra-Shmoys-Tardos (Math. Programming
+46, 1990).  It tries U or L first, and a Max-Min instance with no
+agent-covering matching (OPT = 0) needs no decide at all.  The search reports the largest (Max-Min)
 or smallest (Min-Max) certified guess and the assignment with the best
 objective any success verified against the original values.
 ``solve_maxmin`` / ``solve_minmax`` are its two entry points.
@@ -18,7 +18,6 @@ objective any success verified against the original values.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import dp_engine
-from .hall import maxmin_upper_bound, minmax_lower_bound
+from .hall import hall_bound
 from .instance_model import (Assignment, ConvexInstance, Mode, _partition_pass,
                              assignment_from_positions, validate, with_integers)
 from .rounding import round_instance, scheme
@@ -174,13 +173,11 @@ def _require_valid(instance: ConvexInstance, mode: Mode) -> None:
                          + "; ".join(v.message for v in report.violations))
 
 
-def _search_parameters(k: int, delta: Optional[Fraction]) -> tuple[int, Fraction]:
+def _search_parameters(k: int, mode: Mode, delta: Optional[Fraction]) -> tuple[int, Fraction]:
     """Check k, then delta; returns k as an int and delta, 1/(4k) when not
-    given.  k is taken through ``operator.index``, as ``rounding.scheme``
-    takes it, so a solve that decides no guess refuses a float k too."""
-    k = operator.index(k)
-    if k < 4:
-        raise ValueError(f"error parameter k must be >= 4, got {k}")
+    given.  k is read from ``rounding.scheme``, which checks it, so a solve
+    that decides no guess refuses a bad k too."""
+    k = scheme(k, mode).k
     if delta is None:
         return k, Fraction(1, 4 * k)  # in (0, 1) for every k >= 4
     delta = Fraction(delta)
@@ -201,10 +198,11 @@ def _fallback_partition(instance: ConvexInstance) -> Assignment:
 
 def _search(instance: ConvexInstance, mode: Mode, k: int,
             delta: Optional[Fraction], trace: Optional[list[str]]) -> SolveResult:
-    """Binary search inside the interval Hall bracket (see ``hall``).
+    """Binary search inside the interval Hall bracket of ``hall.hall_bound``.
 
-    Max-Min with no agent-covering matching has OPT = 0 and takes the
-    fallback with no decide.  Otherwise Max-Min brackets
+    When the bound reports OPT = 0, which only a Max-Min instance with no
+    agent-covering matching can, the search takes the fallback with no
+    decide.  Otherwise Max-Min brackets
     [max(v_min, U - v_max), U] and Min-Max [L, min(total, L + p_max)], and
     the first guess is the tight end, U or L.  A success there ends the
     search, so the bracket is built only when that guess fails.  A success
@@ -213,20 +211,16 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
     decided last.
     """
     _require_valid(instance, mode)
-    k, delta = _search_parameters(k, delta)
+    k, delta = _search_parameters(k, mode, delta)
     if instance.n == 0:
         raise SolveError("instance has no agents")
+    bound, opt_positive = hall_bound(instance)
+    if not opt_positive:
+        assignment = _fallback_partition(instance)
+        return SolveResult(mode, k, delta, Fraction(0),
+                           verify(instance, assignment).objective, Fraction(0),
+                           assignment)
     maxmin = mode is Mode.MAXMIN
-    if maxmin:
-        bound, covered = maxmin_upper_bound(instance)
-        if not covered:
-            assignment = _fallback_partition(instance)
-            return SolveResult(mode, k, delta, Fraction(0),
-                               verify(instance, assignment).objective, Fraction(0),
-                               assignment)
-    else:
-        bound = minmax_lower_bound(instance)
-
     t_star: Optional[Fraction] = None  # the last success, the tightest
     best: Optional[tuple[Fraction, Assignment]] = None  # the best verified objective
 

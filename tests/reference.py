@@ -42,7 +42,7 @@ from math import ceil, floor, gcd, lcm
 from typing import Mapping, Optional, Union
 
 from convalloc import Assignment, ConvexInstance, Item, Mode, assignment_vector
-from convalloc.hall import maxmin_upper_bound, minmax_lower_bound
+from convalloc.hall import hall_bound
 from convalloc.instance_model import (ValidationReport, Violation, _agent, _digit_limit,
                                       _missing_key, _records, with_integers)
 from convalloc.rounding import RoundedInstance, RoundingScheme, _categories, small_units
@@ -339,16 +339,15 @@ def reference_search(instance: ConvexInstance, mode: Mode, k: int,
     maxmin = mode is Mode.MAXMIN
     weights, denom = instance.integers
     v_max = Fraction(max(weights), denom)
+    bound, opt_positive = hall_bound(instance)
+    if not opt_positive:
+        assignment = _fallback_partition(instance)
+        return SolveResult(mode, k, delta, Fraction(0),
+                           verify(instance, assignment).objective, Fraction(0),
+                           assignment)
     if maxmin:
-        bound, covered = maxmin_upper_bound(instance)
-        if not covered:
-            assignment = _fallback_partition(instance)
-            return SolveResult(mode, k, delta, Fraction(0),
-                               verify(instance, assignment).objective, Fraction(0),
-                               assignment)
         lo, hi = max(Fraction(min(weights), denom), bound - v_max), bound
     else:
-        bound = minmax_lower_bound(instance)
         lo, hi = bound, min(instance.total_value(), bound + v_max)
 
     t_star: Optional[Fraction] = None

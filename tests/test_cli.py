@@ -1,15 +1,20 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import errno
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convalloc
 from convalloc import (Agent, ConvexInstance, Item, Mode, dump_instance, format_value,
                        instance_to_dict, load_instance, parse_value, validate, verify)
 from convalloc.cli import build_parser, main
@@ -582,3 +587,38 @@ def test_shared_parser_runs_each_command_in_turn(tmp_path, capsys):
     assert shared[0] == fresh[0] == [0, 0, 0]
     assert shared[1:] == fresh[1:]
     assert shared[1].out.endswith("inclusion-free: ok\nhall: ok\n")
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["gen", "--seed", "7", "-n", "12", "-m", "3000"], 16),
+    (["check", "-i", "E1"], 0),
+], ids=["while-printing", "at-the-last-flush"])
+def test_closed_stdout_exits_2_with_one_line(paths, argv, read):
+    # gen prints over 64 KiB of JSON, more than a pipe holds, and the reader
+    # closes the pipe after a few bytes.  check's few lines wait in the
+    # buffer, and the reader is gone before they are flushed.  These used to
+    # end in a BrokenPipeError traceback and exit 1, the code for "no guess
+    # certified", or in an "Exception ignored" line at exit and exit 120.
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as in a shell pipe
+    src = str(Path(convalloc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.Popen([sys.executable, "-m", "convalloc.cli",
+                              *(paths["e1"] if a == "E1" else a for a in argv)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(child.stdout.read(read)) == read
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 2
+    assert len(err.splitlines()) == 1 and err.startswith(b"error: ")
+
+
+def test_closed_stdout_in_process_returns_2(monkeypatch, capsys):
+    class Closed(io.StringIO):  # no file descriptor to point elsewhere
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["gen", "--seed", "7", "-n", "3", "-m", "9"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -14,7 +14,7 @@ from convalloc import (Agent, ConvexInstance, Item, Mode, SolveError, backward,
                        solve_minmax, solve_rounded, verify)
 from convalloc.dp_engine import (BUNDLE_MARGIN, DPTable, _mark_rows, _Workspace,
                                  trace_lines)
-from convalloc.hall import minmax_lower_bound
+from convalloc.hall import hall_bound
 from convalloc.instance_model import lexicographic_order
 from convalloc.rounding import input_vector
 
@@ -784,7 +784,7 @@ def test_golden_wide_decide_enumerates_few_repeats(monkeypatch):
     # the rows walk no candidate, and an untraced solve reads one pointer of
     # each, the pointer chain, and builds no (weight, small length) entry.
     inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
-    rd = rounded(scale(inst, minmax_lower_bound(inst)), 8)
+    rd = rounded(scale(inst, hall_bound(inst)[0]), 8)
     assert len(_Workspace(rd).active) == 1
     tally = counting_candidates(monkeypatch)
     reads, pointers = [0], [0]
@@ -823,7 +823,7 @@ def test_solve_rounded_builds_no_full_rows(monkeypatch):
         return expand(self, nu)
     monkeypatch.setattr(_Workspace, "expand", counting_expand)
     inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
-    rd = rounded(scale(inst, minmax_lower_bound(inst)), 8)
+    rd = rounded(scale(inst, hall_bound(inst)[0]), 8)
     assignment, table = solve_rounded(rd)
     assert assignment is not None
     assert expanded[0] <= rd.instance.n + 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from convalloc import (Agent, ConvexInstance, Item, Mode, hall_violations,
                        lexicographic_order, opt_maxmin, opt_minmax, scale, validate)
-from convalloc.hall import HallWitness, maxmin_upper_bound, minmax_lower_bound
+from convalloc.hall import HallWitness, hall_bound
 from convalloc.generator import gen_inclusion_free
 from conftest import with_demands
 from reference import check_hall_bruteforce, coverage_ranges
@@ -193,37 +193,33 @@ def unit_instance(inst):
 
 def check_bounds(inst):
     values = [it.value for it in inst.items]
+    bound, opt_positive = hall_bound(inst)
     if inst.mode is Mode.MAXMIN:
-        bound, covered = maxmin_upper_bound(inst)
         opt, _ = opt_maxmin(inst)
         assert bound - max(values) <= opt <= bound
-        assert covered == (opt > 0) == (first_violation(unit_instance(inst)) is None)
+        assert opt_positive == (opt > 0) == (first_violation(unit_instance(inst)) is None)
         assert bound == swept_upper_bound(inst)
     else:
-        bound = minmax_lower_bound(inst)
         opt, _ = opt_minmax(inst)
+        assert opt_positive
         assert bound <= opt <= min(inst.total_value(), bound + max(values))
         assert bound == swept_lower_bound(inst)
 
 
 def test_bounds_on_the_examples(t0, t1, e1, m1):
-    assert maxmin_upper_bound(t0) == (1, True)
-    assert maxmin_upper_bound(t1) == (Fraction(11, 10), True)
-    assert minmax_lower_bound(m1) == Fraction(11, 10)
+    assert hall_bound(t0) == (1, True)
+    assert hall_bound(t1) == (Fraction(11, 10), True)
+    assert hall_bound(m1) == (Fraction(11, 10), True)
     starved = ConvexInstance(Mode.MAXMIN, (Item("x1", Fraction(1)),),
                              (Agent("p1", 1, 1), Agent("p2", 1, 1)))
-    assert maxmin_upper_bound(starved) == (Fraction(1, 2), False)
+    assert hall_bound(starved) == (Fraction(1, 2), False)
     for inst in (t0, t1, e1, m1, starved):
         check_bounds(inst)
 
 
-def test_bounds_reject_the_other_mode_and_no_agents(t1, m1):
-    with pytest.raises(ValueError, match="Max-Min"):
-        maxmin_upper_bound(m1)
-    with pytest.raises(ValueError, match="Min-Max"):
-        minmax_lower_bound(t1)
+def test_bound_rejects_no_agents():
     with pytest.raises(ValueError, match="no agents"):
-        minmax_lower_bound(ConvexInstance(Mode.MINMAX, (Item("j1", Fraction(1)),), ()))
+        hall_bound(ConvexInstance(Mode.MINMAX, (Item("j1", Fraction(1)),), ()))
 
 
 @pytest.mark.parametrize("mode, spans", [
@@ -237,8 +233,7 @@ def test_bounds_reject_the_other_mode_and_no_agents(t1, m1):
 def test_sweeps_reject_intervals_outside_the_items(mode, spans):
     inst = ConvexInstance(mode, tuple(Item(f"x{i}", Fraction(1)) for i in range(1, 4)),
                           tuple(Agent(f"p{i}", lo, hi) for i, (lo, hi) in enumerate(spans, 1)))
-    bound = maxmin_upper_bound if mode is Mode.MAXMIN else minmax_lower_bound
-    for run in (lambda: first_violation(inst), lambda: bound(inst)):
+    for run in (lambda: first_violation(inst), lambda: hall_bound(inst)):
         with pytest.raises(ValueError, match=r"an agent interval is empty or not within \[1,3\]"):
             run()
 

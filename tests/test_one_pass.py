@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, gen_inclusion_free,
                        round_instance, scheme, validate, verify)
 from convalloc.dp_engine import _Workspace
-from convalloc.hall import maxmin_upper_bound, minmax_lower_bound
+from convalloc.hall import hall_bound
 from convalloc.instance_model import partition_violations, with_integers
 from convalloc.solver import scale
 from reference import (reference_partition_violations, reference_round_instance,
@@ -244,7 +244,7 @@ def test_minmax_band_value_rounds_to_one_over_k():
 def test_workspace_tables_match_the_reference(seed, mode, k, shape, factor):
     # many items per agent make every item small at some guesses
     inst = gen_inclusion_free(seed, *shape, mode=mode)
-    bound = maxmin_upper_bound(inst)[0] if mode is Mode.MAXMIN else minmax_lower_bound(inst)
+    bound, _ = hall_bound(inst)
     scaled = scale(inst, max(bound, Fraction(1, 10 ** 6)) * factor)
     if scaled is None:
         scaled = scale(inst, max(it.value for it in inst.items))

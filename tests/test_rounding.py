@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from convalloc import (ConvexInstance, Item, Mode, RoundedInstance, gen_inclusion_free,
                        input_vector, retrieve, round_instance, scale, scheme, solve_maxmin)
 from convalloc.dp_engine import _Workspace, solve_rounded
-from convalloc.hall import maxmin_upper_bound, minmax_lower_bound
+from convalloc.hall import hall_bound
 from convalloc.instance_model import integer_values
 from convalloc.rounding import _categories
 from conftest import round_one
@@ -187,6 +187,20 @@ def test_minmax_scaling_then_rounding(m1):
         assert rd.value_at(p) / scaled.value_at(p) > Fraction(8, 9)
 
 
+@pytest.mark.parametrize("t", [Fraction(11, 10), Fraction(10)], ids=["big-items", "all-small"])
+def test_rounded_instance_refuses_a_scheme_of_the_other_mode(t1, m1, t):
+    # The rows follow the instance's mode and the rounding the scheme's:
+    # mixed, a Max-Min instance would have its values rounded down.
+    for inst, other in ((t1, Mode.MINMAX), (m1, Mode.MAXMIN)):
+        message = f"a {other.value} scheme cannot round a {inst.mode.value} instance"
+        scaled = scale(inst, t)
+        with pytest.raises(ValueError, match=message):
+            round_instance(scaled, scheme(8, other))
+        rd = round_instance(scaled, scheme(8, inst.mode))
+        with pytest.raises(ValueError, match=message):
+            RoundedInstance(rd.instance, scheme(8, other), rd.category)
+
+
 def reference_round_value(value, sch):
     """The rounding rule on Fractions: bisect the value into the grid."""
     if not 0 < value <= 1:
@@ -311,12 +325,11 @@ def search_bracket(instance):
     """The binary search's bracket (``solver._search``), or the whole
     range of values when no matching covers every Max-Min agent."""
     values = [it.value for it in instance.items]
+    bound, opt_positive = hall_bound(instance)
+    if not opt_positive:
+        return min(values), sum(values)
     if instance.mode is Mode.MAXMIN:
-        bound, covered = maxmin_upper_bound(instance)
-        if not covered:
-            return min(values), sum(values)
         return max(min(values), bound - max(values)), bound
-    bound = minmax_lower_bound(instance)
     return bound, min(sum(values), bound + max(values))
 
 

@@ -16,7 +16,7 @@ from convalloc import (Agent, Assignment, ConvexInstance, Item, Mode, decide, dp
                        gen_inclusion_free, opt_maxmin, opt_minmax, rounding,
                        scale, solve_maxmin, solve_minmax, solver, verify)
 from convalloc.dp_engine import DPTable, _Workspace
-from convalloc.hall import maxmin_upper_bound
+from convalloc.hall import hall_bound
 from convalloc import instance_model
 from convalloc.instance_model import (assignment_from_positions, integer_values,
                                       partition_violations, validate)
@@ -586,7 +586,7 @@ def test_maxmin_k8_n5_m30_headline_case():
     inst = gen_inclusion_free(1, 5, 30, mode=Mode.MAXMIN)
     res = solve_maxmin(inst, 8)
     assert verify(inst, res.assignment).feasible
-    assert maxmin_upper_bound(inst) == (1, True)
+    assert hall_bound(inst) == (1, True)
     assert res.t_star == 1 and res.objective == 1
 
 
