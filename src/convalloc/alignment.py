@@ -100,7 +100,7 @@ def is_right_aligned(rounded: RoundedInstance, assignment: Assignment) -> bool:
         for p in sorted(survivors):
             if agent.covers(p):
                 classes.setdefault(rounded.category[p - 1], []).append(p)
-        for cat, avail in classes.items():
+        for avail in classes.values():
             held = [p for p in avail if p in bundle]
             if held != avail[len(avail) - len(held):]:
                 return False

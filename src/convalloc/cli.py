@@ -7,7 +7,8 @@ against the solver and, where tractable, the oracle).
 
 Exit codes: 0 success, 1 solver failure, 2 validation or usage error or
 output that cannot be written: an output file, or a standard output closed
-early, as by ``| head``.
+early, as by ``| head``.  A command refuses by raising ``_Refused`` or a
+``ValueError``; ``main`` alone prints the one ``error:`` line and returns 2.
 ``main`` returns the exit code to an in-process caller, 2 for a usage error
 included; it raises no ``SystemExit``.
 """
@@ -26,7 +27,11 @@ from pathlib import Path
 from . import hall
 from .instance_model import (Mode, format_value, instance_to_dict, load_instance,
                              parse_value, validate)
-from .solver import SolveError, SolveResult, solve_maxmin, solve_minmax
+from .solver import SolveResult, solve_maxmin, solve_minmax
+
+
+class _Refused(Exception):
+    """A refusal that ``main`` reports as ``error: {message}`` with exit 2."""
 
 
 def _result_dict(result: SolveResult) -> dict:
@@ -63,8 +68,7 @@ def _load(path: str):
     try:
         return load_instance(path)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
-        print(f"error: cannot read instance {path!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Refused(f"cannot read instance {path!r}: {exc}") from exc
 
 
 def _write(texts: dict[str, str]) -> None:
@@ -83,25 +87,19 @@ def _write(texts: dict[str, str]) -> None:
     except OSError as exc:  # a missing directory, a directory, no permission
         for temp in temps.values():
             os.remove(temp)
-        print(f"error: cannot write {path!r}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Refused(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     # paths are resolved only when there are two to compare
     if (args.output and args.trace
             and os.path.realpath(args.output) == os.path.realpath(args.trace)):
-        print(f"error: -o and --trace name the same file {args.output!r}", file=sys.stderr)
-        return 2
+        raise _Refused(f"-o and --trace name the same file {args.output!r}")
     instance = _load(args.input)
     trace: list[str] | None = [] if args.trace else None
-    try:
-        delta = parse_value(args.delta) if args.delta else None
-        result = _solve(instance, args.k, delta, trace)
-        payload = _result_dict(result)  # a value too long to print raises here
-    except (SolveError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    delta = parse_value(args.delta) if args.delta else None
+    result = _solve(instance, args.k, delta, trace)
+    payload = _result_dict(result)  # a value too long to print raises here
     text = json.dumps(payload, indent=2) if args.json or args.output else None
     texts = {args.trace: "\n".join(trace) + "\n"} if args.trace else {}
     if args.output:
@@ -118,12 +116,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     instance = _load(args.input)
     report = validate(instance)
     witness = next(hall.hall_violations(instance), None) if report.ok else None
-    try:  # a value too long to print raises here
-        sides = None if witness is None else (format_value(witness.lhs),
-                                              format_value(witness.rhs))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # a value too long to print raises here
+    sides = None if witness is None else (format_value(witness.lhs),
+                                          format_value(witness.rhs))
     if args.json:
         payload = {"valid": report.ok,
                    "violations": [v.message for v in report.violations]}
@@ -149,14 +144,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from . import oracle
     instance = _load(args.input)
-    try:
-        opt, witness = _opt(instance)
-        opt_text = format_value(opt)  # a value too long to print raises here
-    except (oracle.OracleSizeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    opt, witness = _opt(instance)
+    opt_text = format_value(opt)  # a value too long to print raises here
     if args.json:
         print(json.dumps({"opt": opt_text,
                           "assignment": {aid: list(ids) for aid, ids in witness.bundles}},
@@ -169,14 +159,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     from .generator import gen_inclusion_free, gen_planted
     mode = Mode(args.mode)
-    try:
-        if args.plant:
-            instance, _ = gen_planted(args.seed, args.n, args.m, parse_value(args.plant), mode)
-        else:
-            instance = gen_inclusion_free(args.seed, args.n, args.m, mode=mode)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.plant:
+        instance, _ = gen_planted(args.seed, args.n, args.m, parse_value(args.plant), mode)
+    else:
+        instance = gen_inclusion_free(args.seed, args.n, args.m, mode=mode)
     text = json.dumps(instance_to_dict(instance), indent=2)
     if args.output:
         _write({args.output: text + "\n"})
@@ -190,8 +176,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     paths = sorted(directory.glob("*.json"))
     if not paths:
-        print(f"error: no instances under {directory}", file=sys.stderr)
-        return 2
+        raise _Refused(f"no instances under {directory}")
     rows = []
     for path in paths:
         instance = _load(str(path))
@@ -205,9 +190,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             rows.append((path.name, instance.mode.value, format_value(result.objective),
                          "-" if opt is None else format_value(opt),
                          format_value(result.objective / opt) if opt else "-"))
-        except (SolveError, ValueError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
+        except ValueError as exc:
+            raise _Refused(f"{path}: {exc}") from exc
     if args.json:
         print(json.dumps([{"instance": r[0], "mode": r[1], "objective": r[2],
                            "opt": r[3], "ratio": r[4]} for r in rows], indent=2))
@@ -277,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args)
         except SystemExit as exc:
             code = int(exc.code or 0)
+        except (_Refused, ValueError) as exc:  # every refusal of every command
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
         sys.stdout.flush()  # buffered output meets a closed reader here, not at exit
         return code
     except BrokenPipeError:

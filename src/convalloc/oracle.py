@@ -24,7 +24,7 @@ MAX_ITEMS = 64
 DEFAULT_WORK_CAP = 5_000_000
 
 
-class OracleSizeError(Exception):
+class OracleSizeError(ValueError):
     """The instance exceeds what exhaustive search will attempt."""
 
 
@@ -84,7 +84,6 @@ def _solve(instance: ConvexInstance, work_cap: int) -> tuple[Fraction, Assignmen
         fresh.append([gi for gi, ((lo, hi), _, _) in enumerate(groups)
                       if prev_high < lo and hi <= highs[j]])
 
-    group_weight = [w * len(pos) for (_, w, pos) in groups]  # full-group weight
     unit = [w for (_, w, _) in groups]
     size = [len(pos) for (_, _, pos) in groups]
 

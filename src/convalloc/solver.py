@@ -31,7 +31,7 @@ from .instance_model import (Assignment, ConvexInstance, Mode, _partition_pass,
 from .rounding import round_instance, scheme
 
 
-class SolveError(Exception):
+class SolveError(ValueError):
     """The instance is unusable (failed validation or wrong mode)."""
 
 

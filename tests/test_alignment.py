@@ -93,10 +93,19 @@ def test_align_minmax_swaps_jobs(m1):
     assert assignment_vector(rd, out) == assignment_vector(rd, given)
 
 
-def test_align_rejects_non_one_assignments(e1, e1_assignment_2):
+def test_align_rejects_non_one_assignments(e1, e1_assignment_2, t1, m1):
     rd = rounded(e1, 10)
-    with pytest.raises(AlignmentError):
-        align(rd, e1_assignment_2)   # p1's half-unit bundle is short of 1
+    # the five rightmost circles are unassigned, so this is no partition
+    with pytest.raises(AlignmentError, match="not a feasible partition: item 'c11' "):
+        align(rd, e1_assignment_2)
+    # a partition whose bundle misses the value bound: x1's 3/5 rounds down to 625/1024
+    with pytest.raises(AlignmentError, match=r"^bundle of 'p1' has rounded value 625/1024 < 1$"):
+        align(rounded(t1, 4), Assignment(Mode.MAXMIN, (("p1", ("x1",)),
+                                                       ("p2", ("x2", "x3", "x4")))))
+    # and one whose machine is loaded past 1: M1's 8/5, scaled by 11/10, rounds past 1
+    with pytest.raises(AlignmentError, match=r"^bundle of 'M1' has rounded load \d+/\d+ > 1$"):
+        align(round_instance(scale(m1, Fraction(11, 10)), scheme(10, Mode.MINMAX)),
+              Assignment(Mode.MINMAX, (("M1", ("j1", "j2", "j3")), ("M2", ("j4",)))))
     not_partition = Assignment(Mode.MAXMIN, (("p1", ("s1",)), ("p2", ()), ("p3", ())))
     with pytest.raises(AlignmentError):
         align(rd, not_partition)

@@ -537,6 +537,60 @@ def test_solve_outputs_are_reproducible(paths, tmp_path, capsys):
     assert line.startswith("row=") and " nu=" in line and " ptr=" in line
 
 
+def test_a_value_error_in_any_command_exits_2_with_one_line(paths, capsys, monkeypatch):
+    # main reports a ValueError raised anywhere in a command, not only where
+    # a command expects one: nothing in check guards its Hall sweep
+    def boom(instance):
+        raise ValueError("boom")
+    monkeypatch.setattr(convalloc.hall, "hall_violations", boom)
+    assert main(["check", "-i", paths["e1"]]) == 2
+    assert capsys.readouterr() == ("", "error: boom\n")
+
+
+INVALID = {"mode": "maxmin", "items": [{"id": "x1", "value": "1"}] * 5,
+           "agents": [{"id": "p1", "l": 1, "r": 5}, {"id": "p2", "l": 2, "r": 4}]}
+INVALID_TEXT = ("duplicate item id 'x1'; " * 4
+                + "margined inclusion (p1,p2): [2,4] strictly inside [1,5]")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("solve -i t1.json -k 0", "error parameter k must be >= 4, got 0"),
+    ("solve -i t1.json --delta 2", "delta must lie in (0,1), got 2"),
+    ("gen --seed 1 -n 5 -m 3", "need n >= 1 and m >= n, got n=5 m=3"),
+    ("gen --seed 1 -n 2 -m 4 --plant 0", "plant target must be positive, got 0"),
+    ("bench -d bad", f"bad/invalid.json: invalid instance: {INVALID_TEXT}"),
+    ("solve -i missing.json", "cannot read instance 'missing.json': "
+                              "[Errno 2] No such file or directory: 'missing.json'"),
+    ("solve -i invalid.json", f"invalid instance: {INVALID_TEXT}"),
+    ("oracle -i invalid.json", "oracle requires a valid instance: duplicate item id 'x1'"),
+    ("oracle -i seven.json", "at most 6 agents supported, got 7"),
+    ("solve -i t1.json -o missing/r.json", "cannot write 'missing/r.json': "
+                                           "No such file or directory"),
+    ("solve -i t1.json -o r.json --trace r.json", "-o and --trace name the same file 'r.json'"),
+    ("bench -d empty", "no instances under empty"),
+], ids=["k", "delta", "gen-size", "plant", "bench-invalid", "missing", "solve-invalid",
+        "oracle-invalid", "oracle-size", "unwritable", "same-file", "bench-empty"])
+def test_every_refusal_is_one_error_line(tmp_path, monkeypatch, capsys, t1, argv, message):
+    # One error line on stderr, nothing on stdout and exit 2, whichever
+    # command refuses and wherever in it the refusal is raised.
+    monkeypatch.chdir(tmp_path)
+    for directory in ("bad", "empty"):
+        (tmp_path / directory).mkdir()
+    for path in ("invalid.json", "bad/invalid.json"):
+        (tmp_path / path).write_text(json.dumps(INVALID))
+    seven = ConvexInstance(Mode.MAXMIN, tuple(Item(f"x{i}", Fraction(1)) for i in range(1, 8)),
+                           tuple(Agent(f"p{i}", i, i) for i in range(1, 8)))
+    dump_instance(seven, "seven.json")
+    dump_instance(t1, "t1.json")
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_library_refusals_are_value_errors():
+    assert issubclass(convalloc.SolveError, ValueError)
+    assert issubclass(convalloc.OracleSizeError, ValueError)
+
+
 @pytest.mark.parametrize("argv", [
     ["solve"],
     ["solve", "-i", "x.json", "-k", "nope"],

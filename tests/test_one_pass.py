@@ -103,6 +103,12 @@ def test_verify_reports_every_fault_as_the_reference():
             ("p2", ("x2",))))
         report = verify(inst, assignment)
         assert report == reference_verify(inst, assignment)
+        # the lazily built values act as the tuple of the same pairs does
+        values = report.agent_values
+        assert len(values) == len(assignment.bundles)
+        assert hash(report) == hash(reference_verify(inst, assignment))
+        assert repr(values) == repr(tuple(values))
+        assert values != list(values) and tuple(values) != list(values)
         assert report.violations[:4] == (
             "unknown agent 'pz'", "unknown item 'xz' in bundle of 'p1'",
             "item 'x5' (position 5) outside interval [1,3] of agent 'p1'",
