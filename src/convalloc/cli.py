@@ -72,8 +72,10 @@ def _load(path: str):
 
 
 def _write(texts: dict[str, str]) -> None:
-    """Write each text to its path, or none of them: the texts go to temporary
-    files beside their paths, which replace the paths once all are written."""
+    """Write each text to its path.  The texts go to temporary files beside
+    their paths, which replace the paths once all are written, so a failure
+    while writing replaces no path.  A failure while replacing leaves the
+    paths replaced before it.  Either way no temporary file is left."""
     temps: dict[str, str] = {}
     try:
         for path, text in texts.items():
@@ -82,8 +84,9 @@ def _write(texts: dict[str, str]) -> None:
             with open(f"{path}.{os.getpid()}.tmp", "w", encoding="utf-8") as file:
                 temps[path] = file.name
                 file.write(text)
-        for path, temp in temps.items():
-            os.replace(temp, path)
+        for path in list(temps):
+            os.replace(temps[path], path)
+            del temps[path]  # renamed: nothing left to remove
     except OSError as exc:  # a missing directory, a directory, no permission
         for temp in temps.values():
             os.remove(temp)

@@ -4,8 +4,9 @@ The forward phase fills one row per agent, last lexicographic rank first.
 Each row maps configuration vectors to a back-pointer: a vector is marked in
 row j when some marked vector of row j+1 dominates it and the item-set
 difference of the two reconstructed remainder graphs is a feasible bundle for
-the j-th agent.  The backward phase walks the pointers from row 1's all-zero
-vector and re-materializes the bundles.  Row n+1 holds only the instance's
+the j-th agent.  A Max-Min row then keeps only its maximal vectors (the
+dominance lemma below).  The backward phase walks the pointers from row 1's
+all-zero vector and re-materializes the bundles.  Row n+1 holds only the instance's
 vector, which reconstructs to every item, so row n is filled by the same
 step as every other row.
 
@@ -32,7 +33,8 @@ j's interval.  The small prefix the sweep keeps grows monotonically with
 nu_0, so the allowed nu_0 form one interval ending at nu'_0; below it the
 bundle takes a small item left of l_j.  Row 1 considers only the zero
 vector.  Every window contains all vectors that can pass, so the marking
-and the back-pointers are exactly those of the dense double loop.  The
+and the back-pointers are exactly those of the dense double loop over the
+same predecessors.  The
 bounds #{P_c < l_j} and #{P_c <= r_{j-1}}, and their small-item
 counterparts, depend on the row alone: ``_Workspace.row_windows`` reads them
 once per row, and a predecessor's box then costs conditional expressions
@@ -58,19 +60,57 @@ nu' in row j+1, agent j's bundle is R(nu', j) minus R(nu, j-1).
 An item in a gap r_{j-1} < p < l_j needs no test: when R(nu', j) holds it,
 its coordinate's window is empty.
 
+A Max-Min row keeps only its maximal vectors: a mark is dropped when another
+mark of the row dominates it.  Write M_j for row j of the full table, whose
+rows keep every mark, and before_total(v) for the weight of R(v, j), the sum
+of prefix_weight_c[v_c] over the big coordinates plus
+small_prefix[min(small_len[v_0], small_cap(j))].
+Lemma (dominance, Max-Min): if v <= v* are marks of row j+1, every candidate
+that v marks in row j passes v*'s box and value test.
+Proof.  First, the low end of every window of row j is the same for all marks
+of row j+1.  For a big coordinate, every mark v has
+v_c >= #{P_c < l_{j+1}} >= #{P_c < l_j}, so min(v_c, #{P_c < l_j}) is
+#{P_c < l_j}.  For coordinate 0, v's small length
+before_small = min(small_len[v_0], small_cap(j)) is at least
+#{small < l_{j+1}}, so the window's target min(before_small, #{small < l_j})
+is #{small < l_j}, and its start small_prefix[target] // unit (or past nu_0
+for every mark, when the target exceeds small_cap(j-1)).  Both bounds hold
+by induction from row n+1, whose vector holds every item: a mark x of row j
+lies in its window, so x_c >= #{P_c < l_j}, and x_0 >= start gives
+small_len[x_0] >= target, so x's small length
+min(small_len[x_0], small_cap(j-1)) is at least the target, which is at most
+small_cap(j-1).  The high ends, min(v_c, #{P_c <= r_{j-1}}) and v_0, never
+decrease in v, so v's box lies in v*'s.  Second, the prefix weights never
+decrease, and neither does small_len, so before_total(v) <= before_total(v*):
+a candidate whose remainder weighs at most v's budget before_total - bound
+weighs at most v*'s.
+So each pruned row j is exactly the set of maximal elements of M_j.  By
+induction from row n+1 = {nu_in}: if row j+1 is the maximal elements of
+M_{j+1}, the marks it makes lie in M_j, and every mark of M_j comes from some
+v in M_{j+1}, which lies below a maximal v*, whose box and value test take
+the same candidate by the lemma.  So the row before the cut is M_j, and the
+cut leaves its maximal elements.  Row 1 is marked iff some predecessor's
+budget admits weight 0, and the budgets never decrease in v, so the kept row
+2 admits 0 iff M_2 does.  The success bit is the full table's, so every
+guess of the search, and the number of decides, is too.  Each kept mark
+points at its first marking predecessor among the kept marks of row j+1, so
+the pointer chain, and the assignment ``backward`` reads off it, can differ
+from the full table's: it runs through maximal remainders, which leave the
+agents it peels first bundles close to the bound.
+
 A predecessor also skips the part of its box that the one sorted just
 before it settled.  Let u and then v be consecutive predecessors of row j
-(marked vectors of row j+1) with equal big coordinates, so u_0 < v_0, whose
-budgets before_total - bound compare as u's >= v's (Max-Min) or u's <= v's
-(Min-Max): every candidate that passes v's value test passes u's.  The big
-windows depend on their own coordinate alone, so they are equal.  The low
-end of the nu_0 window grows with before_small, which is
-min(small_len[v_0], cap) and does not decrease as v_0 grows.  So the part of
-v's box with nu_0 <= u_0 lies inside u's box, and each of its candidates
-that passes v's test was marked by u or earlier: v's nu_0 range starts at
-u_0 + 1.  By induction this holds also when u skipped a part of its own
-box.  In Min-Max before_total grows with v_0, so the skip holds for every
-such pair; in Max-Min it shrinks, so the skip holds on ties only.
+(marked vectors of row j+1) with equal big coordinates, so u_0 < v_0.  Then
+u <= v, so only a Min-Max row has such a pair: a Max-Min row keeps its
+maximal vectors alone.  In Min-Max before_total grows with v_0, so u's
+budget before_total - bound is at most v's, and every candidate that passes
+v's value test passes u's.  The big windows depend on their own coordinate
+alone, so they are equal.  The low end of the nu_0 window grows with
+before_small, which is min(small_len[v_0], cap) and does not decrease as v_0
+grows.  So the part of v's box with nu_0 <= u_0 lies inside u's box, and
+each of its candidates that passes v's test was marked by u or earlier: v's
+nu_0 range starts at u_0 + 1.  By induction this holds also when u skipped a
+part of its own box.
 
 A box on nu_0 alone, when no big category is occupied, has a passing part
 found by one bisection in Min-Max.  Candidate x leaves a remainder of weight
@@ -175,7 +215,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate, filterfalse, product, repeat
 from math import gcd
-from operator import getitem
+from operator import getitem, le
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .instance_model import Assignment, Mode, assignment_from_positions
@@ -196,8 +236,10 @@ Mark = tuple[InputVector, int, int]
 class DPTable:
     """Sparse forward-phase result: row(j)[nu] = back-pointer into row j+1.
 
-    Only marked entries are stored; row n entries point at the full
-    instance's vector (row n+1, which is not stored).  ``marks[j-1]`` holds
+    Only marked entries are stored, and of a Max-Min row only the maximal
+    ones, which no other mark of the row dominates (module docstring); row n
+    entries point at the full instance's vector (row n+1, which is not
+    stored).  ``marks[j-1]`` holds
     row j over the active coordinates of the workspace ``_ws``, which
     ``forward`` keeps on the table for ``backward``, as ``_mark_rows``
     yields it: each marked nu maps to (pointer, weight, small length), and
@@ -465,9 +507,24 @@ def _run_rows(ws: _Workspace, bound: int) -> Iterator[Mapping[InputVector, Mark]
     yield {(0,): ((a,), 0, 0)} if before <= bound else {}
 
 
+def _maximal(row: dict[InputVector, Mark]) -> dict[InputVector, Mark]:
+    """The marks of ``row`` whose vectors no other mark of it dominates, in
+    ascending lexicographic order.  A vector's dominators sort after it, so
+    a walk in descending order meets each of them first, and a vector that
+    a dropped one dominates is dominated by a kept one too."""
+    kept: list[InputVector] = []
+    for nu in sorted(row, reverse=True):
+        for top in kept:
+            if all(map(le, nu, top)):
+                break
+        else:
+            kept.append(nu)
+    return {nu: row[nu] for nu in reversed(kept)}
+
+
 def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
-    """Yield rows n..1 over the active coordinates.  Row j maps each marked
-    nu to (pointer, weight, small length): its first (lexicographically
+    """Yield rows n..1 over the active coordinates.  Row j maps each kept
+    mark nu to (pointer, weight, small length): its first (lexicographically
     smallest) marking predecessor, and the weight and small-prefix length of
     R(nu, j-1), which is what nu needs as a predecessor for row j-1.
 
@@ -479,9 +536,13 @@ def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
     of table entries: the small prefix its nu_0 keeps, cut at the row's
     ``small_cap``, plus the prefix weight of each big coordinate (module
     docstring).  A box's coordinate-0 range starts past the previous
-    predecessor's nu_0 when that predecessor settled the part below.  Row 1
-    is not enumerated: it is the zero vector, pointing at the first
-    predecessor whose budget admits weight 0, or empty (module docstring).
+    predecessor's nu_0 when that predecessor settled the part below.  A
+    complete Max-Min row is cut to its maximal vectors by ``_maximal``: the
+    cut row is the one yielded and the one whose marks are the next row's
+    predecessors, and it is the full table's row cut the same way (module
+    docstring).  Row 1 is not enumerated: it is the zero vector, pointing at
+    the first predecessor whose budget admits weight 0, or empty (module
+    docstring).
     """
     bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
     up = ws.up
@@ -501,20 +562,21 @@ def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
         tables = [small_table, *ws.prefix_weight[1:]]
         # Built by name, so that a test can count the membership tests.
         row: dict[InputVector, Mark] = dict()
-        last_big, last_nu0, last_limit = None, 0, 0
+        last_big, last_nu0 = None, 0
         for nu_prev, limit, start, big in ws.row_windows(j, preds):
             # The bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after,
             # and limit is before_total - bound.
             big_prev, a0 = nu_prev[1:], nu_prev[0]
-            if (big_prev == last_big and start <= last_nu0
-                    and (last_limit >= limit if up else last_limit <= limit)):
+            if big_prev == last_big and start <= last_nu0:
                 start = last_nu0 + 1
-            last_big, last_nu0, last_limit = big_prev, a0, limit
+            last_big, last_nu0 = big_prev, a0
             # The unmarked candidates, in lexicographic order.
             for nu in filterfalse(row.__contains__, product(range(start, a0 + 1), *big)):
                 after = sum(map(getitem, tables, nu))
                 if (after <= limit) if up else (after >= limit):
                     row[nu] = (nu_prev, after, kept[nu[0]])
+        if up:
+            row = _maximal(row)
         yield row
         preds = sorted([(nu, after - bound, length) for nu, (_, after, length) in row.items()])
     # Row 1: the zero vector, whose remainder R(0, 0) is empty and weighs 0.
@@ -524,7 +586,7 @@ def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
 
 def forward(rounded: RoundedInstance) -> DPTable:
     """Fill the table; row j's back-pointers record the first (lexicographically
-    smallest) marked predecessor vector in row j+1.
+    smallest) kept predecessor vector in row j+1 that marks the entry.
     """
     ws = _Workspace(rounded)
     return DPTable(ws.nu_in, tuple(_mark_rows(ws))[::-1], ws)  # rows 1..n
@@ -572,7 +634,7 @@ def solve_rounded(rounded: RoundedInstance) -> tuple[Optional[Assignment], DPTab
 
 
 def trace_lines(table: DPTable) -> list[str]:
-    """One line per marked entry, rows n..1, vectors ascending."""
+    """One line per kept mark, rows n..1, vectors ascending."""
     out = []
     for j in range(len(table.rows), 0, -1):
         for nu in sorted(table.row(j)):

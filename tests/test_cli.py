@@ -453,6 +453,31 @@ def test_unwritable_output_exits_2(paths, tmp_path, capsys, argv, target):
     assert list(tmp_path.glob("good.txt*")) == []  # nor a temporary file
 
 
+def test_failed_second_replace_exits_2_and_leaves_no_temporary_file(paths, tmp_path, capsys,
+                                                                     monkeypatch):
+    # The second rename fails after the first has moved its temporary file
+    # into place.  The cleanup used to remove that moved file again, so a
+    # FileNotFoundError escaped main as a traceback, and the other temporary
+    # file stayed on disk.
+    monkeypatch.chdir(tmp_path)
+    replace, targets = os.replace, []
+
+    def second_fails(source, target):
+        targets.append(target)
+        if len(targets) == 2:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        replace(source, target)
+    monkeypatch.setattr(os, "replace", second_fails)
+    assert main(["solve", "-i", paths["e1"], "-o", "r.json", "--trace", "t.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {targets[1]!r}: {os.strerror(errno.EACCES)}\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+    # the path replaced before the failure keeps its new text
+    assert sorted(targets) == ["r.json", "t.txt"]
+    assert (tmp_path / targets[0]).exists() and not (tmp_path / targets[1]).exists()
+
+
 @pytest.mark.parametrize("trace", ["r.json", "sub/../r.json", "link.json"])
 def test_solve_refuses_one_file_for_result_and_trace(paths, tmp_path, capsys, monkeypatch,
                                                      trace):

@@ -249,9 +249,8 @@ def test_one_coordinate_run_keeps_a_bundle_on_the_bound(mode, per_agent):
         Agent("p1", 1, per_agent), Agent("p2", per_agent + 1, m)))
     rd = rounded(inst, 8)
     assert _Workspace(rd).active == (0,)
-    table = forward(rd)
+    table, _ = check_forward(rd)
     assert table.succeeded
-    assert table.rows == dense_forward(rd).rows
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +328,20 @@ def structure_ok(before_mask, after, window):
     return not (after_mask & ~before_mask or before_mask & ~after_mask & ~window)
 
 
-def dense_forward(rd):
+def maximal(row):
+    """The entries of ``row`` whose vectors no other vector of it dominates."""
+    return {nu: mark for nu, mark in row.items()
+            if not any(other != nu and all(a <= b for a, b in zip(nu, other))
+                       for other in row)}
+
+
+def dense_forward(rd, prune=False):
     """Every vector dominated by a marked predecessor, with the reference
-    reconstruction and every test; the new forward must mark the same rows.
-    The table keeps them over ``ws.active``, as ``forward``'s does, each
-    mark as (pointer, weight, small length) of the reference R(nu, j-1)."""
+    reconstruction and every test.  The table keeps them over ``ws.active``,
+    as ``forward``'s does, each mark as (pointer, weight, small length) of
+    the reference R(nu, j-1).  With ``prune``, each row keeps only its
+    ``maximal`` entries before the next row reads it, so a mark points at
+    the first kept predecessor that marks it."""
     ws = _Workspace(rd)
     n = rd.instance.n
     lo_bound, hi_bound = ws.denom - 3 * ws.unit, ws.denom + 3 * ws.unit
@@ -359,6 +367,8 @@ def dense_forward(rd):
                         and bundle_ok(before_total - after[1])):
                     small = linear_small_prefix_len(ws, nu[0], ws.highs[j - 2]) if j > 1 else 0
                     row[nu] = (nu_prev, after[1], small)
+        if prune:
+            rows[j - 1] = maximal(row)
 
     def active(nu):
         return tuple(nu[c] for c in ws.active)
@@ -366,6 +376,27 @@ def dense_forward(rd):
     marks = tuple({active(nu): (active(ptr), weight, small)
                    for nu, (ptr, weight, small) in row.items()} for row in rows[:n])
     return DPTable(ws.nu_in, marks, ws)
+
+
+def check_forward(rd):
+    """``forward``'s table against the dense enumeration; returns the table
+    and the reference its pointers must match.
+
+    A Min-Max table is the dense one.  Each Max-Min row holds the maximal
+    vectors of the dense row, every row is an antichain, each mark points at
+    the first kept predecessor that marks it, and the success bit is the
+    dense table's."""
+    table, dense = forward(rd), dense_forward(rd)
+    if rd.scheme.mode is Mode.MINMAX:
+        assert table.rows == dense.rows
+        return table, dense
+    kept = dense_forward(rd, prune=True)
+    assert table.rows == kept.rows
+    for row, dense_row in zip(table.rows, dense.rows):
+        assert row.keys() == maximal(dense_row).keys()
+        assert maximal(row) == row
+    assert table.succeeded == dense.succeeded
+    return table, kept
 
 
 def guess_instances(mode, k):
@@ -416,11 +447,10 @@ def test_forward_matches_dense_enumeration(mode, k):
     succeeded = []
     for rd in cases:
         assert _Workspace(rd).nu_in == input_vector(rd, all_items(rd))
-        pruned, dense = forward(rd), dense_forward(rd)
-        assert pruned.rows == dense.rows
+        pruned, dense = check_forward(rd)
         assert trace_lines(pruned) == trace_lines(dense)
         if pruned.succeeded:
-            # the dense table's pointers give the same bundles
+            # the reference table's pointers give the same bundles
             assert backward(dense, rd) == backward(pruned, rd)
         marked += sum(len(row) for row in pruned.rows)
         succeeded.append(pruned.succeeded)
@@ -510,8 +540,7 @@ def drawn(test):
 
 @drawn
 def test_forward_matches_dense_on_drawn_instances(seed, mode, k, shape, factor):
-    rd = drawn_rounded(seed, mode, k, shape, factor)
-    assert forward(rd).rows == dense_forward(rd).rows
+    check_forward(drawn_rounded(seed, mode, k, shape, factor))
 
 
 def check_carried_weights(rd):
@@ -556,40 +585,53 @@ def test_carried_weights_on_drawn_instances(seed, mode, k, shape, factor):
 @drawn
 def test_all_small_marks_on_drawn_instances(seed, mode, k, shape, factor):
     # A guess of at least k * v_max leaves every item small: the DP runs on
-    # nu_0 alone and builds no big range.  Marks, pointers and carried
-    # weights are the dense enumeration's and the reference reconstruction's.
+    # nu_0 alone and builds no big range.  Marks and pointers are the dense
+    # enumeration's (a Max-Min row keeps its largest nu_0 alone), and carried
+    # weights the reference reconstruction's.
     n, m = shape
     inst = gen_inclusion_free(seed, n, m, mode=mode)
     t = max(k * max(it.value for it in inst.items), inst.total_value() / n * factor)
     rd = rounded(scale(inst, t), k)
     assert _Workspace(rd).active == (0,)
-    assert forward(rd).rows == dense_forward(rd).rows
+    table, _ = check_forward(rd)
+    if mode is Mode.MAXMIN:
+        assert all(len(row) <= 1 for row in table.marks)
     check_carried_weights(rd)
 
 
 @pytest.mark.parametrize("mode", [Mode.MAXMIN, Mode.MINMAX])
 def test_row_one_points_at_the_first_predecessor_that_admits_zero(mode):
     # Row 1 is marked in closed form: the zero vector, pointing at the first
-    # sorted row-2 mark whose budget admits a remainder of weight 0.  Over a
-    # fixed sweep, that is past the first row-2 mark on some cases; there
-    # too the pointer is the dense enumeration's.
+    # sorted row-2 mark whose budget admits a remainder of weight 0.  On
+    # some cases that is past the first row-2 mark; there too the pointer
+    # is the dense enumeration's (in Max-Min, that of the enumeration that
+    # keeps each row's maximal vectors).
+    cases = [drawn_rounded(seed, mode, k, (2 + seed % 4, 2 * (2 + seed % 4) + seed % 5), factor)
+             for seed in range(24) for k in (4, 6, 8)
+             for factor in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4))]
+    if mode is Mode.MAXMIN:
+        # Over the sweep a Max-Min row 2, cut to its maximal vectors, has
+        # no late case, so this one is built.  At k = 8 the values round
+        # up to about 0.361, 0.578 and 0.200, and the bar is 5/8.  Row 2
+        # keeps two remainders, the 0.578 item (agent 2 takes the rest) and
+        # the two 0.361 items (agent 2 takes 0.778), in that order.  Only
+        # the second leaves agent 1 enough.
+        cases.append(rounded(ConvexInstance(mode, make_items(
+            [Fraction(7, 20), Fraction(7, 20), Fraction(11, 20), Fraction(1, 5)]),
+            (Agent("p1", 1, 3), Agent("p2", 1, 4))), 8))
     late = 0
-    for seed in range(24):
-        n = 2 + seed % 4
-        for k in (4, 6, 8):
-            for factor in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4)):
-                rd = drawn_rounded(seed, mode, k, (n, 2 * n + seed % 5), factor)
-                ws = _Workspace(rd)
-                rows = list(_mark_rows(ws))
-                assert forward(rd).rows == dense_forward(rd).rows
-                bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
-                admits = [nu for nu, (_, weight, _) in sorted(rows[-2].items())
-                          if (weight >= bound if ws.up else weight <= bound)]
-                if not admits:
-                    assert rows[-1] == {}
-                    continue
-                assert rows[-1] == {(0,) * len(ws.active): (admits[0], 0, 0)}
-                late += admits[0] != min(rows[-2])
+    for rd in cases:
+        ws = _Workspace(rd)
+        rows = list(_mark_rows(ws))
+        check_forward(rd)
+        bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
+        admits = [nu for nu, (_, weight, _) in sorted(rows[-2].items())
+                  if (weight >= bound if ws.up else weight <= bound)]
+        if not admits:
+            assert rows[-1] == {}
+            continue
+        assert rows[-1] == {(0,) * len(ws.active): (admits[0], 0, 0)}
+        late += admits[0] != min(rows[-2])
     assert late > 0
 
 
@@ -623,16 +665,33 @@ def full_boxes(ws, rows):
     return total, distinct
 
 
+def equal_big_pairs(ws, rows):
+    """The pairs the skip compares, over rows n..1 as ``_mark_rows`` yields
+    them: consecutive sorted predecessors with equal big coordinates, each
+    as (their carried (weight, small length) pairs, the row's small cap)."""
+    pairs = []
+    above = {ws.nu_active: (None, sum(ws.weight), len(ws.small_positions))}
+    for j, row in zip(range(len(ws.order), 0, -1), rows):
+        ordered = sorted(above)
+        for a, b in zip(ordered, ordered[1:]):
+            if a[1:] == b[1:]:
+                pairs.append((above[a][1:], above[b][1:], ws.small_cap(j)))
+        above = row
+    return pairs
+
+
 @pytest.mark.parametrize("case, skips", [
     # Min-Max budgets grow with nu_0: the skip holds for every pair of
     # predecessors with equal big coordinates.
     ("minmax-all-small-k4", True),
     ("minmax-all-small-k8", True),
     ("minmax-seven-coordinates", True),
-    # Max-Min budgets shrink as nu_0 grows; none of these tie.
+    # A Max-Min row keeps its maximal vectors alone, so no two predecessors
+    # share big coordinates and the skip cuts no box.  The dense rows hold
+    # such pairs: with budgets that shrink as nu_0 grows, and with a tie
+    # where the small length saturates at the cap.
     ("maxmin-growing-budgets", False),
-    # The small length saturates at the cap, so two predecessors tie.
-    ("maxmin-tie", True),
+    ("maxmin-tie", False),
 ])
 def test_skipped_candidates_were_settled(case, skips, monkeypatch):
     # Cutting a box's coordinate-0 range below the previous predecessor's
@@ -655,21 +714,16 @@ def test_skipped_candidates_were_settled(case, skips, monkeypatch):
         # form: the rows walk no candidate at all.
         assert tally[0] == 0 < sum(map(len, rows[:-1])) <= distinct
     n = rd.instance.n
-    dense = dense_forward(rd).rows
+    _, reference = check_forward(rd)
     for j, row in zip(range(n, 0, -1), rows):
-        assert {ws.expand(nu): ws.expand(mark[0]) for nu, mark in row.items()} == dense[j - 1]
+        assert ({ws.expand(nu): ws.expand(mark[0]) for nu, mark in row.items()}
+                == reference.rows[j - 1])
     assert check_carried_weights(rd) > 0
-    # The pairs the skip compares: consecutive sorted predecessors with equal
-    # big coordinates, and how their carried weights and small lengths relate.
-    pairs = []
-    above = {ws.nu_active: (None, sum(ws.weight), len(ws.small_positions))}
-    for j, row in zip(range(n, 0, -1), rows):
-        ordered = sorted(above)
-        for a, b in zip(ordered, ordered[1:]):
-            if a[1:] == b[1:]:
-                pairs.append((above[a][1:], above[b][1:], ws.small_cap(j)))
-        above = row
-    assert pairs
+    pairs = equal_big_pairs(ws, rows)
+    assert bool(pairs) is not ws.up
+    if ws.up:
+        pairs = equal_big_pairs(ws, dense_forward(rd).marks[::-1])
+        assert pairs
     if case == "maxmin-growing-budgets":
         assert all(wa < wb for (wa, _), (wb, _), _ in pairs)
     if case == "maxmin-tie":
@@ -678,12 +732,12 @@ def test_skipped_candidates_were_settled(case, skips, monkeypatch):
 
 def test_maxmin_one_coordinate_runs_match_dense(monkeypatch):
     # Every value at most t/k: the DP runs on nu_0 alone and each row is the
-    # box scan.  A Max-Min budget shrinks as nu_0 grows, so the skip cuts a
-    # box only on ties; over this sweep that happens on some cases.  Marks,
-    # pointers and carried weights are the dense enumeration's and the
-    # reference reconstruction's.
+    # box scan.  A Max-Min row keeps its largest nu_0 alone, the one maximal
+    # vector of the dense row, so each row has one predecessor and the skip
+    # cuts no box.  Marks, pointers and carried weights are the dense
+    # enumeration's and the reference reconstruction's.
     tally = counting_candidates(monkeypatch)
-    skipped = cases = 0
+    skipped = cases = cut = 0
     for seed in range(40):
         n = 2 + seed % 4
         inst = gen_inclusion_free(seed, n, 3 * n + seed % 7, mode=Mode.MAXMIN)
@@ -696,10 +750,12 @@ def test_maxmin_one_coordinate_runs_match_dense(monkeypatch):
                 tally[0] = 0
                 rows = list(_mark_rows(ws))
                 skipped += tally[0] < full_boxes(ws, rows)[0]
-                assert forward(rd).rows == dense_forward(rd).rows
+                assert all(len(row) <= 1 for row in rows)
+                check_forward(rd)
+                cut += any(len(row) > 1 for row in dense_forward(rd).rows)
                 check_carried_weights(rd)
                 cases += 1
-    assert cases == 360 and skipped > 0
+    assert cases == 360 and skipped == 0 and cut > 0
 
 
 def minmax_all_small_cases():
@@ -870,3 +926,34 @@ def test_retrieve_matches_linear_reconstruction(e1):
         nu = vec(rd.scheme, a0, **{"10": a10})
         for j in range(rd.instance.n + 1):
             assert remainder_items(ws, nu, j) == mask_items(linear_mask(ws, nu, j))
+
+
+def depth_instance(mode, width, depth, values):
+    """Fixed-width intervals of overlap depth ``depth``: agent j covers
+    [1 + width (j - 1), min(m, width (j - 1) + width depth)], with m =
+    width n for the n = len(values) // width agents."""
+    n = len(values) // width
+    m = width * n
+    agents = tuple(Agent(f"p{j}", 1 + width * (j - 1), min(m, width * (j - 1 + depth)))
+                   for j in range(1, n + 1))
+    return ConvexInstance(mode, make_items(values[:m]), agents)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(mode=st.sampled_from(Mode), k=st.sampled_from([4, 6, 8]),
+       width=st.integers(2, 3), depth=st.integers(2, 3), n=st.integers(2, 5),
+       data=st.data(), factor=st.sampled_from([Fraction(3, 4), Fraction(1), Fraction(5, 4)]))
+def test_forward_matches_dense_at_overlap_depth(mode, k, width, depth, n, data, factor):
+    # Overlapping intervals give the dense rows many marks, most of them
+    # dominated in Max-Min.  Values in (0, 1] with denominators up to 12.
+    values = data.draw(st.lists(
+        st.integers(1, 12).flatmap(lambda q: st.integers(1, q).map(lambda p: Fraction(p, q))),
+        min_size=width * n, max_size=width * n))
+    inst = depth_instance(mode, width, depth, values)
+    base = inst.total_value() / n
+    if mode is Mode.MINMAX:
+        base = max(base, max(values))
+    rd = rounded(scale(inst, base * factor) or scale(inst, base), k)
+    table, reference = check_forward(rd)
+    if table.succeeded:
+        assert backward(table, rd) == backward(reference, rd)

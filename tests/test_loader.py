@@ -21,7 +21,7 @@ from convalloc.generator import gen_inclusion_free, gen_planted
 from convalloc.instance_model import _DECODER
 from reference import reference_instance_from_dict
 from test_cli import DEFECTS, malformed_texts
-from test_golden import GOLDEN_CASES
+from test_golden import MINMAX_CASES
 
 
 def outcome(load, text):
@@ -124,7 +124,7 @@ def pinned_case(tmp_path, name):
     """(instance file, k) of one case that a solve is pinned on."""
     path = tmp_path / f"{name}.json"
     if name == "golden-wide":
-        seed, n, m, mode, k = GOLDEN_CASES[-1]
+        seed, n, m, mode, k = MINMAX_CASES[-1]
         dump_instance(gen_inclusion_free(seed, n, m, mode=mode), str(path))
     elif name == "dense":
         k = 6
