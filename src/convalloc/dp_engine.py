@@ -98,8 +98,38 @@ the pointer chain, and the assignment ``backward`` reads off it, can differ
 from the full table's: it runs through maximal remainders, which leave the
 agents it peels first bundles close to the bound.
 
-A predecessor also skips the part of its box that the one sorted just
-before it settled.  Let u and then v be consecutive predecessors of row j
+A Max-Min row is built from the frontier of each box, not from the whole
+box.  A candidate's remainder weight is a sum of tables that never decrease,
+so the part of a box that passes the value test is down-closed in the box,
+and a passing candidate that no other one dominates (a maximal one) fails
+once any coordinate below its range's top grows by one.  So a box whose
+lowest corner fails has no passing candidate, and one whose top corner
+passes has that corner as its one maximal candidate.  Otherwise
+``_prefixes`` chooses the box's leading coordinates one at a time and keeps,
+for each, the values a maximal candidate can take with the choices made:
+those that pass with the later coordinates at their lows, and of those below
+the range's top, the ones whose successor fails with the later coordinates
+at their tops (raising the later coordinates only raises the weight).  For
+each kept prefix ``_frontier`` walks the last two coordinates, y then x, as
+a staircase: the largest passing x for y never increases as y grows, so one
+bisection of x's table finds it, one of y's table finds the last y that
+keeps it, and the walk yields (prefix, y, x) there, the corner of each step.
+So each yielded candidate passes, and every maximal candidate of the box is
+yielded.
+Claim: the row built from the frontiers, cut to its maximal vectors, is the
+row built from the whole boxes cut the same way, with the same pointers,
+weights and small lengths.  Proof.  Write B for the row built from the
+boxes and F for the one built from the frontiers, each vector pointing at
+the first predecessor that yields it, so F's vectors are some of B's.  A
+maximal vector v of B lies in the passing part of every predecessor u that
+marks it, and is maximal there, since a larger passing candidate of u's box
+is a mark of B.  So every such u yields v, the first of them too, and no
+earlier predecessor does, for it would mark v in B: v has B's pointer in F.
+Its weight and small length depend on v alone.  A vector of F that is not
+maximal in B lies below a maximal one, which F holds, so the cut drops it.
+
+A Min-Max predecessor also skips the part of its box that the one sorted
+just before it settled.  Let u and then v be consecutive predecessors of row j
 (marked vectors of row j+1) with equal big coordinates, so u_0 < v_0.  Then
 u <= v, so only a Min-Max row has such a pair: a Max-Min row keeps its
 maximal vectors alone.  In Min-Max before_total grows with v_0, so u's
@@ -522,6 +552,85 @@ def _maximal(row: dict[InputVector, Mark]) -> dict[InputVector, Mark]:
     return {nu: row[nu] for nu in reversed(kept)}
 
 
+def _prefixes(tables: Sequence[Sequence[int]], lead: Sequence[range], prefix: InputVector,
+              low: int, high: int, lowest: int, highest: int
+              ) -> Iterator[tuple[InputVector, int]]:
+    """The prefixes over the ranges ``lead`` that a maximal candidate can
+    start with, each with its weight: ``prefix`` holds the ranges' lows and
+    weighs ``low``, their tops weigh ``high``, and ``lowest`` and
+    ``highest`` are the limit less the lowest and the highest weight of the
+    coordinates after the prefix.  A range of one value keeps it; the others
+    are chosen in turn, keeping each value that passes with the later
+    coordinates at their lows and, below the range's top, whose successor
+    fails with them at their tops (module docstring)."""
+    wide = [(i, tables[i], r) for i, r in enumerate(lead) if len(r) > 1]
+    # (prefix, its weight, its weight with the wide ranges not yet chosen at
+    # their tops, the number chosen); the unchosen ones sit at their lows
+    stack = [(prefix, low, high, 0)]
+    while stack:
+        prefix, low, high, d = stack.pop()
+        if d == len(wide):
+            yield prefix, low
+            continue
+        i, t, r = wide[d]
+        a, b = t[r.start], t[r.stop - 1]
+        first = bisect_right(t, highest - high + b, r.start, r.stop) - 1
+        stop = bisect_right(t, lowest - low + a, r.start, r.stop)
+        for z in range(max(first, r.start), stop):
+            w = t[z]
+            stack.append(((*prefix[:i], z, *prefix[i + 1:]), low - a + w, high - b + w, d + 1))
+
+
+def _frontier(tables: Sequence[Sequence[int]], limit: int, box: Sequence[range]
+              ) -> Iterator[tuple[InputVector, int]]:
+    """Candidates of ``box`` whose weight, the sum of their entries of
+    ``tables``, is at most ``limit``, each with its weight: every such
+    candidate that no other one dominates, and some dominated ones.  Every
+    table never decreases, so nothing passes when the lowest corner fails,
+    and the top corner is the one such candidate when it passes.  Otherwise,
+    for each prefix of the leading coordinates that ``_prefixes`` keeps, the
+    last two coordinates are walked as a staircase (module docstring); a box
+    on one coordinate yields its largest passing candidate."""
+    if not all(box):
+        return
+    lows = tuple([r.start for r in box])
+    if sum(map(getitem, tables, lows)) > limit:
+        return
+    tops = tuple([r.stop - 1 for r in box])
+    weight = sum(map(getitem, tables, tops))
+    if weight <= limit:
+        yield tops, weight
+        return
+    if len(box) == 1:
+        (xs,), (tx,) = box, tables
+        x = bisect_right(tx, limit, xs.start, xs.stop) - 1
+        yield (x,), tx[x]
+        return
+    *lead, ys, xs = box
+    *lead_tables, ty, tx = tables
+    y_low, y_stop, x_low, x_stop = ys.start, ys.stop, xs.start, xs.stop
+    corner, top = ty[y_low] + tx[x_low], ty[y_stop - 1] + tx[x_stop - 1]
+    prefix = lows[:-2]
+    low = sum(map(getitem, lead_tables, prefix))
+    prefixes: Iterable[tuple[InputVector, int]] = ((prefix, low),)
+    if tops[:-2] != prefix:
+        prefixes = _prefixes(lead_tables, lead, prefix, low, weight - top,
+                             limit - corner, limit - top)
+    for prefix, low in prefixes:
+        # x is the largest passing x for y, and it passes up to y's corner
+        rest = limit - low
+        y, x = y_low, bisect_right(tx, rest - ty[y_low], x_low, x_stop) - 1
+        while True:
+            y = bisect_right(ty, rest - tx[x], y, y_stop) - 1
+            yield (*prefix, y, x), low + ty[y] + tx[x]
+            y += 1
+            if y == y_stop:
+                break
+            x = bisect_right(tx, rest - ty[y], x_low, x) - 1
+            if x < x_low:
+                break
+
+
 def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
     """Yield rows n..1 over the active coordinates.  Row j maps each kept
     mark nu to (pointer, weight, small length): its first (lexicographically
@@ -535,11 +644,16 @@ def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
     bounds it reads once per row.  A candidate's remainder weight is a sum
     of table entries: the small prefix its nu_0 keeps, cut at the row's
     ``small_cap``, plus the prefix weight of each big coordinate (module
-    docstring).  A box's coordinate-0 range starts past the previous
-    predecessor's nu_0 when that predecessor settled the part below.  A
-    complete Max-Min row is cut to its maximal vectors by ``_maximal``: the
-    cut row is the one yielded and the one whose marks are the next row's
-    predecessors, and it is the full table's row cut the same way (module
+    docstring).  A Min-Max box walks every candidate, its coordinate-0
+    range starting past the previous predecessor's nu_0 when that
+    predecessor settled the part below.  A Max-Min box yields only its
+    frontier, the staircase ``_frontier`` walks, and each yielded vector
+    points at the first predecessor that yields it.  The Max-Min row is then
+    cut to its maximal vectors by ``_maximal``: the cut row is the one
+    yielded and the one whose marks are the next row's predecessors.  Every
+    maximal vector of the row the whole boxes would mark is on the frontier
+    of its first marking predecessor, so the cut row is the full table's row
+    cut the same way, pointers and carried weights included (module
     docstring).  Row 1 is not enumerated: it is the zero vector, pointing at
     the first predecessor whose budget admits weight 0, or empty (module
     docstring).
@@ -560,23 +674,28 @@ def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
         kept = small_len[:cut] + [cap] * (len(small_len) - cut)
         small_table = small_weight[:cut] + [small_prefix[cap]] * (len(small_len) - cut)
         tables = [small_table, *ws.prefix_weight[1:]]
-        # Built by name, so that a test can count the membership tests.
+        # Built by name, so that a test can count the membership tests.  The
+        # bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after, and
+        # limit is before_total - bound.
         row: dict[InputVector, Mark] = dict()
-        last_big, last_nu0 = None, 0
-        for nu_prev, limit, start, big in ws.row_windows(j, preds):
-            # The bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after,
-            # and limit is before_total - bound.
-            big_prev, a0 = nu_prev[1:], nu_prev[0]
-            if big_prev == last_big and start <= last_nu0:
-                start = last_nu0 + 1
-            last_big, last_nu0 = big_prev, a0
-            # The unmarked candidates, in lexicographic order.
-            for nu in filterfalse(row.__contains__, product(range(start, a0 + 1), *big)):
-                after = sum(map(getitem, tables, nu))
-                if (after <= limit) if up else (after >= limit):
-                    row[nu] = (nu_prev, after, kept[nu[0]])
         if up:
+            for nu_prev, limit, start, big in ws.row_windows(j, preds):
+                for nu, after in _frontier(tables, limit, (range(start, nu_prev[0] + 1), *big)):
+                    if nu not in row:
+                        row[nu] = (nu_prev, after, kept[nu[0]])
             row = _maximal(row)
+        else:
+            last_big, last_nu0 = None, 0
+            for nu_prev, limit, start, big in ws.row_windows(j, preds):
+                big_prev, a0 = nu_prev[1:], nu_prev[0]
+                if big_prev == last_big and start <= last_nu0:
+                    start = last_nu0 + 1
+                last_big, last_nu0 = big_prev, a0
+                # The unmarked candidates, in lexicographic order.
+                for nu in filterfalse(row.__contains__, product(range(start, a0 + 1), *big)):
+                    after = sum(map(getitem, tables, nu))
+                    if after >= limit:
+                        row[nu] = (nu_prev, after, kept[nu[0]])
         yield row
         preds = sorted([(nu, after - bound, length) for nu, (_, after, length) in row.items()])
     # Row 1: the zero vector, whose remainder R(0, 0) is empty and weighs 0.

@@ -24,6 +24,12 @@ halving loop on every solve, and ``reference_guarantee`` derives the
 certified factor through its ``Fraction`` operations.  ``solve_maxmin`` and
 ``solve_minmax`` must return the same results and trace lines.
 
+``reference_maxmin_rows`` is the Max-Min row loop as it was before each box
+yielded only its frontier: it tests every candidate of each predecessor's
+box in lexicographic order and cuts each complete row by
+``dp_engine._maximal``.  ``_mark_rows`` must yield the same rows, marks,
+pointers, carried weights and small lengths.
+
 ``reference_parse_value`` reads every text through ``Fraction(text)`` behind
 the exponent guard, with no fast path for digits; ``parse_value`` must give
 the same value or raise the same ``ValueError`` message.
@@ -37,11 +43,13 @@ import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, filterfalse, product
 from math import ceil, floor, gcd, lcm
-from typing import Mapping, Optional, Union
+from operator import getitem
+from typing import Iterator, Mapping, Optional, Union
 
 from convalloc import Assignment, ConvexInstance, Item, Mode, assignment_vector
+from convalloc.dp_engine import BUNDLE_MARGIN, _maximal, _Workspace
 from convalloc.hall import hall_bound
 from convalloc.instance_model import (ValidationReport, Violation, _agent, _digit_limit,
                                       _missing_key, _records, with_integers)
@@ -313,6 +321,36 @@ def reference_workspace_tables(rounded: RoundedInstance) -> dict:
         "small_len": small_len,
         "small_weight": [small_prefix[x] for x in small_len],
     }
+
+
+def reference_maxmin_rows(ws: _Workspace) -> Iterator[dict]:
+    """Rows n..1 of a Max-Min DP by the box scan: every unmarked candidate
+    of each predecessor's box tested against the value bound, each complete
+    row cut to its maximal vectors.  (The forward skip of the Min-Max rows
+    never fires here: a cut row holds no two vectors with equal big
+    coordinates.)"""
+    assert ws.up
+    bound = ws.denom - BUNDLE_MARGIN * ws.unit
+    small_len, small_prefix, small_weight = ws.small_len, ws.small_prefix, ws.small_weight
+    preds = [(ws.nu_active, sum(ws.weight) - bound, len(ws.small_positions))]
+    for j in range(len(ws.order), 1, -1):
+        cap = ws.small_cap(j - 1)
+        cut = bisect_right(small_len, cap)
+        kept = small_len[:cut] + [cap] * (len(small_len) - cut)
+        small_table = small_weight[:cut] + [small_prefix[cap]] * (len(small_len) - cut)
+        tables = [small_table, *ws.prefix_weight[1:]]
+        row: dict = {}
+        for nu_prev, limit, start, big in ws.row_windows(j, preds):
+            for nu in filterfalse(row.__contains__,
+                                  product(range(start, nu_prev[0] + 1), *big)):
+                after = sum(map(getitem, tables, nu))
+                if after <= limit:
+                    row[nu] = (nu_prev, after, kept[nu[0]])
+        row = _maximal(row)
+        yield row
+        preds = sorted([(nu, after - bound, length) for nu, (_, after, length) in row.items()])
+    first = next((nu_prev for nu_prev, limit, _ in preds if limit >= 0), None)
+    yield {} if first is None else {(0,) * len(ws.active): (first, 0, 0)}
 
 
 def reference_guarantee(mode: Mode, k: int, delta: Fraction) -> Fraction:

@@ -17,6 +17,7 @@ from convalloc.dp_engine import (BUNDLE_MARGIN, DPTable, _mark_rows, _Workspace,
 from convalloc.hall import hall_bound
 from convalloc.instance_model import lexicographic_order
 from convalloc.rounding import input_vector
+from reference import reference_maxmin_rows
 
 
 def rounded(instance, k):
@@ -637,16 +638,41 @@ def test_row_one_points_at_the_first_predecessor_that_admits_zero(mode):
 
 def counting_candidates(monkeypatch):
     """Count the candidates ``_mark_rows`` walks, each tested once for
-    membership in its row: the product of each box's ranges, cut by the
-    skip.  Returns the tally."""
-    tally = [0]
+    membership in its row: in Min-Max the product of each box's ranges, cut
+    by the skip, and in Max-Min each box's frontier.  Returns the tally and,
+    for each row built as a dict (rows n..2 in order), the vectors tested."""
+    tally, tested = [0], []
 
     class Row(dict):
+        def __init__(self):
+            super().__init__()
+            tested.append([])
+
         def __contains__(self, nu):
             tally[0] += 1
+            tested[-1].append(nu)
             return super().__contains__(nu)
     monkeypatch.setattr(dp_engine, "dict", Row, raising=False)
-    return tally
+    return tally, tested
+
+
+def check_tested_candidates_pass(ws, rows, tested):
+    """Every vector a Max-Min row n..2 tested lies in the box of some
+    predecessor (a kept mark of the row above) and passes that
+    predecessor's value test, its reference remainder weighing at most the
+    predecessor's budget.  Returns the number of vectors checked."""
+    bound = ws.denom - BUNDLE_MARGIN * ws.unit
+    above = {ws.nu_active: (None, sum(ws.weight), len(ws.small_positions))}
+    checked = 0
+    for j, row, vectors in zip(range(len(ws.order), 1, -1), rows, tested):
+        boxes = [(set(itertools.product(*ws.windows(nu_prev, before_small, j))), before - bound)
+                 for nu_prev, (_, before, before_small) in above.items()]
+        for nu in vectors:
+            weight = linear_retrieve(ws, ws.expand(nu), j - 1)[1]
+            assert any(nu in box and weight <= limit for box, limit in boxes)
+        checked += len(vectors)
+        above = row
+    return checked
 
 
 def full_boxes(ws, rows):
@@ -687,16 +713,18 @@ def equal_big_pairs(ws, rows):
     ("minmax-all-small-k8", True),
     ("minmax-seven-coordinates", True),
     # A Max-Min row keeps its maximal vectors alone, so no two predecessors
-    # share big coordinates and the skip cuts no box.  The dense rows hold
-    # such pairs: with budgets that shrink as nu_0 grows, and with a tie
-    # where the small length saturates at the cap.
+    # share big coordinates and the skip has nothing to cut; its boxes
+    # yield their frontiers, fewer candidates than the boxes hold.  The
+    # dense rows hold such pairs: with budgets that shrink as nu_0 grows,
+    # and with a tie where the small length saturates at the cap.
     ("maxmin-growing-budgets", False),
     ("maxmin-tie", False),
 ])
 def test_skipped_candidates_were_settled(case, skips, monkeypatch):
-    # Cutting a box's coordinate-0 range below the previous predecessor's
-    # nu_0 leaves marks, pointers, carried weights and small lengths as the
-    # dense enumeration and the reference reconstruction give them.
+    # Cutting a Min-Max box's coordinate-0 range below the previous
+    # predecessor's nu_0, and walking a Max-Min box's frontier alone, leave
+    # marks, pointers, carried weights and small lengths as the dense
+    # enumeration and the reference reconstruction give them.
     rd = {
         "minmax-all-small-k4": lambda: guess_instances(Mode.MINMAX, 4)[-1],
         "minmax-all-small-k8": lambda: guess_instances(Mode.MINMAX, 8)[-1],
@@ -705,10 +733,12 @@ def test_skipped_candidates_were_settled(case, skips, monkeypatch):
         "maxmin-tie": lambda: drawn_rounded(1, Mode.MAXMIN, 4, (3, 4), 1),
     }[case]()
     ws = _Workspace(rd)
-    tally = counting_candidates(monkeypatch)
+    tally, tested = counting_candidates(monkeypatch)
     rows = list(_mark_rows(ws))
     total, distinct = full_boxes(ws, rows)
-    assert (tally[0] < total) is skips
+    assert tally[0] < total
+    if ws.up:
+        assert check_tested_candidates_pass(ws, rows, tested) == tally[0] > 0
     if len(ws.active) == 1 and not ws.up:
         # On nu_0 alone a Min-Max row is one interval, marked in closed
         # form: the rows walk no candidate at all.
@@ -720,7 +750,7 @@ def test_skipped_candidates_were_settled(case, skips, monkeypatch):
                 == reference.rows[j - 1])
     assert check_carried_weights(rd) > 0
     pairs = equal_big_pairs(ws, rows)
-    assert bool(pairs) is not ws.up
+    assert bool(pairs) is skips is not ws.up
     if ws.up:
         pairs = equal_big_pairs(ws, dense_forward(rd).marks[::-1])
         assert pairs
@@ -731,13 +761,15 @@ def test_skipped_candidates_were_settled(case, skips, monkeypatch):
 
 
 def test_maxmin_one_coordinate_runs_match_dense(monkeypatch):
-    # Every value at most t/k: the DP runs on nu_0 alone and each row is the
-    # box scan.  A Max-Min row keeps its largest nu_0 alone, the one maximal
-    # vector of the dense row, so each row has one predecessor and the skip
-    # cuts no box.  Marks, pointers and carried weights are the dense
+    # Every value at most t/k: the DP runs on nu_0 alone.  A Max-Min row
+    # keeps its largest nu_0 alone, the one maximal vector of the dense row,
+    # so each row has one predecessor, whose box's frontier is its largest
+    # passing nu_0: each row n..2 tests at most one candidate, one that
+    # passes, and so fewer than the boxes hold wherever a box holds more
+    # than one.  Marks, pointers and carried weights are the dense
     # enumeration's and the reference reconstruction's.
-    tally = counting_candidates(monkeypatch)
-    skipped = cases = cut = 0
+    tally, tested = counting_candidates(monkeypatch)
+    fewer = cases = cut = 0
     for seed in range(40):
         n = 2 + seed % 4
         inst = gen_inclusion_free(seed, n, 3 * n + seed % 7, mode=Mode.MAXMIN)
@@ -748,14 +780,17 @@ def test_maxmin_one_coordinate_runs_match_dense(monkeypatch):
                 ws = _Workspace(rd)
                 assert ws.active == (0,)
                 tally[0] = 0
+                tested.clear()
                 rows = list(_mark_rows(ws))
-                skipped += tally[0] < full_boxes(ws, rows)[0]
+                assert tally[0] <= n - 1 and all(len(vectors) <= 1 for vectors in tested)
+                assert check_tested_candidates_pass(ws, rows, tested) == tally[0]
+                fewer += tally[0] < full_boxes(ws, rows)[0]
                 assert all(len(row) <= 1 for row in rows)
                 check_forward(rd)
                 cut += any(len(row) > 1 for row in dense_forward(rd).rows)
                 check_carried_weights(rd)
                 cases += 1
-    assert cases == 360 and skipped == 0 and cut > 0
+    assert cases == 360 and fewer > 0 and cut > 0
 
 
 def minmax_all_small_cases():
@@ -842,7 +877,7 @@ def test_golden_wide_decide_enumerates_few_repeats(monkeypatch):
     inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
     rd = rounded(scale(inst, hall_bound(inst)[0]), 8)
     assert len(_Workspace(rd).active) == 1
-    tally = counting_candidates(monkeypatch)
+    tally, _ = counting_candidates(monkeypatch)
     reads, pointers = [0], [0]
     read, pointer = dp_engine._Run.__getitem__, dp_engine._Run.pointer
 
@@ -957,3 +992,26 @@ def test_forward_matches_dense_at_overlap_depth(mode, k, width, depth, n, data, 
     table, reference = check_forward(rd)
     if table.succeeded:
         assert backward(table, rd) == backward(reference, rd)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(k=st.sampled_from([4, 6, 8]), width=st.integers(2, 3), depth=st.integers(2, 4),
+       n=st.integers(2, 5), data=st.data(), small=st.booleans(),
+       factor=st.sampled_from([Fraction(3, 4), Fraction(1), Fraction(5, 4)]))
+def test_frontier_rows_match_the_box_scan(k, width, depth, n, data, small, factor):
+    # Each Max-Min box yields its frontier alone; the rows, cut to their
+    # maximal vectors, are the box scan's: marks, pointers, carried weights
+    # and small lengths, in order.  On overlapping intervals the boxes are
+    # wide, and a guess of at least k * v_max leaves the DP on nu_0 alone.
+    values = data.draw(st.lists(
+        st.integers(1, 12).flatmap(lambda q: st.integers(1, q).map(lambda p: Fraction(p, q))),
+        min_size=width * n, max_size=width * n))
+    inst = depth_instance(Mode.MAXMIN, width, depth, values)
+    base = inst.total_value() / n * factor
+    if small:
+        base = max(base, k * max(values))
+    ws = _Workspace(rounded(scale(inst, base), k))
+    if small:
+        assert ws.active == (0,)
+    assert ([list(row.items()) for row in _mark_rows(ws)]
+            == [list(row.items()) for row in reference_maxmin_rows(ws)])
