@@ -4,11 +4,11 @@ The forward phase fills one row per agent, last lexicographic rank first.
 Each row maps configuration vectors to a back-pointer: a vector is marked in
 row j when some marked vector of row j+1 dominates it and the item-set
 difference of the two reconstructed remainder graphs is a feasible bundle for
-the j-th agent.  A Max-Min row then keeps only its maximal vectors (the
-dominance lemma below).  The backward phase walks the pointers from row 1's
-all-zero vector and re-materializes the bundles.  Row n+1 holds only the instance's
-vector, which reconstructs to every item, so row n is filled by the same
-step as every other row.
+the j-th agent.  Each row then keeps only its cut, its maximal (Max-Min) or
+minimal (Min-Max) vectors (the dominance lemmas below).  The backward phase
+walks the pointers from row 1's all-zero vector and re-materializes the
+bundles.  Row n+1 holds only the instance's vector, which reconstructs to
+every item, so row n is filled by the same step as every other row.
 
 Reconstruction (``retrieve``) is a left-to-right sweep: the leftmost nu_tau
 items of every big category, plus the maximal leftmost prefix of small items
@@ -60,43 +60,66 @@ nu' in row j+1, agent j's bundle is R(nu', j) minus R(nu, j-1).
 An item in a gap r_{j-1} < p < l_j needs no test: when R(nu', j) holds it,
 its coordinate's window is empty.
 
-A Max-Min row keeps only its maximal vectors: a mark is dropped when another
-mark of the row dominates it.  Write M_j for row j of the full table, whose
-rows keep every mark, and before_total(v) for the weight of R(v, j), the sum
-of prefix_weight_c[v_c] over the big coordinates plus
-small_prefix[min(small_len[v_0], small_cap(j))].
-Lemma (dominance, Max-Min): if v <= v* are marks of row j+1, every candidate
-that v marks in row j passes v*'s box and value test.
-Proof.  First, the low end of every window of row j is the same for all marks
-of row j+1.  For a big coordinate, every mark v has
+Each row keeps only its cut, the marks that no other mark of the row
+dominates: the maximal ones in Max-Min, the minimal ones in Min-Max.  Write
+M_j for row j of the full table, whose rows keep every mark, and
+before_total(v) for the weight of R(v, j), the sum of prefix_weight_c[v_c]
+over the big coordinates plus small_prefix[min(small_len[v_0], small_cap(j))].
+First, the low end of every window of row j is the same for all marks of row
+j+1.  For a big coordinate, every mark v has
 v_c >= #{P_c < l_{j+1}} >= #{P_c < l_j}, so min(v_c, #{P_c < l_j}) is
 #{P_c < l_j}.  For coordinate 0, v's small length
 before_small = min(small_len[v_0], small_cap(j)) is at least
 #{small < l_{j+1}}, so the window's target min(before_small, #{small < l_j})
 is #{small < l_j}, and its start small_prefix[target] // unit (or past nu_0
-for every mark, when the target exceeds small_cap(j-1)).  Both bounds hold
-by induction from row n+1, whose vector holds every item: a mark x of row j
-lies in its window, so x_c >= #{P_c < l_j}, and x_0 >= start gives
+for every mark, when the target exceeds small_cap(j-1)); small_len[v_0] >=
+target puts the start at or below v_0.  Both bounds hold by induction from
+row n+1, whose vector holds every item: a mark x of row j lies in its
+window, so x_c >= #{P_c < l_j}, and x_0 >= start gives
 small_len[x_0] >= target, so x's small length
 min(small_len[x_0], small_cap(j-1)) is at least the target, which is at most
 small_cap(j-1).  The high ends, min(v_c, #{P_c <= r_{j-1}}) and v_0, never
-decrease in v, so v's box lies in v*'s.  Second, the prefix weights never
-decrease, and neither does small_len, so before_total(v) <= before_total(v*):
-a candidate whose remainder weighs at most v's budget before_total - bound
-weighs at most v*'s.
-So each pruned row j is exactly the set of maximal elements of M_j.  By
-induction from row n+1 = {nu_in}: if row j+1 is the maximal elements of
-M_{j+1}, the marks it makes lie in M_j, and every mark of M_j comes from some
-v in M_{j+1}, which lies below a maximal v*, whose box and value test take
-the same candidate by the lemma.  So the row before the cut is M_j, and the
-cut leaves its maximal elements.  Row 1 is marked iff some predecessor's
-budget admits weight 0, and the budgets never decrease in v, so the kept row
-2 admits 0 iff M_2 does.  The success bit is the full table's, so every
-guess of the search, and the number of decides, is too.  Each kept mark
-points at its first marking predecessor among the kept marks of row j+1, so
-the pointer chain, and the assignment ``backward`` reads off it, can differ
-from the full table's: it runs through maximal remainders, which leave the
-agents it peels first bundles close to the bound.
+decrease in v, and neither do the prefix weights, small_len and so
+before_total(v).
+Lemma (dominance, Max-Min): if v <= v* are marks of row j+1, every candidate
+that v marks in row j passes v*'s box and value test.
+Proof.  v's box lies in v*'s, and a candidate whose remainder weighs at most
+v's budget before_total - bound weighs at most v*'s.
+Lemma (dual, Min-Max): if u' <= u are marks of row j+1 and u marks x in row
+j, then u' marks min(x, u').
+Proof.  min(x, u') lies in u''s box: it is at least the common low ends,
+which lie below x and u', at most u', and its big coordinates are at most
+x_c <= #{P_c <= r_{j-1}}.  The bundle weight, before_total(u) less the
+weight of R(x, j-1), is separable: per coordinate, T'(u_c) - T(x_c), where
+T' = T = prefix_weight_c for a big coordinate, and for coordinate 0 T'(y)
+and T(y) are small_prefix[min(small_len[y], c)] at c = small_cap(j) and
+c = small_cap(j-1).  Each term does not grow from (u_c, x_c) to (u'_c, min(x_c, u'_c)).  When
+x_c <= u'_c, only T'(u_c) falls to T'(u'_c).  Otherwise the term is
+T'(u'_c) - T(u'_c): 0 for a big coordinate, and for coordinate 0 it never
+decreases in small_len[u'_0], because
+small_prefix[min(len, c1)] - small_prefix[min(len, c2)] never decreases in
+len for c2 <= c1; so it is at most T'(x_0) - T(x_0) <= T'(u_0) - T(x_0).
+So u''s bundle weighs at most u's, at most the bound.
+So each cut row j is exactly the cut of M_j.  By induction from row
+n+1 = {nu_in}: if row j+1 is the cut of M_{j+1}, the marks it makes lie in
+M_j, and every maximal (minimal) x of M_j comes from some u in M_{j+1}.  In
+Max-Min u lies below a maximal u*, whose box and value test take x by the
+first lemma.  In Min-Max u lies above a minimal u', which marks
+min(x, u') <= x, so x by x's minimality.  So the row before the cut holds
+the cut of M_j and lies in M_j, and the cut leaves the cut of M_j.  Row 1 is
+marked iff some predecessor's budget admits weight 0, and the budgets never
+decrease in v, so the kept row 2 admits 0 iff M_2 does.  The success bit is
+the full table's, so every guess of the search, and the number of decides,
+is too.  Each kept mark points at its first marking predecessor among the
+kept marks of row j+1.  In Max-Min the pointer chain, and the assignment
+``backward`` reads off it, can differ from the full table's: it runs
+through maximal remainders, which leave the agents it peels first bundles
+close to the bound.  In Min-Max they are the full table's.  If a mark x is
+minimal in M_j and u is its first marking predecessor in M_{j+1}, any
+u' <= u marks min(x, u') = x, so u is minimal and kept, and the kept marks
+sorted before it are full-table marks that do not mark x: x keeps its
+pointer.  Row 1's zero is minimal, so by induction the chain from it passes
+minimal marks only, each with the full table's pointer.
 
 A Max-Min row is built from the frontier of each box, not from the whole
 box.  A candidate's remainder weight is a sum of tables that never decrease,
@@ -128,92 +151,40 @@ earlier predecessor does, for it would mark v in B: v has B's pointer in F.
 Its weight and small length depend on v alone.  A vector of F that is not
 maximal in B lies below a maximal one, which F holds, so the cut drops it.
 
-A Min-Max predecessor also skips the part of its box that the one sorted
-just before it settled.  Let u and then v be consecutive predecessors of row j
-(marked vectors of row j+1) with equal big coordinates, so u_0 < v_0.  Then
-u <= v, so only a Min-Max row has such a pair: a Max-Min row keeps its
-maximal vectors alone.  In Min-Max before_total grows with v_0, so u's
-budget before_total - bound is at most v's, and every candidate that passes
-v's value test passes u's.  The big windows depend on their own coordinate
-alone, so they are equal.  The low end of the nu_0 window grows with
-before_small, which is min(small_len[v_0], cap) and does not decrease as v_0
-grows.  So the part of v's box with nu_0 <= u_0 lies inside u's box, and
-each of its candidates that passes v's test was marked by u or earlier: v's
-nu_0 range starts at u_0 + 1.  By induction this holds also when u skipped a
-part of its own box.
-
-A box on nu_0 alone, when no big category is occupied, has a passing part
-found by one bisection in Min-Max.  Candidate x leaves a remainder of weight
-small_prefix[min(small_len[x], small_cap(j-1))]: small_len never decreases
-in x, and neither the cut at the cap nor the prefix weights undo that, so
-this row's table of these weights never decreases in x.  A candidate passes
-iff its weight is at least the budget, so the passing part of the box
-range(start, nu'_0 + 1) is a trailing run starting at bisect_left(table,
-budget, start, nu'_0 + 1).  The run starts past the previous predecessor's
-nu_0 (the skip), above every mark made so far, and more holds there: the
-whole row is one interval, found without walking it.
-
-Let c_j = small_cap(j), S_j = small_prefix[c_j] and
-w[x] = small_prefix[small_len[x]], and for row j let
-T_j[x] = small_prefix[min(small_len[x], c_{j-1})] = min(w[x], S_{j-1}) and
-kept_j[x] = min(small_len[x], c_{j-1}), the weight and small length of
-R(x, j-1).  Lemma (Min-Max, nu_0 alone): if row j+1 is the interval [a, b]
-(row n+1 is {nu_in_0}, whose remainder is every item), row j is [lo, hi]
-with lo = bisect_left(T_j, T_{j+1}[a] - bound, start(a), a + 1), start(a)
-the low end of a's coordinate-0 window, and hi the last y in [a, b] with
-D(y) = T_{j+1}[y] - T_j[y] <= bound; mark x points at max(x, a) and carries
-(T_j[x], kept_j[x]).  The row is empty when lo > a, and then so is every
-row below it.  Row 1 is {0: a} when T_2[a] <= bound, else empty.
-Proof.  D(y) is the weight of the small items between the prefixes
-min(small_len[y], c_{j-1}) and min(small_len[y], c_j): 0 while
-small_len[y] <= c_{j-1}, then growing with small_len[y], then S_j - S_{j-1}
-once small_len[y] >= c_j.  So D never decreases in y, and D(y) <= bound iff
-S_j - S_{j-1} <= bound or w[y] <= S_{j-1} + bound.  The budgets
-T_{j+1}[y] - bound never decrease in y either, so the skip holds for every
-pair of consecutive predecessors y - 1, y of [a, b]: a's box gives the run
-[lo, a] of the bisection above, each mark pointing at a, and each y > a
-gives at most {y}, marked iff y's coordinate-0 window holds y and
-T_j[y] >= T_{j+1}[y] - bound, that is D(y) <= bound.  The window holds y
-unless it is empty: start(y) = small_prefix[t] // unit, with
-t = min(kept_{j+1}[y], #{small < l_j}), is the least nu_0 whose sweep keeps
-t items, and small_len[y] >= kept_{j+1}[y] >= t.  The window is empty only
-when t > c_{j-1}, which needs a small item p in a gap r_{j-1} < p < l_j.
-Such an item lies in no interval (``validate`` rejects it, ``_Workspace``
-does not), and it can pass the weight test: D(y) can be any weight up to
-S_j - S_{j-1}.  But by (iii) no bundle of agents j..n takes it, so every
-remainder of row j+1 keeps it, every window of row j is empty, a's too,
-and lo > a.  Otherwise the marks above a are (a, hi], a prefix of (a, b]
-because D never decreases.  If a fails its weight test, D(a) > bound, then
-D(y) > bound for every y > a too, lo > a and the row is empty; a row with
-no predecessors marks nothing.  Row 1 is marked by the first sorted
-predecessor whose budget admits 0 (below), and T_2 never decreases, so that
-is a or none.
+A Min-Max row on nu_0 alone, when no big category is occupied, is one mark
+found by one bisection.  Candidate x leaves a remainder of weight
+T_j[x] = small_prefix[min(small_len[x], small_cap(j-1))]: small_len never
+decreases in x, and neither the cut at the cap nor the prefix weights undo
+that, so this row's table of these weights never decreases in x.  Let
+kept_j[x] = min(small_len[x], small_cap(j-1)) be the small length of
+R(x, j-1).  Row n+1 is {nu_in_0}, whose remainder is every item, and by the
+cut every row j+1 is one mark a.  A candidate of a's box passes iff its
+weight is at least the budget T_{j+1}[a] - bound, so row j is
+{lo: a}, carrying (T_j[lo], kept_j[lo]), with
+lo = bisect_left(T_j, T_{j+1}[a] - bound, start(a), a + 1) and start(a) the
+low end of a's coordinate-0 window, past a when the window is empty.  The
+row is empty when lo > a, and then so is every row below it.  Row 1 is
+{0: a} when T_2[a] <= bound, else empty.
 
 Row 1 is marked in closed form.  Its windows admit only the zero vector,
 and R(0, 0) is empty, so the zero's remainder weighs 0 and keeps 0 small
 items: a predecessor marks it iff its budget admits 0, before_total - bound
->= 0 (Max-Min) or <= 0 (Min-Max).  The skip only ever removes an
-already-marked zero: it cuts v's box only where u's budget admits every
-candidate v's does, so if v's admits the zero, u or an earlier predecessor
-marked it.  So row 1 is {zero: (the first sorted predecessor whose budget
-admits 0, weight 0, small length 0)}, or empty when no budget admits 0,
-which is what enumerating the boxes marks.
+>= 0 (Max-Min) or <= 0 (Min-Max).  So row 1 is {zero: (the first sorted
+predecessor whose budget admits 0, weight 0, small length 0)}, or empty when
+no budget admits 0, which is what enumerating the boxes marks.
 
 All of this runs on the occupied coordinates only: nu_0 and the big
 categories that hold an item of the rounded instance.  Every vector the DP
 meets is dominated by the instance's vector, so an empty category's
 coordinate is 0 in every candidate and every mark; dropping it keeps the
 lexicographic order and hence the first-marking predecessor.  The
-``DPTable`` keeps the marks on these coordinates, each row as
-``_mark_rows`` yields it: a dict, or a ``_Run`` for a Min-Max row on nu_0
-alone, which holds the lemma's interval and builds an entry only when one
-is read.  ``succeeded`` and ``backward`` read them there; the full
-(nu_0, ..., nu_C) rows are built only
-when a caller reads ``rows``, as ``trace_lines`` does.  ``backward`` walks
-the pointer chain and, since by (ii) each remainder on it is a
-per-coordinate prefix of the next, takes agent j's bundle as one slice of
-each coordinate's positions, between the prefix lengths of R(chain[j-1],
-j-1) and R(chain[j], j).
+``DPTable`` keeps the marks on these coordinates, each row the dict
+``_mark_rows`` yields.  ``succeeded`` and ``backward`` read them there; the
+full (nu_0, ..., nu_C) rows are built only when a caller reads ``rows``, as
+``trace_lines`` does.  ``backward`` walks the pointer chain and, since by
+(ii) each remainder on it is a per-coordinate prefix of the next, takes
+agent j's bundle as one slice of each coordinate's positions, between the
+prefix lengths of R(chain[j-1], j-1) and R(chain[j], j).
 
 ``forward`` never reconstructs an item set: it sums weights.  The sweep's
 remainder is a product of per-coordinate prefixes, the leftmost nu_c items
@@ -240,12 +211,11 @@ makes divisible by k: the engine takes no lcm and builds no ``Fraction`` or
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import accumulate, filterfalse, product, repeat
 from math import gcd
-from operator import getitem, le
+from operator import and_, getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .instance_model import Assignment, Mode, assignment_from_positions
@@ -266,21 +236,19 @@ Mark = tuple[InputVector, int, int]
 class DPTable:
     """Sparse forward-phase result: row(j)[nu] = back-pointer into row j+1.
 
-    Only marked entries are stored, and of a Max-Min row only the maximal
-    ones, which no other mark of the row dominates (module docstring); row n
-    entries point at the full instance's vector (row n+1, which is not
-    stored).  ``marks[j-1]`` holds
+    Only marked entries are stored, and of each row only its cut, the
+    maximal (Max-Min) or minimal (Min-Max) marks, which no other mark of the
+    row dominates (module docstring); row n entries point at the full
+    instance's vector (row n+1, which is not stored).  ``marks[j-1]`` holds
     row j over the active coordinates of the workspace ``_ws``, which
     ``forward`` keeps on the table for ``backward``, as ``_mark_rows``
-    yields it: each marked nu maps to (pointer, weight, small length), and
-    a Min-Max row on nu_0 alone is a ``_Run``, one interval whose entries
-    are built on read.  ``rows`` holds the same rows as full
-    (nu_0, ..., nu_C) vectors mapping to their pointers; it is built on its
-    first read (by ``row``, ``trace_lines`` or a caller), which
-    ``solve_rounded`` never makes.
+    yields it: each marked nu maps to (pointer, weight, small length).
+    ``rows`` holds the same rows as full (nu_0, ..., nu_C) vectors mapping
+    to their pointers; it is built on its first read (by ``row``,
+    ``trace_lines`` or a caller), which ``solve_rounded`` never makes.
     """
     nu_in: InputVector
-    marks: tuple[Mapping[InputVector, Mark], ...]
+    marks: tuple[dict[InputVector, Mark], ...]
     _ws: _Workspace = field(compare=False, repr=False)
 
     @cached_property
@@ -465,54 +433,17 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[froz
     return None if items is None else frozenset(items)
 
 
-class _Run(Mapping):
-    """Row j of a Min-Max DP on nu_0 alone: the marks (lo,) .. (hi,), mark
-    (x,) pointing at (max(x, a),) and carrying the weight and small length
-    of R(x, j-1), min(small_weight[x], small_prefix[cap]) and
-    min(small_len[x], cap) for cap = small_cap(j-1) (module docstring).  It
-    answers ``in``, ``[nu]``, ``len``, iteration and ``items()`` as a dict
-    row does, and builds an entry only when it is read."""
-    __slots__ = ("lo", "hi", "a", "cap", "cap_weight", "ws")
-
-    def __init__(self, lo: int, hi: int, a: int, cap: int, ws: _Workspace):
-        self.lo, self.hi, self.a, self.cap, self.ws = lo, hi, a, cap, ws
-        self.cap_weight = ws.small_prefix[cap]
-
-    def __contains__(self, nu) -> bool:
-        return type(nu) is tuple and len(nu) == 1 and nu[0] in range(self.lo, self.hi + 1)
-
-    def __getitem__(self, nu: InputVector) -> Mark:
-        if nu not in self:
-            raise KeyError(nu)
-        x, cap, cap_weight = nu[0], self.cap, self.cap_weight
-        weight, length = self.ws.small_weight[x], self.ws.small_len[x]
-        return (self.pointer(nu), weight if weight < cap_weight else cap_weight,
-                length if length < cap else cap)
-
-    def pointer(self, nu: InputVector) -> InputVector:
-        """The pointer of the mark nu alone, which ``backward`` reads: no
-        weight or small length is built, and nu is not tested."""
-        x, a = nu[0], self.a
-        return (x if x > a else a,)
-
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
-    def __iter__(self) -> Iterator[InputVector]:
-        return ((x,) for x in range(self.lo, self.hi + 1))
-
-
-def _run_rows(ws: _Workspace, bound: int) -> Iterator[Mapping[InputVector, Mark]]:
-    """Yield rows n..1 of a Min-Max DP on nu_0 alone: each row j >= 2 is the
-    ``_Run`` [lo, hi] that row j+1's interval [a, b] gives by the module
-    docstring's lemma, found by two bisections of ``small_weight``.  An
-    empty row and every row below it are {}."""
-    small_weight, small_prefix, unit = ws.small_weight, ws.small_prefix, ws.unit
-    # Row n+1: the instance's vector, whose remainder is every item (r_n = m,
-    # so S_n is their weight).  before and before_small are T_{j+1}[a] and
-    # kept_{j+1}[a], above and below S_j and S_{j-1}.
-    a = b = ws.nu_active[0]
-    before = above = small_prefix[-1]
+def _run_rows(ws: _Workspace, bound: int) -> Iterator[dict[InputVector, Mark]]:
+    """Yield rows n..1 of a Min-Max DP on nu_0 alone: each row j >= 2 is
+    the one mark {(lo,): ((a,), T_j[lo], kept_j[lo])} that row j+1's mark
+    (a,) gives by the module docstring's lemma, lo found by one bisection of
+    ``small_weight``.  An empty row and every row below it are {}."""
+    small_weight, small_len, small_prefix, unit = (ws.small_weight, ws.small_len,
+                                                   ws.small_prefix, ws.unit)
+    # Row n+1: the instance's vector, whose remainder is every item (r_n = m).
+    # before and before_small are T_{j+1}[a] and kept_{j+1}[a].
+    a = ws.nu_active[0]
+    before = small_prefix[-1]
     before_small = len(ws.small_positions)
     for j in range(len(ws.order), 1, -1):
         cap = ws.small_cap(j - 1)
@@ -526,30 +457,35 @@ def _run_rows(ws: _Workspace, bound: int) -> Iterator[Mapping[InputVector, Mark]
         if lo > a:
             yield from ({} for _ in range(j, 0, -1))
             return
-        # y > a is marked iff D(y) <= bound: always when S_j - S_{j-1} <= bound,
-        # else iff small_weight[y] <= S_{j-1} + bound.
-        hi = (b if above - below <= bound
-              else bisect_right(small_weight, below + bound, a, b + 1) - 1)
-        yield _Run(lo, hi, a, cap, ws)
-        a, b, above = lo, hi, below
-        before, before_small = min(small_weight[lo], below), min(ws.small_len[lo], cap)
+        before, before_small = min(small_weight[lo], below), min(small_len[lo], cap)
+        yield {(lo,): ((a,), before, before_small)}
+        a = lo
     # Row 1: the zero vector, pointing at a if its budget admits weight 0.
     yield {(0,): ((a,), 0, 0)} if before <= bound else {}
 
 
-def _maximal(row: dict[InputVector, Mark]) -> dict[InputVector, Mark]:
-    """The marks of ``row`` whose vectors no other mark of it dominates, in
-    ascending lexicographic order.  A vector's dominators sort after it, so
-    a walk in descending order meets each of them first, and a vector that
-    a dropped one dominates is dominated by a kept one too."""
-    kept: list[InputVector] = []
-    for nu in sorted(row, reverse=True):
-        for top in kept:
-            if all(map(le, nu, top)):
-                break
-        else:
-            kept.append(nu)
-    return {nu: row[nu] for nu in reversed(kept)}
+def _cut(row: dict[InputVector, Mark], up: bool) -> dict[InputVector, Mark]:
+    """The marks of ``row`` whose vectors no other mark of it dominates from
+    above (``up``, Max-Min) or from below (Min-Max), in ascending
+    lexicographic order.  For each coordinate, bit i of ``masks[c][v]`` is
+    set when mark i's coordinate c is >= v (``up``) or <= v: an OR over the
+    row's distinct values of c from the top or the bottom.  The AND of a
+    mark's masks holds its own bit and one for each mark that dominates it,
+    so the mark is kept iff that AND has one bit."""
+    if len(row) < 2:
+        return row
+    marks = sorted(row)
+    masks = []
+    for values in zip(*marks):
+        bits: dict[int, int] = {}
+        for i, x in enumerate(values):
+            bits[x] = bits.get(x, 0) | 1 << i
+        acc = 0
+        for x in sorted(bits, reverse=up):
+            acc = bits[x] = acc | bits[x]
+        masks.append(bits)
+    return {nu: row[nu] for nu in marks
+            if reduce(and_, map(getitem, masks, nu)).bit_count() == 1}
 
 
 def _prefixes(tables: Sequence[Sequence[int]], lead: Sequence[range], prefix: InputVector,
@@ -631,32 +567,31 @@ def _frontier(tables: Sequence[Sequence[int]], limit: int, box: Sequence[range]
                 break
 
 
-def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
+def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, Mark]]:
     """Yield rows n..1 over the active coordinates.  Row j maps each kept
     mark nu to (pointer, weight, small length): its first (lexicographically
     smallest) marking predecessor, and the weight and small-prefix length of
     R(nu, j-1), which is what nu needs as a predecessor for row j-1.
 
-    A Min-Max row on nu_0 alone is one interval, which ``_run_rows`` finds
+    A Min-Max row on nu_0 alone is one mark, which ``_run_rows`` finds
     without walking a candidate.  Every other row is a dict, carried to the
     next as one sorted list of (nu, budget, small length), the budget being
     weight - bound, and ``row_windows`` gives each predecessor's box from
     bounds it reads once per row.  A candidate's remainder weight is a sum
     of table entries: the small prefix its nu_0 keeps, cut at the row's
     ``small_cap``, plus the prefix weight of each big coordinate (module
-    docstring).  A Min-Max box walks every candidate, its coordinate-0
-    range starting past the previous predecessor's nu_0 when that
-    predecessor settled the part below.  A Max-Min box yields only its
-    frontier, the staircase ``_frontier`` walks, and each yielded vector
-    points at the first predecessor that yields it.  The Max-Min row is then
-    cut to its maximal vectors by ``_maximal``: the cut row is the one
-    yielded and the one whose marks are the next row's predecessors.  Every
-    maximal vector of the row the whole boxes would mark is on the frontier
-    of its first marking predecessor, so the cut row is the full table's row
-    cut the same way, pointers and carried weights included (module
-    docstring).  Row 1 is not enumerated: it is the zero vector, pointing at
-    the first predecessor whose budget admits weight 0, or empty (module
-    docstring).
+    docstring).  A Min-Max box walks every candidate.  A Max-Min box yields
+    only its frontier, the staircase ``_frontier`` walks.  Each vector
+    points at the first predecessor that yields it, and the row is then cut
+    by ``_cut`` to its maximal (Max-Min) or minimal (Min-Max) vectors: the
+    cut row is the one yielded and the one whose marks are the next row's
+    predecessors.  It is the full table's row cut the same way (module
+    docstring).  In Max-Min every maximal vector of the row the whole boxes
+    would mark is on the frontier of its first marking predecessor, so the
+    pointers and carried weights are those of the box scan cut the same
+    way; in Min-Max they are the full table's.  Row 1 is not enumerated: it
+    is the zero vector, pointing at the first predecessor whose budget
+    admits weight 0, or empty (module docstring).
     """
     bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
     up = ws.up
@@ -683,19 +618,15 @@ def _mark_rows(ws: _Workspace) -> Iterator[Mapping[InputVector, Mark]]:
                 for nu, after in _frontier(tables, limit, (range(start, nu_prev[0] + 1), *big)):
                     if nu not in row:
                         row[nu] = (nu_prev, after, kept[nu[0]])
-            row = _maximal(row)
         else:
-            last_big, last_nu0 = None, 0
             for nu_prev, limit, start, big in ws.row_windows(j, preds):
-                big_prev, a0 = nu_prev[1:], nu_prev[0]
-                if big_prev == last_big and start <= last_nu0:
-                    start = last_nu0 + 1
-                last_big, last_nu0 = big_prev, a0
                 # The unmarked candidates, in lexicographic order.
-                for nu in filterfalse(row.__contains__, product(range(start, a0 + 1), *big)):
+                for nu in filterfalse(row.__contains__,
+                                      product(range(start, nu_prev[0] + 1), *big)):
                     after = sum(map(getitem, tables, nu))
                     if after >= limit:
                         row[nu] = (nu_prev, after, kept[nu[0]])
+        row = _cut(row, up)
         yield row
         preds = sorted([(nu, after - bound, length) for nu, (_, after, length) in row.items()])
     # Row 1: the zero vector, whose remainder R(0, 0) is empty and weighs 0.
@@ -723,7 +654,7 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
     # chain[n] the instance's vector; a mark of row j points into row j+1.
     chain = [(0,) * len(ws.active)]
     for row in table.marks:
-        chain.append(row.pointer(chain[-1]) if type(row) is _Run else row[chain[-1]][0])
+        chain.append(row[chain[-1]][0])
     # R(chain[j-1], j-1) is a per-coordinate prefix of R(chain[j], j) (module
     # docstring, (ii)), so bundle j is the slice of each coordinate's
     # positions between the two prefix lengths; the small one is

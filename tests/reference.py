@@ -24,11 +24,19 @@ halving loop on every solve, and ``reference_guarantee`` derives the
 certified factor through its ``Fraction`` operations.  ``solve_maxmin`` and
 ``solve_minmax`` must return the same results and trace lines.
 
-``reference_maxmin_rows`` is the Max-Min row loop as it was before each box
-yielded only its frontier: it tests every candidate of each predecessor's
-box in lexicographic order and cuts each complete row by
-``dp_engine._maximal``.  ``_mark_rows`` must yield the same rows, marks,
-pointers, carried weights and small lengths.
+``reference_maximal`` is the pairwise cut the Max-Min rows had before the
+bitset cut: it compares each mark with every kept one.
+``reference_minimal`` is its mirror image for Min-Max.  ``dp_engine._cut``
+must keep the same marks in the same order.  ``reference_maxmin_rows`` is
+the Max-Min row loop as it was before each box yielded only its frontier: it
+tests every candidate of each predecessor's box in lexicographic order and
+cuts each complete row by ``reference_maximal``.  ``_mark_rows`` must yield
+the same rows, marks, pointers, carried weights and small lengths.
+``reference_minmax_rows`` is the Min-Max row loop as it was before the rows
+were cut: the same box scan, on nu_0 alone too, with every mark kept.  Cut
+to its minimal marks, each of its rows must be the row ``_mark_rows``
+yields, pointers included, and ``backward`` must read the same assignment
+off both tables.
 
 ``reference_parse_value`` reads every text through ``Fraction(text)`` behind
 the exponent guard, with no fast path for digits; ``parse_value`` must give
@@ -45,11 +53,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, filterfalse, product
 from math import ceil, floor, gcd, lcm
-from operator import getitem
+from operator import ge, getitem, le
 from typing import Iterator, Mapping, Optional, Union
 
 from convalloc import Assignment, ConvexInstance, Item, Mode, assignment_vector
-from convalloc.dp_engine import BUNDLE_MARGIN, _maximal, _Workspace
+from convalloc.dp_engine import BUNDLE_MARGIN, _Workspace
 from convalloc.hall import hall_bound
 from convalloc.instance_model import (ValidationReport, Violation, _agent, _digit_limit,
                                       _missing_key, _records, with_integers)
@@ -323,12 +331,66 @@ def reference_workspace_tables(rounded: RoundedInstance) -> dict:
     }
 
 
+def reference_maximal(row: dict) -> dict:
+    """The marks of ``row`` whose vectors no other mark of it dominates, in
+    ascending lexicographic order.  A vector's dominators sort after it, so
+    a walk in descending order meets each of them first, and a vector that
+    a dropped one dominates is dominated by a kept one too."""
+    kept: list = []
+    for nu in sorted(row, reverse=True):
+        for top in kept:
+            if all(map(le, nu, top)):
+                break
+        else:
+            kept.append(nu)
+    return {nu: row[nu] for nu in reversed(kept)}
+
+
+def reference_minimal(row: dict) -> dict:
+    """The marks of ``row`` whose vectors dominate no other mark of it, in
+    ascending lexicographic order: ``reference_maximal`` walking the other
+    way, since the vectors a vector dominates sort before it."""
+    kept: list = []
+    for nu in sorted(row):
+        for bottom in kept:
+            if all(map(ge, nu, bottom)):
+                break
+        else:
+            kept.append(nu)
+    return {nu: row[nu] for nu in kept}
+
+
+def reference_minmax_rows(ws: _Workspace) -> Iterator[dict]:
+    """Rows n..1 of a Min-Max DP by the box scan, every row kept whole:
+    every unmarked candidate of each predecessor's box tested against the
+    value bound, on nu_0 alone as on more coordinates."""
+    assert not ws.up
+    bound = ws.denom + BUNDLE_MARGIN * ws.unit
+    small_len, small_prefix, small_weight = ws.small_len, ws.small_prefix, ws.small_weight
+    preds = [(ws.nu_active, sum(ws.weight) - bound, len(ws.small_positions))]
+    for j in range(len(ws.order), 1, -1):
+        cap = ws.small_cap(j - 1)
+        cut = bisect_right(small_len, cap)
+        kept = small_len[:cut] + [cap] * (len(small_len) - cut)
+        small_table = small_weight[:cut] + [small_prefix[cap]] * (len(small_len) - cut)
+        tables = [small_table, *ws.prefix_weight[1:]]
+        row: dict = {}
+        for nu_prev, limit, start, big in ws.row_windows(j, preds):
+            for nu in filterfalse(row.__contains__,
+                                  product(range(start, nu_prev[0] + 1), *big)):
+                after = sum(map(getitem, tables, nu))
+                if after >= limit:
+                    row[nu] = (nu_prev, after, kept[nu[0]])
+        yield row
+        preds = sorted([(nu, after - bound, length) for nu, (_, after, length) in row.items()])
+    first = next((nu_prev for nu_prev, limit, _ in preds if limit <= 0), None)
+    yield {} if first is None else {(0,) * len(ws.active): (first, 0, 0)}
+
+
 def reference_maxmin_rows(ws: _Workspace) -> Iterator[dict]:
     """Rows n..1 of a Max-Min DP by the box scan: every unmarked candidate
     of each predecessor's box tested against the value bound, each complete
-    row cut to its maximal vectors.  (The forward skip of the Min-Max rows
-    never fires here: a cut row holds no two vectors with equal big
-    coordinates.)"""
+    row cut to its maximal vectors."""
     assert ws.up
     bound = ws.denom - BUNDLE_MARGIN * ws.unit
     small_len, small_prefix, small_weight = ws.small_len, ws.small_prefix, ws.small_weight
@@ -346,7 +408,7 @@ def reference_maxmin_rows(ws: _Workspace) -> Iterator[dict]:
                 after = sum(map(getitem, tables, nu))
                 if after <= limit:
                     row[nu] = (nu_prev, after, kept[nu[0]])
-        row = _maximal(row)
+        row = reference_maximal(row)
         yield row
         preds = sorted([(nu, after - bound, length) for nu, (_, after, length) in row.items()])
     first = next((nu_prev for nu_prev, limit, _ in preds if limit >= 0), None)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,13 @@ from convalloc import (Agent, ConvexInstance, Item, Mode, SolveError, backward,
                        decide, dp_engine, forward, gen_inclusion_free, retrieve,
                        round_instance, scale, scheme, solve_maxmin,
                        solve_minmax, solve_rounded, verify)
-from convalloc.dp_engine import (BUNDLE_MARGIN, DPTable, _mark_rows, _Workspace,
+from convalloc.dp_engine import (BUNDLE_MARGIN, DPTable, _cut, _mark_rows, _Workspace,
                                  trace_lines)
 from convalloc.hall import hall_bound
 from convalloc.instance_model import lexicographic_order
 from convalloc.rounding import input_vector
-from reference import reference_maxmin_rows
+from reference import (reference_maximal, reference_maxmin_rows, reference_minimal,
+                       reference_minmax_rows)
 
 
 def rounded(instance, k):
@@ -243,8 +245,9 @@ def test_bundle_margin_is_one_rule(mode, values, ok):
 def test_one_coordinate_run_keeps_a_bundle_on_the_bound(mode, per_agent):
     # Two agents on disjoint intervals of items worth 1/8 at k = 8: each
     # bundle must be worth exactly 1 - 3/8 (Max-Min) or 1 + 3/8 (Min-Max),
-    # so row 2 marks a candidate whose bundle sits on the bound, in its box
-    # scan (Max-Min) or at the start of its passing run (Min-Max).
+    # so row 2 marks a candidate whose bundle sits on the bound: the top of
+    # its box's passing part (Max-Min) or the bottom, found by bisection
+    # (Min-Max).
     m = 2 * per_agent
     inst = ConvexInstance(mode, make_items([Fraction(1, 8)] * m), (
         Agent("p1", 1, per_agent), Agent("p2", per_agent + 1, m)))
@@ -329,11 +332,18 @@ def structure_ok(before_mask, after, window):
     return not (after_mask & ~before_mask or before_mask & ~after_mask & ~window)
 
 
-def maximal(row):
-    """The entries of ``row`` whose vectors no other vector of it dominates."""
+def cut(row, up):
+    """The entries of ``row`` whose vectors no other vector of it dominates
+    from above (``up``) or from below."""
+    def dominates(other, nu):
+        return other != nu and all(a <= b if up else a >= b for a, b in zip(nu, other))
     return {nu: mark for nu, mark in row.items()
-            if not any(other != nu and all(a <= b for a, b in zip(nu, other))
-                       for other in row)}
+            if not any(dominates(other, nu) for other in row)}
+
+
+def is_antichain(row):
+    """No vector of ``row`` dominates another."""
+    return not any(a != b and all(map(operator.le, a, b)) for a in row for b in row)
 
 
 def dense_forward(rd, prune=False):
@@ -341,8 +351,9 @@ def dense_forward(rd, prune=False):
     reconstruction and every test.  The table keeps them over ``ws.active``,
     as ``forward``'s does, each mark as (pointer, weight, small length) of
     the reference R(nu, j-1).  With ``prune``, each row keeps only its
-    ``maximal`` entries before the next row reads it, so a mark points at
-    the first kept predecessor that marks it."""
+    ``cut`` before the next row reads it, its maximal (Max-Min) or minimal
+    (Min-Max) entries, so a mark points at the first kept predecessor that
+    marks it."""
     ws = _Workspace(rd)
     n = rd.instance.n
     lo_bound, hi_bound = ws.denom - 3 * ws.unit, ws.denom + 3 * ws.unit
@@ -369,7 +380,7 @@ def dense_forward(rd, prune=False):
                     small = linear_small_prefix_len(ws, nu[0], ws.highs[j - 2]) if j > 1 else 0
                     row[nu] = (nu_prev, after[1], small)
         if prune:
-            rows[j - 1] = maximal(row)
+            rows[j - 1] = cut(row, ws.up)
 
     def active(nu):
         return tuple(nu[c] for c in ws.active)
@@ -383,20 +394,25 @@ def check_forward(rd):
     """``forward``'s table against the dense enumeration; returns the table
     and the reference its pointers must match.
 
-    A Min-Max table is the dense one.  Each Max-Min row holds the maximal
-    vectors of the dense row, every row is an antichain, each mark points at
-    the first kept predecessor that marks it, and the success bit is the
-    dense table's."""
+    Each row holds the cut of the dense row, its maximal (Max-Min) or
+    minimal (Min-Max) vectors, and is an antichain.  Each mark points at the
+    first kept predecessor that marks it and carries the reference
+    reconstruction's weight and small length, and the success bit is the
+    dense table's.  In Min-Max each kept mark also has the dense table's
+    pointer, and ``backward`` reads the dense table's assignment."""
+    up = rd.scheme.mode is Mode.MAXMIN
     table, dense = forward(rd), dense_forward(rd)
-    if rd.scheme.mode is Mode.MINMAX:
-        assert table.rows == dense.rows
-        return table, dense
     kept = dense_forward(rd, prune=True)
+    assert table.marks == kept.marks
     assert table.rows == kept.rows
     for row, dense_row in zip(table.rows, dense.rows):
-        assert row.keys() == maximal(dense_row).keys()
-        assert maximal(row) == row
+        assert row.keys() == cut(dense_row, up).keys()
+        assert is_antichain(row)
+        if not up:
+            assert row == {nu: dense_row[nu] for nu in row}
     assert table.succeeded == dense.succeeded
+    if table.succeeded and not up:
+        assert backward(table, rd) == backward(dense, rd)
     return table, kept
 
 
@@ -587,16 +603,16 @@ def test_carried_weights_on_drawn_instances(seed, mode, k, shape, factor):
 def test_all_small_marks_on_drawn_instances(seed, mode, k, shape, factor):
     # A guess of at least k * v_max leaves every item small: the DP runs on
     # nu_0 alone and builds no big range.  Marks and pointers are the dense
-    # enumeration's (a Max-Min row keeps its largest nu_0 alone), and carried
-    # weights the reference reconstruction's.
+    # enumeration's, cut: each row keeps one nu_0, its largest (Max-Min) or
+    # its least (Min-Max).  Carried weights are the reference
+    # reconstruction's.
     n, m = shape
     inst = gen_inclusion_free(seed, n, m, mode=mode)
     t = max(k * max(it.value for it in inst.items), inst.total_value() / n * factor)
     rd = rounded(scale(inst, t), k)
     assert _Workspace(rd).active == (0,)
     table, _ = check_forward(rd)
-    if mode is Mode.MAXMIN:
-        assert all(len(row) <= 1 for row in table.marks)
+    assert all(len(row) <= 1 for row in table.marks)
     check_carried_weights(rd)
 
 
@@ -638,9 +654,9 @@ def test_row_one_points_at_the_first_predecessor_that_admits_zero(mode):
 
 def counting_candidates(monkeypatch):
     """Count the candidates ``_mark_rows`` walks, each tested once for
-    membership in its row: in Min-Max the product of each box's ranges, cut
-    by the skip, and in Max-Min each box's frontier.  Returns the tally and,
-    for each row built as a dict (rows n..2 in order), the vectors tested."""
+    membership in its row: in Min-Max the product of each box's ranges, and
+    in Max-Min each box's frontier.  Returns the tally and, for each row
+    built from boxes (rows n..2 in order), the vectors tested."""
     tally, tested = [0], []
 
     class Row(dict):
@@ -692,39 +708,56 @@ def full_boxes(ws, rows):
 
 
 def equal_big_pairs(ws, rows):
-    """The pairs the skip compares, over rows n..1 as ``_mark_rows`` yields
-    them: consecutive sorted predecessors with equal big coordinates, each
-    as (their carried (weight, small length) pairs, the row's small cap)."""
+    """Consecutive sorted predecessors with equal big coordinates, over rows
+    n..1 given as ``_mark_rows`` yields them: each as (the row j they mark
+    into, the earlier one and its carried (weight, small length), the later
+    one and its, the small cap of row j+1)."""
     pairs = []
     above = {ws.nu_active: (None, sum(ws.weight), len(ws.small_positions))}
     for j, row in zip(range(len(ws.order), 0, -1), rows):
         ordered = sorted(above)
         for a, b in zip(ordered, ordered[1:]):
             if a[1:] == b[1:]:
-                pairs.append((above[a][1:], above[b][1:], ws.small_cap(j)))
+                pairs.append((j, (a, *above[a][1:]), (b, *above[b][1:]), ws.small_cap(j)))
         above = row
     return pairs
 
 
-@pytest.mark.parametrize("case, skips", [
-    # Min-Max budgets grow with nu_0: the skip holds for every pair of
-    # predecessors with equal big coordinates.
+def marked_by(ws, j, nu_prev, before, before_small):
+    """The candidates of row j that the predecessor nu_prev marks, given the
+    weight and small length of its remainder: its box, by the reference
+    reconstruction and the value test."""
+    bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
+    out = set()
+    for nu in itertools.product(*ws.windows(nu_prev, before_small, j)):
+        taken = before - linear_retrieve(ws, ws.expand(nu), j - 1)[1]
+        if (taken >= bound) if ws.up else (taken <= bound):
+            out.add(nu)
+    return out
+
+
+@pytest.mark.parametrize("case, earlier_settles", [
+    # Two dense marks u < v with equal big coordinates have u <= v.  In
+    # Min-Max, u marks min(x, u) for every x that v marks (the dual lemma):
+    # the earlier one settles the later one's box.
     ("minmax-all-small-k4", True),
     ("minmax-all-small-k8", True),
     ("minmax-seven-coordinates", True),
-    # A Max-Min row keeps its maximal vectors alone, so no two predecessors
-    # share big coordinates and the skip has nothing to cut; its boxes
-    # yield their frontiers, fewer candidates than the boxes hold.  The
-    # dense rows hold such pairs: with budgets that shrink as nu_0 grows,
-    # and with a tie where the small length saturates at the cap.
+    # In Max-Min, v marks every x that u marks (the dominance lemma): with
+    # budgets that shrink as nu_0 grows, and with a tie where the small
+    # length saturates at the cap.
     ("maxmin-growing-budgets", False),
     ("maxmin-tie", False),
 ])
-def test_skipped_candidates_were_settled(case, skips, monkeypatch):
-    # Cutting a Min-Max box's coordinate-0 range below the previous
-    # predecessor's nu_0, and walking a Max-Min box's frontier alone, leave
-    # marks, pointers, carried weights and small lengths as the dense
-    # enumeration and the reference reconstruction give them.
+def test_skipped_candidates_were_settled(case, earlier_settles, monkeypatch):
+    # The cut skips every mark that another one dominates, and the
+    # dominating or dominated mark settles what it would mark: marks,
+    # pointers, carried weights and small lengths are those of the dense
+    # enumeration cut the same way and of the reference reconstruction.  A
+    # cut row holds no two predecessors with equal big coordinates, so no
+    # box repeats a part of the one sorted before it.  A Max-Min box yields
+    # its frontier alone, fewer candidates than the boxes hold; a Min-Max
+    # box walks each of its candidates once, or none on nu_0 alone.
     rd = {
         "minmax-all-small-k4": lambda: guess_instances(Mode.MINMAX, 4)[-1],
         "minmax-all-small-k8": lambda: guess_instances(Mode.MINMAX, 8)[-1],
@@ -733,31 +766,38 @@ def test_skipped_candidates_were_settled(case, skips, monkeypatch):
         "maxmin-tie": lambda: drawn_rounded(1, Mode.MAXMIN, 4, (3, 4), 1),
     }[case]()
     ws = _Workspace(rd)
+    assert earlier_settles is not ws.up
     tally, tested = counting_candidates(monkeypatch)
     rows = list(_mark_rows(ws))
     total, distinct = full_boxes(ws, rows)
-    assert tally[0] < total
     if ws.up:
+        assert tally[0] < total
         assert check_tested_candidates_pass(ws, rows, tested) == tally[0] > 0
-    if len(ws.active) == 1 and not ws.up:
-        # On nu_0 alone a Min-Max row is one interval, marked in closed
-        # form: the rows walk no candidate at all.
+    elif len(ws.active) == 1:
+        # On nu_0 alone a Min-Max row is one mark, found by bisection: the
+        # rows walk no candidate at all.
         assert tally[0] == 0 < sum(map(len, rows[:-1])) <= distinct
+    else:
+        assert tally[0] == total > 0
     n = rd.instance.n
     _, reference = check_forward(rd)
     for j, row in zip(range(n, 0, -1), rows):
         assert ({ws.expand(nu): ws.expand(mark[0]) for nu, mark in row.items()}
                 == reference.rows[j - 1])
     assert check_carried_weights(rd) > 0
-    pairs = equal_big_pairs(ws, rows)
-    assert bool(pairs) is skips is not ws.up
-    if ws.up:
-        pairs = equal_big_pairs(ws, dense_forward(rd).marks[::-1])
-        assert pairs
+    assert equal_big_pairs(ws, rows) == []
+    pairs = equal_big_pairs(ws, dense_forward(rd).marks[::-1])
+    assert pairs
+    for j, (u, *carried_u), (v, *carried_v), _ in pairs:
+        by_u, by_v = marked_by(ws, j, u, *carried_u), marked_by(ws, j, v, *carried_v)
+        if earlier_settles:
+            assert {tuple(map(min, x, u)) for x in by_v} <= by_u
+        else:
+            assert by_u <= by_v
     if case == "maxmin-growing-budgets":
-        assert all(wa < wb for (wa, _), (wb, _), _ in pairs)
+        assert all(wu < wv for _, (_, wu, _), (_, wv, _), _ in pairs)
     if case == "maxmin-tie":
-        assert any(wa == wb and la == lb == cap for (wa, la), (wb, lb), cap in pairs)
+        assert any(wu == wv and lu == lv == cap for _, (_, wu, lu), (_, wv, lv), cap in pairs)
 
 
 def test_maxmin_one_coordinate_runs_match_dense(monkeypatch):
@@ -817,26 +857,25 @@ def minmax_all_small_cases():
 
 
 def test_minmax_one_coordinate_rows_match_dense():
-    # Each row n..2 is written down as one interval from the row above it,
-    # with no candidate walked.  Marks, pointers, carried weights and small
-    # lengths are the dense enumeration's and the reference
+    # Each row n..2 is written down as one mark from the one of the row
+    # above it, by one bisection, with no candidate walked.  Marks,
+    # pointers, carried weights and small lengths are the dense
+    # enumeration's cut to its minimal vectors, and the reference
     # reconstruction's, also where a row empties partway and past an
-    # uncovered item.
+    # uncovered item.  The pointers are the uncut dense table's too, and so
+    # is the assignment.
     cases = minmax_all_small_cases()
-    seen = {"n = 1": 0, "row empties partway": 0, "row ends below the row above": 0,
-            "succeeded": 0}
+    seen = {"n = 1": 0, "row empties partway": 0, "the cut drops a mark": 0, "succeeded": 0}
     for rd in cases:
         ws = _Workspace(rd)
         assert ws.active == (0,) and not ws.up
-        table, dense = forward(rd), dense_forward(rd)
-        assert table.marks == dense.marks
-        assert table.rows == dense.rows
-        assert trace_lines(table) == trace_lines(dense)
+        table, kept = check_forward(rd)
+        assert all(len(row) <= 1 for row in table.marks)
+        assert trace_lines(table) == trace_lines(kept)
         check_carried_weights(rd)
         seen["n = 1"] += rd.instance.n == 1
         seen["row empties partway"] += bool(table.marks[-1]) and not table.succeeded
-        tops = [max(row)[0] for row in table.marks[1:] if row] + [ws.nu_active[0]]
-        seen["row ends below the row above"] += any(low < high for low, high in zip(tops, tops[1:]))
+        seen["the cut drops a mark"] += any(len(row) > 1 for row in dense_forward(rd).marks)
         seen["succeeded"] += table.succeeded
     assert all(seen.values()), seen
     # the uncovered item: row 3 marks, row 2 is empty, and the weight test
@@ -850,10 +889,11 @@ def test_minmax_one_coordinate_rows_match_dense():
 
 
 def test_minmax_one_coordinate_rows_are_intervals_in_the_dense_table():
-    # The lemma behind the closed form, on the dense enumeration's own table:
-    # each Min-Max row on nu_0 alone is one contiguous run of nu_0, and each
-    # mark x points at max(x, a), a being the lowest nu_0 of the row above
-    # (the instance's nu_0 for row n).
+    # On the dense enumeration's own table, each Min-Max row on nu_0 alone
+    # is one contiguous run of nu_0, and each mark x points at max(x, a), a
+    # being the lowest nu_0 of the row above (the instance's nu_0 for row
+    # n).  So the cut keeps the run's lowest mark, which points at a: the
+    # one mark ``_run_rows`` writes down.
     intervals = 0
     for rd in minmax_all_small_cases():
         dense = dense_forward(rd)
@@ -870,42 +910,29 @@ def test_minmax_one_coordinate_rows_are_intervals_in_the_dense_table():
 
 def test_golden_wide_decide_enumerates_few_repeats(monkeypatch):
     # The first decide of the golden Min-Max n=12, m=120 case, at t = L:
-    # every item is small, and without the skip the rows enumerate 14.7
-    # candidates per mark.  Each row n..2 is one interval in closed form:
-    # the rows walk no candidate, and an untraced solve reads one pointer of
-    # each, the pointer chain, and builds no (weight, small length) entry.
+    # every item is small, and without the cut the rows enumerate 14.7
+    # candidates per mark.  Each row n..2 is one mark, found by bisection:
+    # the rows walk no candidate.  Each row is the minimal mark of the uncut
+    # reference row, with its pointer, weight and small length, and
+    # ``backward`` reads the same assignment off both tables.
     inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
     rd = rounded(scale(inst, hall_bound(inst)[0]), 8)
-    assert len(_Workspace(rd).active) == 1
+    ws = _Workspace(rd)
+    assert len(ws.active) == 1
     tally, _ = counting_candidates(monkeypatch)
-    reads, pointers = [0], [0]
-    read, pointer = dp_engine._Run.__getitem__, dp_engine._Run.pointer
-
-    def counting_read(self, nu):
-        reads[0] += 1
-        return read(self, nu)
-
-    def counting_pointer(self, nu):
-        pointers[0] += 1
-        return pointer(self, nu)
-    monkeypatch.setattr(dp_engine._Run, "__getitem__", counting_read)
-    monkeypatch.setattr(dp_engine._Run, "pointer", counting_pointer)
     assignment, table = solve_rounded(rd)
     assert assignment is not None and tally[0] == 0
-    # table.marks[0] is row 1, the zero vector alone
-    inner = table.marks[1:]
-    assert all(isinstance(row, dp_engine._Run) for row in inner)
-    assert reads[0] == 0
-    assert pointers[0] == len(inner) < sum(map(len, inner))
-    # a read entry carries the pointer backward read
-    for row in inner:
-        nu = next(iter(row))
-        assert row[nu][0] == pointer(row, nu)
+    assert all(len(row) == 1 for row in table.marks)
+    uncut = tuple(reference_minmax_rows(ws))[::-1]
+    assert sum(map(len, uncut[1:])) > 10 * len(uncut[1:])
+    assert list(table.marks) == [reference_minimal(row) for row in uncut]
+    assert backward(DPTable(ws.nu_in, uncut, ws), rd) == assignment
 
 
 def test_solve_rounded_builds_no_full_rows(monkeypatch):
     # Full vectors are built only when a caller reads the rows: an untraced
-    # solve expands nothing but the workspace's own nu_in.
+    # solve expands nothing but the workspace's own nu_in, and the first
+    # read expands each distinct mark and pointer once.
     expanded = [0]
     expand = _Workspace.expand
 
@@ -917,10 +944,11 @@ def test_solve_rounded_builds_no_full_rows(monkeypatch):
     rd = rounded(scale(inst, hall_bound(inst)[0]), 8)
     assignment, table = solve_rounded(rd)
     assert assignment is not None
-    assert expanded[0] <= rd.instance.n + 1
+    assert expanded[0] == 1
     assert "rows" not in vars(table)
     assert rd.scheme.zero_vector() in table.row(1)  # the first read builds them
-    assert "rows" in vars(table) and expanded[0] > rd.instance.n + 1
+    vectors = {v for row in table.marks for nu, mark in row.items() for v in (nu, mark[0])}
+    assert "rows" in vars(table) and expanded[0] == 1 + len(vectors) > 1
 
 
 @drawn
@@ -1015,3 +1043,48 @@ def test_frontier_rows_match_the_box_scan(k, width, depth, n, data, small, facto
         assert ws.active == (0,)
     assert ([list(row.items()) for row in _mark_rows(ws)]
             == [list(row.items()) for row in reference_maxmin_rows(ws)])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(width=st.integers(1, 5), top=st.integers(0, 6), data=st.data())
+def test_cut_matches_the_pairwise_reference(width, top, data):
+    # The bitset cut keeps the marks the pairwise walk keeps, in the same
+    # ascending lexicographic order, in both directions: on drawn rows, and
+    # on rows of no mark and of one, which are their own cut.
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(0, top)] * width),
+                                 max_size=60, unique=True))
+    row = {nu: (nu[::-1], i, i) for i, nu in enumerate(vectors)}
+    for up, reference in ((True, reference_maximal), (False, reference_minimal)):
+        assert list(_cut(dict(row), up).items()) == list(reference(row).items())
+        assert _cut({}, up) == {}
+        for nu, mark in row.items():
+            assert _cut({nu: mark}, up) == {nu: mark}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(k=st.sampled_from([4, 6, 8]), width=st.integers(2, 3), depth=st.integers(2, 4),
+       n=st.integers(2, 5), data=st.data(), small=st.booleans(),
+       factor=st.sampled_from([Fraction(3, 4), Fraction(1), Fraction(5, 4)]))
+def test_minmax_rows_are_antichains_at_overlap_depth(k, width, depth, n, data, small, factor):
+    # On overlapping intervals the uncut Min-Max rows hold many comparable
+    # marks.  Each row the DP keeps is an antichain: the minimal marks of
+    # the uncut reference row, with their pointers, carried weights and
+    # small lengths.  ``backward`` reads the same assignment off both
+    # tables.  A guess of at least k * v_max leaves the DP on nu_0 alone.
+    values = data.draw(st.lists(
+        st.integers(1, 12).flatmap(lambda q: st.integers(1, q).map(lambda p: Fraction(p, q))),
+        min_size=width * n, max_size=width * n))
+    inst = depth_instance(Mode.MINMAX, width, depth, values)
+    base = max(inst.total_value() / n, max(values))
+    if small:
+        base = max(base, k * max(values))
+    rd = rounded(scale(inst, base * factor) or scale(inst, base), k)
+    ws = _Workspace(rd)
+    table = forward(rd)
+    assert all(map(is_antichain, table.marks))
+    uncut = tuple(reference_minmax_rows(ws))[::-1]
+    assert list(table.marks) == [reference_minimal(row) for row in uncut]
+    full = DPTable(ws.nu_in, uncut, ws)
+    assert table.succeeded == full.succeeded
+    if table.succeeded:
+        assert backward(table, rd) == backward(full, rd)

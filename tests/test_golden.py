@@ -4,8 +4,11 @@ The result JSON (``-o``) and the table trace (``--trace``) of every case are
 hashed in order; a change to the solver that alters any byte of either, on
 any case, changes a digest.  A speed-up must leave both as they are.
 
-The Min-Max cases keep the digests pinned before the integer DP kernel.
-The Max-Min digests were re-pinned when each Max-Min row came to keep only
+The Min-Max result digest is the one pinned before the integer DP kernel.
+The Min-Max trace digest was re-pinned when each Min-Max row came to keep
+only its minimal vectors: a trace lists the kept marks alone, but the success
+bit and every pointer on the chain from row 1 are the full table's, so the
+results are unchanged.  The Max-Min digests were re-pinned when each Max-Min row came to keep only
 its maximal vectors.  The success bit of every decide is unchanged, so every
 search tries the same guesses and ends at the same ``t_star``.  But a Max-Min
 trace now lists the kept marks alone, and every pointer chain runs through
@@ -27,7 +30,7 @@ MINMAX_CASES = ([(seed, 1 + seed % 5, 4 + 3 * seed, Mode.MINMAX, k)
                 + [(3, 12, 120, Mode.MINMAX, 8)])
 
 MINMAX_RESULT_SHA256 = "22ce97ec3b19853b05caeee677de21a32591e41b0b911c1bcf73a1a20f702e2e"
-MINMAX_TRACE_SHA256 = "8a420d990577720983ac73a7594bc117adb7106327644c5be4b2efe1fdc26a67"
+MINMAX_TRACE_SHA256 = "d9244d701524358e62499165f4d4644df55fc1b4dc91173b7f4a55ae07e11ed7"
 
 MAXMIN_CASES = ([(seed, 1 + seed % 5, 4 + 3 * seed, Mode.MAXMIN, k)
                  for k in (4, 8) for seed in range(10)]
