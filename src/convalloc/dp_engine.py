@@ -159,12 +159,21 @@ that, so this row's table of these weights never decreases in x.  Let
 kept_j[x] = min(small_len[x], small_cap(j-1)) be the small length of
 R(x, j-1).  Row n+1 is {nu_in_0}, whose remainder is every item, and by the
 cut every row j+1 is one mark a.  A candidate of a's box passes iff its
-weight is at least the budget T_{j+1}[a] - bound, so row j is
-{lo: a}, carrying (T_j[lo], kept_j[lo]), with
-lo = bisect_left(T_j, T_{j+1}[a] - bound, start(a), a + 1) and start(a) the
-low end of a's coordinate-0 window, past a when the window is empty.  The
-row is empty when lo > a, and then so is every row below it.  Row 1 is
-{0: a} when T_2[a] <= bound, else empty.
+weight is at least the budget limit = T_{j+1}[a] - bound, so row j is
+{lo: a}, carrying (T_j[lo], kept_j[lo]), with lo the least x in
+start(a)..a with T_j[x] >= limit and start(a) the low end of a's
+coordinate-0 window, past a when the window is empty.  The row is empty
+when no x passes, and then so is every row below it.  Row 1 is {0: a} when
+T_2[a] <= bound, else empty.  No table indexed by x is needed.  When
+limit <= small_prefix[small_cap(j-1)], let first be the least prefix index
+with small_prefix[first] >= limit, at most the cap: T_j[x] >= limit iff
+small_len[x] >= first iff small_prefix[first] < (x+1)/k, that is iff
+x >= small_prefix[first] // unit.  So lo is that or start(a), whichever is
+larger, and kept_j[lo] is the count of nonempty prefixes up to the cap worth
+< (lo+1)/k: two bisections of the small prefix sums.  On an all-small
+rounded instance ``scaled_by`` one factor, the small prefix sums are the
+factor times its source's ``prefix``, and each bisection runs on that
+``prefix`` with its threshold carried over.
 
 Row 1 is marked in closed form.  Its windows admit only the zero vector,
 and R(0, 0) is empty, so the zero's remainder weighs 0 and keeps 0 small
@@ -184,7 +193,9 @@ full (nu_0, ..., nu_C) rows are built only when a caller reads ``rows``, as
 ``trace_lines`` does.  ``backward`` walks the pointer chain and, since by
 (ii) each remainder on it is a per-coordinate prefix of the next, takes
 agent j's bundle as one slice of each coordinate's positions, between the
-prefix lengths of R(chain[j-1], j-1) and R(chain[j], j).
+prefix lengths of R(chain[j-1], j-1) and R(chain[j], j).  When every item is
+small, coordinate 0 holds positions 1..m, and the slice is one of the item
+ids.
 
 ``forward`` never reconstructs an item set: it sums weights.  The sweep's
 remainder is a product of per-coordinate prefixes, the leftmost nu_c items
@@ -201,8 +212,8 @@ it, so the sum is exactly the weight of R(nu, j-1).  A mark carries its
 ``before_small``.  ``backward`` and ``retrieve`` read
 a remainder's items as the position prefixes of those lengths, from the
 tables whose weights ``forward`` sums, so the sweep's rule has one
-definition (``small_kept``, whose two tables ``backward`` reads for the
-whole pointer chain at once).  Value sums and comparisons run on the
+definition (``small_kept``; ``backward`` reads the small lengths of the
+whole pointer chain off the marks, which carry them).  Value sums and comparisons run on the
 rounded instance's integer view, whose common denominator ``round_instance``
 makes divisible by k: the engine takes no lcm and builds no ``Fraction`` or
 ``Item``, and nu_0 is one integer ceil or floor.
@@ -278,10 +289,16 @@ class _Workspace:
     weight of ``positions[active[i]][:x]``, the leftmost x items of
     coordinate ``active[i]``, ``reach[j-1][i]`` counts its items at
     positions <= r_j and ``left_of[j-1][i]`` those at positions < l_j, for
-    the j-th agent in lexicographic order.  ``small_len[x]`` is the longest
-    small prefix worth < (x + 1)/k and ``small_weight[x]`` its weight, for x
-    up to the instance's nu_0, so the methods take only vectors <= ``nu_in``
-    (``retrieve`` checks; the DP meets no other).
+    the j-th agent in lexicographic order.  ``small_count`` is the number of
+    small items.  ``small_len[x]`` is the longest small prefix worth
+    < (x + 1)/k and ``small_weight[x]`` its weight, for x up to the
+    instance's nu_0, so the methods take only vectors <= ``nu_in``
+    (``retrieve`` checks; the DP meets no other).  ``folded`` is
+    (prefix, num, den) with ``small_prefix[i] == prefix[i] * num // den``,
+    which ``_run_rows`` reads: here (small_prefix, 1, 1), while
+    ``_AllSmallWorkspace`` takes the prefix of the instance its rounded
+    instance is ``scaled_by`` and leaves every table its rows do not read,
+    ``small_len`` and ``small_weight`` among them, unbuilt until read.
 
     Raises ValueError unless ``nested`` is empty (the highs never decrease
     in that order), l_1 = 1 and r_n = m: the ``windows`` settle the
@@ -289,16 +306,9 @@ class _Workspace:
     """
 
     def __init__(self, rounded: RoundedInstance):
-        inst = rounded.instance
+        self._agents(rounded)
+        weights, denom = rounded.instance.integers
         sch = rounded.scheme
-        weights, denom = inst.integers
-        self.order, self.lows, self.highs = inst.lex
-        if not (self.order and self.lows[0] == 1 and self.highs[-1] == len(weights)
-                and not inst.nested):
-            raise ValueError("the dynamic program needs agents whose intervals start "
-                             "at item 1, end at item m and are inclusion-free")
-        self.up = sch.mode is Mode.MAXMIN
-
         # round_instance's D is a multiple of k; any other view is lifted to one
         lift = sch.k // gcd(denom, sch.k)
         self.denom = denom * lift
@@ -315,7 +325,9 @@ class _Workspace:
                               else list(accumulate([weight[p] for p in ps], initial=0))
                               for ps in active_positions]
         self.small_positions = self.positions[0]
+        self.small_count = len(self.small_positions)
         self.small_prefix = self.prefix_weight[0]
+        self.folded = (self.small_prefix, 1, 1)
         # Counted per coordinate by one C-level map over the agents, then
         # read per agent: reach[j-1][i], left_of[j-1][i].
         self.reach = list(zip(*[map(bisect_right, repeat(ps), self.highs)
@@ -333,9 +345,20 @@ class _Workspace:
                                   range(unit, (nu0 + 2) * unit, unit)))
         self.small_weight = [small_prefix[x] for x in self.small_len]
 
+    def _agents(self, rounded: RoundedInstance) -> None:
+        """The agents' lexicographic view, checked, the mode and the width."""
+        inst = rounded.instance
+        self.order, self.lows, self.highs = inst.lex
+        if not (self.order and self.lows[0] == 1 and self.highs[-1] == inst.m
+                and not inst.nested):
+            raise ValueError("the dynamic program needs agents whose intervals start "
+                             "at item 1, end at item m and are inclusion-free")
+        self.up = rounded.scheme.mode is Mode.MAXMIN
+        self.width = rounded.scheme.C + 1
+
     def expand(self, nu: InputVector) -> InputVector:
         """The full (nu_0, ..., nu_C) vector of a vector over ``active``."""
-        full = [0] * len(self.positions)
+        full = [0] * self.width
         for c, count in zip(self.active, nu):
             full[c] = count
         return tuple(full)
@@ -415,6 +438,63 @@ class _Workspace:
         return [range(start, nu_prev[0] + 1), *big]
 
 
+class _AllSmallWorkspace(_Workspace):
+    """The workspace of a Min-Max rounded instance whose items are all
+    small and whose weights are ``scaled_by`` one factor, as
+    ``round_instance`` makes at an all-small guess.
+
+    Its rows run on nu_0 alone (``_run_rows``), and read only ``folded``,
+    which takes its prefix from the instance's scaling's source, and
+    ``reach`` and ``left_of``, which coordinate 0, holding every item, reads
+    off the agents' endpoints.  So no weight is built: every other table is
+    built, as ``_Workspace`` builds it, on the first read of one.
+    """
+
+    _DEFERRED = frozenset(("weight", "positions", "prefix_weight", "small_positions",
+                           "small_prefix", "small_len", "small_weight"))
+
+    def __init__(self, rounded: RoundedInstance):
+        self._agents(rounded)
+        self._rounded = rounded
+        sch, m, scaling = rounded.scheme, rounded.instance.m, rounded.instance.scaling
+        lift = sch.k // gcd(scaling.denom, sch.k)
+        self.denom = scaling.denom * lift
+        self.unit = self.denom // sch.k
+        self.active = (0,)
+        self.small_count = m
+        self.reach = list(zip(self.highs))
+        self.left_of = [(lo - 1,) for lo in self.lows]
+        prefix = scaling.source.prefix
+        self.folded = (prefix, scaling.num * lift, scaling.den)
+        self.nu_active = (small_units(prefix[-1] * scaling.num * lift // scaling.den,
+                                      self.denom, sch),)
+        self.nu_in = self.expand(self.nu_active)
+
+    def __getattr__(self, name: str):
+        # Reached only when ordinary lookup fails, which for a deferred table
+        # means its first read: every table is built here, once, and
+        # ``folded`` keeps the source's prefix.
+        if name not in self._DEFERRED or "_rounded" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        folded = self.folded
+        _Workspace.__init__(self, self._rounded)
+        self.folded = folded
+        return vars(self)[name]
+
+
+def _workspace(rounded: RoundedInstance) -> _Workspace:
+    """The workspace ``forward`` runs on: ``_AllSmallWorkspace`` for a
+    Min-Max instance ``scaled_by`` one factor whose values are all small
+    (k w <= D), else ``_Workspace``."""
+    inst, sch = rounded.instance, rounded.scheme
+    scaling = inst.scaling
+    if scaling is not None and sch.mode is Mode.MINMAX:
+        low, high, _ = inst.spread
+        if low > 0 and sch.k * high <= scaling.denom:
+            return _AllSmallWorkspace(rounded)
+    return _Workspace(rounded)
+
+
 def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[frozenset[int]]:
     """Reconstruct the remainder's item positions for vector nu and agent
     prefix p_1..p_j.
@@ -436,28 +516,39 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[froz
 def _run_rows(ws: _Workspace, bound: int) -> Iterator[dict[InputVector, Mark]]:
     """Yield rows n..1 of a Min-Max DP on nu_0 alone: each row j >= 2 is
     the one mark {(lo,): ((a,), T_j[lo], kept_j[lo])} that row j+1's mark
-    (a,) gives by the module docstring's lemma, lo found by one bisection of
-    ``small_weight``.  An empty row and every row below it are {}."""
-    small_weight, small_len, small_prefix, unit = (ws.small_weight, ws.small_len,
-                                                   ws.small_prefix, ws.unit)
+    (a,) gives by the module docstring's lemma.  One bisection of the small
+    prefix sums gives lo and a second the small length lo keeps, both on
+    ``folded``'s prefix, whose entries times num // den are the small
+    prefix sums: each threshold is carried over to it.  An empty row and
+    every row below it are {}."""
+    prefix, num, den = ws.folded
+    over, reach, left_of = den * ws.unit, ws.reach, ws.left_of
     # Row n+1: the instance's vector, whose remainder is every item (r_n = m).
     # before and before_small are T_{j+1}[a] and kept_{j+1}[a].
     a = ws.nu_active[0]
-    before = small_prefix[-1]
-    before_small = len(ws.small_positions)
+    before = prefix[-1] * num // den
+    before_small = ws.small_count
     for j in range(len(ws.order), 1, -1):
-        cap = ws.small_cap(j - 1)
-        below = small_prefix[cap]
-        # a's box is range(start, a + 1), empty when start > a; candidate x
-        # passes iff T_j[x] = min(small_weight[x], below) >= before - bound.
-        left, limit = ws.left_of[j - 1][0], before - bound
+        # a's box is range(start, a + 1) with start = small_prefix[target] //
+        # unit, empty when start > a.  Candidate x passes iff
+        # T_j[x] = small_prefix[min(small_len[x], cap)] >= limit, that is iff
+        # small_len[x] reaches the least prefix worth limit, first <= cap,
+        # iff x >= small_prefix[first] // unit.
+        cap, left = reach[j - 2][0], left_of[j - 1][0]
+        limit = before - bound
         target = before_small if before_small < left else left
-        lo = (bisect_left(small_weight, limit, small_prefix[target] // unit, a + 1)
-              if target <= cap and limit <= below else a + 1)
+        lo = a + 1
+        if target <= cap and limit * den <= prefix[cap] * num:
+            # small_prefix[i] >= limit iff prefix[i] >= ceil(limit den / num)
+            first = bisect_left(prefix, -(-limit * den // num), 0, cap + 1)
+            lo = max(prefix[first], prefix[target]) * num // over
         if lo > a:
             yield from ({} for _ in range(j, 0, -1))
             return
-        before, before_small = min(small_weight[lo], below), min(small_len[lo], cap)
+        # kept_j[lo] = min(small_len[lo], cap): the nonempty prefixes up to
+        # cap worth < (lo + 1) unit, a count that first's prefix is in
+        before_small = bisect_left(prefix, -(-(lo + 1) * over // num), first, cap + 1) - 1
+        before = prefix[before_small] * num // den
         yield {(lo,): ((a,), before, before_small)}
         a = lo
     # Row 1: the zero vector, pointing at a if its budget admits weight 0.
@@ -600,7 +691,7 @@ def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, Mark]]:
         return
     small_len, small_prefix, small_weight = ws.small_len, ws.small_prefix, ws.small_weight
     # Row n+1: the instance's vector; it reconstructs to every item.
-    preds = [(ws.nu_active, sum(ws.weight) - bound, len(ws.small_positions))]
+    preds = [(ws.nu_active, sum(ws.weight) - bound, ws.small_count)]
     for j in range(len(ws.order), 1, -1):
         cap = ws.small_cap(j - 1)
         # min(small_len[x], cap) and small_prefix of it: small_len does not
@@ -638,7 +729,7 @@ def forward(rounded: RoundedInstance) -> DPTable:
     """Fill the table; row j's back-pointers record the first (lexicographically
     smallest) kept predecessor vector in row j+1 that marks the entry.
     """
-    ws = _Workspace(rounded)
+    ws = _workspace(rounded)
     return DPTable(ws.nu_in, tuple(_mark_rows(ws))[::-1], ws)  # rows 1..n
 
 
@@ -650,24 +741,34 @@ def backward(table: DPTable, rounded: RoundedInstance) -> Assignment:
     if not table.succeeded:
         raise LookupError("dynamic program recorded no feasible assignment")
     ws = table._ws
-    # chain[j] is the vector marked at row j (chain[0] = zero for "row 0"),
+    # chain[j] is the vector marked at row j + 1 (chain[0] = zero in row 1),
     # chain[n] the instance's vector; a mark of row j points into row j+1.
-    chain = [(0,) * len(ws.active)]
+    # small[j] is the small length of R(chain[j], j), which the mark of
+    # chain[j] carries, and every small item for chain[n].
+    chain, small = [(0,) * len(ws.active)], []
     for row in table.marks:
-        chain.append(row[chain[-1]][0])
+        mark = row[chain[-1]]
+        chain.append(mark[0])
+        small.append(mark[2])
+    small.append(ws.small_count)
     # R(chain[j-1], j-1) is a per-coordinate prefix of R(chain[j], j) (module
     # docstring, (ii)), so bundle j is the slice of each coordinate's
-    # positions between the two prefix lengths; the small one is
-    # small_kept(chain[j][0], j), read off its tables.
-    small_len, small_positions = ws.small_len, ws.small_positions
-    caps = [0, *(reach[0] for reach in ws.reach)]
-    small = [min(small_len[nu[0]], cap) for nu, cap in zip(chain, caps)]
+    # positions between the two prefix lengths.
+    instance = rounded.instance
+    if len(ws.active) == 1:
+        # Every item small: coordinate 0 holds positions 1..m, so each
+        # bundle is one slice of the item ids.
+        item_ids = instance.item_ids
+        named = {i: item_ids[a:b] for i, a, b in zip(ws.order, small, small[1:])}
+        return Assignment(instance.mode, tuple([(a.id, named[i])
+                                                for i, a in enumerate(instance.agents)]))
+    small_positions = ws.small_positions
     bundles = {i: small_positions[a:b] for i, a, b in zip(ws.order, small, small[1:])}
     for t, c in enumerate(ws.active[1:], start=1):
         ps = ws.positions[c]
         for i, before, after in zip(ws.order, chain, chain[1:]):
             bundles[i] += ps[before[t]:after[t]]
-    return assignment_from_positions(rounded.instance, bundles)
+    return assignment_from_positions(instance, bundles)
 
 
 def solve_rounded(rounded: RoundedInstance) -> tuple[Optional[Assignment], DPTable]:

@@ -52,25 +52,26 @@ class HallWitness:
 
 
 def _lex_profile(instance: ConvexInstance
-                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, list[int]]:
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]:
     """The instance's ``lex`` (order, lows, highs), the common denominator D
-    of its integer view, and the prefix sums of its weights D v.  Raises
-    ValueError with no agents, when the highs decrease (a nesting), or when
-    an interval leaves 1..m or has lo > hi."""
+    of its integer view, and its ``prefix``, the prefix sums of its weights
+    D v, which the DP reads too.  Raises ValueError with no agents, when
+    the highs decrease (a nesting), or when an interval leaves 1..m or has
+    lo > hi."""
     if not instance.agents:
         raise ValueError("instance has no agents")
     if instance.nested:
         raise ValueError("the highs decrease in lexicographic order: not inclusion-free")
     order, lows, highs = instance.lex
-    weights, denom = instance.integers
+    m = instance.m
     # the lows and, with no nesting, the highs never decrease in lex order
-    if lows[0] < 1 or highs[-1] > len(weights) or any(map(gt, lows, highs)):
-        raise ValueError(f"an agent interval is empty or not within [1,{len(weights)}]")
-    return order, lows, highs, denom, list(accumulate(weights, initial=0))
+    if lows[0] < 1 or highs[-1] > m or any(map(gt, lows, highs)):
+        raise ValueError(f"an agent interval is empty or not within [1,{m}]")
+    return order, lows, highs, instance.integers[1], instance.prefix
 
 
 def _maxmin_runs(lows: Sequence[int], highs: Sequence[int],
-                 prefix: list[int]) -> Iterator[tuple[int, int, int]]:
+                 prefix: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     """(i, j, w) for each maximal run i..j of lexicographic ranks, in
     (lo_i, hi_j) order: no rank before i has lo_i and none after j has hi_j,
     so the tight interval [lo_i, hi_j] holds exactly agents i..j; w is its
@@ -88,7 +89,7 @@ def _maxmin_runs(lows: Sequence[int], highs: Sequence[int],
 
 
 def _minmax_runs(lows: Sequence[int], highs: Sequence[int],
-                 prefix: list[int]) -> Iterator[tuple[int, int, int]]:
+                 prefix: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     """(i, j, w) for each run i..j of lexicographic ranks, i then j
     ascending, with w the integer work of the jobs confined to it: those
     right of every machine ranked below i and left of every machine ranked
@@ -143,7 +144,7 @@ def hall_bound(instance: ConvexInstance) -> tuple[Fraction, bool]:
             if w * best_c < best_w * count:
                 best_w, best_c = w, count
     else:
-        best_w, best_c = max(instance.integers[0]), 1  # p_max / 1
+        best_w, best_c = instance.spread[1], 1  # p_max / 1
         for i, j, w in _minmax_runs(lows, highs, prefix):
             count = j - i + 1
             if w * best_c > best_w * count:

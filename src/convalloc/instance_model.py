@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Collection, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
 def integer_values(values: Sequence[Union[Fraction, tuple[int, int]]]
@@ -148,19 +148,33 @@ class ConvexInstance:
     when the instance is inclusion-free, the one test of that shape that
     validation, the Hall sweeps, the DP and ``align`` read.
 
+    ``spread`` is (min, max, gcd) of the integer view's weights and
+    ``prefix`` their prefix sums, from 0: the search, the Hall sweeps and
+    the DP on an all-small guess read them, each built once per instance.
+
     Two kinds of instance hold ``item_ids`` and ``integers`` but no
     ``items``, and build their ``Item``s only when ``items`` is first read,
     which no step of a solve does: those ``instance_from_dict`` (and so
     ``load_instance``) loads, and those ``with_integers`` derives from an
     integer view, as ``solver.scale`` and ``rounding.round_instance`` do for
-    every guess.  A derived instance carries its source's ``lex``, ``ids``
-    and ``nested`` too, so a solve sorts and tests its agents once.
-    Equality, hashing and ``repr`` read ``items`` and so build them.
+    a guess with a big item.  A third kind holds its weights unbuilt too:
+    ``scaled_by`` derives it as its source's weights times one factor, and
+    keeps that as its ``scaling``, with its ``spread`` read off the
+    source's; its ``integers`` and ``prefix`` are built on first read.
+    ``solver.scale`` and ``rounding.round_instance`` derive one for a guess
+    at which every value is small, and no step of such a decide builds its
+    weights.  ``scaling`` is None on every other instance.  A derived
+    instance carries its source's ``lex``, ``ids`` and ``nested`` too, so a
+    solve sorts and tests its agents once.  Equality, hashing and ``repr``
+    read ``items`` and so build them.
     """
 
     mode: Mode
     items: tuple[Item, ...]
     agents: tuple[Agent, ...]
+
+    # Not a field: an instance that ``scaled_by`` derives holds its own.
+    scaling = None
 
     @property
     def m(self) -> int:
@@ -179,7 +193,20 @@ class ConvexInstance:
 
     @cached_property
     def integers(self) -> tuple[tuple[int, ...], int]:
+        scaling = self.scaling
+        if scaling is not None:
+            source, num, den, denom = scaling
+            return tuple([w * num // den for w in source.integers[0]]), denom
         return integer_values([it.value for it in self.items])
+
+    @cached_property
+    def spread(self) -> tuple[int, int, int]:
+        weights = self.integers[0]
+        return (min(weights), max(weights), gcd(*weights)) if weights else (0, 0, 0)
+
+    @cached_property
+    def prefix(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.integers[0], initial=0))
 
     @cached_property
     def lex(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -220,13 +247,22 @@ class ConvexInstance:
         return self.ids[0][item_id]
 
 
+class Scaling(NamedTuple):
+    """The weights of an instance ``scaled_by`` derives: ``w * num // den``
+    for each weight w of ``source``, which holds its own, over ``denom``."""
+    source: ConvexInstance
+    num: int
+    den: int
+    denom: int
+
+
 def _unbuilt(mode: Mode, agents: tuple[Agent, ...], item_ids: tuple[str, ...],
-             integers: tuple[tuple[int, ...], int], **views) -> ConvexInstance:
-    """An instance of ``item_ids`` valued by ``integers``, whose ``items``
-    are built on first read, with ``views`` as further cached views."""
+             **views) -> ConvexInstance:
+    """An instance of ``item_ids`` whose ``items`` are built on first read,
+    with ``views`` as its cached views: ``integers``, or a ``scaling``."""
     out = object.__new__(ConvexInstance)
     # a frozen dataclass keeps its fields, like its cached views, in __dict__
-    vars(out).update(mode=mode, agents=agents, item_ids=item_ids, integers=integers, **views)
+    vars(out).update(mode=mode, agents=agents, item_ids=item_ids, **views)
     return out
 
 
@@ -237,9 +273,34 @@ def with_integers(source: ConvexInstance,
 
     The result has ``source``'s mode, agents, ``item_ids``, ``lex``, ``ids``
     and ``nested``, and ``integers`` as its integer view.  It builds no
-    ``Item`` until its ``items`` is read.
+    ``Item`` until its ``items`` is read.  ``scaled_by`` derives an instance
+    that holds its weights unbuilt too, when they are ``source``'s times
+    one factor.
     """
-    return _unbuilt(source.mode, source.agents, source.item_ids, integers,
+    return _unbuilt(source.mode, source.agents, source.item_ids, integers=integers,
+                    lex=source.lex, ids=source.ids, nested=source.nested)
+
+
+def scaled_by(source: ConvexInstance, num: int, den: int, denom: int) -> ConvexInstance:
+    """``source`` with the values ``(w * num // den) / denom`` for each
+    weight w of its integer view; den must divide every ``w * num``.
+
+    The result has ``source``'s mode, agents, ``item_ids``, ``lex``, ``ids``
+    and ``nested``, and its ``spread`` is read off ``source``'s, so it is
+    built in O(1) once ``source`` has a ``spread``.  Its ``scaling`` names
+    an instance that holds its own weights: a ``source`` derived this way
+    is replaced by its own source, the two factors multiplied.  Its
+    ``integers``, ``prefix`` and ``items`` are built on first read.
+    """
+    scaling = source.scaling
+    if scaling is not None:
+        source, num, den = scaling.source, num * scaling.num, den * scaling.den
+    divisor = gcd(num, den)
+    num, den = num // divisor, den // divisor
+    low, high, common = source.spread
+    return _unbuilt(source.mode, source.agents, source.item_ids,
+                    scaling=Scaling(source, num, den, denom),
+                    spread=(low * num // den, high * num // den, common * num // den),
                     lex=source.lex, ids=source.ids, nested=source.nested)
 
 
@@ -494,7 +555,7 @@ def instance_from_dict(data: Mapping) -> ConvexInstance:
     except KeyError as exc:
         raise _missing_key("agent", records, exc) from None
     _string_ids("agent", [a.id for a in agents])
-    return _unbuilt(mode, agents, item_ids, integer_values(ratios))
+    return _unbuilt(mode, agents, item_ids, integers=integer_values(ratios))
 
 
 def _agent(record: dict) -> Agent:

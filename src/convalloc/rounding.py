@@ -31,6 +31,15 @@ rounded values that k divides, so the dynamic program sums the smallest
 integers, reads them as they are and takes no common denominator of its
 own.  A scaled or rounded instance builds its ``Item``s only when its
 ``items`` is read, and no step of a decide reads them.
+
+When every value is small, the scaled and the rounded weights are the
+loaded instance's weights w times one factor, w num // den, over one
+denominator, and no weight tuple is built.  ``solver.scale`` hands over a
+view ``scaled_by`` the loaded instance, whose cached ``spread`` gives its
+min, max and gcd in O(1); ``round_instance`` reads the all-small test, the
+lift and the cut off them, and returns a view of the loaded instance too.
+The dynamic program then reads the loaded instance's ``prefix`` times that
+factor.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .instance_model import ConvexInstance, Mode, with_integers
+from .instance_model import ConvexInstance, Mode, scaled_by, with_integers
 
 
 InputVector = tuple[int, ...]
@@ -161,24 +170,30 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
     """Round every item value; order, ids, agents and mode are unchanged.
 
     The rounded instance is an integer view over the least common
-    denominator of its values that k divides (module docstring).
+    denominator of its values that k divides (module docstring).  When
+    ``instance`` is ``scaled_by`` one factor and every value is small, as
+    ``solver.scale`` hands over at an all-small guess, the rounded one is
+    ``scaled_by`` one factor too, with no pass over the items.
     """
+    k, scaling = sch.k, instance.scaling
+    if scaling is not None:
+        low, high, common = instance.spread
+        denom = scaling.denom
+        if low > 0 and k * high <= denom:
+            # Every value is small (k w <= D): category 0, kept over
+            # lcm(k, D0) for D0 the values' least common denominator, which
+            # is lcm(D, k) / cut.  lift = lcm(D, k) / D takes the primes k has
+            # more of than D, cut those D has more of than k and D0, so the
+            # two are coprime, cut divides every w * lift, and each value is
+            # the instance's times lift // cut.  A Min-Max value in
+            # (1/k, q_1) is category 0 too, but it rounds to 1/k, so it takes
+            # the general path below.
+            lcd = lcm(denom, k)
+            cut = lcd // lcm(k, denom // gcd(denom, common))
+            return RoundedInstance(scaled_by(instance, lcd // denom, cut, lcd // cut),
+                                   sch, (0,) * instance.m)
     weights, denom = instance.integers
-    k, small = sch.k, denom // sch.k
-    if weights and max(weights) <= small and min(weights) > 0:
-        # Every value is small (k w <= D): category 0, kept over lcm(k, D0)
-        # for D0 the values' least common denominator, which is
-        # lcm(D, k) / cut.  lift = lcm(D, k) / D takes the primes k has more
-        # of than D, cut those D has more of than k and D0, so the two are
-        # coprime, cut divides every w, and each value is written once.
-        # A Min-Max value in (1/k, q_1) is category 0 too, but it rounds to
-        # 1/k, so it takes the general path below.
-        common = lcm(denom, k)
-        lift = common // denom
-        cut = common // lcm(k, denom // gcd(denom, *weights))
-        rounded = [w * lift // cut for w in weights] if cut > 1 else [w * lift for w in weights]
-        return RoundedInstance(with_integers(instance, (tuple(rounded), common // cut)),
-                               sch, (0,) * len(weights))
+    small = denom // k
     cats = _categories(weights, denom, sch)
     top = max(cats, default=0)
     common = lcm(denom, sch.ratios[top][1])

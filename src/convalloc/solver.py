@@ -27,7 +27,7 @@ from typing import Optional
 from . import dp_engine
 from .hall import hall_bound
 from .instance_model import (Assignment, ConvexInstance, Mode, _partition_pass,
-                             assignment_from_positions, validate, with_integers)
+                             assignment_from_positions, scaled_by, validate, with_integers)
 from .rounding import round_instance, scheme
 
 
@@ -103,17 +103,25 @@ def scale(instance: ConvexInstance, t: Fraction) -> Optional[ConvexInstance]:
     infeasibility (None) when any processing time exceeds t.  With the
     instance's integer view (w, D), v / t = w t_den / (D t_num), so the
     scaled instance is the view (w t_den, D t_num), a clamped weight being
-    D t_num; its items are built only when read.
+    D t_num; its items are built only when read.  When no value exceeds
+    t/4, which every guess at which all values are small at some k >= 4
+    meets, nothing is clamped and the weights are not built either: the
+    result is ``scaled_by`` the factor t_den, in O(1).
     """
     if t <= 0:
         raise ValueError(f"guess t must be positive, got {t}")
-    weights, denom = instance.integers
-    denom, t_den = denom * t.numerator, t.denominator
-    scaled = tuple([w * t_den for w in weights])
-    if max(scaled, default=0) > denom:
-        if instance.mode is Mode.MINMAX:
-            return None
-        scaled = tuple([min(w, denom) for w in scaled])
+    scaling, t_den = instance.scaling, t.denominator
+    denom = (instance.integers[1] if scaling is None else scaling.denom) * t.numerator
+    high = instance.spread[1] * t_den  # the largest scaled weight
+    if 4 * high <= denom:
+        return scaled_by(instance, t_den, 1, denom)
+    weights = instance.integers[0]
+    if high <= denom:
+        scaled = tuple([w * t_den for w in weights])
+    elif instance.mode is Mode.MINMAX:
+        return None
+    else:
+        scaled = tuple([min(w * t_den, denom) for w in weights])
     return with_integers(instance, (scaled, denom))
 
 
@@ -240,11 +248,12 @@ def _search(instance: ConvexInstance, mode: Mode, k: int,
         return True
 
     if not succeeds(bound):
-        weights, denom = instance.integers
-        v_max = Fraction(max(weights), denom)
+        w_min, w_max, _ = instance.spread
+        denom = instance.integers[1]
+        v_max = Fraction(w_max, denom)
         if maxmin:
             # OPT > 0 gives every agent an item, so OPT >= v_min
-            lo, hi = max(Fraction(min(weights), denom), bound - v_max), bound
+            lo, hi = max(Fraction(w_min, denom), bound - v_max), bound
         else:
             lo, hi = bound, min(instance.total_value(), bound + v_max)
         # Each step halves hi - lo, and lo >= v_min > 0 (Max-Min) or lo >= L > 0

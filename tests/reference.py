@@ -13,8 +13,12 @@ were, and the package's reports and tables must equal theirs:
 an assignment item by item through ``Agent.covers``; ``reference_validate``
 runs the per-item duplicate and sign loop on every instance and counts
 coverage by a difference array over the positions;
-``reference_round_instance`` classifies every value by ``_categories``,
-small or not; ``reference_workspace_tables`` builds the ``_Workspace`` tables
+``reference_integer_scale`` is ``solver.scale`` as it was before a guess at which
+no value exceeds t/4 took a view: it builds the scaled weight tuple on every
+call.  ``reference_round_instance`` classifies every value by
+``_categories``, small or not, and builds the rounded weight tuple too; the
+two are the materialized path that the all-small views must read back.
+``reference_workspace_tables`` builds the ``_Workspace`` tables
 one agent and one unit of nu_0 at a time, from ``positions`` grouped by a
 loop over the categories.
 
@@ -278,6 +282,20 @@ def reference_validate(instance: ConvexInstance) -> ValidationReport:
                              f"the item values' common denominator has more than {limit} "
                              "digits, too many to print"))
     return ValidationReport(tuple(out))
+
+
+def reference_integer_scale(instance: ConvexInstance, t: Fraction) -> Optional[ConvexInstance]:
+    """``solver.scale`` building the scaled weights (w t_den over D t_num)
+    on every guess: clamped to D t_num (Max-Min), or None when some weight
+    exceeds it (Min-Max)."""
+    weights, denom = instance.integers
+    denom, t_den = denom * t.numerator, t.denominator
+    scaled = tuple([w * t_den for w in weights])
+    if max(scaled, default=0) > denom:
+        if instance.mode is Mode.MINMAX:
+            return None
+        scaled = tuple([min(w, denom) for w in scaled])
+    return with_integers(instance, (scaled, denom))
 
 
 def reference_round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInstance:
