@@ -130,10 +130,10 @@ def test_run_rows_read_folded_through_the_sums_it_stands_for(seed, k, n, top, sh
     # item 1 and the budget, not the window, sets its mark.
     m = 4 * k * n
     rng = random.Random(seed)
-    inst = ConvexInstance(Mode.MINMAX,
-                          tuple(Item(f"x{i}", Fraction(rng.randint(1, top))) for i in range(1, m + 1)),
-                          tuple(Agent(f"p{j}", 1 + (j - 1) * shift, m - (n - j) * shift)
-                                for j in range(1, n + 1)))
+    items = tuple(Item(f"x{i}", Fraction(rng.randint(1, top))) for i in range(1, m + 1))
+    agents = tuple(Agent(f"p{j}", 1 + (j - 1) * shift, m - (n - j) * shift)
+                   for j in range(1, n + 1))
+    inst = ConvexInstance(Mode.MINMAX, items, agents)
     t = hall_bound(inst)[0] * factor
     assert all_small(inst, t, k)
     ws = _Workspace(round_instance(scale(inst, t), scheme(k, Mode.MINMAX)))
