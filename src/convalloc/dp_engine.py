@@ -230,7 +230,7 @@ from operator import and_, getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .instance_model import Assignment, Mode, assignment_from_positions
-from .rounding import InputVector, RoundedInstance, small_units
+from .rounding import InputVector, RoundedInstance, all_small_view, small_units
 
 # The bundle rule's margin in units of 1/k: an agent's bundle must be worth at
 # least 1 - BUNDLE_MARGIN/k (Max-Min) or at most 1 + BUNDLE_MARGIN/k (Min-Max)
@@ -251,16 +251,17 @@ class DPTable:
     maximal (Max-Min) or minimal (Min-Max) marks, which no other mark of the
     row dominates (module docstring); row n entries point at the full
     instance's vector (row n+1, which is not stored).  ``marks[j-1]`` holds
-    row j over the active coordinates of the workspace ``_ws``, which
-    ``forward`` keeps on the table for ``backward``, as ``_mark_rows``
-    yields it: each marked nu maps to (pointer, weight, small length).
-    ``rows`` holds the same rows as full (nu_0, ..., nu_C) vectors mapping
-    to their pointers; it is built on its first read (by ``row``,
+    row j over the active coordinates of the state ``_ws`` the rows ran on,
+    a ``_Workspace`` or an ``_AllSmallWorkspace``, which ``forward`` keeps
+    on the table for ``backward``, as ``_mark_rows`` yields it: each marked
+    nu maps to (pointer, weight, small length).  ``rows`` holds the same
+    rows as full (nu_0, ..., nu_C) vectors mapping to their pointers, read
+    through ``_ws.expand``; it is built on its first read (by ``row``,
     ``trace_lines`` or a caller), which ``solve_rounded`` never makes.
     """
     nu_in: InputVector
     marks: tuple[dict[InputVector, Mark], ...]
-    _ws: _Workspace = field(compare=False, repr=False)
+    _ws: _Workspace | _AllSmallWorkspace = field(compare=False, repr=False)
 
     @cached_property
     def rows(self) -> tuple[dict[InputVector, InputVector], ...]:
@@ -276,6 +277,16 @@ class DPTable:
     def succeeded(self) -> bool:
         # Row 1 can mark only the zero vector, the one R(., 0) accepts.
         return any(not any(nu) for nu in self.marks[0])
+
+
+def _lex_agents(rounded: RoundedInstance) -> tuple[tuple[int, ...], ...]:
+    """The agents' lexicographic (order, lows, highs), checked."""
+    inst = rounded.instance
+    order, lows, highs = inst.lex
+    if not (order and lows[0] == 1 and highs[-1] == inst.m and not inst.nested):
+        raise ValueError("the dynamic program needs agents whose intervals start "
+                         "at item 1, end at item m and are inclusion-free")
+    return order, lows, highs
 
 
 class _Workspace:
@@ -295,10 +306,7 @@ class _Workspace:
     instance's nu_0, so the methods take only vectors <= ``nu_in``
     (``retrieve`` checks; the DP meets no other).  ``folded`` is
     (prefix, num, den) with ``small_prefix[i] == prefix[i] * num // den``,
-    which ``_run_rows`` reads: here (small_prefix, 1, 1), while
-    ``_AllSmallWorkspace`` takes the prefix of the instance its rounded
-    instance is ``scaled_by`` and leaves every table its rows do not read,
-    ``small_len`` and ``small_weight`` among them, unbuilt until read.
+    which ``_run_rows`` reads: here (small_prefix, 1, 1).
 
     Raises ValueError unless ``nested`` is empty (the highs never decrease
     in that order), l_1 = 1 and r_n = m: the ``windows`` settle the
@@ -306,9 +314,11 @@ class _Workspace:
     """
 
     def __init__(self, rounded: RoundedInstance):
-        self._agents(rounded)
+        self.order, self.lows, self.highs = _lex_agents(rounded)
         weights, denom = rounded.instance.integers
         sch = rounded.scheme
+        self.up = sch.mode is Mode.MAXMIN
+        self.width = sch.C + 1
         # round_instance's D is a multiple of k; any other view is lifted to one
         lift = sch.k // gcd(denom, sch.k)
         self.denom = denom * lift
@@ -344,17 +354,6 @@ class _Workspace:
         self.small_len = list(map(bisect_left, repeat(small_prefix[1:]),
                                   range(unit, (nu0 + 2) * unit, unit)))
         self.small_weight = [small_prefix[x] for x in self.small_len]
-
-    def _agents(self, rounded: RoundedInstance) -> None:
-        """The agents' lexicographic view, checked, the mode and the width."""
-        inst = rounded.instance
-        self.order, self.lows, self.highs = inst.lex
-        if not (self.order and self.lows[0] == 1 and self.highs[-1] == inst.m
-                and not inst.nested):
-            raise ValueError("the dynamic program needs agents whose intervals start "
-                             "at item 1, end at item m and are inclusion-free")
-        self.up = rounded.scheme.mode is Mode.MAXMIN
-        self.width = rounded.scheme.C + 1
 
     def expand(self, nu: InputVector) -> InputVector:
         """The full (nu_0, ..., nu_C) vector of a vector over ``active``."""
@@ -438,60 +437,48 @@ class _Workspace:
         return [range(start, nu_prev[0] + 1), *big]
 
 
-class _AllSmallWorkspace(_Workspace):
-    """The workspace of a Min-Max rounded instance whose items are all
-    small and whose weights are ``scaled_by`` one factor, as
-    ``round_instance`` makes at an all-small guess.
+class _AllSmallWorkspace:
+    """The DP state of a Min-Max rounded instance whose items are all small
+    and whose weights are ``scaled_by`` one factor, as ``round_instance``
+    makes at an all-small guess: only the fields its readers read.
 
-    Its rows run on nu_0 alone (``_run_rows``), and read only ``folded``,
-    which takes its prefix from the instance's scaling's source, and
-    ``reach`` and ``left_of``, which coordinate 0, holding every item, reads
-    off the agents' endpoints.  So no weight is built: every other table is
-    built, as ``_Workspace`` builds it, on the first read of one.
+    Its rows run on nu_0 alone (``_run_rows``) and read ``folded``, which
+    takes its prefix from the instance's scaling's source, and ``reach`` and
+    ``left_of``, which coordinate 0, holding every item, reads off the
+    agents' endpoints; ``backward`` and ``DPTable.rows`` read ``order``,
+    ``small_count``, ``active`` and ``expand``.  So it is built in O(n) and
+    holds no table: whatever needs one, as ``retrieve`` does, builds a
+    ``_Workspace``.
     """
 
-    _DEFERRED = frozenset(("weight", "positions", "prefix_weight", "small_positions",
-                           "small_prefix", "small_len", "small_weight"))
+    up = False
+    active = (0,)
+    expand = _Workspace.expand
 
     def __init__(self, rounded: RoundedInstance):
-        self._agents(rounded)
-        self._rounded = rounded
-        sch, m, scaling = rounded.scheme, rounded.instance.m, rounded.instance.scaling
+        self.order, lows, highs = _lex_agents(rounded)
+        sch, scaling = rounded.scheme, rounded.instance.scaling
+        self.width = sch.C + 1
         lift = sch.k // gcd(scaling.denom, sch.k)
         self.denom = scaling.denom * lift
         self.unit = self.denom // sch.k
-        self.active = (0,)
-        self.small_count = m
-        self.reach = list(zip(self.highs))
-        self.left_of = [(lo - 1,) for lo in self.lows]
+        self.small_count = rounded.instance.m
+        self.reach = list(zip(highs))
+        self.left_of = [(lo - 1,) for lo in lows]
         prefix = scaling.source.prefix
         self.folded = (prefix, scaling.num * lift, scaling.den)
         self.nu_active = (small_units(prefix[-1] * scaling.num * lift // scaling.den,
                                       self.denom, sch),)
         self.nu_in = self.expand(self.nu_active)
 
-    def __getattr__(self, name: str):
-        # Reached only when ordinary lookup fails, which for a deferred table
-        # means its first read: every table is built here, once, and
-        # ``folded`` keeps the source's prefix.
-        if name not in self._DEFERRED or "_rounded" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        folded = self.folded
-        _Workspace.__init__(self, self._rounded)
-        self.folded = folded
-        return vars(self)[name]
 
-
-def _workspace(rounded: RoundedInstance) -> _Workspace:
-    """The workspace ``forward`` runs on: ``_AllSmallWorkspace`` for a
-    Min-Max instance ``scaled_by`` one factor whose values are all small
-    (k w <= D), else ``_Workspace``."""
-    inst, sch = rounded.instance, rounded.scheme
-    scaling = inst.scaling
-    if scaling is not None and sch.mode is Mode.MINMAX:
-        low, high, _ = inst.spread
-        if low > 0 and sch.k * high <= scaling.denom:
-            return _AllSmallWorkspace(rounded)
+def _workspace(rounded: RoundedInstance) -> _Workspace | _AllSmallWorkspace:
+    """The state ``forward`` runs on: ``_AllSmallWorkspace`` for a Min-Max
+    instance ``scaled_by`` one factor whose values are all small, else
+    ``_Workspace``."""
+    sch = rounded.scheme
+    if sch.mode is Mode.MINMAX and all_small_view(rounded.instance, sch.k):
+        return _AllSmallWorkspace(rounded)
     return _Workspace(rounded)
 
 
@@ -513,7 +500,8 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[froz
     return None if items is None else frozenset(items)
 
 
-def _run_rows(ws: _Workspace, bound: int) -> Iterator[dict[InputVector, Mark]]:
+def _run_rows(ws: _Workspace | _AllSmallWorkspace, bound: int
+              ) -> Iterator[dict[InputVector, Mark]]:
     """Yield rows n..1 of a Min-Max DP on nu_0 alone: each row j >= 2 is
     the one mark {(lo,): ((a,), T_j[lo], kept_j[lo])} that row j+1's mark
     (a,) gives by the module docstring's lemma.  One bisection of the small
@@ -658,7 +646,7 @@ def _frontier(tables: Sequence[Sequence[int]], limit: int, box: Sequence[range]
                 break
 
 
-def _mark_rows(ws: _Workspace) -> Iterator[dict[InputVector, Mark]]:
+def _mark_rows(ws: _Workspace | _AllSmallWorkspace) -> Iterator[dict[InputVector, Mark]]:
     """Yield rows n..1 over the active coordinates.  Row j maps each kept
     mark nu to (pointer, weight, small length): its first (lexicographically
     smallest) marking predecessor, and the weight and small-prefix length of
@@ -788,7 +776,6 @@ def trace_lines(table: DPTable) -> list[str]:
     """One line per kept mark, rows n..1, vectors ascending."""
     out = []
     for j in range(len(table.rows), 0, -1):
-        for nu in sorted(table.row(j)):
-            ptr = table.row(j)[nu]
+        for nu, ptr in sorted(table.row(j).items()):
             out.append(f"row={j} nu={','.join(map(str, nu))} ptr={','.join(map(str, ptr))}")
     return out

@@ -36,10 +36,12 @@ When every value is small, the scaled and the rounded weights are the
 loaded instance's weights w times one factor, w num // den, over one
 denominator, and no weight tuple is built.  ``solver.scale`` hands over a
 view ``scaled_by`` the loaded instance, whose cached ``spread`` gives its
-min, max and gcd in O(1); ``round_instance`` reads the all-small test, the
-lift and the cut off them, and returns a view of the loaded instance too.
-The dynamic program then reads the loaded instance's ``prefix`` times that
-factor.
+min, max and gcd in O(1).  ``all_small_view`` is the all-small test on
+them, written once: ``round_instance`` takes it, reads the lift and the cut
+off them and returns a view of the loaded instance too, and the dynamic
+program takes it on the rounded view.  A Min-Max program then reads only
+the loaded instance's ``prefix`` times that factor; a Max-Min one builds
+its tables from the rounded view's weights, as at any other guess.
 """
 
 from __future__ import annotations
@@ -139,9 +141,6 @@ class RoundedInstance:
         """Item positions grouped by coordinate: entry c lists the positions
         of coordinate c (0 for the small items) left to right, c = 0..C."""
         grouped: list[list[int]] = [[] for _ in range(self.scheme.C + 1)]
-        if not any(self.category):
-            grouped[0] = list(range(1, len(self.category) + 1))
-            return grouped
         for p, c in enumerate(self.category, start=1):
             grouped[c].append(p)
         return grouped
@@ -166,32 +165,41 @@ def _categories(weights: Sequence[int], denom: int, sch: RoundingScheme) -> list
     return [0 if w <= small else bisect_right(thresholds, w) for w in weights]
 
 
+def all_small_view(instance: ConvexInstance, k: int) -> bool:
+    """Whether ``instance`` is ``scaled_by`` one factor and every value is
+    small, in (0, 1/k]: 0 < w and k w <= D for its least and largest weight,
+    read off its cached ``spread`` in O(1).  A materialized instance is
+    never one."""
+    if instance.scaling is None:
+        return False
+    low, high, _ = instance.spread
+    return low > 0 and k * high <= instance.scaling.denom
+
+
 def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInstance:
     """Round every item value; order, ids, agents and mode are unchanged.
 
     The rounded instance is an integer view over the least common
     denominator of its values that k divides (module docstring).  When
-    ``instance`` is ``scaled_by`` one factor and every value is small, as
-    ``solver.scale`` hands over at an all-small guess, the rounded one is
-    ``scaled_by`` one factor too, with no pass over the items.
+    ``instance`` is an ``all_small_view``, as ``solver.scale`` hands over at
+    an all-small guess, the rounded one is ``scaled_by`` one factor too,
+    with no pass over the items.
     """
-    k, scaling = sch.k, instance.scaling
-    if scaling is not None:
-        low, high, common = instance.spread
-        denom = scaling.denom
-        if low > 0 and k * high <= denom:
-            # Every value is small (k w <= D): category 0, kept over
-            # lcm(k, D0) for D0 the values' least common denominator, which
-            # is lcm(D, k) / cut.  lift = lcm(D, k) / D takes the primes k has
-            # more of than D, cut those D has more of than k and D0, so the
-            # two are coprime, cut divides every w * lift, and each value is
-            # the instance's times lift // cut.  A Min-Max value in
-            # (1/k, q_1) is category 0 too, but it rounds to 1/k, so it takes
-            # the general path below.
-            lcd = lcm(denom, k)
-            cut = lcd // lcm(k, denom // gcd(denom, common))
-            return RoundedInstance(scaled_by(instance, lcd // denom, cut, lcd // cut),
-                                   sch, (0,) * instance.m)
+    k = sch.k
+    if all_small_view(instance, k):
+        # Every value is small (k w <= D): category 0, kept over lcm(k, D0)
+        # for D0 the values' least common denominator, which is
+        # lcm(D, k) / cut.  lift = lcm(D, k) / D takes the primes k has more
+        # of than D, cut those D has more of than k and D0, so the two are
+        # coprime, cut divides every w * lift, and each value is the
+        # instance's times lift // cut.  A Min-Max value in (1/k, q_1) is
+        # category 0 too, but it rounds to 1/k, so it takes the general path
+        # below.
+        denom, common = instance.scaling.denom, instance.spread[2]
+        lcd = lcm(denom, k)
+        cut = lcd // lcm(k, denom // gcd(denom, common))
+        return RoundedInstance(scaled_by(instance, lcd // denom, cut, lcd // cut),
+                               sch, (0,) * instance.m)
     weights, denom = instance.integers
     small = denom // k
     cats = _categories(weights, denom, sch)

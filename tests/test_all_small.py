@@ -2,7 +2,7 @@
 
 At such a guess ``solver.scale`` and ``rounding.round_instance`` return
 views ``scaled_by`` the loaded instance, whose weight tuples are built only
-when read, and a Min-Max DP runs on an ``_AllSmallWorkspace`` that bisects
+when read, and a Min-Max DP runs on a state that holds no table and bisects
 the loaded instance's prefix sums.  Each must read back what the
 materialized path builds: ``reference_integer_scale`` then
 ``reference_round_instance``, the eager ``_Workspace`` and the box scans of
@@ -19,18 +19,21 @@ from hypothesis import strategies as st
 
 from convalloc import (Agent, ConvexInstance, Item, Mode, dp_engine, gen_inclusion_free, hall,
                        round_instance, scale, scheme, solver)
-from convalloc.dp_engine import (BUNDLE_MARGIN, _AllSmallWorkspace, _run_rows, _Workspace,
-                                 backward, forward, trace_lines)
+from convalloc.dp_engine import (BUNDLE_MARGIN, _run_rows, _Workspace, backward, forward,
+                                 retrieve, trace_lines)
 from convalloc.hall import hall_bound
 from convalloc.instance_model import with_integers
 from reference import (reference_integer_scale, reference_maxmin_rows, reference_minimal,
                        reference_minmax_rows, reference_round_instance)
 
-# Every table an _AllSmallWorkspace leaves unbuilt, and those it builds.
-DEFERRED = ("weight", "positions", "prefix_weight", "small_positions", "small_prefix",
-            "small_len", "small_weight")
-BUILT = ("order", "lows", "highs", "up", "width", "denom", "unit", "active", "small_count",
-         "reach", "left_of", "nu_active", "nu_in")
+# What the state of an all-small Min-Max DP does not hold, the eager
+# workspace's tables and endpoints and the methods that read them, and the
+# fields it holds.
+TABLES = ("weight", "positions", "prefix_weight", "small_positions", "small_prefix",
+          "small_len", "small_weight", "lows", "highs")
+METHODS = ("remainder", "windows", "row_windows", "small_kept")
+BUILT = ("order", "up", "width", "denom", "unit", "active", "small_count", "reach", "left_of",
+         "nu_active", "nu_in")
 
 
 def all_small(inst, t, k):
@@ -87,13 +90,14 @@ def test_all_small_views_read_back_the_materialized_path(seed, mode, k, n, per, 
         assert scaled.scaling.source is inst and rd.instance.scaling.source is inst
         assert "integers" not in vars(scaled) and "integers" not in vars(rd.instance)
     table, want_table = forward(rd), forward(want)
-    # nor does a Min-Max DP; a Max-Min one builds its tables as before
+    # nor does a Min-Max DP, whose state holds no table and reads the loaded
+    # prefix sums; a Max-Min one builds its tables as before
     lazy = small and mode is Mode.MINMAX
-    assert (type(table._ws) is _AllSmallWorkspace) is lazy
+    ws = table._ws
+    assert all(hasattr(ws, name) is not lazy for name in TABLES + METHODS)
+    assert ws.folded[0] is (inst.prefix if lazy else ws.small_prefix)
     if lazy:
         assert "integers" not in vars(rd.instance)
-        assert table._ws.folded[0] is inst.prefix
-        assert not vars(table._ws).keys() & set(DEFERRED)
 
     # the DP: marks, pointers, carried weights and small lengths
     assert table.nu_in == want_table.nu_in
@@ -110,11 +114,17 @@ def test_all_small_views_read_back_the_materialized_path(seed, mode, k, n, per, 
     assert rd.category == want.category
     assert scaled.spread == want_scaled.spread
     assert rd.instance.spread == want.instance.spread
-    # and a deferred table, read, is the eager workspace's
-    ws, eager = table._ws, _Workspace(want)
-    for name in DEFERRED + BUILT:
+    # the state's fields are the eager workspace's, and so are the tables of
+    # one that holds them
+    eager = _Workspace(want)
+    for name in BUILT + (() if lazy else TABLES):
         assert getattr(ws, name) == getattr(eager, name), name
-    assert ws.folded[0] is (inst.prefix if lazy else ws.small_prefix)
+    # a view's tables, built by the eager workspace that ``retrieve`` reads,
+    # reconstruct the materialized rounding's remainders
+    for j, row in enumerate((*table.rows, {table.nu_in: None}), start=1):
+        for nu in row:
+            assert retrieve(rd, nu, j - 1) == retrieve(want, nu, j - 1)
+    assert retrieve(rd, table.nu_in, inst.n) == frozenset(range(1, inst.m + 1))
 
 
 # Derandomized: every run draws the same examples and stores none.
@@ -171,7 +181,7 @@ def test_an_all_small_decide_builds_no_weight_tuple(monkeypatch):
     for derived in (scaled, rounded):
         assert derived.scaling.source is inst
         assert not vars(derived).keys() & {"integers", "prefix", "items"}
-    assert not vars(table._ws).keys() & set(DEFERRED)
+    assert not any(hasattr(table._ws, name) for name in TABLES + METHODS)
     # the Hall sweep and the workspace read one prefix view
     assert table._ws.folded[0] is inst.prefix is hall._lex_profile(inst)[4]
 
@@ -182,7 +192,7 @@ def test_an_all_small_decide_builds_no_weight_tuple(monkeypatch):
     scaled, rounded, table = made["scale"], made["round_instance"].instance, made["forward"]
     for derived in (scaled, rounded):
         assert derived.scaling is None and "integers" in vars(derived)
-    assert type(table._ws) is _Workspace and "small_len" in vars(table._ws)
+    assert all(name in vars(table._ws) for name in TABLES)
 
 
 @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 20)])

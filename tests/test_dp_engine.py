@@ -13,8 +13,8 @@ from convalloc import (Agent, ConvexInstance, Item, Mode, SolveError, backward,
                        decide, dp_engine, forward, gen_inclusion_free, retrieve,
                        round_instance, scale, scheme, solve_maxmin,
                        solve_minmax, solve_rounded, verify)
-from convalloc.dp_engine import (BUNDLE_MARGIN, DPTable, _cut, _mark_rows, _Workspace,
-                                 trace_lines)
+from convalloc.dp_engine import (BUNDLE_MARGIN, DPTable, _AllSmallWorkspace, _cut, _mark_rows,
+                                 _Workspace, trace_lines)
 from convalloc.hall import hall_bound
 from convalloc.instance_model import lexicographic_order
 from convalloc.rounding import input_vector
@@ -932,14 +932,16 @@ def test_golden_wide_decide_enumerates_few_repeats(monkeypatch):
 def test_solve_rounded_builds_no_full_rows(monkeypatch):
     # Full vectors are built only when a caller reads the rows: an untraced
     # solve expands nothing but the workspace's own nu_in, and the first
-    # read expands each distinct mark and pointer once.
+    # read expands each distinct mark and pointer once.  Both states count:
+    # this all-small Min-Max solve runs on an _AllSmallWorkspace.
     expanded = [0]
     expand = _Workspace.expand
 
     def counting_expand(self, nu):
         expanded[0] += 1
         return expand(self, nu)
-    monkeypatch.setattr(_Workspace, "expand", counting_expand)
+    for state in (_Workspace, _AllSmallWorkspace):
+        monkeypatch.setattr(state, "expand", counting_expand)
     inst = gen_inclusion_free(3, 12, 120, mode=Mode.MINMAX)
     rd = rounded(scale(inst, hall_bound(inst)[0]), 8)
     assignment, table = solve_rounded(rd)
