@@ -92,11 +92,11 @@ def test_all_small_views_read_back_the_materialized_path(seed, mode, k, n, per, 
     table, want_table = forward(rd), forward(want)
     # nor does a Min-Max DP, whose state holds no table and reads the loaded
     # prefix sums; a Max-Min one builds its tables as before
-    lazy = small and mode is Mode.MINMAX
+    tableless = small and mode is Mode.MINMAX
     ws = table._ws
-    assert all(hasattr(ws, name) is not lazy for name in TABLES + METHODS)
-    assert ws.folded[0] is (inst.prefix if lazy else ws.small_prefix)
-    if lazy:
+    assert all(hasattr(ws, name) is not tableless for name in TABLES + METHODS)
+    assert ws.folded[0] is (inst.prefix if tableless else ws.small_prefix)
+    if tableless:
         assert "integers" not in vars(rd.instance)
 
     # the DP: marks, pointers, carried weights and small lengths
@@ -117,7 +117,7 @@ def test_all_small_views_read_back_the_materialized_path(seed, mode, k, n, per, 
     # the state's fields are the eager workspace's, and so are the tables of
     # one that holds them
     eager = _Workspace(want)
-    for name in BUILT + (() if lazy else TABLES):
+    for name in BUILT + (() if tableless else TABLES):
         assert getattr(ws, name) == getattr(eager, name), name
     # a view's tables, built by the eager workspace that ``retrieve`` reads,
     # reconstruct the materialized rounding's remainders
