@@ -121,13 +121,14 @@ sorted before it are full-table marks that do not mark x: x keeps its
 pointer.  Row 1's zero is minimal, so by induction the chain from it passes
 minimal marks only, each with the full table's pointer.
 
-A Max-Min row is built from the frontier of each box, not from the whole
-box.  A candidate's remainder weight is a sum of tables that never decrease,
-so the part of a box that passes the value test is down-closed in the box,
-and a passing candidate that no other one dominates (a maximal one) fails
-once any coordinate below its range's top grows by one.  So a box whose
-lowest corner fails has no passing candidate, and one whose top corner
-passes has that corner as its one maximal candidate.  Otherwise
+A Max-Min row on two or more coordinates is built from the frontier of
+each box, not from the whole box (one on nu_0 alone by the bisection
+below).  A candidate's remainder weight is a sum of tables that never
+decrease, so the part of a box that passes the value test is down-closed
+in the box, and a passing candidate that no other one dominates (a
+maximal one) fails once any coordinate below its range's top grows by one.
+So a box whose lowest corner fails has no passing candidate, and one whose
+top corner passes has that corner as its one maximal candidate.  Otherwise
 ``_prefixes`` chooses the box's leading coordinates one at a time and keeps,
 for each, the values a maximal candidate can take with the choices made:
 those that pass with the later coordinates at their lows, and of those below
@@ -151,29 +152,30 @@ earlier predecessor does, for it would mark v in B: v has B's pointer in F.
 Its weight and small length depend on v alone.  A vector of F that is not
 maximal in B lies below a maximal one, which F holds, so the cut drops it.
 
-A Min-Max row on nu_0 alone, when no big category is occupied, is one mark
-found by one bisection.  Candidate x leaves a remainder of weight
-T_j[x] = small_prefix[min(small_len[x], small_cap(j-1))]: small_len never
-decreases in x, and neither the cut at the cap nor the prefix weights undo
-that, so this row's table of these weights never decreases in x.  Let
-kept_j[x] = min(small_len[x], small_cap(j-1)) be the small length of
-R(x, j-1).  Row n+1 is {nu_in_0}, whose remainder is every item, and by the
-cut every row j+1 is one mark a.  A candidate of a's box passes iff its
-weight is at least the budget limit = T_{j+1}[a] - bound, so row j is
-{lo: a}, carrying (T_j[lo], kept_j[lo]), with lo the least x in
-start(a)..a with T_j[x] >= limit and start(a) the low end of a's
-coordinate-0 window, past a when the window is empty.  The row is empty
-when no x passes, and then so is every row below it.  Row 1 is {0: a} when
-T_2[a] <= bound, else empty.  No table indexed by x is needed.  When
-limit <= small_prefix[small_cap(j-1)], let first be the least prefix index
-with small_prefix[first] >= limit, at most the cap: T_j[x] >= limit iff
-small_len[x] >= first iff small_prefix[first] < (x+1)/k, that is iff
-x >= small_prefix[first] // unit.  So lo is that or start(a), whichever is
-larger, and kept_j[lo] is the count of nonempty prefixes up to the cap worth
-< (lo+1)/k: two bisections of the small prefix sums.  On an all-small
-rounded instance ``scaled_by`` one factor, the small prefix sums are the
-factor times its source's ``prefix``, and each bisection runs on that
-``prefix`` with its threshold carried over.
+A row on nu_0 alone, when no big category is occupied, is one mark found
+by one bisection, in both modes.  Candidate x leaves a remainder of weight
+T_j[x] = small_prefix[min(small_len[x], small_cap(j-1))], which never
+decreases in x, since small_len does not and neither the cap nor the prefix
+weights undo that, and of kept_j[x] = min(small_len[x], small_cap(j-1))
+small items.  Row n+1 is {nu_in_0}, and by the cut every row j+1 is one
+mark a.  A candidate x of a's box start(a)..a, start(a) past a when the
+coordinate-0 window is empty, passes iff T_j[x] <= limit (Max-Min) or
+T_j[x] >= limit (Min-Max), with limit = T_{j+1}[a] - bound.  The cut keeps
+the largest passing x (Max-Min) or the least, so row j is {x: a}, carrying
+(T_j[x], kept_j[x]), or empty, and then so is every row below it.  Row 1
+is {0: a} when T_2[a] >= bound (Max-Min) or <= bound (Min-Max), else empty.
+Let first be the least prefix index up to the cap with small_prefix[first]
+>= limit + 1 (Max-Min) or >= limit (Min-Max), and edge =
+small_prefix[first] // unit, or a + 1 when there is none.  T_j[x] reaches
+that sum iff small_len[x] >= first iff small_prefix[first] < (x+1) unit iff
+x >= edge.  So a Max-Min x passes iff (x+1) unit <= small_prefix[first],
+and the row's x is min(edge - 1, a); a Min-Max x passes iff x >= edge, and
+the row's x is max(edge, start(a)); either is a mark iff start(a) <= x <= a.
+kept_j[x] counts the nonempty prefixes up to the cap worth < (x+1) unit:
+two bisections of the small prefix sums, and no table indexed by x.  On an
+all-small rounded instance ``scaled_by`` one factor, the small prefix sums
+are the factor times its source's ``prefix``, and each bisection runs on
+that ``prefix`` with its threshold carried over.
 
 Row 1 is marked in closed form.  Its windows admit only the zero vector,
 and R(0, 0) is empty, so the zero's remainder weighs 0 and keeps 0 small
@@ -438,26 +440,26 @@ class _Workspace:
 
 
 class _AllSmallWorkspace:
-    """The DP state of a Min-Max rounded instance whose items are all small
-    and whose weights are ``scaled_by`` one factor, as ``round_instance``
-    makes at an all-small guess: only the fields its readers read.
+    """The DP state of a rounded instance of either mode whose items are
+    all small and whose weights are ``scaled_by`` one factor, as
+    ``round_instance`` makes at an all-small guess: its readers' fields.
 
-    Its rows run on nu_0 alone (``_run_rows``) and read ``folded``, which
-    takes its prefix from the instance's scaling's source, and ``reach`` and
-    ``left_of``, which coordinate 0, holding every item, reads off the
-    agents' endpoints; ``backward`` and ``DPTable.rows`` read ``order``,
-    ``small_count``, ``active`` and ``expand``.  So it is built in O(n) and
-    holds no table: whatever needs one, as ``retrieve`` does, builds a
-    ``_Workspace``.
+    Its rows run on nu_0 alone (``_run_rows``) and read ``up``, ``folded``,
+    which takes its prefix from the instance's scaling's source, and
+    ``reach`` and ``left_of``, which coordinate 0, holding every item, reads
+    off the agents' endpoints; ``backward`` and ``DPTable.rows`` read
+    ``order``, ``small_count``, ``active`` and ``expand``.  So it is built in
+    O(n) and holds no table: whatever needs one, as ``retrieve`` does,
+    builds a ``_Workspace``.
     """
 
-    up = False
     active = (0,)
     expand = _Workspace.expand
 
     def __init__(self, rounded: RoundedInstance):
         self.order, lows, highs = _lex_agents(rounded)
         sch, scaling = rounded.scheme, rounded.instance.scaling
+        self.up = sch.mode is Mode.MAXMIN
         self.width = sch.C + 1
         lift = sch.k // gcd(scaling.denom, sch.k)
         self.denom = scaling.denom * lift
@@ -473,11 +475,11 @@ class _AllSmallWorkspace:
 
 
 def _workspace(rounded: RoundedInstance) -> _Workspace | _AllSmallWorkspace:
-    """The state ``forward`` runs on: ``_AllSmallWorkspace`` for a Min-Max
-    instance ``scaled_by`` one factor whose values are all small, else
-    ``_Workspace``."""
+    """The state ``forward`` runs on: ``_AllSmallWorkspace`` for an
+    instance ``scaled_by`` one factor whose values are all small, in either
+    mode, else ``_Workspace``."""
     sch = rounded.scheme
-    if sch.mode is Mode.MINMAX and all_small_view(rounded.instance, sch.k):
+    if all_small_view(rounded.instance, sch.k):
         return _AllSmallWorkspace(rounded)
     return _Workspace(rounded)
 
@@ -502,15 +504,15 @@ def retrieve(rounded: RoundedInstance, nu: InputVector, j: int) -> Optional[froz
 
 def _run_rows(ws: _Workspace | _AllSmallWorkspace, bound: int
               ) -> Iterator[dict[InputVector, Mark]]:
-    """Yield rows n..1 of a Min-Max DP on nu_0 alone: each row j >= 2 is
-    the one mark {(lo,): ((a,), T_j[lo], kept_j[lo])} that row j+1's mark
-    (a,) gives by the module docstring's lemma.  One bisection of the small
-    prefix sums gives lo and a second the small length lo keeps, both on
-    ``folded``'s prefix, whose entries times num // den are the small
-    prefix sums: each threshold is carried over to it.  An empty row and
-    every row below it are {}."""
+    """Yield rows n..1 of a DP on nu_0 alone, in either mode: each row
+    j >= 2 is the one mark {(x,): ((a,), T_j[x], kept_j[x])} that row j+1's
+    mark (a,) gives by the module docstring's lemma.  One bisection of the
+    small prefix sums gives the edge that x is set by and a second the small
+    length x keeps, both on ``folded``'s prefix, whose entries times
+    num // den are the small prefix sums: each threshold is carried over to
+    it.  An empty row and every row below it are {}."""
     prefix, num, den = ws.folded
-    over, reach, left_of = den * ws.unit, ws.reach, ws.left_of
+    up, over, reach, left_of = ws.up, den * ws.unit, ws.reach, ws.left_of
     # Row n+1: the instance's vector, whose remainder is every item (r_n = m).
     # before and before_small are T_{j+1}[a] and kept_{j+1}[a].
     a = ws.nu_active[0]
@@ -518,29 +520,29 @@ def _run_rows(ws: _Workspace | _AllSmallWorkspace, bound: int
     before_small = ws.small_count
     for j in range(len(ws.order), 1, -1):
         # a's box is range(start, a + 1) with start = small_prefix[target] //
-        # unit, empty when start > a.  Candidate x passes iff
-        # T_j[x] = small_prefix[min(small_len[x], cap)] >= limit, that is iff
-        # small_len[x] reaches the least prefix worth limit, first <= cap,
-        # iff x >= small_prefix[first] // unit.
+        # unit, empty when start > a.  With first the least prefix index
+        # <= cap worth limit + up, limit = before - bound, x passes iff
+        # x < edge (Max-Min) or x >= edge (Min-Max), edge =
+        # small_prefix[first] // unit.
         cap, left = reach[j - 2][0], left_of[j - 1][0]
-        limit = before - bound
         target = before_small if before_small < left else left
-        lo = a + 1
-        if target <= cap and limit * den <= prefix[cap] * num:
-            # small_prefix[i] >= limit iff prefix[i] >= ceil(limit den / num)
-            first = bisect_left(prefix, -(-limit * den // num), 0, cap + 1)
-            lo = max(prefix[first], prefix[target]) * num // over
-        if lo > a:
+        start = prefix[target] * num // over if target <= cap else a + 1
+        # small_prefix[i] >= y iff prefix[i] >= ceil(y den / num)
+        first = bisect_left(prefix, -(-(before - bound + up) * den // num), 0, cap + 1)
+        edge = prefix[first] * num // over if first <= cap else a + 1
+        # the largest passing x (Max-Min) or the least (Min-Max)
+        x = (edge - 1 if edge <= a else a) if up else (edge if edge > start else start)
+        if not start <= x <= a:
             yield from ({} for _ in range(j, 0, -1))
             return
-        # kept_j[lo] = min(small_len[lo], cap): the nonempty prefixes up to
-        # cap worth < (lo + 1) unit, a count that first's prefix is in
-        before_small = bisect_left(prefix, -(-(lo + 1) * over // num), first, cap + 1) - 1
+        # kept_j[x] = min(small_len[x], cap): the nonempty prefixes up to
+        # cap worth < (x + 1) unit
+        before_small = bisect_left(prefix, -(-(x + 1) * over // num), 0, cap + 1) - 1
         before = prefix[before_small] * num // den
-        yield {(lo,): ((a,), before, before_small)}
-        a = lo
+        yield {(x,): ((a,), before, before_small)}
+        a = x
     # Row 1: the zero vector, pointing at a if its budget admits weight 0.
-    yield {(0,): ((a,), 0, 0)} if before <= bound else {}
+    yield {(0,): ((a,), 0, 0)} if (before >= bound if up else before <= bound) else {}
 
 
 def _cut(row: dict[InputVector, Mark], up: bool) -> dict[InputVector, Mark]:
@@ -604,8 +606,7 @@ def _frontier(tables: Sequence[Sequence[int]], limit: int, box: Sequence[range]
     table never decreases, so nothing passes when the lowest corner fails,
     and the top corner is the one such candidate when it passes.  Otherwise,
     for each prefix of the leading coordinates that ``_prefixes`` keeps, the
-    last two coordinates are walked as a staircase (module docstring); a box
-    on one coordinate yields its largest passing candidate."""
+    last two coordinates are walked as a staircase (module docstring)."""
     if not all(box):
         return
     lows = tuple([r.start for r in box])
@@ -615,11 +616,6 @@ def _frontier(tables: Sequence[Sequence[int]], limit: int, box: Sequence[range]
     weight = sum(map(getitem, tables, tops))
     if weight <= limit:
         yield tops, weight
-        return
-    if len(box) == 1:
-        (xs,), (tx,) = box, tables
-        x = bisect_right(tx, limit, xs.start, xs.stop) - 1
-        yield (x,), tx[x]
         return
     *lead, ys, xs = box
     *lead_tables, ty, tx = tables
@@ -652,14 +648,14 @@ def _mark_rows(ws: _Workspace | _AllSmallWorkspace) -> Iterator[dict[InputVector
     smallest) marking predecessor, and the weight and small-prefix length of
     R(nu, j-1), which is what nu needs as a predecessor for row j-1.
 
-    A Min-Max row on nu_0 alone is one mark, which ``_run_rows`` finds
-    without walking a candidate.  Every other row is a dict, carried to the
-    next as one sorted list of (nu, budget, small length), the budget being
-    weight - bound, and ``row_windows`` gives each predecessor's box from
-    bounds it reads once per row.  A candidate's remainder weight is a sum
-    of table entries: the small prefix its nu_0 keeps, cut at the row's
-    ``small_cap``, plus the prefix weight of each big coordinate (module
-    docstring).  A Min-Max box walks every candidate.  A Max-Min box yields
+    A row on nu_0 alone is one mark in either mode, which ``_run_rows``
+    finds without walking a candidate.  Every other row is a dict, carried
+    to the next as one sorted list of (nu, budget, small length), the
+    budget being weight - bound, and ``row_windows`` gives each
+    predecessor's box from bounds it reads once per row.  A candidate's
+    remainder weight is a sum of table entries: the small prefix its nu_0
+    keeps, cut at the row's ``small_cap``, plus the prefix weight of each
+    big coordinate (module docstring).  A Min-Max box walks every candidate.  A Max-Min box yields
     only its frontier, the staircase ``_frontier`` walks.  Each vector
     points at the first predecessor that yields it, and the row is then cut
     by ``_cut`` to its maximal (Max-Min) or minimal (Min-Max) vectors: the
@@ -674,7 +670,7 @@ def _mark_rows(ws: _Workspace | _AllSmallWorkspace) -> Iterator[dict[InputVector
     """
     bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
     up = ws.up
-    if not up and ws.active == (0,):
+    if ws.active == (0,):
         yield from _run_rows(ws, bound)
         return
     small_len, small_prefix, small_weight = ws.small_len, ws.small_prefix, ws.small_weight

@@ -39,9 +39,8 @@ view ``scaled_by`` the loaded instance, whose cached ``spread`` gives its
 min, max and gcd in O(1).  ``all_small_view`` is the all-small test on
 them, written once: ``round_instance`` takes it, reads the lift and the cut
 off them and returns a view of the loaded instance too, and the dynamic
-program takes it on the rounded view.  A Min-Max program then reads only
-the loaded instance's ``prefix`` times that factor; a Max-Min one builds
-its tables from the rounded view's weights, as at any other guess.
+program takes it on the rounded view.  The program, in either mode, then
+reads only the loaded instance's ``prefix`` times that factor.
 """
 
 from __future__ import annotations

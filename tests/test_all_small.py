@@ -2,8 +2,8 @@
 
 At such a guess ``solver.scale`` and ``rounding.round_instance`` return
 views ``scaled_by`` the loaded instance, whose weight tuples are built only
-when read, and a Min-Max DP runs on a state that holds no table and bisects
-the loaded instance's prefix sums.  Each must read back what the
+when read, and the DP, in either mode, runs on a state that holds no table
+and bisects the loaded instance's prefix sums.  Each must read back what the
 materialized path builds: ``reference_integer_scale`` then
 ``reference_round_instance``, the eager ``_Workspace`` and the box scans of
 ``tests/reference.py``.
@@ -26,9 +26,9 @@ from convalloc.instance_model import with_integers
 from reference import (reference_integer_scale, reference_maxmin_rows, reference_minimal,
                        reference_minmax_rows, reference_round_instance)
 
-# What the state of an all-small Min-Max DP does not hold, the eager
-# workspace's tables and endpoints and the methods that read them, and the
-# fields it holds.
+# What the state of an all-small DP does not hold, the eager workspace's
+# tables and endpoints and the methods that read them, and the fields it
+# holds.
 TABLES = ("weight", "positions", "prefix_weight", "small_positions", "small_prefix",
           "small_len", "small_weight", "lows", "highs")
 METHODS = ("remainder", "windows", "row_windows", "small_kept")
@@ -90,13 +90,12 @@ def test_all_small_views_read_back_the_materialized_path(seed, mode, k, n, per, 
         assert scaled.scaling.source is inst and rd.instance.scaling.source is inst
         assert "integers" not in vars(scaled) and "integers" not in vars(rd.instance)
     table, want_table = forward(rd), forward(want)
-    # nor does a Min-Max DP, whose state holds no table and reads the loaded
-    # prefix sums; a Max-Min one builds its tables as before
-    tableless = small and mode is Mode.MINMAX
+    # nor does the DP, in either mode, whose state holds no table and reads
+    # the loaded prefix sums
     ws = table._ws
-    assert all(hasattr(ws, name) is not tableless for name in TABLES + METHODS)
-    assert ws.folded[0] is (inst.prefix if tableless else ws.small_prefix)
-    if tableless:
+    assert all(hasattr(ws, name) is not small for name in TABLES + METHODS)
+    assert ws.folded[0] is (inst.prefix if small else ws.small_prefix)
+    if small:
         assert "integers" not in vars(rd.instance)
 
     # the DP: marks, pointers, carried weights and small lengths
@@ -117,7 +116,7 @@ def test_all_small_views_read_back_the_materialized_path(seed, mode, k, n, per, 
     # the state's fields are the eager workspace's, and so are the tables of
     # one that holds them
     eager = _Workspace(want)
-    for name in BUILT + (() if tableless else TABLES):
+    for name in BUILT + (() if small else TABLES):
         assert getattr(ws, name) == getattr(eager, name), name
     # a view's tables, built by the eager workspace that ``retrieve`` reads,
     # reconstruct the materialized rounding's remainders
@@ -128,26 +127,29 @@ def test_all_small_views_read_back_the_materialized_path(seed, mode, k, n, per, 
 
 
 # Derandomized: every run draws the same examples and stores none.
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@pytest.mark.parametrize("mode", Mode)
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
 @given(seed=st.integers(0, 2 ** 16), k=st.sampled_from([4, 6, 8, 12]), n=st.integers(1, 5),
        top=st.integers(1, 3), shift=st.integers(0, 3),
        factor=st.sampled_from([Fraction(1), Fraction(11, 10), Fraction(3, 2)]))
-def test_run_rows_read_folded_through_the_sums_it_stands_for(seed, k, n, top, shift, factor):
+def test_run_rows_read_folded_through_the_sums_it_stands_for(mode, seed, k, n, top, shift,
+                                                             factor):
     # Integer values up to top: consecutive multiples of the sums' gcd g are
     # nearly all prefix sums, so a bisection whose threshold is carried over
     # to (sums // g, g, 1) with the wrong rounding meets one.  Agent j covers
     # 1 + (j-1) shift .. m - (n-j) shift, so each row's window starts near
-    # item 1 and the budget, not the window, sets its mark.
+    # item 1 and the budget, not the window, sets its mark: the least
+    # passing nu_0 in Min-Max, the largest in Max-Min.
     m = 4 * k * n
     rng = random.Random(seed)
     items = tuple(Item(f"x{i}", Fraction(rng.randint(1, top))) for i in range(1, m + 1))
     agents = tuple(Agent(f"p{j}", 1 + (j - 1) * shift, m - (n - j) * shift)
                    for j in range(1, n + 1))
-    inst = ConvexInstance(Mode.MINMAX, items, agents)
+    inst = ConvexInstance(mode, items, agents)
     t = hall_bound(inst)[0] * factor
     assert all_small(inst, t, k)
-    ws = _Workspace(round_instance(scale(inst, t), scheme(k, Mode.MINMAX)))
-    bound = ws.denom + BUNDLE_MARGIN * ws.unit
+    ws = _Workspace(round_instance(scale(inst, t), scheme(k, mode)))
+    bound = ws.denom + (-BUNDLE_MARGIN if ws.up else BUNDLE_MARGIN) * ws.unit
     rows = list(_run_rows(ws, bound))
     assert rows == reference_rows(ws)
     sums = ws.small_prefix
@@ -184,6 +186,17 @@ def test_an_all_small_decide_builds_no_weight_tuple(monkeypatch):
     assert not any(hasattr(table._ws, name) for name in TABLES + METHODS)
     # the Hall sweep and the workspace read one prefix view
     assert table._ws.folded[0] is inst.prefix is hall._lex_profile(inst)[4]
+
+    # A Max-Min all-small decide runs on the same state.
+    inst = gen_inclusion_free(7, 4, 400, mode=Mode.MAXMIN)
+    bound, _ = hall_bound(inst)
+    assert all_small(inst, bound, 8)
+    assert solver.decide(inst, bound, 8) is not None
+    scaled, rounded, table = made["scale"], made["round_instance"].instance, made["forward"]
+    for derived in (scaled, rounded):
+        assert derived.scaling.source is inst and "integers" not in vars(derived)
+    assert not any(hasattr(table._ws, name) for name in TABLES + METHODS)
+    assert table._ws.folded[0] is inst.prefix
 
     # A dense Max-Min guess holds big items: it builds its tuples as before.
     dense = gen_inclusion_free(5, 5, 20, (Fraction(1, 2), Fraction(1)), Mode.MAXMIN)
