@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="approximate an instance by binary search")
-    p.add_argument("-k", type=int, default=8, help="error parameter (k >= 4)")
+    p.add_argument("-k", type=int, default=8, help="error parameter (4 <= k <= 1024)")
     p.add_argument("--delta", default=None, help="binary-search precision, e.g. 1/40")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", default=None, help="write the result JSON here")

@@ -13,6 +13,7 @@ format.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -24,20 +25,17 @@ from math import gcd, lcm
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
-def integer_values(values: Sequence[Union[Fraction, tuple[int, int]]]
-                   ) -> tuple[tuple[int, ...], int]:
+def integer_values(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """(weights, D): the values as integer numerators over one common
     denominator D, the lcm of their denominators.
 
-    Each value is a ``Fraction`` (or an int), or its lowest-terms
-    ``(numerator, denominator)`` pair with a positive denominator, as
-    ``parse_ratio`` reads it from a file: a loaded instance builds its view
-    from those pairs, one built in code from its items' values.  Sums and
-    comparisons then run on integers; a ``Fraction`` sum reduces by a gcd at
-    every addition.  ``ConvexInstance.integers`` keeps this view of an
-    instance's own values.
+    Each value is a ``Fraction`` or an int.  Sums and comparisons then run
+    on integers; a ``Fraction`` sum reduces by a gcd at every addition.
+    ``ConvexInstance.integers`` keeps this view of the values of an
+    instance built in code.  A loaded instance holds the same view, built
+    by ``instance_from_dict`` from the pairs it reads, with no ``Fraction``.
     """
-    ratios = [v if type(v) is tuple else v.as_integer_ratio() for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
     denom = lcm(*{d for _, d in ratios})
     return tuple([n * (denom // d) for n, d in ratios]), denom
 
@@ -51,49 +49,28 @@ class Mode(Enum):
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
 
 
-def parse_ratio(text: Union[str, int]) -> tuple[int, int]:
-    """An exact rational as its lowest-terms ``(numerator, denominator)``
-    pair, the denominator positive, read from its text or an integer's.
+def parse_value(text: Union[str, int]) -> Fraction:
+    """Parse an exact rational from its text, or from an integer's.
 
     The text is anything ``Fraction`` reads: 'num/den', an integer, a
-    decimal or an exponent, as in '-3/4', '25', '0.1' or '25e-2'.  The two
-    forms that ``format_value`` writes, ASCII digits and ASCII digits '/'
-    ASCII digits, are read straight through ``int``, reduced by their gcd;
-    every other text goes to ``Fraction``, with the same value or the same
-    error either way.
+    decimal or an exponent, as in '-3/4', '25', '0.1' or '25e-2'.
+    ``instance_from_dict`` reads the two forms ``format_value`` writes
+    itself and every other value through this.
 
     Raises ValueError on anything else, a zero denominator included, and on
     a decimal exponent that, with the text's length, reaches Python's limit
     on printed digits: ``Fraction`` would build a value nobody can print.
     """
     text = str(text)
-    if text.isascii():  # str.isdigit alone takes '²' and '٣'
-        if text.isdigit():
-            return int(text), 1
-        num, _, den = text.partition("/")
-        if num.isdigit() and den.isdigit():
-            # int(num) first, as Fraction does: a text with both parts past
-            # the digit limit then fails on the same part
-            numerator, denominator = int(num), int(den)
-            if denominator:
-                g = gcd(numerator, denominator)
-                return (numerator, denominator) if g == 1 else (numerator // g, denominator // g)
     exponent = _EXPONENT.search(text)
     if exponent:
         limit = _digit_limit()
         if limit and len(text) + abs(int(exponent.group(1))) >= limit:
             raise ValueError(f"value {text!r} has too many digits to print (limit {limit})")
     try:
-        return Fraction(text).as_integer_ratio()
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"value {text!r} has a zero denominator") from None
-
-
-def parse_value(text: Union[str, int]) -> Fraction:
-    """Parse an exact rational from its text, or from an integer's: the
-    ``Fraction`` of ``parse_ratio``'s pair, which names the texts it reads
-    and the ValueError it raises on any other."""
-    return Fraction(*parse_ratio(text))
 
 
 def _digit_limit() -> int:
@@ -135,10 +112,11 @@ class ConvexInstance:
 
     ``integers`` is the instance's integer view ``(weights, D)``: the item
     values as integer numerators over one common denominator D, built by
-    ``integer_values`` on first use and kept, so that validation, the Hall
-    bounds, the search bracket, scaling, rounding and verification read
-    the same integers.  ``item_ids`` is the item ids in item order, which
-    everything that names or counts items reads in place of ``items``.
+    ``integer_values`` on first use, or by ``instance_from_dict`` at load,
+    and kept, so that validation, the Hall bounds, the search bracket,
+    scaling, rounding and verification read the same integers.
+    ``item_ids`` is the item ids in item order, which everything that names
+    or counts items reads in place of ``items``.
     ``lex`` is its agent view ``(order, lows, highs)``: the agent indices in
     lexicographic (lo, hi) order and their endpoints in that order.  ``ids``
     is its id view ``({item id: position}, {agent id: index})``; the first
@@ -528,42 +506,101 @@ def instance_to_dict(instance: ConvexInstance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> ConvexInstance:
-    """Build an instance from its JSON form.
+    """Build an instance from its JSON form, in one pass over its records.
 
-    Each item is read to its id and its ``parse_ratio`` pair, and the
-    instance holds their ``item_ids`` and integer view: it builds its
-    ``Item``s only when ``items`` is read.  Malformed input raises
-    ValueError; a missing key and an id that is not a string are named with
-    their place, as in ``item 2: missing key 'value'``.
+    Each item is read to its id and its value's ``(numerator, denominator)``
+    pair.  A value in one of the two forms ``format_value`` writes, a string
+    of ASCII digits or of ASCII digits '/' ASCII digits with a nonzero
+    denominator, is read inline by ``int`` and not reduced; ``int`` reads
+    the same parts in the same order as ``Fraction``, so a part past
+    Python's digit limit raises the same error.  Every other value goes
+    through ``parse_value``.  The instance holds the ``item_ids`` and the
+    integer view that ``_lowest_view`` builds from those pairs, the one
+    ``integer_values`` builds from the lowest-terms values; it builds its
+    ``Item``s only when ``items`` is read.  An absent ``demand`` is the
+    default 1.
+
+    Malformed input raises ValueError; a missing key and an id that is not a
+    string are named with their place, as in ``item 2: missing key
+    'value'``.  The records are checked to be objects first, then read in
+    order: every item value before any item id is checked for type, the
+    items before the agents, and each agent's id, ``l``, ``r`` and
+    ``demand`` in that order.
     """
-    if not isinstance(data, Mapping):
+    # a JSON object decodes to a dict, which passes the Mapping check
+    if type(data) is not dict and not isinstance(data, Mapping):
         raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
     for key in ("mode", "items", "agents"):
         if key not in data:
             raise ValueError(f"missing key {key!r}")
-    mode = Mode(data["mode"])
-    records = _records(data, "items")
     try:
-        rows = [(d["id"], parse_ratio(d["value"])) for d in records]
+        mode = _MODES[data["mode"]]
+    except (KeyError, TypeError):  # TypeError: an unhashable mode
+        mode = Mode(data["mode"])  # raises the Enum's own ValueError
+    records = _records(data, "items")
+    item_ids: list = []
+    nums: list[int] = []
+    dens: list[int] = []
+    try:
+        for record in records:
+            item_ids.append(record["id"])
+            value = record["value"]
+            if type(value) is str and value.isascii():
+                if value.isdigit():  # str.isdigit alone takes '²' and '٣'
+                    nums.append(int(value))
+                    dens.append(1)
+                    continue
+                num, _, den = value.partition("/")
+                if num.isdigit() and den.isdigit() and den.strip("0"):
+                    nums.append(int(num))
+                    dens.append(int(den))
+                    continue
+            num, den = parse_value(value).as_integer_ratio()
+            nums.append(num)
+            dens.append(den)
     except KeyError as exc:
         raise _missing_key("item", records, exc) from None
-    item_ids, ratios = tuple(zip(*rows)) or ((), ())
     _string_ids("item", item_ids)
     records = _records(data, "agents")
+    agents: list[Agent] = []
     try:
-        agents = tuple([_agent(d) for d in records])
+        for record in records:
+            agent_id, lo = record["id"], record["l"]
+            if type(lo) is not int:
+                lo = _position(record, "l")
+            hi = record["r"]
+            if type(hi) is not int:
+                hi = _position(record, "r")
+            if "demand" in record:
+                agents.append(Agent(agent_id, lo, hi, parse_value(record["demand"])))
+            else:
+                agents.append(Agent(agent_id, lo, hi))
     except KeyError as exc:
         raise _missing_key("agent", records, exc) from None
     _string_ids("agent", [a.id for a in agents])
-    return _unbuilt(mode, agents, item_ids, integers=integer_values(ratios))
+    return _unbuilt(mode, tuple(agents), tuple(item_ids), integers=_lowest_view(nums, dens))
 
 
-def _agent(record: dict) -> Agent:
-    """An agent from its record; an absent demand is the default 1."""
-    if "demand" in record:
-        return Agent(record["id"], _position(record, "l"), _position(record, "r"),
-                     parse_value(record["demand"]))
-    return Agent(record["id"], _position(record, "l"), _position(record, "r"))
+_MODES = {mode.value: mode for mode in Mode}
+
+
+def _lowest_view(nums: list[int], dens: list[int]) -> tuple[tuple[int, ...], int]:
+    """The integer view of the values ``nums[i] / dens[i]``, each
+    denominator positive: the one ``integer_values`` builds from their
+    lowest terms, with no gcd per value.
+
+    Over D' = lcm(dens), w_i = nums[i] D' / dens[i]; with g = gcd(D', w_1,
+    ..., w_m) the view is (w_i / g, D' / g), and D' / g is L, the least
+    common denominator.  Proof: g = (D' / L) h with h = gcd(L, a_i L / b_i)
+    over the reduced values a_i / b_i, and h = 1, since for each prime p
+    with p^e || L some reduced value a/b has p^e || b and a L / b prime to p.
+    """
+    denom = lcm(*dens)
+    weights = [n * (denom // d) for n, d in zip(nums, dens)]
+    common = gcd(denom, *weights)
+    if common == 1:
+        return tuple(weights), denom
+    return tuple([w // common for w in weights]), denom // common
 
 
 def _string_ids(kind: str, ids: Sequence[object]) -> None:
@@ -616,5 +653,33 @@ _DECODER = json.JSONDecoder(parse_float=_JSONNumber)
 
 
 def load_instance(path: str) -> ConvexInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(_DECODER.decode(fh.read()))
+    """Load an instance file through ``instance_from_dict``.
+
+    The file's bytes are read by ``os.read`` on one descriptor and decoded
+    as UTF-8: that makes fewer system calls than a file object, which looks
+    up the file's size and position before it reads.  A '\\r\\n' or a lone
+    '\\r' then becomes '\\n', as a text-mode read translates them; the text
+    is searched for a '\\r' once and copied only when it holds one.  So the
+    text, and every error with its offsets, is the one
+    ``open(path, encoding="utf-8").read()`` gives, the ``IsADirectoryError``
+    that names a directory included.
+    """
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = [os.read(fd, _CHUNK)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, _CHUNK))
+    except IsADirectoryError as exc:  # os.open opens a directory; open() refuses it
+        raise IsADirectoryError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return instance_from_dict(_DECODER.decode(text))
+
+
+# O_BINARY: no newline translation by the C runtime where it has one (Windows).
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+# Under the usual 128 KiB threshold at which malloc maps fresh memory.
+_CHUNK = 1 << 16

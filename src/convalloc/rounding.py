@@ -1,12 +1,12 @@
 """Scaling-relative classification and rounding of item values.
 
-For an error parameter k >= 4, values (already scaled into (0, 1]) are split
-into *small* (<= 1/k, kept exact) and *big* (> 1/k, snapped onto the geometric
-grid q_tau = (1/k)(1+1/k)^tau).  Max-Min instances round up to the next grid
-point, Min-Max instances round down.  The resulting per-category counts plus
-the small mass expressed in units of 1/k form the configuration vectors the
-dynamic program runs on, and an item's category is its coordinate in them:
-0 for a small item, tau for grid category tau.
+For an error parameter k in 4..1024, values (already scaled into (0, 1]) are
+split into *small* (<= 1/k, kept exact) and *big* (> 1/k, snapped onto the
+geometric grid q_tau = (1/k)(1+1/k)^tau).  Max-Min instances round up to the
+next grid point, Min-Max instances round down.  The resulting per-category
+counts plus the small mass expressed in units of 1/k form the configuration
+vectors the dynamic program runs on, and an item's category is its
+coordinate in them: 0 for a small item, tau for grid category tau.
 
 The grid is written once, as the integer table ``RoundingScheme.ratios``:
 q_tau = (k+1)^tau / k^(tau+1) as the pair ((k+1)^tau, k^(tau+1)) for
@@ -87,9 +87,17 @@ class RoundingScheme:
         return (0,) * (self.C + 1)
 
 
+# The largest error parameter a scheme is built for.  The table holds
+# C + 1 pairs, C ~ k ln k, whose numbers reach C log2 k bits: about
+# C^2 log2 k bits in all, 68 MB at k = 1024 and over 300 MB at k = 2048.
+MAX_K = 1024
+
+
 @lru_cache(maxsize=64, typed=True)
 def scheme(k: int, mode: Mode) -> RoundingScheme:
-    """Build the rounding scheme for error parameter k, an int >= 4.
+    """Build the rounding scheme for error parameter k, an int in
+    4..``MAX_K``; any other k is refused with a ValueError before any
+    table is built.
 
     The category count C is the least C with (1+1/k)^C >= k, that is with
     (k+1)^C >= k^(C+1), so that the top grid point q_C reaches 1: the table
@@ -102,6 +110,8 @@ def scheme(k: int, mode: Mode) -> RoundingScheme:
     k = operator.index(k)
     if k < 4:
         raise ValueError(f"error parameter k must be >= 4, got {k}")
+    if k > MAX_K:
+        raise ValueError(f"error parameter k must be <= {MAX_K}, got {k}")
     a, b = 1, k
     ratios = [(a, b)]
     while a < b:

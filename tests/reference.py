@@ -60,11 +60,11 @@ from math import ceil, floor, gcd, lcm
 from operator import ge, getitem, le
 from typing import Iterator, Mapping, Optional, Union
 
-from convalloc import Assignment, ConvexInstance, Item, Mode, assignment_vector
+from convalloc import Agent, Assignment, ConvexInstance, Item, Mode, assignment_vector
 from convalloc.dp_engine import BUNDLE_MARGIN, _Workspace
 from convalloc.hall import hall_bound
-from convalloc.instance_model import (ValidationReport, Violation, _agent, _digit_limit,
-                                      _missing_key, _records, with_integers)
+from convalloc.instance_model import (ValidationReport, Violation, _digit_limit, _missing_key,
+                                      _position, _records, with_integers)
 from convalloc.rounding import RoundedInstance, RoundingScheme, _categories, small_units
 from convalloc.solver import (SolveError, SolveResult, VerifyReport, _fallback_partition,
                               _require_valid, decide, verify)
@@ -535,11 +535,20 @@ def reference_instance_from_dict(data: Mapping) -> ConvexInstance:
     _reference_string_ids("item", items)
     records = _records(data, "agents")
     try:
-        agents = tuple([_agent(d) for d in records])
+        agents = tuple([_reference_agent(d) for d in records])
     except KeyError as exc:
         raise _missing_key("agent", records, exc) from None
     _reference_string_ids("agent", agents)
     return ConvexInstance(mode, items, agents)
+
+
+def _reference_agent(record: dict) -> Agent:
+    """An agent from its record, built by the dataclass; an absent demand
+    is the default 1."""
+    if "demand" in record:
+        return Agent(record["id"], _position(record, "l"), _position(record, "r"),
+                     reference_parse_value(record["demand"]))
+    return Agent(record["id"], _position(record, "l"), _position(record, "r"))
 
 
 def _reference_string_ids(kind: str, built) -> None:

@@ -580,6 +580,7 @@ INVALID_TEXT = ("duplicate item id 'x1'; " * 4
 
 @pytest.mark.parametrize("argv, message", [
     ("solve -i t1.json -k 0", "error parameter k must be >= 4, got 0"),
+    ("solve -i t1.json -k 1025", "error parameter k must be <= 1024, got 1025"),
     ("solve -i t1.json --delta 2", "delta must lie in (0,1), got 2"),
     ("gen --seed 1 -n 5 -m 3", "need n >= 1 and m >= n, got n=5 m=3"),
     ("gen --seed 1 -n 2 -m 4 --plant 0", "plant target must be positive, got 0"),
@@ -593,7 +594,7 @@ INVALID_TEXT = ("duplicate item id 'x1'; " * 4
                                            "No such file or directory"),
     ("solve -i t1.json -o r.json --trace r.json", "-o and --trace name the same file 'r.json'"),
     ("bench -d empty", "no instances under empty"),
-], ids=["k", "delta", "gen-size", "plant", "bench-invalid", "missing", "solve-invalid",
+], ids=["k", "k-large", "delta", "gen-size", "plant", "bench-invalid", "missing", "solve-invalid",
         "oracle-invalid", "oracle-size", "unwritable", "same-file", "bench-empty"])
 def test_every_refusal_is_one_error_line(tmp_path, monkeypatch, capsys, t1, argv, message):
     # One error line on stderr, nothing on stdout and exit 2, whichever
@@ -690,6 +691,26 @@ def test_closed_stdout_exits_2_with_one_line(paths, argv, read):
     _, err = child.communicate(timeout=120)
     assert child.returncode == 2
     assert len(err.splitlines()) == 1 and err.startswith(b"error: ")
+
+
+# The command line in a fresh interpreter capped at 1 GiB of address space,
+# so that a rounding table built by mistake fails there and not on the host.
+CAPPED_CLI = ("import resource, runpy; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "runpy.run_module('convalloc.cli', run_name='__main__')")
+
+
+def test_a_k_past_1024_exits_2_with_one_line(paths):
+    # -k 100000 used to build its rounding table until the process was
+    # killed, or ended in a MemoryError traceback and exit 1
+    env = dict(os.environ)
+    src = str(Path(convalloc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", CAPPED_CLI, "solve", "-i", paths["e1"],
+                           "-k", "100000"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: error parameter k must be <= 1024, got 100000\n"
 
 
 def test_closed_stdout_in_process_returns_2(monkeypatch, capsys):

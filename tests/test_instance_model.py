@@ -320,8 +320,9 @@ def parsed(parse, text):
     return value.numerator, value.denominator
 
 
-# The fast path reads ASCII digits and ASCII digits '/' ASCII digits; every
-# other text, and the zero denominators, must fare as through ``Fraction``.
+# ASCII digits and ASCII digits '/' ASCII digits, the texts the loader reads
+# inline, and every other text, the zero denominators included, must fare
+# as through ``Fraction``.
 @pytest.mark.parametrize("text", [
     "0", "7", "007", "0/5", "00/05", "12/8", "3/5", "10/1", "+1", "-1/2", " 1/2", "1/2 ",
     "1 /2", "1_000", "1_000/3", "\u00b2", "\u0663/4", "4/\u0663", "\uff11", "1/0", "1/00", "0/0",

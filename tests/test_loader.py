@@ -3,10 +3,13 @@ integer view and builds its ``Item``s only when ``items`` is read.
 
 ``instance_from_dict`` must agree with the eager
 ``reference.reference_instance_from_dict`` on every input: an equal instance
-with equal views, or the same error from the same record.
+with equal views, or the same error from the same record.  ``load_instance``
+must load every file as that reference loads the text a text-mode read
+gives, whatever its line ends and bytes, or fail with the same error.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -74,6 +77,140 @@ def test_values_in_any_form_load_to_their_lowest_terms(value):
     expected = Fraction(json.loads(value) if value.startswith('"') else value)
     assert Fraction(weights[1], denom) == expected
     assert "items" not in vars(instance_from_dict(_DECODER.decode(text)))
+
+
+def one_value_text(value, agent='{"id": "p1", "l": 1, "r": 3}', record=""):
+    """An instance whose second item has the value text ``value`` and the
+    extra record text ``record``, and whose one agent has the text ``agent``."""
+    return ('{"mode": "maxmin", "items": [{"id": "x1", "value": "1/3"}, '
+            f'{{"id": "x2", "value": {value}{record}}}, {{"id": "x3", "value": "5/6"}}], '
+            f'"agents": [{agent}]}}')
+
+
+# Values that the loader reads inline, and others beside them that it must
+# send to parse_value: unreduced, zero, leading zeros, zero denominators,
+# digits that are not ASCII and JSON integers.  "2/4" beside 1/3 and 5/6
+# puts the values over 12 before the one cut to their least denominator 6.
+INLINE_VALUES = ['"2/4"', '"0"', '"0/5"', '"007/010"', '"1/0"', '"0/0"', '"²"', '"٣/4"',
+                 '"4/"', '"/4"', '"1/2/3"', '"+1/2"', "3", "0", "-3", "12345678901234567890"]
+
+
+@pytest.mark.parametrize("value", INLINE_VALUES)
+def test_inline_values_load_as_the_eager_loader_reads_them(value):
+    assert_same(one_value_text(value))
+
+
+def test_every_value_unreduced_is_cut_to_lowest_terms():
+    text = ('{"mode": "minmax", "items": [{"id": "x1", "value": "2/4"}, '
+            '{"id": "x2", "value": "6/4"}, {"id": "x3", "value": "0/8"}], '
+            '"agents": [{"id": "p1", "l": 1, "r": 3}]}')
+    integers, *_ = assert_same(text)
+    assert integers == ((1, 3, 0), 2)
+
+
+@pytest.mark.parametrize("digits", [639, 640, 700])
+def test_values_at_the_digit_limit_load_as_the_eager_loader_reads_them(digits):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # a numerator of 700 digits is refused, as int refuses it
+        for value in (f'"{"7" * digits}"', f'"{"7" * digits}/3"', f'"3/{"7" * digits}"'):
+            assert_same(one_value_text(value))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("agent, record", [
+    ('{"id": "p1", "l": 1, "r": 3}', ', "note": "extra"'),
+    ('{"id": "p1", "l": 1, "r": 3, "demand": "3/2"}', ""),
+    ('{"id": "p1", "l": 1, "r": 3, "demand": 2}', ""),
+    ('{"id": "p1", "l": 1, "r": 3, "demand": "2/0"}', ""),
+    ('{"id": "p1", "l": true, "r": 3}', ""),
+    ('{"id": "p1", "l": 1, "r": false}', ""),
+    ('{"id": "p1", "l": 1.0, "r": 3}', ""),
+    ('{"id": "p1", "l": "1"}', ""),  # a bad l and a missing r: l is read first
+    ('{"id": "p1", "r": "x"}', ""),  # a missing l and a bad r
+    ('{"l": "1", "r": 3}', ""),  # a missing id and a bad l
+    ('{"id": 1, "l": 1, "r": 3, "demand": "x"}', ""),  # the demand before the id's type
+])
+def test_records_load_as_the_eager_loader_reads_them(agent, record):
+    assert_same(one_value_text('"1/2"', agent, record))
+
+
+def text_mode_outcome(path):
+    """What ``reference_instance_from_dict`` makes of a file read in text
+    mode: the instance and its views, or the error's type and message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            inst = reference_instance_from_dict(_DECODER.decode(fh.read()))
+    except ValueError as exc:
+        return (type(exc), str(exc))
+    return (inst.integers, inst.ids, inst.lex, inst.nested, inst.m, inst.n, inst)
+
+
+def load_outcome(path):
+    try:
+        inst = load_instance(path)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+    return (inst.integers, inst.ids, inst.lex, inst.nested, inst.m, inst.n, inst)
+
+
+# Each turns an instance file's bytes into those of another file: line ends
+# written as CR LF, as lone CR, or mixed; a UTF-8 byte order mark; one byte
+# that is not UTF-8, or a character cut short at the end; a raw CR inside an
+# id, which JSON refuses; and a syntax error after CR LF line ends.
+REWRITES = {
+    "crlf": lambda b: b.replace(b"\n", b"\r\n"),
+    "cr": lambda b: b.replace(b"\n", b"\r"),
+    "mixed": lambda b: b.replace(b"\n", b"\r\n", 3).replace(b"\n", b"\r", 3),
+    "cr-at-end": lambda b: b + b"\r",
+    "bom": lambda b: b"\xef\xbb\xbf" + b,
+    "invalid-byte": lambda b: b[:40] + b"\xff" + b[40:],
+    "crlf-invalid-byte": lambda b: b.replace(b"\n", b"\r\n")[:60] + b"\x80"
+                                   + b.replace(b"\n", b"\r\n")[60:],
+    "cut-character": lambda b: b + "é".encode()[:1],
+    "cr-in-id": lambda b: b.replace(b'"x1"', b'"x\r1"'),
+    "crlf-syntax-error": lambda b: b.replace(b"\n", b"\r\n").replace(b'"r":', b'"r"', 1),
+}
+
+
+@pytest.mark.parametrize("rewrite", sorted(REWRITES))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_file_loads_as_a_text_mode_read_loads_it(tmp_path, rewrite, seed):
+    mode = Mode.MAXMIN if seed % 2 == 0 else Mode.MINMAX
+    path = tmp_path / "inst.json"
+    dump_instance(gen_inclusion_free(seed, 3, 7, mode=mode), str(path))
+    path.write_bytes(REWRITES[rewrite](path.read_bytes()))
+    got, want = load_outcome(str(path)), text_mode_outcome(str(path))
+    assert got == want
+    if rewrite in ("crlf", "cr", "mixed", "cr-at-end"):
+        assert len(got) == 7  # an instance, not an error
+    else:
+        assert len(got) == 2
+
+
+def test_a_file_past_one_read_loads_whole(tmp_path):
+    # about 170 KiB with CR LF line ends: the loader reads 64 KiB at a time
+    path = tmp_path / "large.json"
+    dump_instance(gen_inclusion_free(7, 12, 3000, mode=Mode.MINMAX), str(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert path.stat().st_size > 2 * 65536
+    got = load_outcome(str(path))
+    assert len(got) == 7 and got == text_mode_outcome(str(path))
+
+
+@pytest.mark.parametrize("name", ["a-directory", "missing.json"])
+def test_an_unreadable_path_fails_as_open_fails(tmp_path, name):
+    path = tmp_path / name
+    if name == "a-directory":
+        path.mkdir()
+    errors = []
+    for read in (load_instance, lambda p: open(p, encoding="utf-8").read()):
+        with pytest.raises(OSError) as info:
+            read(str(path))
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
 
 
 def test_repeated_ids_keep_the_first_position():

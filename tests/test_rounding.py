@@ -1,14 +1,20 @@
 """Rounding schemes, value classification, and configuration vectors."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convalloc
 from convalloc import (ConvexInstance, Item, Mode, RoundedInstance, gen_inclusion_free,
                        input_vector, retrieve, round_instance, scale, scheme, solve_maxmin)
 from convalloc.dp_engine import _Workspace, solve_rounded
@@ -28,6 +34,43 @@ def test_scheme_category_counts():
 def test_scheme_rejects_small_k():
     with pytest.raises(ValueError):
         scheme(3, Mode.MAXMIN)
+
+
+# Run in a fresh interpreter whose address space is capped at 1 GiB, so that
+# a table built by mistake fails there: at k = 10**6 it would take terabytes.
+LARGE_K = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from convalloc import Mode, gen_inclusion_free, solve_maxmin, solve_minmax
+from convalloc.rounding import MAX_K, scheme
+errors = []
+for mode in Mode:
+    for k in (MAX_K + 1, 10 ** 6, 2 ** 64):
+        try:
+            scheme(k, mode)
+        except ValueError as exc:
+            errors.append(str(exc))
+for solve, mode in ((solve_maxmin, Mode.MAXMIN), (solve_minmax, Mode.MINMAX)):
+    try:
+        solve(gen_inclusion_free(1, 3, 6, mode=mode), 2 ** 64)
+    except ValueError as exc:
+        errors.append(str(exc))
+print(json.dumps([MAX_K, errors]))
+"""
+
+
+def test_a_k_past_max_k_is_refused_before_any_table_is_built():
+    env = dict(os.environ)
+    src = str(Path(convalloc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", LARGE_K], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    max_k, errors = json.loads(done.stdout)
+    assert max_k == 1024
+    refused = [max_k + 1, 10 ** 6, 2 ** 64]
+    assert errors == [f"error parameter k must be <= 1024, got {k}" for k in refused] * 2 \
+        + [f"error parameter k must be <= 1024, got {2 ** 64}"] * 2
 
 
 def test_category_count_matches_log_formula():
