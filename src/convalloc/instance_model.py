@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -83,14 +82,12 @@ def format_value(value: Fraction) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(NamedTuple):
     id: str
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Agent:
+class Agent(NamedTuple):
     id: str
     lo: int
     hi: int
@@ -100,7 +97,6 @@ class Agent:
         return self.lo <= pos <= self.hi
 
 
-@dataclass(frozen=True)
 class ConvexInstance:
     """A validated-or-not ordered instance of either allocation problem.
 
@@ -145,6 +141,15 @@ class ConvexInstance:
     instance carries its source's ``lex``, ``ids`` and ``nested`` too, so a
     solve sorts and tests its agents once.  Equality, hashing and ``repr``
     read ``items`` and so build them.
+
+    It is a plain class, not a frozen dataclass, and the records here are
+    NamedTuples: importing ``dataclasses`` imports ``inspect`` and with it
+    ``ast``, ``dis`` and ``tokenize``, and each decoration compiles its
+    methods at import, which together would double the time of ``import
+    convalloc``.  Its fields ``mode``, ``items`` and ``agents`` live in
+    ``__dict__`` beside the cached views; equality holds only between two
+    instances, and assigning or deleting any attribute raises
+    ``AttributeError``.
     """
 
     mode: Mode
@@ -153,6 +158,27 @@ class ConvexInstance:
 
     # Not a field: an instance that ``scaled_by`` derives holds its own.
     scaling = None
+
+    def __init__(self, mode: Mode, items: tuple[Item, ...], agents: tuple[Agent, ...]) -> None:
+        vars(self).update(mode=mode, items=items, agents=agents)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.mode, self.items, self.agents) == (other.mode, other.items, other.agents)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.items, self.agents))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(mode={self.mode!r}, items={self.items!r}, "
+                f"agents={self.agents!r})")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def m(self) -> int:
@@ -239,7 +265,7 @@ def _unbuilt(mode: Mode, agents: tuple[Agent, ...], item_ids: tuple[str, ...],
     """An instance of ``item_ids`` whose ``items`` are built on first read,
     with ``views`` as its cached views: ``integers``, or a ``scaling``."""
     out = object.__new__(ConvexInstance)
-    # a frozen dataclass keeps its fields, like its cached views, in __dict__
+    # its fields live in __dict__ like its cached views, and __init__ is skipped
     vars(out).update(mode=mode, agents=agents, item_ids=item_ids, **views)
     return out
 
@@ -282,15 +308,13 @@ def scaled_by(source: ConvexInstance, num: int, den: int, denom: int) -> ConvexI
                     lex=source.lex, ids=source.ids, nested=source.nested)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     subjects: tuple[str, ...]
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property
@@ -391,8 +415,7 @@ def stranded_items(instance: ConvexInstance, items: Iterable[int], j: int) -> fr
     return frozenset(pos for pos in items if not any(a.covers(pos) for a in agents))
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """A partition of the items into per-agent bundles.
 
     Bundles are stored as (agent id, item ids) pairs in instance agent order;

@@ -93,7 +93,7 @@ class RoundingScheme:
 MAX_K = 1024
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=8, typed=True)
 def scheme(k: int, mode: Mode) -> RoundingScheme:
     """Build the rounding scheme for error parameter k, an int in
     4..``MAX_K``; any other k is refused with a ValueError before any
@@ -105,7 +105,10 @@ def scheme(k: int, mode: Mode) -> RoundingScheme:
     C <= k * ceil(log2 k) for every k >= 4, which is O(k log k) and depends
     on k alone.  Schemes are immutable, so each (k, mode) is built once and
     shared by every decide; the cache keys on type, so a float or
-    ``Fraction`` k equal to a cached int is refused too.
+    ``Fraction`` k equal to a cached int is refused too.  It keeps the
+    eight schemes used last, four k in both modes: a scheme near ``MAX_K``
+    holds tens of MB, so a process that solves at many large k must not
+    keep them all.
     """
     k = operator.index(k)
     if k < 4:

@@ -9,7 +9,6 @@ M1: the scheduling twin of T1 (two machines, four jobs); optimum makespan
     11/10.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +27,7 @@ E1_LAYOUT = [
 def with_demands(inst, demands):
     """``inst`` with agent i's demand (Max-Min) or allowed load (Min-Max)
     set to ``demands[i]``: the Hall checks read them from the agents."""
-    agents = tuple(replace(a, demand=d) for a, d in zip(inst.agents, demands, strict=True))
+    agents = tuple(a._replace(demand=d) for a, d in zip(inst.agents, demands, strict=True))
     return ConvexInstance(inst.mode, inst.items, agents)
 
 

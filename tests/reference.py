@@ -543,8 +543,8 @@ def reference_instance_from_dict(data: Mapping) -> ConvexInstance:
 
 
 def _reference_agent(record: dict) -> Agent:
-    """An agent from its record, built by the dataclass; an absent demand
-    is the default 1."""
+    """An agent from its record, built by ``Agent``'s own constructor; an
+    absent demand is the default 1."""
     if "demand" in record:
         return Agent(record["id"], _position(record, "l"), _position(record, "r"),
                      reference_parse_value(record["demand"]))

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convalloc import (Agent, AlignmentError, ConvexInstance, Item, Mode, align,
-                       assignment_from_positions, dump_instance, forward,
-                       hall_violations, instance_from_dict, instance_to_dict,
-                       lexicographic_order, load_instance, parse_value, round_instance,
-                       scale, scheme, stranded_items, validate)
+from convalloc import (Agent, AlignmentError, Assignment, ConvexInstance, Item, Mode,
+                       ValidationReport, Violation, align, assignment_from_positions,
+                       dump_instance, forward, hall_violations, instance_from_dict,
+                       instance_to_dict, lexicographic_order, load_instance, parse_value,
+                       round_instance, scale, scheme, stranded_items, validate)
 from convalloc.generator import gen_inclusion_free
 from convalloc.instance_model import integer_values
 from conftest import with_demands
@@ -351,3 +351,56 @@ def test_parse_value_matches_the_general_path_past_the_digit_limit():
                  st.integers(-10 ** 6, 10 ** 6)))
 def test_parse_value_matches_the_general_path_on_drawn_texts(text):
     assert parsed(parse_value, text) == parsed(reference_parse_value, text)
+
+
+# One of each record with its fields, in order, and its repr.
+RECORDS = [
+    (Item("x1", Fraction(1, 2)), ("id", "value"),
+     "Item(id='x1', value=Fraction(1, 2))"),
+    (Agent("p1", 1, 2), ("id", "lo", "hi", "demand"),
+     "Agent(id='p1', lo=1, hi=2, demand=Fraction(1, 1))"),
+    (Violation("duplicate-id", ("x1",), "duplicate item id 'x1'"),
+     ("code", "subjects", "message"),
+     "Violation(code='duplicate-id', subjects=('x1',), message=\"duplicate item id 'x1'\")"),
+    (ValidationReport(), ("violations",), "ValidationReport(violations=())"),
+    (Assignment(Mode.MAXMIN, (("p1", ("x1",)),)), ("mode", "bundles"),
+     "Assignment(mode=<Mode.MAXMIN: 'maxmin'>, bundles=(('p1', ('x1',)),))"),
+]
+SMALL = ConvexInstance(Mode.MINMAX, (Item("x1", Fraction(1, 2)),), (Agent("p1", 1, 1),))
+SMALL_REPR = ("ConvexInstance(mode=<Mode.MINMAX: 'minmax'>, "
+              "items=(Item(id='x1', value=Fraction(1, 2)),), "
+              "agents=(Agent(id='p1', lo=1, hi=1, demand=Fraction(1, 1)),))")
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_record_reads_and_hashes_as_its_fields(record, fields, text):
+    assert repr(record) == text
+    assert hash(record) == hash(tuple(getattr(record, f) for f in fields))
+
+
+def test_an_instance_reads_and_hashes_as_its_three_fields():
+    assert repr(SMALL) == SMALL_REPR
+    assert hash(SMALL) == hash((SMALL.mode, SMALL.items, SMALL.agents))
+    # equal only to an instance, not to the tuple of its fields
+    assert SMALL != (SMALL.mode, SMALL.items, SMALL.agents)
+
+
+@pytest.mark.parametrize("target", [record for record, _, _ in RECORDS] + [SMALL],
+                         ids=lambda r: type(r).__name__)
+def test_no_field_can_be_assigned_or_deleted(target):
+    for name in ("id", "mode", "items", "agents", "violations", "bundles", "scaling",
+                 "anything"):
+        with pytest.raises(AttributeError):
+            setattr(target, name, None)
+        with pytest.raises(AttributeError):
+            delattr(target, name)
+
+
+def test_a_loaded_instance_equals_and_hashes_as_the_built_one(e1, m1):
+    for inst in (e1, m1):
+        built = ConvexInstance(inst.mode, inst.items, inst.agents)
+        loaded = instance_from_dict(instance_to_dict(inst))
+        assert "items" not in vars(loaded)
+        assert hash(loaded) == hash(built)
+        assert loaded == built and built == loaded
+        assert repr(loaded) == repr(built)

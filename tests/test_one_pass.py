@@ -6,7 +6,6 @@ that cannot find anything.  On drawn inputs, malformed ones included, their
 reports and tables must equal those of the loops kept in ``reference``.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -73,7 +72,7 @@ def with_repeated_id(inst, rng):
         return inst
     src, dst = rng.sample(range(inst.m), 2)
     items = list(inst.items)
-    items[dst] = replace(items[dst], id=items[src].id)
+    items[dst] = items[dst]._replace(id=items[src].id)
     return ConvexInstance(inst.mode, tuple(items), inst.agents)
 
 

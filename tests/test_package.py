@@ -76,6 +76,20 @@ def test_import_and_load_need_only_the_instance_model(files):
     assert fresh(script, *files) == ["convalloc", "convalloc.instance_model"]
 
 
+def test_import_and_load_need_no_dataclasses(files):
+    # dataclasses imports inspect, and with it ast, dis and tokenize: as
+    # long again as the rest of the import
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "import convalloc\n"
+              "for path in sys.argv[1:]:\n"
+              "    convalloc.load_instance(path)\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    added = fresh(script, *files)
+    assert "convalloc.instance_model" in added
+    assert not {"dataclasses", "inspect"} & set(added)
+
+
 def test_all_names_the_exports():
     assert len(NAMES) == 56
     assert fresh("import json, convalloc; print(json.dumps(sorted(convalloc.__all__)))") \

@@ -59,14 +59,20 @@ print(json.dumps([MAX_K, errors]))
 """
 
 
-def test_a_k_past_max_k_is_refused_before_any_table_is_built():
+def fresh(script: str):
+    """Run ``script`` in a fresh interpreter that imports this convalloc;
+    returns the JSON value it prints."""
     env = dict(os.environ)
     src = str(Path(convalloc.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", LARGE_K], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    max_k, errors = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_a_k_past_max_k_is_refused_before_any_table_is_built():
+    max_k, errors = fresh(LARGE_K)
     assert max_k == 1024
     refused = [max_k + 1, 10 ** 6, 2 ** 64]
     assert errors == [f"error parameter k must be <= 1024, got {k}" for k in refused] * 2 \
@@ -117,6 +123,33 @@ def test_grid_table_holds_q_tau_and_thresholds_round_it(mode):
         assert _categories(on_grid, denom, sch) == list(range(1, c))
         for tau in {1, c // 2, c - 1}:
             assert round_one(sch.grid[tau - 1], sch) == (sch.grid[tau - 1], tau)
+
+
+# The schemes of 64 distinct k, built one after another; the memory still
+# held after them, against the one scheme of the largest k.  At k = 100..163
+# a scheme holds under 1 MB; every one kept would hold over 40 times that.
+MANY_SCHEMES = """
+import json, tracemalloc
+from convalloc import Mode
+from convalloc.rounding import scheme
+KS = range(100, 164)
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+scheme(KS[-1], Mode.MAXMIN)
+single = tracemalloc.get_traced_memory()[0] - start
+scheme.cache_clear()
+start = tracemalloc.get_traced_memory()[0]
+for k in KS:
+    scheme(k, Mode.MAXMIN)
+held = tracemalloc.get_traced_memory()[0] - start
+print(json.dumps([single, held, scheme.cache_info().currsize]))
+"""
+
+
+def test_the_scheme_cache_holds_a_few_tables_across_many_k():
+    single, held, cached = fresh(MANY_SCHEMES)
+    assert cached == 8
+    assert held < 9 * single, (held, single)
 
 
 @pytest.mark.parametrize("k", [8.0, Fraction(8)], ids=["float", "Fraction"])
