@@ -372,7 +372,8 @@ SMALL_REPR = ("ConvexInstance(mode=<Mode.MINMAX: 'minmax'>, "
               "agents=(Agent(id='p1', lo=1, hi=1, demand=Fraction(1, 1)),))")
 
 
-@pytest.mark.parametrize("record, fields, text", RECORDS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record, fields, text", RECORDS,
+                         ids=[type(record).__name__ for record, _, _ in RECORDS])
 def test_a_record_reads_and_hashes_as_its_fields(record, fields, text):
     assert repr(record) == text
     assert hash(record) == hash(tuple(getattr(record, f) for f in fields))

@@ -59,20 +59,14 @@ print(json.dumps([MAX_K, errors]))
 """
 
 
-def fresh(script: str):
-    """Run ``script`` in a fresh interpreter that imports this convalloc;
-    returns the JSON value it prints."""
+def test_a_k_past_max_k_is_refused_before_any_table_is_built():
     env = dict(os.environ)
     src = str(Path(convalloc.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", LARGE_K], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
-
-
-def test_a_k_past_max_k_is_refused_before_any_table_is_built():
-    max_k, errors = fresh(LARGE_K)
+    max_k, errors = json.loads(done.stdout)
     assert max_k == 1024
     refused = [max_k + 1, 10 ** 6, 2 ** 64]
     assert errors == [f"error parameter k must be <= 1024, got {k}" for k in refused] * 2 \
@@ -147,7 +141,13 @@ print(json.dumps([single, held, scheme.cache_info().currsize]))
 
 
 def test_the_scheme_cache_holds_a_few_tables_across_many_k():
-    single, held, cached = fresh(MANY_SCHEMES)
+    env = dict(os.environ)
+    src = str(Path(convalloc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", MANY_SCHEMES], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    single, held, cached = json.loads(done.stdout)
     assert cached == 8
     assert held < 9 * single, (held, single)
 
