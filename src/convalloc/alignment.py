@@ -47,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 
-from .instance_model import (Assignment, Mode, assignment_from_positions,
+from .instance_model import (Assignment, Mode, _partition_pass, assignment_from_positions,
                              partition_violations, stranded_items)
 from .rounding import InputVector, RoundedInstance, input_vector, small_units
 
@@ -118,13 +118,12 @@ def is_non_wasteful(rounded: RoundedInstance, assignment: Assignment) -> bool:
 
 def _require_one_assignment(rounded: RoundedInstance, assignment: Assignment) -> None:
     inst = rounded.instance
-    problems = partition_violations(inst, assignment)
+    # the pass sums each bundle's weight on the integer view as it checks it
+    problems, totals, _ = _partition_pass(inst, assignment, True)
     if problems:
         raise AlignmentError(f"not a feasible partition: {problems[0]}")
-    weights, denom = inst.integers
-    pos_of = inst.ids[0]
-    for aid, ids in assignment.bundles:
-        weight = sum(weights[pos_of[x] - 1] for x in ids)
+    denom = inst.integers[1]
+    for (aid, _), weight in zip(assignment.bundles, totals):
         if inst.mode is Mode.MAXMIN and weight < denom:
             raise AlignmentError(
                 f"bundle of {aid!r} has rounded value {Fraction(weight, denom)} < 1")

@@ -34,11 +34,9 @@ nu_0, so the allowed nu_0 form one interval ending at nu'_0; below it the
 bundle takes a small item left of l_j.  Row 1 considers only the zero
 vector.  Every window contains all vectors that can pass, so the marking
 and the back-pointers are exactly those of the dense double loop over the
-same predecessors.  The
-bounds #{P_c < l_j} and #{P_c <= r_{j-1}}, and their small-item
-counterparts, depend on the row alone: ``_Workspace.row_windows`` reads them
-once per row, and a predecessor's box then costs conditional expressions
-only.
+same predecessors.  ``_Workspace.windows`` is the one definition of a
+predecessor's box, read straight off row j's bounds #{P_c < l_j} and
+#{P_c <= r_{j-1}} and their small-item counterparts.
 
 The windows also settle every other test of that loop, so ``forward`` tests
 a candidate against the value bound alone.  This needs the highs
@@ -390,53 +388,36 @@ class _Workspace:
             items += self.positions[c][:nu[c]]
         return items
 
-    def row_windows(self, j: int, preds: Iterable[tuple[InputVector, int, int]]
-                    ) -> Iterator[tuple[InputVector, int, int, Sequence[range]]]:
-        """The boxes of row j >= 2: for each (nu_prev, budget, before_small)
-        in ``preds``, yield (nu_prev, budget, start, big).  The box of
-        nu_prev is range(start, nu_prev[0] + 1) times the ranges ``big`` of
-        the big coordinates; start lies past nu_prev[0] when the
-        coordinate-0 window is empty, and ``big`` is empty when no big
-        category is occupied.  ``before_small`` is the number of small items
-        in the remainder before agent j; ``budget`` passes through unread.
-
-        Row j's bounds, ``left_of[j-1]`` and ``reach[j-2]``, are read once;
-        each box then costs conditional expressions only.
-        """
-        reach, left_of = self.reach[j - 2], self.left_of[j - 1]
-        left, top = left_of[0], reach[0]
-        small_prefix, unit = self.small_prefix, self.unit
-        past = self.nu_active[0] + 1
-        bounds = tuple(zip(left_of[1:], reach[1:]))
-        for nu_prev, budget, before_small in preds:
-            # Small items: the remainder's prefix length grows monotonically
-            # with nu_0 and must reach target = min(before_small, #small < l_j),
-            # which the sweep keeps only if target <= #small <= r_{j-1}; the
-            # least such nu_0 has (nu_0 + 1) * unit > small_prefix[target].
-            target = before_small if before_small < left else left
-            # Big category c: the bundle takes items nu_c..a-1 of the
-            # category, which must lie at or after l_j, while the remainder's
-            # first nu_c items must lie at or before r_{j-1}.
-            yield (nu_prev, budget, small_prefix[target] // unit if target <= top else past,
-                   [range(a if a < lo else lo, (a if a < hi else hi) + 1)
-                    for a, (lo, hi) in zip(nu_prev[1:], bounds)])
-
     def windows(self, nu_prev: InputVector, before_small: int, j: int) -> list[range]:
-        """One range per active coordinate: their product holds the vectors
-        nu <= nu_prev that can leave agent j a bundle inside [l_j, r_j], in
-        lexicographic ascending order.
+        """One range per active coordinate: their product, the box of
+        nu_prev in row j, holds the vectors nu <= nu_prev that can leave
+        agent j a bundle inside [l_j, r_j], in lexicographic ascending order.
 
         ``before_small`` is the number of small items in the remainder
         before agent j.  Every vector left out either reconstructs no
         remainder for agents 1..j-1 or hands agent j an item outside its
         interval; every vector in the product does neither (module
-        docstring).  Rows j >= 2 read the box ``row_windows`` yields.
+        docstring).  The coordinate-0 range starts past nu_prev[0] when its
+        window is empty.
         """
         if j == 1:
             # The zero vector: the only one retrieve(., 0) accepts.
             return [range(1)] * len(nu_prev)
-        _, _, start, big = next(self.row_windows(j, [(nu_prev, 0, before_small)]))
-        return [range(start, nu_prev[0] + 1), *big]
+        reach, left_of = self.reach[j - 2], self.left_of[j - 1]
+        # Small items: the remainder's prefix length grows monotonically with
+        # nu_0 and must reach target = min(before_small, #small < l_j), which
+        # the sweep keeps only if target <= #small <= r_{j-1}; the least such
+        # nu_0 has (nu_0 + 1) * unit > small_prefix[target].
+        left = left_of[0]
+        target = before_small if before_small < left else left
+        start = (self.small_prefix[target] // self.unit if target <= reach[0]
+                 else self.nu_active[0] + 1)
+        # Big category c: the bundle takes items nu_c..a-1 of the category,
+        # which must lie at or after l_j, while the remainder's first nu_c
+        # items must lie at or before r_{j-1}.
+        return [range(start, nu_prev[0] + 1),
+                *[range(a if a < lo else lo, (a if a < hi else hi) + 1)
+                  for a, lo, hi in zip(nu_prev[1:], left_of[1:], reach[1:])]]
 
 
 class _AllSmallWorkspace:
@@ -649,17 +630,19 @@ def _mark_rows(ws: _Workspace | _AllSmallWorkspace) -> Iterator[dict[InputVector
     R(nu, j-1), which is what nu needs as a predecessor for row j-1.
 
     A row on nu_0 alone is one mark in either mode, which ``_run_rows``
-    finds without walking a candidate.  Every other row is a dict, carried
-    to the next as one sorted list of (nu, budget, small length), the
-    budget being weight - bound, and ``row_windows`` gives each
-    predecessor's box from bounds it reads once per row.  A candidate's
-    remainder weight is a sum of table entries: the small prefix its nu_0
-    keeps, cut at the row's ``small_cap``, plus the prefix weight of each
-    big coordinate (module docstring).  A Min-Max box walks every candidate.  A Max-Min box yields
-    only its frontier, the staircase ``_frontier`` walks.  Each vector
-    points at the first predecessor that yields it, and the row is then cut
-    by ``_cut`` to its maximal (Max-Min) or minimal (Min-Max) vectors: the
-    cut row is the one yielded and the one whose marks are the next row's
+    finds without walking a candidate.  Every other row is a dict, filled by
+    one loop over the predecessors for both modes: the marks of the row
+    above, in the ascending order ``_cut`` returns them, as (nu, budget,
+    small length), the budget being weight - bound, each with its box from
+    ``windows``.  A candidate's remainder weight is a sum of table entries:
+    the small prefix its nu_0 keeps, cut at the row's ``small_cap``, plus
+    the prefix weight of each big coordinate (module docstring).  Two parts
+    depend on the mode.  The candidates: a Max-Min box yields only its
+    frontier, the staircase ``_frontier`` walks, and a Min-Max box its
+    unmarked candidates, each tested for membership once.  And the cut:
+    each vector points at the first predecessor that yields it, and the row
+    is then cut by ``_cut`` to its maximal (Max-Min) or minimal (Min-Max)
+    vectors, the row yielded and the one whose marks are the next row's
     predecessors.  It is the full table's row cut the same way (module
     docstring).  In Max-Min every maximal vector of the row the whole boxes
     would mark is on the frontier of its first marking predecessor, so the
@@ -688,22 +671,22 @@ def _mark_rows(ws: _Workspace | _AllSmallWorkspace) -> Iterator[dict[InputVector
         # bundle R(nu_prev, j) - R(nu, j-1) is worth before_total - after, and
         # limit is before_total - bound.
         row: dict[InputVector, Mark] = dict()
-        if up:
-            for nu_prev, limit, start, big in ws.row_windows(j, preds):
-                for nu, after in _frontier(tables, limit, (range(start, nu_prev[0] + 1), *big)):
-                    if nu not in row:
-                        row[nu] = (nu_prev, after, kept[nu[0]])
-        else:
-            for nu_prev, limit, start, big in ws.row_windows(j, preds):
-                # The unmarked candidates, in lexicographic order.
-                for nu in filterfalse(row.__contains__,
-                                      product(range(start, nu_prev[0] + 1), *big)):
-                    after = sum(map(getitem, tables, nu))
-                    if after >= limit:
-                        row[nu] = (nu_prev, after, kept[nu[0]])
+        for nu_prev, limit, before_small in preds:
+            box = ws.windows(nu_prev, before_small, j)
+            if up:
+                # The box's frontier, each candidate tested for membership once.
+                found = ((nu, after) for nu, after in _frontier(tables, limit, box)
+                         if nu not in row)
+            else:
+                # The box's unmarked candidates, in lexicographic order.
+                found = ((nu, after) for nu in filterfalse(row.__contains__, product(*box))
+                         if (after := sum(map(getitem, tables, nu))) >= limit)
+            for nu, after in found:
+                row[nu] = (nu_prev, after, kept[nu[0]])
         row = _cut(row, up)
         yield row
-        preds = sorted([(nu, after - bound, length) for nu, (_, after, length) in row.items()])
+        # _cut returns the row in ascending order: the next row's predecessors
+        preds = [(nu, after - bound, length) for nu, (_, after, length) in row.items()]
     # Row 1: the zero vector, whose remainder R(0, 0) is empty and weighs 0.
     first = next((nu_prev for nu_prev, limit, _ in preds if (limit >= 0 if up else limit <= 0)), None)
     yield {} if first is None else {(0,) * len(ws.active): (first, 0, 0)}

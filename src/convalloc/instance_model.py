@@ -130,14 +130,15 @@ class ConvexInstance:
     ``items``, and build their ``Item``s only when ``items`` is first read,
     which no step of a solve does: those ``instance_from_dict`` (and so
     ``load_instance``) loads, and those ``with_integers`` derives from an
-    integer view, as ``solver.scale`` and ``rounding.round_instance`` do for
-    a guess with a big item.  A third kind holds its weights unbuilt too:
-    ``scaled_by`` derives it as its source's weights times one factor, and
-    keeps that as its ``scaling``, with its ``spread`` read off the
-    source's; its ``integers`` and ``prefix`` are built on first read.
-    ``solver.scale`` and ``rounding.round_instance`` derive one for a guess
-    at which every value is small, and no step of such a decide builds its
-    weights.  ``scaling`` is None on every other instance.  A derived
+    integer view, as ``solver.scale`` does for a clamped guess and
+    ``rounding.round_instance`` for a guess with a big item.  A third kind
+    holds its weights unbuilt too: ``scaled_by`` derives it as its source's
+    weights times one factor, and keeps that as its ``scaling``, with its
+    ``spread`` read off the source's; its ``integers`` and ``prefix`` are
+    built on first read.  ``solver.scale`` derives one for every guess at
+    which nothing is clamped, and ``rounding.round_instance`` for a guess at
+    which every value is small, and no step of an all-small decide builds
+    its weights.  ``scaling`` is None on every other instance.  A derived
     instance carries its source's ``lex``, ``ids`` and ``nested`` too, so a
     solve sorts and tests its agents once.  Equality, hashing and ``repr``
     read ``items`` and so build them.

@@ -32,14 +32,16 @@ integers, reads them as they are and takes no common denominator of its
 own.  A scaled or rounded instance builds its ``Item``s only when its
 ``items`` is read, and no step of a decide reads them.
 
-When every value is small, the scaled and the rounded weights are the
-loaded instance's weights w times one factor, w num // den, over one
-denominator, and no weight tuple is built.  ``solver.scale`` hands over a
-view ``scaled_by`` the loaded instance, whose cached ``spread`` gives its
-min, max and gcd in O(1).  ``all_small_view`` is the all-small test on
-them, written once: ``round_instance`` takes it, reads the lift and the cut
-off them and returns a view of the loaded instance too, and the dynamic
-program takes it on the rounded view.  The program, in either mode, then
+When nothing is clamped, ``solver.scale`` hands over a view ``scaled_by``
+the loaded instance, its weights w times one factor, w num // den, over one
+denominator, whose cached ``spread`` gives their min, max and gcd in O(1);
+``round_instance`` builds the view's weights when it reads ``integers``,
+unless every value is small.  Then the rounded weights are the loaded
+instance's times one factor too, and no weight tuple is built.
+``all_small_view`` is the all-small test on the view, written once:
+``round_instance`` takes it, reads the lift and the cut off the spread and
+returns a view of the loaded instance too, and the dynamic program takes it
+on the rounded view.  The program, in either mode, then
 reads only the loaded instance's ``prefix`` times that factor.
 """
 
@@ -195,7 +197,9 @@ def round_instance(instance: ConvexInstance, sch: RoundingScheme) -> RoundedInst
     denominator of its values that k divides (module docstring).  When
     ``instance`` is an ``all_small_view``, as ``solver.scale`` hands over at
     an all-small guess, the rounded one is ``scaled_by`` one factor too,
-    with no pass over the items.
+    with no pass over the items.  Any other instance's ``integers`` is read,
+    which builds the weights of a view that ``solver.scale`` hands over
+    unclamped: the same values its source's weights times the factor give.
     """
     k = sch.k
     if all_small_view(instance, k):

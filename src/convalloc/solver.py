@@ -103,26 +103,22 @@ def scale(instance: ConvexInstance, t: Fraction) -> Optional[ConvexInstance]:
     infeasibility (None) when any processing time exceeds t.  With the
     instance's integer view (w, D), v / t = w t_den / (D t_num), so the
     scaled instance is the view (w t_den, D t_num), a clamped weight being
-    D t_num; its items are built only when read.  When no value exceeds
-    t/4, which every guess at which all values are small at some k >= 4
-    meets, nothing is clamped and the weights are not built either: the
-    result is ``scaled_by`` the factor t_den, in O(1).
+    D t_num.  When no value exceeds t, nothing is clamped and the result is
+    ``scaled_by`` the factor t_den, in O(1): its weights are built when
+    first read, which ``round_instance`` does unless every value is small.
+    A clamped instance builds its weights here; its items are built only
+    when read.
     """
     if t <= 0:
         raise ValueError(f"guess t must be positive, got {t}")
     scaling, t_den = instance.scaling, t.denominator
     denom = (instance.integers[1] if scaling is None else scaling.denom) * t.numerator
-    high = instance.spread[1] * t_den  # the largest scaled weight
-    if 4 * high <= denom:
+    if instance.spread[1] * t_den <= denom:  # the largest scaled weight
         return scaled_by(instance, t_den, 1, denom)
-    weights = instance.integers[0]
-    if high <= denom:
-        scaled = tuple([w * t_den for w in weights])
-    elif instance.mode is Mode.MINMAX:
+    if instance.mode is Mode.MINMAX:
         return None
-    else:
-        scaled = tuple([min(w * t_den, denom) for w in weights])
-    return with_integers(instance, (scaled, denom))
+    return with_integers(instance, (tuple([min(w * t_den, denom)
+                                           for w in instance.integers[0]]), denom))
 
 
 def decide(instance: ConvexInstance, t: Fraction, k: int,

@@ -14,9 +14,9 @@ an assignment item by item through ``Agent.covers``; ``reference_validate``
 runs the per-item duplicate and sign loop on every instance and counts
 coverage by a difference array over the positions;
 ``reference_integer_scale`` is ``solver.scale`` as it was before a guess at which
-no value exceeds t/4 took a view: it builds the scaled weight tuple on every
-call.  ``reference_round_instance`` classifies every value by
-``_categories``, small or not, and builds the rounded weight tuple too; the
+nothing clamps took a view: it builds the scaled weight tuple on every call.
+``reference_round_instance`` classifies every value by ``_categories``, small
+or not, and builds the rounded weight tuple too; the
 two are the materialized path that the all-small views must read back.
 ``reference_workspace_tables`` builds the ``_Workspace`` tables
 one agent and one unit of nu_0 at a time, from ``positions`` grouped by a
@@ -393,9 +393,9 @@ def reference_minmax_rows(ws: _Workspace) -> Iterator[dict]:
         small_table = small_weight[:cut] + [small_prefix[cap]] * (len(small_len) - cut)
         tables = [small_table, *ws.prefix_weight[1:]]
         row: dict = {}
-        for nu_prev, limit, start, big in ws.row_windows(j, preds):
-            for nu in filterfalse(row.__contains__,
-                                  product(range(start, nu_prev[0] + 1), *big)):
+        for nu_prev, limit, before_small in preds:
+            box = ws.windows(nu_prev, before_small, j)
+            for nu in filterfalse(row.__contains__, product(*box)):
                 after = sum(map(getitem, tables, nu))
                 if after >= limit:
                     row[nu] = (nu_prev, after, kept[nu[0]])
@@ -420,9 +420,9 @@ def reference_maxmin_rows(ws: _Workspace) -> Iterator[dict]:
         small_table = small_weight[:cut] + [small_prefix[cap]] * (len(small_len) - cut)
         tables = [small_table, *ws.prefix_weight[1:]]
         row: dict = {}
-        for nu_prev, limit, start, big in ws.row_windows(j, preds):
-            for nu in filterfalse(row.__contains__,
-                                  product(range(start, nu_prev[0] + 1), *big)):
+        for nu_prev, limit, before_small in preds:
+            box = ws.windows(nu_prev, before_small, j)
+            for nu in filterfalse(row.__contains__, product(*box)):
                 after = sum(map(getitem, tables, nu))
                 if after <= limit:
                     row[nu] = (nu_prev, after, kept[nu[0]])

@@ -31,7 +31,7 @@ from reference import (reference_integer_scale, reference_maxmin_rows, reference
 # holds.
 TABLES = ("weight", "positions", "prefix_weight", "small_positions", "small_prefix",
           "small_len", "small_weight", "lows", "highs")
-METHODS = ("remainder", "windows", "row_windows", "small_kept")
+METHODS = ("remainder", "windows", "small_kept")
 BUILT = ("order", "up", "width", "denom", "unit", "active", "small_count", "reach", "left_of",
          "nu_active", "nu_in")
 
@@ -198,14 +198,25 @@ def test_an_all_small_decide_builds_no_weight_tuple(monkeypatch):
     assert not any(hasattr(table._ws, name) for name in TABLES + METHODS)
     assert table._ws.folded[0] is inst.prefix
 
-    # A dense Max-Min guess holds big items: it builds its tuples as before.
+    # A dense Max-Min guess holds big items.  Nothing clamps at the Hall
+    # bound, so the scaled instance is a view of the loaded one, whose
+    # weights the rounding builds when it reads them; the rounded instance
+    # and the workspace build their tuples as before.
     dense = gen_inclusion_free(5, 5, 20, (Fraction(1, 2), Fraction(1)), Mode.MAXMIN)
     bound, _ = hall_bound(dense)
     solver.decide(dense, bound, 6)
     scaled, rounded, table = made["scale"], made["round_instance"].instance, made["forward"]
-    for derived in (scaled, rounded):
-        assert derived.scaling is None and "integers" in vars(derived)
+    assert scaled.scaling.source is dense and "integers" in vars(scaled)
+    assert scaled.integers == reference_integer_scale(dense, bound).integers
+    assert rounded.scaling is None and "integers" in vars(rounded)
     assert all(name in vars(table._ws) for name in TABLES)
+    # Below v_max a Max-Min guess clamps, and scaling builds its tuple.
+    t = Fraction(dense.spread[1], dense.integers[1]) * Fraction(3, 4)
+    solver.decide(dense, t, 6)
+    scaled, rounded = made["scale"], made["round_instance"].instance
+    assert scaled.scaling is None and "integers" in vars(scaled)
+    assert scaled.integers == reference_integer_scale(dense, t).integers
+    assert rounded.scaling is None and "integers" in vars(rounded)
 
 
 @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 20)])
@@ -213,7 +224,7 @@ def test_rounding_a_view_with_a_nonpositive_value_raises(bad):
     inst = ConvexInstance(Mode.MINMAX, (Item("x1", bad), Item("x2", Fraction(1, 10))),
                           (Agent("p1", 1, 2),))
     scaled = scale(inst, Fraction(1))
-    assert scaled.scaling is not None  # no value exceeds t/4
+    assert scaled.scaling is not None  # no value exceeds t
     message = rf"value {bad} outside \(0, 1\]; scale the instance first"
     with pytest.raises(ValueError, match=message):
         round_instance(scaled, scheme(8, Mode.MINMAX))

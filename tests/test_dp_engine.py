@@ -549,7 +549,8 @@ def drawn_rounded(seed, mode, k, shape, factor):
 def drawn(test):
     """Derandomized: every run draws the same examples and stores none."""
     return settings(derandomize=True, database=None, deadline=None)(given(
-        seed=st.integers(0, 2 ** 16), mode=st.sampled_from(Mode), k=st.sampled_from([4, 6, 8]),
+        seed=st.integers(0, 2 ** 16), mode=st.sampled_from(Mode),
+        k=st.sampled_from([4, 6, 8, 12]),
         shape=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 4 * n + 3))),
         factor=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4)]),
     )(test))
